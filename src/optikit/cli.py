@@ -34,6 +34,12 @@ EXIT_USAGE = 2
 _INTERFACE_K0 = 2.0 * math.pi
 _INTERFACE_OMEGA = 2.0 * math.pi
 
+# caps on the size flags, so validated input bounds time and memory; --dim
+# allocates dense D x D complex matrices of 16 D**2 bytes each
+MAX_SAMPLES = 1_000_000
+MAX_DIM = 2048
+MAX_ROUND_TRIPS = 1_000_000
+
 
 class _UsageError(Exception):
     pass
@@ -47,6 +53,11 @@ def _fmt(x: float) -> str:
 
 def _fmt_radius(r: float) -> str:
     return "inf" if math.isinf(r) else _fmt(r)
+
+
+def _require_at_most(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise _UsageError(f"{flag} must be <= {cap}, got {value}")
 
 
 def _load_document(path: str, want_kind: str) -> sysdesc.Document:
@@ -102,6 +113,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
+    _require_at_most("--round-trips", args.round_trips, MAX_ROUND_TRIPS)
     doc = _load_document(args.file, "resonator")
     res = sysdesc.document_to_resonator(doc)
     report = validate_resonator(res)
@@ -154,6 +166,7 @@ def _cmd_beam(args: argparse.Namespace) -> int:
 def _cmd_interface(args: argparse.Namespace) -> int:
     if not 0 <= args.theta_deg < 90:
         raise _UsageError(f"theta-deg must be in [0, 90), got {args.theta_deg}")
+    _require_at_most("--samples", args.samples, MAX_SAMPLES)
     theta_i = math.radians(args.theta_deg)
     theta_t = emoptics.snell_angle(args.n1, args.n2, theta_i)
     r_amp, t_amp = emoptics.continuity_coefficients(args.n1, args.n2, theta_i, args.a)
@@ -183,6 +196,7 @@ def _cmd_interface(args: argparse.Namespace) -> int:
 def _cmd_quantum(args: argparse.Namespace) -> int:
     if args.dim < 2:
         raise _UsageError(f"dim must be >= 2, got {args.dim}")
+    _require_at_most("--dim", args.dim, MAX_DIM)
     if not args.omega > 0:
         raise _UsageError(f"omega must be positive, got {args.omega}")
     if not args.hbar > 0:

@@ -20,15 +20,39 @@ not (1/(eta0 k0)) k x E of them; the validator reports that mismatch as an
 advisory clause instead of failing (see `Clause.required`).
 `fresnel_standard` gives the standard-convention s/p coefficients for
 comparison.
+
+Cost and exactness of `max_boundary_residual`: the seeded (u, v, t) draws stay
+a per-sample `random.Random` loop, and one private generator owns their order
+for both the kernel and `sample_plane_points`.  Everything after the draws is
+float64 array work over blocks of at most `_CHUNK` samples, so time is
+O(samples) at a few microseconds per sample and memory is O(_CHUNK).
+
+The kernel returns exactly (bit for bit) the max over `sample_plane_points`
+of the component magnitudes of `boundary_residual`, the scalar reference
+path, whenever the fields involved are finite.  It repeats CPython's complex
+arithmetic on split real/imaginary arrays:
+
+- products are (ar*br - ai*bi, ar*bi + ai*br);
+- the phase exp(-j x) is (cos(-x), sin(-x)), which is what `cmath.exp`
+  computes for the purely imaginary argument;
+- magnitudes are hypot(re, im), which is what `abs` computes.
+
+numpy's complex128 multiply and `np.abs` may take fused multiply-add or SIMD
+paths that differ from CPython in the last bit, so the kernel avoids them.
+The contract also needs `np.cos`, `np.sin` and `np.hypot` to round as the C
+library does; the test suite checks the kernel against the reference path.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .core import CVec3, RVec3, ccross, coplanar
 from .errors import DomainError, OffPlanePoint, TotalInternalReflection
@@ -57,6 +81,9 @@ __all__ = [
 
 # impedance of vacuum, ohms
 ETA0 = 376.730313668
+
+# samples per array block in `max_boundary_residual`; bounds its memory
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -191,8 +218,8 @@ def boundary_residual(
 
 def snell_angle(n1: float, n2: float, theta_i: float) -> float:
     """Transmitted angle arcsin(n1 sin(theta_i) / n2), radians."""
-    if not (n1 > 0 and n2 > 0):
-        raise DomainError(f"indices must be positive, got {n1!r}, {n2!r}")
+    if not (0 < n1 < math.inf and 0 < n2 < math.inf):
+        raise DomainError(f"indices must be positive and finite, got {n1!r}, {n2!r}")
     if not 0 <= theta_i < math.pi / 2:
         raise DomainError(f"incidence angle must be in [0, pi/2), got {theta_i!r}")
     s = n1 * math.sin(theta_i) / n2
@@ -241,10 +268,10 @@ def oblique_incidence_fields(
     (+-cos, 0, -sin) scaled by n/eta0 -- deliberately not recomputed through
     `h_from_e` (see module docstring).
     """
-    if not a > 0:
-        raise DomainError(f"amplitude must be positive, got {a!r}")
-    if not (omega > 0 and k0 > 0):
-        raise DomainError("omega and k0 must be positive")
+    if not 0 < a < math.inf:
+        raise DomainError(f"amplitude must be positive and finite, got {a!r}")
+    if not (0 < omega < math.inf and 0 < k0 < math.inf):
+        raise DomainError(f"omega and k0 must be positive and finite, got {omega!r}, {k0!r}")
     theta_t = snell_angle(n1, n2, theta_i)
     r_amp, t_amp = continuity_coefficients(n1, n2, theta_i, a)
     ci, si = math.cos(theta_i), math.sin(theta_i)
@@ -287,6 +314,26 @@ def _tangent_basis(normal: RVec3) -> tuple[RVec3, RVec3]:
     return (t1, t2)
 
 
+def _plane_draws(
+    sys_i: InterfaceSystem, samples: int, seed: int
+) -> Iterator[tuple[float, float, float]]:
+    """Seeded tangential offsets (u, v) and times t, one triple per sample.
+
+    The single owner of the draw order: u, v, t per sample from
+    `random.Random(seed)`, so seeded outputs never change.
+    """
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
+    lam = wavelength_of(sys_i.incident.k)
+    period = 2.0 * math.pi / sys_i.incident.omega
+    rng = random.Random(seed)
+    for _ in range(samples):
+        u = rng.uniform(-10.0 * lam, 10.0 * lam)
+        v = rng.uniform(-10.0 * lam, 10.0 * lam)
+        t = rng.uniform(0.0, 10.0 * period)
+        yield (u, v, t)
+
+
 def sample_plane_points(
     sys_i: InterfaceSystem, samples: int, seed: int
 ) -> Iterator[tuple[RVec3, float]]:
@@ -295,17 +342,10 @@ def sample_plane_points(
     Tangential offsets span +-10 wavelengths of the incident wave and times
     span ten periods, so the check covers many phase cycles.
     """
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples}")
-    lam = wavelength_of(sys_i.incident.k)
-    period = 2.0 * math.pi / sys_i.incident.omega
+    point = sys_i.spec.point
     t1, t2 = _tangent_basis(sys_i.spec.normal)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        u = rng.uniform(-10.0 * lam, 10.0 * lam)
-        v = rng.uniform(-10.0 * lam, 10.0 * lam)
-        t = rng.uniform(0.0, 10.0 * period)
-        yield (sys_i.spec.point + t1.scale(u) + t2.scale(v), t)
+    for u, v, t in _plane_draws(sys_i, samples, seed):
+        yield (point + t1.scale(u) + t2.scale(v), t)
 
 
 def _field_scale(sys_i: InterfaceSystem) -> float:
@@ -313,14 +353,79 @@ def _field_scale(sys_i: InterfaceSystem) -> float:
     return max(max(w.E.max_abs(), w.H.max_abs()) for w in waves)
 
 
+def _column(v: RVec3) -> np.ndarray:
+    return np.array([[float(v.x)], [float(v.y)], [float(v.z)]])
+
+
+def _dot3(a, b):
+    # left to right, as RVec3.dot sums
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product on split parts (no fused multiply-add)."""
+    return (ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _amplitudes(wave: PlaneWave) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (E, H), shape (2, 3, 1)."""
+    parts = np.array(
+        [[complex(c) for c in (f.x, f.y, f.z)] for f in (wave.E, wave.H)]
+    )[:, :, None]
+    return (parts.real, parts.imag)
+
+
+def _block_fields(wave: PlaneWave, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split (E, H) of `eval_plane_wave` at n points, shape (2, 3, n)."""
+    # -1j * x is (0.0, -x) and cmath.exp of it is (cos(-x), sin(-x))
+    arg = -(_dot3(_column(wave.k), r) - float(wave.omega) * t)
+    ar, ai = _amplitudes(wave)
+    return _cmul(np.cos(arg), np.sin(arg), ar, ai)
+
+
+# component i of u x v is u[_NEXT[i]] v[_PREV[i]] - u[_PREV[i]] v[_NEXT[i]]
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+
+
 def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> float:
-    """Largest tangential-mismatch component over seeded plane samples."""
-    side1 = (sys_i.incident, sys_i.reflected)
+    """Largest tangential-mismatch component over seeded plane samples.
+
+    Equal bit for bit to the max over `sample_plane_points` of the
+    `boundary_residual` component magnitudes (see the module docstring).
+    Raises `OffPlanePoint` at the first sample off the plane.
+    """
+    spec = sys_i.spec
+    point = _column(spec.point)
+    t1, t2 = (_column(b) for b in _tangent_basis(spec.normal))
+    normal = _column(spec.normal)
+    n_im = np.zeros_like(normal)
+    draws = _plane_draws(sys_i, samples, seed)
     worst = 0.0
-    for r, t in sample_plane_points(sys_i, samples, seed):
-        d_e, d_h = boundary_residual(side1, sys_i.transmitted, sys_i.spec, r, t)
-        worst = max(worst, d_e.max_abs(), d_h.max_abs())
-    return worst
+    while True:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(draws, _CHUNK)), float)
+        if block.size == 0:
+            return worst
+        u, v, t = block.reshape(-1, 3).T
+        r = point + t1 * u + t2 * v
+        # the inequality of `_require_on_plane`, which then raises for the first hit
+        offset = r - point
+        off_plane = np.abs(_dot3(offset, normal)) > 1e-12 * (1.0 + np.sqrt(_dot3(offset, offset)))
+        if off_plane.any():
+            i = int(np.argmax(off_plane))
+            _require_on_plane(spec, RVec3(*r[:, i].tolist()))
+        inc_r, inc_i = _block_fields(sys_i.incident, r, t)
+        ref_r, ref_i = _block_fields(sys_i.reflected, r, t)
+        tra_r, tra_i = _block_fields(sys_i.transmitted, r, t)
+        # side 1 summed from CVec3(0j, 0j, 0j), then crossed with the normal as
+        # a complex vector, exactly as `boundary_residual` does
+        d_r = (0.0 + inc_r + ref_r) - tra_r
+        d_i = (0.0 + inc_i + ref_i) - tra_i
+        a_r, a_i = _cmul(normal[_NEXT], n_im, d_r[:, _PREV], d_i[:, _PREV])
+        b_r, b_i = _cmul(normal[_PREV], n_im, d_r[:, _NEXT], d_i[:, _NEXT])
+        magnitude = np.hypot(a_r - b_r, a_i - b_i)
+        # fmax, like the reference's max(), never lets a NaN win
+        worst = max(worst, float(np.fmax.reduce(magnitude, axis=None)))
 
 
 def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -> InterfaceReport:

@@ -16,10 +16,20 @@ Truncation artifacts live only at the top Fock level: the commutator
 [q, p] = q p - p q equals j*hbar on the lower (D-1)-dimensional block but
 -(D-1)*j*hbar at level D-1.  Results quoted for the infinite-dimensional
 mode hold on the lower block.
+
+Cost and exactness of `make_single_mode`: q and p are tridiagonal with zero
+diagonal and H is pentadiagonal (main and +-2 diagonals), so the build does
+O(D) arithmetic on the ladder band sqrt(1), ..., sqrt(D-1) and only fills the
+dense D x D matrices (16 D**2 bytes each) that `Operator` stores.  q and p are
+bit-equal to the dense ladder construction sqrt(hbar/(2 omega)) (a^ + a) and
+j sqrt(hbar omega/2) (a^ - a) from `annihilator`.  H is exactly Hermitian and
+agrees with (omega**2/2) q @ q + (1/2) p @ p to rounding; `commutator` keeps
+its own dense route, so the [q, p] check stays independent of this build.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -231,20 +241,48 @@ class SingleMode:
     H: Operator
 
 
+def _square_diagonal(band: np.ndarray) -> np.ndarray:
+    """Diagonal of X @ X for Hermitian tridiagonal X with zero diagonal and
+    off-diagonal magnitudes `band`: |x[n-1, n]|**2 + |x[n, n+1]|**2."""
+    sq = band * band
+    return np.concatenate(([0.0], sq)) + np.concatenate((sq, [0.0]))
+
+
 def make_single_mode(omega: float, hbar: float = 1.0, dim: int = 32) -> SingleMode:
-    """Build q, p, and the energy H = (omega**2/2) q**2 + (1/2) p**2."""
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega!r}")
-    if not hbar > 0:
-        raise DomainError(f"hbar must be positive, got {hbar!r}")
+    """Build q, p, and the energy H = (omega**2/2) q**2 + (1/2) p**2.
+
+    O(D) arithmetic from the ladder band; see the module docstring.
+    """
+    if not 0 < omega < math.inf:
+        raise DomainError(f"omega must be positive and finite, got {omega!r}")
+    if not 0 < hbar < math.inf:
+        raise DomainError(f"hbar must be positive and finite, got {hbar!r}")
     if dim < 2:
         raise DomainError(f"dimension must be >= 2, got {dim}")
-    a = annihilator(dim)
-    adag = a.adjoint()
-    q = np.sqrt(hbar / (2.0 * omega)) * (adag + a)
-    p = 1j * np.sqrt(hbar * omega / 2.0) * (adag - a)
-    h = (omega**2 / 2.0) * (q @ q) + 0.5 * (p @ p)
-    return SingleMode(omega=omega, hbar=hbar, dim=dim, q=q, p=p, H=h)
+    ladder = np.sqrt(np.arange(1, dim))  # a[n-1, n] = sqrt(n)
+    q_band = np.sqrt(hbar / (2.0 * omega)) * ladder
+    p_band = np.sqrt(hbar * omega / 2.0) * ladder
+    n = np.arange(dim - 1)
+    upper, lower = (n, n + 1), (n + 1, n)
+
+    q = np.zeros((dim, dim), dtype=complex)
+    q[upper] = q_band
+    q[lower] = q_band
+    p = np.zeros((dim, dim), dtype=complex)
+    p.imag[upper] = -p_band
+    p.imag[lower] = p_band
+
+    # q @ q and p @ p are real: their +-2 diagonals are q_n q_n+1 and
+    # (-j p_n)(-j p_n+1) = -p_n p_n+1, with q_n, p_n the band entries
+    w2 = omega**2 / 2.0
+    h = np.zeros((dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    h[diag, diag] = w2 * _square_diagonal(q_band) + 0.5 * _square_diagonal(p_band)
+    m = np.arange(dim - 2)
+    second = w2 * (q_band[:-1] * q_band[1:]) - 0.5 * (p_band[:-1] * p_band[1:])
+    h[m, m + 2] = second
+    h[m + 2, m] = second
+    return SingleMode(omega=omega, hbar=hbar, dim=dim, q=Operator(q), p=Operator(p), H=Operator(h))
 
 
 def hermitian_eigenvalues(op: Operator) -> np.ndarray:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from optikit import cli
+from optikit import cli, emoptics, quantum
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -191,6 +191,11 @@ class TestExitCodes:
         assert code == 1
         assert "total internal reflection" in err
 
+    def test_quantum_nonfinite_omega_is_domain_failure(self, capsys):
+        code, out, err = run(capsys, "quantum", "--omega", "inf")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "finite" in err
+
     def test_quantum_dim_too_small(self, capsys):
         code, _, _ = run(capsys, "quantum", "--omega", "1", "--dim", "1")
         assert code == 2
@@ -213,3 +218,31 @@ class TestExitCodes:
         code, out, _ = run(capsys, "stability", SAMPLES / "fp_unstable.res")
         assert code == 0
         assert "verdict unstable" in out
+
+
+class TestResourceCaps:
+    """Size flags above their caps are usage errors, caught before any work."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an over-cap input reached the library")
+
+        monkeypatch.setattr(emoptics, "max_boundary_residual", forbidden)
+        monkeypatch.setattr(quantum, "make_single_mode", forbidden)
+        monkeypatch.setattr(cli, "ray_bound_oracle", forbidden)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "0",
+             "--samples", cli.MAX_SAMPLES + 1),
+            ("quantum", "--omega", "1", "--dim", cli.MAX_DIM + 1),
+            ("stability", SAMPLES / "fp_stable.res", "--oracle",
+             "--round-trips", cli.MAX_ROUND_TRIPS + 1),
+        ],
+    )
+    def test_over_cap_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be <=" in err

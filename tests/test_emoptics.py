@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from optikit.core import CVec3, RVec3, cdot
 from optikit.emoptics import (
@@ -18,6 +20,7 @@ from optikit.emoptics import (
     max_boundary_residual,
     oblique_incidence_fields,
     reflect_wavevector,
+    sample_plane_points,
     snell_angle,
     validate_interface_system,
     wavelength_of,
@@ -145,6 +148,9 @@ class TestSnell:
             snell_angle(-1.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             snell_angle(1.0, 1.0, math.pi / 2)
+        for n1, n2 in ((1.0, math.inf), (math.inf, 1.5), (math.nan, 1.5), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                snell_angle(n1, n2, 0.3)
 
 
 class TestReflectWavevector:
@@ -236,6 +242,86 @@ class TestObliqueIncidenceFields:
     def test_tir_propagates(self):
         with pytest.raises(TotalInternalReflection):
             example_system(theta_deg=60.0, n1=1.5, n2=1.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, math.inf, 1.0, TWO_PI, TWO_PI),
+            (math.inf, 1.5, 1.0, TWO_PI, TWO_PI),
+            (1.0, 1.5, math.inf, TWO_PI, TWO_PI),
+            (1.0, 1.5, math.nan, TWO_PI, TWO_PI),
+            (1.0, 1.5, 1.0, math.inf, TWO_PI),
+            (1.0, 1.5, 1.0, TWO_PI, math.inf),
+            (1.0, 1.5, 1.0, math.nan, math.nan),
+        ],
+    )
+    def test_nonfinite_inputs_rejected(self, args):
+        # n2 = inf used to build a system whose sampled residual read 0.0
+        with pytest.raises(DomainError):
+            oblique_incidence_fields(0.3, *args)
+
+
+def reference_max_residual(system, samples, seed):
+    """Scalar reference: max component magnitude of `boundary_residual`."""
+    side1 = (system.incident, system.reflected)
+    worst = 0.0
+    for r, t in sample_plane_points(system, samples, seed):
+        d_e, d_h = boundary_residual(side1, system.transmitted, system.spec, r, t)
+        worst = max(worst, d_e.max_abs(), d_h.max_abs())
+    return worst
+
+
+interface_cases = st.fixed_dictionaries(
+    {
+        "theta_deg": st.floats(min_value=0.0, max_value=80.0, exclude_max=True),
+        "n1": st.floats(min_value=1.0, max_value=2.5),
+        "n2": st.floats(min_value=1.0, max_value=3.5),
+        "a": st.floats(min_value=1e-3, max_value=1e3),
+        # scaling the transmitted wave makes the residual O(1) and complex
+        "mismatch": st.none() | st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+    }
+)
+
+
+def build_case(case):
+    theta = math.radians(case["theta_deg"])
+    assume(case["n1"] * math.sin(theta) / case["n2"] < 1.0)
+    system = oblique_incidence_fields(theta, case["n1"], case["n2"], case["a"], TWO_PI, TWO_PI)
+    z = case["mismatch"]
+    if z is not None:
+        tr = system.transmitted
+        system = dataclasses.replace(
+            system, transmitted=dataclasses.replace(tr, E=tr.E.scale(z), H=tr.H.scale(z))
+        )
+    return system
+
+
+class TestResidualKernel:
+    """`max_boundary_residual` against the scalar `boundary_residual` path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=interface_cases, samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference_bit_for_bit(self, case, samples, seed):
+        system = build_case(case)
+        assert max_boundary_residual(system, samples, seed) == reference_max_residual(system, samples, seed)
+
+    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097])
+    @settings(max_examples=3, deadline=None)
+    @given(case=interface_cases, seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference_across_chunk_edge(self, case, seed, samples):
+        system = build_case(case)
+        assert max_boundary_residual(system, samples, seed) == reference_max_residual(system, samples, seed)
+
+    def test_non_unit_normal_raises_off_plane(self):
+        system = example_system()
+        tilted = dataclasses.replace(
+            system, spec=dataclasses.replace(system.spec, normal=RVec3(1.0, 1.0, 0.0))
+        )
+        with pytest.raises(OffPlanePoint) as kernel:
+            max_boundary_residual(tilted, 100, seed=0)
+        with pytest.raises(OffPlanePoint) as reference:
+            reference_max_residual(tilted, 100, seed=0)
+        assert str(kernel.value) == str(reference.value)
 
 
 class TestPlaneOfIncidence:

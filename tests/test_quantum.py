@@ -188,6 +188,27 @@ class TestSingleMode:
         with pytest.raises(DomainError):
             make_single_mode(1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("omega, hbar", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_nonfinite_parameters_rejected(self, omega, hbar):
+        # omega = inf used to reach the eigensolver and fail with LinAlgError
+        with pytest.raises(DomainError):
+            make_single_mode(omega, hbar, 64)
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 512])
+    def test_banded_build_matches_dense_ladder(self, dim):
+        omega, hbar = 2.5, 0.7
+        sm = make_single_mode(omega, hbar, dim)
+        a = annihilator(dim)
+        adag = a.adjoint()
+        q = np.sqrt(hbar / (2.0 * omega)) * (adag + a)
+        p = 1j * np.sqrt(hbar * omega / 2.0) * (adag - a)
+        assert np.array_equal(sm.q.matrix, q.matrix)
+        assert np.array_equal(sm.p.matrix, p.matrix)
+        h = sm.H.matrix
+        dense = ((omega**2 / 2.0) * (q @ q) + 0.5 * (p @ p)).matrix
+        assert np.max(np.abs(h - dense)) <= 1e-12 * np.max(np.abs(h))
+        assert np.array_equal(h - h.conj().T, np.zeros_like(h))
+
     def test_ladder_action(self):
         a = annihilator(5).matrix
         for n in range(1, 5):

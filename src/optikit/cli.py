@@ -60,6 +60,11 @@ def _require_at_most(flag: str, value: int, cap: int) -> None:
         raise _UsageError(f"{flag} must be <= {cap}, got {value}")
 
 
+def _require_finite_source(args: argparse.Namespace) -> None:
+    if not (math.isfinite(args.y0) and math.isfinite(args.theta0)):
+        raise _UsageError("source ray must be finite")
+
+
 def _load_document(path: str, want_kind: str) -> sysdesc.Document:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -93,8 +98,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.y0) and math.isfinite(args.theta0)):
-        raise _UsageError("source ray must be finite")
+    _require_finite_source(args)
     system = _load_system(args.file)
     source = RayState(args.y0, args.theta0)
     trace = rayoptics.trace_ray(system, source)
@@ -114,6 +118,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_stability(args: argparse.Namespace) -> int:
     _require_at_most("--round-trips", args.round_trips, MAX_ROUND_TRIPS)
+    _require_finite_source(args)
     doc = _load_document(args.file, "resonator")
     res = sysdesc.document_to_resonator(doc)
     report = validate_resonator(res)

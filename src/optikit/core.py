@@ -82,10 +82,10 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
     if n < 0:
         raise DomainError("power must be non-negative")
     det = m.det()
-    if abs(det - 1.0) > 1e-9:
+    if not abs(det - 1.0) <= 1e-9:  # fails closed on a NaN det
         raise DomainError(f"matrix is not unimodular: det = {det!r}")
     ht = m.half_trace()
-    if abs(ht) >= 1.0:
+    if not abs(ht) < 1.0:
         raise DomainError(f"|half-trace| must be < 1, got {ht!r}")
     theta = math.acos(ht)
     s = math.sin(theta)

@@ -22,6 +22,7 @@ wavefront is represented by an infinite radius (math.inf), printed as
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,8 +51,10 @@ class QParameter:
     wavelength: float
 
     def __post_init__(self) -> None:
-        if not self.wavelength > 0:
-            raise DomainError(f"wavelength must be positive, got {self.wavelength!r}")
+        if not 0 < self.wavelength < math.inf:
+            raise DomainError(f"wavelength must be positive and finite, got {self.wavelength!r}")
+        if not cmath.isfinite(self.q):
+            raise DomainError(f"q must be finite, got {self.q!r}")
         if not self.q.imag > 0:
             raise UnphysicalBeam(f"Im(q) must be positive, got q = {self.q!r}")
 

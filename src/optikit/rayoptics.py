@@ -19,15 +19,26 @@ concave toward the incoming ray, which reproduces the classical confocal
 stability window 0 < d < 2R for a two-mirror cavity.  The index pair (n0, n1)
 of an interface comes from the component's own free space and the following
 component's (or the terminal) free space.
+
+Cost and exactness: `system_composition` and `trace_ray` are O(n) in the
+number of components.  Each validates the system once (`validate_system`,
+built from the per-element clauses of `element_violations`) and then runs
+over the (d, C, D) entries of each component in plain floats, with no matrix
+allocated per element and no second check.  Both are bit-identical to the
+reference form, the `mat2_mul` fold and the `mat2_apply` stepping over
+`element_matrices`.  Every parameter must be finite, and a composed matrix
+or traced ray that overflows double precision raises InvalidSystem instead
+of returning inf or NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .core import IDENTITY2, Mat2, mat2_apply, mat2_mul
+from .core import Mat2
 from .errors import InvalidComponent, InvalidSystem
 
 __all__ = [
@@ -42,6 +53,7 @@ __all__ = [
     "RayTrace",
     "Violation",
     "ValidationReport",
+    "element_violations",
     "validate_system",
     "free_space_matrix",
     "interface_matrix",
@@ -146,34 +158,61 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def _free_space_violations(fs: FreeSpace, index: int | None) -> list[Violation]:
+def element_violations(element: FreeSpace | OpticalInterface, index: int | None) -> list[Violation]:
+    """Violated validity clauses of one free space or interface (empty == valid).
+
+    A free space needs a finite n > 0 and a finite d >= 0; a spherical
+    interface needs a finite R != 0.  index locates the element in the
+    reports built from these clauses.
+    """
     out = []
-    if not fs.n > 0:
-        out.append(Violation(index, "0 < n", f"n = {fs.n!r}"))
-    if not fs.d >= 0:
-        out.append(Violation(index, "0 <= d", f"d = {fs.d!r}"))
+    if isinstance(element, FreeSpace):
+        n, d = element.n, element.d
+        if not 0 < n < math.inf:
+            out.append(Violation(index, "n finite" if n > 0 else "0 < n", f"n = {n!r}"))
+        if not 0 <= d < math.inf:
+            out.append(Violation(index, "d finite" if d >= 0 else "0 <= d", f"d = {d!r}"))
+    elif isinstance(element, Spherical):
+        r = element.radius
+        if r == 0:
+            out.append(Violation(index, "R != 0", "spherical interface with R = 0"))
+        elif not -math.inf < r < math.inf:
+            out.append(Violation(index, "R finite", f"R = {r!r}"))
     return out
-
-
-def _interface_violations(iface: OpticalInterface, index: int | None) -> list[Violation]:
-    if isinstance(iface, Spherical) and iface.radius == 0:
-        return [Violation(index, "R != 0", "spherical interface with R = 0")]
-    return []
 
 
 def validate_system(sys: OpticalSystem) -> ValidationReport:
     """Report every violated validity constraint of a system (empty == valid)."""
     violations: list[Violation] = []
     for i, comp in enumerate(sys.components):
-        violations += _free_space_violations(comp.space, i)
-        violations += _interface_violations(comp.iface, i)
-    violations += _free_space_violations(sys.terminal, None)
+        violations += element_violations(comp.space, i)
+        violations += element_violations(comp.iface, i)
+    violations += element_violations(sys.terminal, None)
     return ValidationReport(tuple(violations))
+
+
+def _require_valid(sys: OpticalSystem) -> None:
+    report = validate_system(sys)
+    if not report.ok:
+        raise InvalidSystem(str(report))
+
+
+def _interface_entries(
+    iface: OpticalInterface, kind: InterfaceKind, n0: float, n1: float
+) -> tuple[float, float]:
+    """Lower row (C, D) of the interface matrix [[1, 0], [C, D]]; inputs valid."""
+    if isinstance(iface, Spherical):
+        if kind is InterfaceKind.TRANSMITTED:
+            return (n0 - n1) / (n1 * iface.radius), n0 / n1
+        return -2.0 / iface.radius, 1.0
+    if kind is InterfaceKind.TRANSMITTED:
+        return 0.0, n0 / n1
+    return 0.0, 1.0
 
 
 def free_space_matrix(fs: FreeSpace) -> Mat2:
     """Translation matrix [[1, d], [0, 1]] of a valid free space."""
-    bad = _free_space_violations(fs, None)
+    bad = element_violations(fs, None)
     if bad:
         raise InvalidComponent(str(bad[0]))
     return Mat2(1.0, fs.d, 0.0, 1.0)
@@ -183,17 +222,13 @@ def interface_matrix(
     iface: OpticalInterface, kind: InterfaceKind, n0: float, n1: float
 ) -> Mat2:
     """Refraction or reflection matrix of an interface between indices n0, n1."""
-    if not (n0 > 0 and n1 > 0):
-        raise InvalidComponent(f"indices must be positive, got n0 = {n0!r}, n1 = {n1!r}")
-    if isinstance(iface, Spherical):
-        if iface.radius == 0:
-            raise InvalidComponent("spherical interface with R = 0")
-        if kind is InterfaceKind.TRANSMITTED:
-            return Mat2(1.0, 0.0, (n0 - n1) / (n1 * iface.radius), n0 / n1)
-        return Mat2(1.0, 0.0, -2.0 / iface.radius, 1.0)
-    if kind is InterfaceKind.TRANSMITTED:
-        return Mat2(1.0, 0.0, 0.0, n0 / n1)
-    return IDENTITY2
+    if not (0 < n0 < math.inf and 0 < n1 < math.inf):
+        raise InvalidComponent(f"indices must be positive and finite, got n0 = {n0!r}, n1 = {n1!r}")
+    bad = element_violations(iface, None)
+    if bad:
+        raise InvalidComponent(bad[0].detail)
+    c, e = _interface_entries(iface, kind, n0, n1)
+    return Mat2(1.0, 0.0, c, e)
 
 
 def _next_index(sys: OpticalSystem, i: int) -> float:
@@ -206,11 +241,11 @@ def element_matrices(sys: OpticalSystem) -> list[Mat2]:
     """Per-element matrices in traversal order.
 
     Each component yields its free-space matrix then its interface matrix;
-    the terminal free space yields one final translation matrix.
+    the terminal free space yields one final translation matrix.  This is the
+    reference form of the system: `system_composition` and `trace_ray` give
+    bit for bit what folding and stepping through these matrices gives.
     """
-    report = validate_system(sys)
-    if not report.ok:
-        raise InvalidSystem(str(report))
+    _require_valid(sys)
     mats: list[Mat2] = []
     for i, comp in enumerate(sys.components):
         mats.append(free_space_matrix(comp.space))
@@ -219,16 +254,47 @@ def element_matrices(sys: OpticalSystem) -> list[Mat2]:
     return mats
 
 
+def _pair_entries(sys: OpticalSystem) -> list[tuple[float, float, float]]:
+    """(d, C, D) of each component after validating the whole system once.
+
+    A component is its free space [[1, d], [0, 1]] followed by its interface
+    [[1, 0], [C, D]].
+    """
+    _require_valid(sys)
+    comps = sys.components
+    next_n = [comp.space.n for comp in comps[1:]]
+    next_n.append(sys.terminal.n)
+    entries = []
+    for comp, n1 in zip(comps, next_n):
+        c, e = _interface_entries(comp.iface, comp.kind, comp.space.n, n1)
+        entries.append((comp.space.d, c, e))
+    return entries
+
+
+def _require_finite(what: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise InvalidSystem(f"{what} overflows double precision: {values!r}")
+
+
 def system_composition(sys: OpticalSystem) -> Mat2:
     """Ray-transfer matrix of the whole system.
 
     Product of the per-element matrices in reverse traversal order, so the
-    last element sits leftmost and the matrix acts on input (y, theta).
+    last element sits leftmost and the matrix acts on input (y, theta).  The
+    product is folded in four local floats with the operations of `mat2_mul`
+    in its order (only the exact products 1.0 * x are left out), so it equals
+    the `mat2_mul` fold of `element_matrices` bit for bit.
     """
-    acc = IDENTITY2
-    for m in element_matrices(sys):
-        acc = mat2_mul(m, acc)
-    return acc
+    a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
+    for d, c, e in _pair_entries(sys):
+        # free space [[1, d], [0, 1]] . acc
+        a11, a12, a21, a22 = a11 + d * a21, a12 + d * a22, 0.0 * a11 + a21, 0.0 * a12 + a22
+        # interface [[1, 0], [c, e]] . acc
+        a11, a12, a21, a22 = a11 + 0.0 * a21, a12 + 0.0 * a22, c * a11 + e * a21, c * a12 + e * a22
+    d = sys.terminal.d
+    a11, a12, a21, a22 = a11 + d * a21, a12 + d * a22, 0.0 * a11 + a21, 0.0 * a12 + a22
+    _require_finite("composed matrix", a11, a12, a21, a22)
+    return Mat2(a11, a12, a21, a22)
 
 
 def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
@@ -238,16 +304,18 @@ def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     (free space traversed and interface applied), and the state after the
     terminal free space.  The final state always equals the composed-matrix
     action on the source; `system_composition` and this stepper are
-    independent code paths over the same element matrices.
+    independent code paths over the same element entries.  Each step repeats
+    the operations of `mat2_apply`, so the states equal stepping through
+    `element_matrices` bit for bit.
     """
-    mats = element_matrices(sys)
+    y, theta = float(source.y), float(source.theta)
     states = [source]
-    v = source.as_pair()
-    # element matrices come in (space, interface) pairs plus the lone terminal
-    for i in range(len(sys.components)):
-        v = mat2_apply(mats[2 * i], v)
-        v = mat2_apply(mats[2 * i + 1], v)
-        states.append(RayState(*v))
-    v = mat2_apply(mats[-1], v)
-    states.append(RayState(*v))
+    for d, c, e in _pair_entries(sys):
+        y, theta = y + d * theta, 0.0 * y + theta
+        y, theta = y + 0.0 * theta, c * y + e * theta
+        states.append(RayState(y, theta))
+    d = sys.terminal.d
+    y, theta = y + d * theta, 0.0 * y + theta
+    _require_finite("traced ray", y, theta)
+    states.append(RayState(y, theta))
     return RayTrace(tuple(states))

@@ -30,8 +30,7 @@ from .rayoptics import (
     RayState,
     Spherical,
     ValidationReport,
-    _free_space_violations,
-    _interface_violations,
+    element_violations,
     system_composition,
 )
 
@@ -88,13 +87,13 @@ class OracleResult:
 
 
 def validate_resonator(res: Resonator) -> ValidationReport:
-    violations = []
-    violations += _interface_violations(res.left, None)
+    """Report every violated validity clause of a resonator (empty == valid)."""
+    violations = element_violations(res.left, None)
     for i, comp in enumerate(res.inner):
-        violations += _free_space_violations(comp.space, i)
-        violations += _interface_violations(comp.iface, i)
-    violations += _free_space_violations(res.space, None)
-    violations += _interface_violations(res.right, None)
+        violations += element_violations(comp.space, i)
+        violations += element_violations(comp.iface, i)
+    violations += element_violations(res.space, None)
+    violations += element_violations(res.right, None)
     return ValidationReport(tuple(violations))
 
 
@@ -147,7 +146,7 @@ def stability_from_matrix(m: Mat2) -> StabilityVerdict:
     round-trip matrices.
     """
     det = m.det()
-    if abs(det - 1.0) > UNIMODULAR_TOL:
+    if not abs(det - 1.0) <= UNIMODULAR_TOL:  # fails closed on a NaN det
         raise NonUnimodular(f"round-trip det = {det!r}; criterion needs det = 1")
     ht = m.half_trace()
     marginal = abs(abs(ht) - 1.0) <= MARGINAL_TOL

@@ -23,6 +23,15 @@ the costliest failure this format could allow.  Serialization is canonical
 (comments dropped, keys in the order n,d / R,kind, shortest float spelling
 that re-reads to the same value) and `parse(serialize(doc))` reproduces the
 document exactly.
+
+Cost: `parse` is one pass over the source, O(its length).  A line is split
+into tokens with `str.split`, and each token's column is found with
+`str.index` from the end of the previous token.  A field token is matched
+against the key=value pattern only when it is not an allowed `key=`, which
+is the one case where that pattern picks between the two error messages;
+each value is matched against the real-number pattern once.
+`document_to_system` and `document_to_resonator` are O(n) in the directives.
+A real such as 1e999 parses (to inf); the system's validation rejects it.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, OptikitError
 from .rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -59,7 +68,7 @@ _REAL = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _KEYVAL = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
 
 
-class ParseError(Exception):
+class ParseError(OptikitError):
     """Positioned grammar violation: 1-based line and column into the source."""
 
     def __init__(self, line: int, column: int, message: str, expected: str = ""):
@@ -100,9 +109,20 @@ class Document:
 
 
 def _tokenize(raw_line: str) -> list[tuple[str, int]]:
-    """(token, 1-based column) pairs of a line with its comment stripped."""
-    code = raw_line.split("#", 1)[0]
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", code)]
+    """(token, 1-based column) pairs of a line with its comment stripped.
+
+    Tokens are the maximal runs of non-whitespace; each column is found by
+    searching from the end of the previous token, so repeated tokens get
+    their own positions.
+    """
+    code = raw_line.partition("#")[0]
+    tokens = []
+    pos = 0
+    for text in code.split():
+        pos = code.index(text, pos)
+        tokens.append((text, pos + 1))
+        pos += len(text)
+    return tokens
 
 
 def _parse_real(value: str, line: int, col: int, key: str) -> float:
@@ -115,25 +135,31 @@ def _end_column(raw_line: str) -> int:
     return len(raw_line.rstrip("\n")) + 1
 
 
+# (required keys in reporting order, allowed keys) of each field list
+_FREESPACE_FIELDS = (("n", "d"), frozenset(("n", "d")))
+_SPHERICAL_FIELDS = (("R",), frozenset(("R", "kind")))
+_PLANE_FIELDS = ((), frozenset(("kind",)))
+
+
 def _parse_fields(
     tokens: list[tuple[str, int]],
     line_no: int,
     raw_line: str,
-    required: tuple[str, ...],
-    optional: tuple[str, ...],
+    fields: tuple[tuple[str, ...], frozenset[str]],
 ) -> dict[str, tuple[str, int]]:
+    """key -> (value, column) of a line's key=value tokens."""
+    required, allowed = fields
     seen: dict[str, tuple[str, int]] = {}
-    allowed = set(required) | set(optional)
     for text, col in tokens:
-        m = _KEYVAL.match(text)
-        if not m:
-            raise ParseError(line_no, col, f"trailing token {text!r}", "key=value")
-        key, value = m.group(1), m.group(2)
-        if key not in allowed:
+        key, eq, value = text.partition("=")
+        if not eq or key not in allowed:
+            # only here does it matter whether the token is key=value at all
+            if not _KEYVAL.match(text):
+                raise ParseError(line_no, col, f"trailing token {text!r}", "key=value")
             raise ParseError(line_no, col, f"unknown key {key!r}", " or ".join(sorted(allowed)))
         if key in seen:
             raise ParseError(line_no, col, f"duplicate key {key!r}", "each key at most once")
-        if value == "":
+        if not value:
             raise ParseError(line_no, col, f"empty value for {key!r}", f"{key}=<value>")
         seen[key] = (value, col)
     for key in required:
@@ -143,30 +169,32 @@ def _parse_fields(
 
 
 def _parse_freespace(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> FreespaceDirective:
-    fields = _parse_fields(tokens[1:], line_no, raw_line, required=("n", "d"), optional=())
-    n = _parse_real(fields["n"][0], line_no, fields["n"][1], "n")
-    d = _parse_real(fields["d"][0], line_no, fields["d"][1], "d")
-    return FreespaceDirective(n=n, d=d, line=line_no, column=tokens[0][1])
+    fields = _parse_fields(tokens[1:], line_no, raw_line, _FREESPACE_FIELDS)
+    n_text, n_col = fields["n"]
+    d_text, d_col = fields["d"]
+    n = _parse_real(n_text, line_no, n_col, "n")
+    d = _parse_real(d_text, line_no, d_col, "d")
+    return FreespaceDirective(n, d, line_no, tokens[0][1])
 
 
 def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> InterfaceDirective:
     if len(tokens) < 2:
         raise ParseError(line_no, _end_column(raw_line), "missing interface shape", "plane or spherical")
     shape, shape_col = tokens[1]
-    if shape not in ("plane", "spherical"):
-        raise ParseError(line_no, shape_col, f"unknown interface shape {shape!r}", "plane or spherical")
     if shape == "spherical":
-        fields = _parse_fields(tokens[2:], line_no, raw_line, required=("R",), optional=("kind",))
+        fields = _parse_fields(tokens[2:], line_no, raw_line, _SPHERICAL_FIELDS)
         radius = _parse_real(fields["R"][0], line_no, fields["R"][1], "R")
-    else:
-        fields = _parse_fields(tokens[2:], line_no, raw_line, required=(), optional=("kind",))
+    elif shape == "plane":
+        fields = _parse_fields(tokens[2:], line_no, raw_line, _PLANE_FIELDS)
         radius = None
+    else:
+        raise ParseError(line_no, shape_col, f"unknown interface shape {shape!r}", "plane or spherical")
     kind = None
     if "kind" in fields:
         kind, kind_col = fields["kind"]
         if kind not in ("transmitted", "reflected"):
             raise ParseError(line_no, kind_col, f"invalid kind {kind!r}", "transmitted or reflected")
-    return InterfaceDirective(shape=shape, radius=radius, kind=kind, line=line_no, column=tokens[0][1])
+    return InterfaceDirective(shape, radius, kind, line_no, tokens[0][1])
 
 
 def parse(source: str) -> Document:
@@ -284,20 +312,23 @@ def _to_kind(kind: str | None) -> InterfaceKind:
     return InterfaceKind.REFLECTED if kind == "reflected" else InterfaceKind.TRANSMITTED
 
 
+def _components(items: tuple[Directive, ...], start: int, stop: int) -> tuple[OpticalComponent, ...]:
+    """Components of the (freespace, interface) directive pairs in items[start:stop]."""
+    comps = []
+    for i in range(start, stop, 2):
+        fs: FreespaceDirective = items[i]  # type: ignore[assignment]
+        iface: InterfaceDirective = items[i + 1]  # type: ignore[assignment]
+        comps.append(OpticalComponent(FreeSpace(fs.n, fs.d), _to_interface(iface), _to_kind(iface.kind)))
+    return tuple(comps)
+
+
 def document_to_system(doc: Document) -> OpticalSystem:
     """Materialize a [system] document into ray-optics types."""
     if doc.kind != "system":
         raise DomainError(f"expected a system document, got [{doc.kind}]")
     _check_document(doc)
-    comps = []
-    for i in range(0, len(doc.items) - 1, 2):
-        fs: FreespaceDirective = doc.items[i]  # type: ignore[assignment]
-        iface: InterfaceDirective = doc.items[i + 1]  # type: ignore[assignment]
-        comps.append(
-            OpticalComponent(FreeSpace(fs.n, fs.d), _to_interface(iface), _to_kind(iface.kind))
-        )
     term: FreespaceDirective = doc.items[-1]  # type: ignore[assignment]
-    return OpticalSystem(tuple(comps), FreeSpace(term.n, term.d))
+    return OpticalSystem(_components(doc.items, 0, len(doc.items) - 1), FreeSpace(term.n, term.d))
 
 
 def document_to_resonator(doc: Document) -> Resonator:
@@ -308,16 +339,9 @@ def document_to_resonator(doc: Document) -> Resonator:
     left: InterfaceDirective = doc.items[0]  # type: ignore[assignment]
     right: InterfaceDirective = doc.items[-1]  # type: ignore[assignment]
     space: FreespaceDirective = doc.items[-2]  # type: ignore[assignment]
-    inner = []
-    for i in range(1, len(doc.items) - 2, 2):
-        fs: FreespaceDirective = doc.items[i]  # type: ignore[assignment]
-        iface: InterfaceDirective = doc.items[i + 1]  # type: ignore[assignment]
-        inner.append(
-            OpticalComponent(FreeSpace(fs.n, fs.d), _to_interface(iface), _to_kind(iface.kind))
-        )
     return Resonator(
         left=_to_interface(left),
-        inner=tuple(inner),
+        inner=_components(doc.items, 1, len(doc.items) - 2),
         space=FreeSpace(space.n, space.d),
         right=_to_interface(right),
     )

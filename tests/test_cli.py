@@ -196,6 +196,26 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "finite" in err
 
+    def test_nonfinite_file_value_is_domain_failure(self, capsys, tmp_path):
+        path = tmp_path / "inf.osys"
+        path.write_text("[system]\nfreespace n=1e999 d=0.1\ninterface plane\nfreespace n=1.5 d=0.1\n")
+        code, out, err = run(capsys, "matrix", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "n finite" in err
+
+    @pytest.mark.parametrize("flag", ["--y0", "--theta0"])
+    def test_stability_nonfinite_source_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "stability", SAMPLES / "fp_stable.res", "--oracle", flag, "nan")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "finite" in err
+
+    def test_beam_nonfinite_wavelength_is_domain_failure(self, capsys):
+        code, out, err = run(
+            capsys, "beam", SAMPLES / "single_space.osys", "--lambda", "inf", "--w", "1e-3", "--R", "inf"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "finite" in err
+
     def test_quantum_dim_too_small(self, capsys):
         code, _, _ = run(capsys, "quantum", "--omega", "1", "--dim", "1")
         assert code == 2

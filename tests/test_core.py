@@ -89,6 +89,10 @@ class TestSylvesterPower:
         with pytest.raises(DomainError):
             sylvester_power(Mat2(2.0, 0.0, 0.0, 1.0), 3)
 
+    def test_rejects_nan_determinant(self):
+        with pytest.raises(DomainError):
+            sylvester_power(Mat2(math.nan, 0.0, 0.0, 1.0), 3)
+
     def test_rejects_large_half_trace(self):
         # det = 1 but trace 2: theta degenerate
         with pytest.raises(DomainError):

@@ -67,6 +67,14 @@ class TestGeometryFromQ:
         with pytest.raises(UnphysicalBeam):
             QParameter(complex(0.0, -1.0), 1e-6)
 
+    @pytest.mark.parametrize(
+        "q, wavelength",
+        [(1j, math.inf), (1j, math.nan), (complex(math.inf, 1.0), 1e-6), (complex(0.0, math.inf), 1e-6)],
+    )
+    def test_nonfinite_rejected(self, q, wavelength):
+        with pytest.raises(DomainError, match="finite"):
+            QParameter(q, wavelength)
+
 
 class TestPropagation:
     def test_identity_matrix_fixes_q(self):

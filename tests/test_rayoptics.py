@@ -1,10 +1,14 @@
 import math
 import random
+import struct
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mat_close, random_system
-from optikit.core import IDENTITY2, Mat2, mat2_apply
+from optikit.core import IDENTITY2, Mat2, mat2_apply, mat2_mul
 from optikit.errors import InvalidComponent, InvalidSystem
 from optikit.rayoptics import (
     FreeSpace,
@@ -14,6 +18,8 @@ from optikit.rayoptics import (
     Plane,
     RayState,
     Spherical,
+    element_matrices,
+    element_violations,
     free_space_matrix,
     interface_matrix,
     system_composition,
@@ -55,6 +61,30 @@ class TestValidation:
         report = validate_system(single_space_system(1.0, -0.1))
         assert [v.clause for v in report.violations] == ["0 <= d"]
         assert report.violations[0].index is None
+
+    @pytest.mark.parametrize(
+        "space, clause",
+        [
+            (FreeSpace(math.inf, 0.1), "n finite"),
+            (FreeSpace(math.nan, 0.1), "0 < n"),
+            (FreeSpace(1.0, math.inf), "d finite"),
+            (FreeSpace(1.0, math.nan), "0 <= d"),
+        ],
+    )
+    def test_nonfinite_free_space_flagged(self, space, clause):
+        report = validate_system(OpticalSystem((OpticalComponent(space, Plane(), T),), space))
+        assert [(v.index, v.clause) for v in report.violations] == [(0, clause), (None, clause)]
+
+    @pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_radius_flagged(self, radius):
+        sys = OpticalSystem(
+            (OpticalComponent(FreeSpace(1.0, 0.5), Spherical(radius), T),),
+            FreeSpace(1.0, 0.0),
+        )
+        assert [v.clause for v in validate_system(sys).violations] == ["R finite"]
+
+    def test_plane_has_no_clauses(self):
+        assert element_violations(Plane(), 3) == []
 
     def test_appending_invalid_component_keeps_system_invalid(self):
         rng = random.Random(2)
@@ -105,7 +135,11 @@ class TestElementMatrices:
         with pytest.raises(InvalidComponent):
             interface_matrix(Plane(), T, -1.0, 1.0)
         with pytest.raises(InvalidComponent):
+            interface_matrix(Plane(), T, 1.0, math.inf)
+        with pytest.raises(InvalidComponent):
             interface_matrix(Spherical(0.0), T, 1.0, 1.0)
+        with pytest.raises(InvalidComponent):
+            interface_matrix(Spherical(math.nan), R, 1.0, 1.0)
 
 
 class TestSystemComposition:
@@ -122,6 +156,23 @@ class TestSystemComposition:
     def test_invalid_system_raises(self):
         with pytest.raises(InvalidSystem):
             system_composition(single_space_system(-1.0, 0.0))
+
+    @pytest.mark.parametrize("space", [FreeSpace(math.inf, 0.1), FreeSpace(1.0, math.inf)])
+    def test_nonfinite_parameters_raise(self, space):
+        sys = OpticalSystem((OpticalComponent(space, Plane(), T),), FreeSpace(1.5, 0.1))
+        with pytest.raises(InvalidSystem, match="finite"):
+            system_composition(sys)
+
+    def test_overflowing_subnormal_radius_raises(self):
+        # R = 1e-320 is valid and finite, but its power 1/R overflows to inf
+        sys = OpticalSystem(
+            (OpticalComponent(FreeSpace(1.0, 0.1), Spherical(1e-320), T),),
+            FreeSpace(1.5, 0.1),
+        )
+        with pytest.raises(InvalidSystem, match="overflows"):
+            system_composition(sys)
+        with pytest.raises(InvalidSystem, match="overflows"):
+            trace_ray(sys, RayState(1e-3, 0.0))
 
     def test_det_telescopes_for_all_transmitted(self):
         rng = random.Random(17)
@@ -167,3 +218,66 @@ class TestTraceRay:
             scale = max(abs(direct[0]), abs(direct[1]), 1.0)
             assert abs(stepped.y - direct[0]) <= 1e-12 * scale
             assert abs(stepped.theta - direct[1]) <= 1e-12 * scale
+
+
+def _bits(values) -> bytes:
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+# Mixed plane/spherical, transmitted/reflected components with extreme
+# (subnormal, huge) magnitudes, so that some systems overflow, and with
+# repeated indices, -0.0 widths and zero rays, so that signed zeros arise.
+_indices = st.one_of(st.sampled_from((1.0, 1.5)), st.floats(1e-3, 1e3))
+_widths = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(0.0, 1e3))
+_interfaces = st.one_of(
+    st.just(Plane()),
+    st.builds(Spherical, st.floats(-1e3, 1e3).filter(lambda r: r != 0)),
+)
+_components = st.builds(
+    OpticalComponent,
+    st.builds(FreeSpace, _indices, _widths),
+    _interfaces,
+    st.sampled_from(InterfaceKind),
+)
+_systems = st.builds(
+    OpticalSystem,
+    st.lists(_components, max_size=12).map(tuple),
+    st.builds(FreeSpace, _indices, _widths),
+)
+_coords = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e3, 1e3))
+
+
+class TestReferenceForm:
+    """The scalar fold and stepper equal the `mat2_mul` fold and `mat2_apply`
+    stepping over `element_matrices` bit for bit, or raise where that
+    reference overflows."""
+
+    @given(system=_systems)
+    @settings(max_examples=300, deadline=None)
+    def test_composition_is_the_mat2_mul_fold(self, system):
+        ref = reduce(lambda acc, m: mat2_mul(m, acc), element_matrices(system), IDENTITY2)
+        entries = (ref.a11, ref.a12, ref.a21, ref.a22)
+        if not all(map(math.isfinite, entries)):
+            with pytest.raises(InvalidSystem):
+                system_composition(system)
+            return
+        m = system_composition(system)
+        assert _bits((m.a11, m.a12, m.a21, m.a22)) == _bits(entries)
+
+    @given(system=_systems, y=_coords, theta=_coords)
+    @settings(max_examples=300, deadline=None)
+    def test_trace_is_mat2_apply_stepping(self, system, y, theta):
+        mats = element_matrices(system)
+        v = (y, theta)
+        ref = [v]
+        for i in range(len(system.components)):
+            v = mat2_apply(mats[2 * i + 1], mat2_apply(mats[2 * i], v))
+            ref.append(v)
+        ref.append(mat2_apply(mats[-1], v))
+        if not all(map(math.isfinite, ref[-1])):
+            with pytest.raises(InvalidSystem):
+                trace_ray(system, RayState(y, theta))
+            return
+        states = trace_ray(system, RayState(y, theta)).states
+        assert _bits(x for s in states for x in s.as_pair()) == _bits(x for v in ref for x in v)

@@ -40,6 +40,11 @@ class TestFpConstructor:
         with pytest.raises(InvalidResonator):
             fp_resonator(1.0, 0.5, -1.0)
 
+    @pytest.mark.parametrize("r, d, n", [(math.nan, 0.5, 1.0), (1.0, math.inf, 1.0), (1.0, 0.5, math.inf)])
+    def test_nonfinite_parameters_rejected(self, r, d, n):
+        with pytest.raises(InvalidResonator, match="finite"):
+            fp_resonator(r, d, n)
+
 
 class TestUnfold:
     def test_single_round_trip_components(self):
@@ -114,6 +119,10 @@ class TestStability:
     def test_non_unimodular_rejected(self):
         with pytest.raises(NonUnimodular):
             stability_from_matrix(Mat2(2.0, 0.0, 0.0, 1.0))
+
+    def test_nan_determinant_rejected(self):
+        with pytest.raises(NonUnimodular):
+            stability_from_matrix(Mat2(math.nan, 0.0, 0.0, 1.0))
 
 
 class TestOracle:

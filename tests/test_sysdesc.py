@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optikit.errors import DomainError
-from optikit.rayoptics import FreeSpace, InterfaceKind, Spherical
+from optikit.errors import DomainError, InvalidSystem, OptikitError
+from optikit.rayoptics import FreeSpace, InterfaceKind, Spherical, system_composition
 from optikit.sysdesc import (
     Document,
     FreespaceDirective,
@@ -183,6 +183,56 @@ class TestParseErrors:
     def test_radius_not_allowed_on_plane(self):
         err = error_of("[system]\nfreespace n=1 d=1\ninterface plane R=1.0\nfreespace n=1 d=1\n")
         assert "unknown key" in err.message
+
+
+class TestErrorPositions:
+    """Exact (line, column, message, expected) of errors whose column depends
+    on how tokens are found."""
+
+    @pytest.mark.parametrize(
+        "line, column, message, expected",
+        [
+            # repeated identical tokens: each has its own column
+            ("freespace n=1 n=1 d=1", 15, "duplicate key 'n'", "each key at most once"),
+            ("freespace d=1 n=1 d=1", 19, "duplicate key 'd'", "each key at most once"),
+            ("freespace n=1 d=1 d=1 d=1", 19, "duplicate key 'd'", "each key at most once"),
+            ("freespace n=1 d=1 x x", 19, "trailing token 'x'", "key=value"),
+            # tabs and other whitespace count one column each
+            ("freespace\tn=1.0\t\td=abc", 18, "invalid real for d: 'abc'", "d=<real>"),
+            ("\tfreespace n=1 d=1 q=2", 20, "unknown key 'q'", "d or n"),
+            ("freespace\u00a0n=1 d=x", 15, "invalid real for d: 'x'", "d=<real>"),
+            # a token touching a comment ends at the '#'
+            ("freespace n=1.0 d=#2.0", 17, "empty value for 'd'", "d=<value>"),
+            ("freespace n=1.0#d=2.0", 22, "missing key 'd'", "d="),
+        ],
+    )
+    def test_positions(self, line, column, message, expected):
+        err = error_of(f"[system]\n{line}\n")
+        assert (err.line, err.column, err.message, err.expected) == (2, column, message, expected)
+
+    def test_token_touching_comment_keeps_its_value(self):
+        doc = parse("[system]\n  freespace n=1.0 d=2.0#note\n")
+        assert doc.items[0] == FreespaceDirective(n=1.0, d=2.0)
+        assert (doc.items[0].line, doc.items[0].column) == (2, 3)
+
+    def test_parse_error_is_an_optikit_error(self):
+        assert isinstance(error_of("[system]\n"), OptikitError)
+
+
+class TestNonFiniteValues:
+    """1e999 is a valid real that overflows to inf; the system rejects it."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "[system]\nfreespace n=1e999 d=0.1\ninterface plane\nfreespace n=1.5 d=0.1\n",
+            "[system]\nfreespace n=1.0 d=1e999\ninterface plane\nfreespace n=1.5 d=0.1\n",
+            "[system]\nfreespace n=1.0 d=0.1\ninterface spherical R=1e-320\nfreespace n=1.5 d=0.1\n",
+        ],
+    )
+    def test_composition_rejects(self, source):
+        with pytest.raises(InvalidSystem):
+            system_composition(document_to_system(parse(source)))
 
 
 class TestSerialize:

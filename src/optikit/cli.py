@@ -5,6 +5,10 @@ Six subcommands over the library: `matrix`, `trace`, `stability`, `beam`,
 significant digits in a fixed column order; diagnostics go to stderr.  Exit
 codes: 0 computation done (verdicts such as "unstable" are data, not
 errors), 1 domain or validation failure, 2 usage or file-parse error.
+
+Only `interface` and `quantum` need numpy; they import it, and their numpy
+modules, after their argument checks, so the four ray-level commands and
+every usage error start without it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from . import emoptics, gaussian, quantum, rayoptics, sysdesc
+from . import gaussian, rayoptics, sysdesc
 from .core import mat2_apply
 from .errors import OptikitError
 from .rayoptics import RayState
@@ -172,6 +174,8 @@ def _cmd_interface(args: argparse.Namespace) -> int:
     if not 0 <= args.theta_deg < 90:
         raise _UsageError(f"theta-deg must be in [0, 90), got {args.theta_deg}")
     _require_at_most("--samples", args.samples, MAX_SAMPLES)
+    from . import emoptics
+
     theta_i = math.radians(args.theta_deg)
     theta_t = emoptics.snell_angle(args.n1, args.n2, theta_i)
     r_amp, t_amp = emoptics.continuity_coefficients(args.n1, args.n2, theta_i, args.a)
@@ -206,6 +210,10 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
         raise _UsageError(f"omega must be positive, got {args.omega}")
     if not args.hbar > 0:
         raise _UsageError(f"hbar must be positive, got {args.hbar}")
+    import numpy as np
+
+    from . import quantum
+
     sm = quantum.make_single_mode(args.omega, args.hbar, args.dim)
     ground = quantum.ground_energy(sm)
     evals = quantum.hermitian_eigenvalues(sm.H)[: min(8, args.dim)]

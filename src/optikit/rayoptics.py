@@ -203,7 +203,12 @@ def _interface_entries(
     """Lower row (C, D) of the interface matrix [[1, 0], [C, D]]; inputs valid."""
     if isinstance(iface, Spherical):
         if kind is InterfaceKind.TRANSMITTED:
-            return (n0 - n1) / (n1 * iface.radius), n0 / n1
+            try:
+                return (n0 - n1) / (n1 * iface.radius), n0 / n1
+            except ZeroDivisionError:
+                # n1 * R underflowed to zero; dividing in two steps gives the
+                # exact 0 of matched indices, and inf where the power overflows
+                return (n0 - n1) / n1 / iface.radius, n0 / n1
         return -2.0 / iface.radius, 1.0
     if kind is InterfaceKind.TRANSMITTED:
         return 0.0, n0 / n1

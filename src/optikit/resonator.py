@@ -17,10 +17,11 @@ which keeps the round-trip determinant at 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Mat2, mat2_apply
-from .errors import InvalidResonator, NonUnimodular
+from .errors import DomainError, InvalidResonator, NonUnimodular
 from .rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -166,12 +167,19 @@ def ray_bound_oracle(
 
     Checks boundedness only up to n_max round trips, so a "not diverged"
     answer is evidence, not proof; divergence past
-    divergence_factor * (initial scale + 1) is decisive.
+    divergence_factor * (initial scale + 1) is decisive.  DomainError is
+    raised for a non-finite source and for a limit that is not a positive
+    finite float, which a NaN or inf state could never cross, and for a
+    state that overflows to NaN before crossing the limit.
     """
     if n_max < 1:
         raise InvalidResonator(f"need at least one round trip, got {n_max}")
-    m = round_trip_matrix(res)
+    if not (math.isfinite(source.y) and math.isfinite(source.theta)):
+        raise DomainError(f"source ray must be finite, got y={source.y!r}, theta={source.theta!r}")
     limit = divergence_factor * (max(abs(source.y), abs(source.theta)) + 1.0)
+    if not 0.0 < limit < math.inf:
+        raise DomainError(f"divergence limit must be positive and finite, got {limit!r}")
+    m = round_trip_matrix(res)
     v = source.as_pair()
     max_y = abs(v[0])
     max_theta = abs(v[1])
@@ -183,6 +191,10 @@ def ray_bound_oracle(
         if max_y > limit or max_theta > limit:
             diverged = True
             break
+    if not diverged and not (math.isfinite(v[0]) and math.isfinite(v[1])):
+        # opposite products overflowed to inf - inf: NaN never enters the
+        # maxima, and the true amplitude is beyond double precision
+        raise DomainError("ray state overflowed double precision within the divergence limit")
     return OracleResult(max_y=max_y, max_theta=max_theta, diverged=diverged)
 
 

@@ -113,6 +113,12 @@ class TestElementMatrices:
         assert math.isclose(m.a22, 2.0 / 3.0, rel_tol=1e-15)
         assert m.a11 == 1.0 and m.a12 == 0.0
 
+    def test_spherical_transmission_underflowing_denominator(self):
+        # n1 * R underflows to zero: matched indices still give power 0,
+        # mismatched ones an infinite power rather than ZeroDivisionError
+        assert interface_matrix(Spherical(5e-324), T, 0.25, 0.25) == IDENTITY2
+        assert interface_matrix(Spherical(-5e-324), T, 1.0, 0.25).a21 == -math.inf
+
     def test_plane_transmission_equal_indices_is_identity(self):
         assert interface_matrix(Plane(), T, 1.33, 1.33) == IDENTITY2
 
@@ -168,6 +174,17 @@ class TestSystemComposition:
         sys = OpticalSystem(
             (OpticalComponent(FreeSpace(1.0, 0.1), Spherical(1e-320), T),),
             FreeSpace(1.5, 0.1),
+        )
+        with pytest.raises(InvalidSystem, match="overflows"):
+            system_composition(sys)
+        with pytest.raises(InvalidSystem, match="overflows"):
+            trace_ray(sys, RayState(1e-3, 0.0))
+
+    def test_underflowing_power_denominator_raises(self):
+        # at n1 = 0.5, R = 5e-324 the denominator n1 * R underflows to zero
+        sys = OpticalSystem(
+            (OpticalComponent(FreeSpace(1.0, 0.1), Spherical(5e-324), T),),
+            FreeSpace(0.5, 0.1),
         )
         with pytest.raises(InvalidSystem, match="overflows"):
             system_composition(sys)

@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mat_close, mat_pow_iterative
-from optikit.core import Mat2, sylvester_power
-from optikit.errors import InvalidResonator, NonUnimodular
+from optikit.core import Mat2, mat2_apply, sylvester_power
+from optikit.errors import DomainError, InvalidResonator, NonUnimodular, OptikitError
 from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -166,3 +168,63 @@ class TestOracle:
             n = rng.choice([2, 10, 50, 100])
             unfolded = system_composition(unfold_resonator(res, n))
             assert mat_close(unfolded, sylvester_power(m1, n), 1e-9)
+
+
+class TestOracleFiniteContract:
+    """The oracle returns finite maxima or an honest divergence, or raises."""
+
+    @pytest.mark.parametrize(
+        "y, theta",
+        [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+         (0.0, math.nan), (0.0, math.inf), (0.0, -math.inf)],
+    )
+    def test_nonfinite_source_rejected(self, y, theta):
+        with pytest.raises(DomainError, match="source ray must be finite"):
+            ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(y, theta), 100)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_divergence_factor_rejected(self, factor):
+        with pytest.raises(DomainError, match="divergence limit"):
+            ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(1e-3, 0.0), 100, factor)
+
+    def test_limit_overflow_rejected(self):
+        # 1e9 * (1e300 + 1) is inf, and nothing compares above inf
+        with pytest.raises(DomainError, match="divergence limit"):
+            ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(1e300, 0.0), 100)
+
+    def test_overflow_to_nan_rejected(self):
+        # a21*y and a22*theta overflow to +inf and -inf, so theta becomes NaN
+        # while both maxima stay at the finite source scale
+        res = fp_resonator(1e-10, 1.0, 1.0)
+        with pytest.raises(DomainError, match="overflowed"):
+            ray_bound_oracle(res, RayState(1e290, -1e290), 5)
+
+    _edges = st.sampled_from(
+        (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e290,
+         -1e290, 1e308, -1e308, 1.7976931348623157e308)
+    )
+    _coords = st.one_of(_edges, st.floats(allow_nan=False, allow_infinity=False))
+    _radii = st.one_of(
+        st.sampled_from((1.0, -1.0, 1e-10, -1e-10, 1e10)),
+        st.floats(-1e3, 1e3).filter(lambda r: r != 0),
+    )
+
+    @given(r=_radii, d=st.floats(0.0, 1e3), y=_coords, theta=_coords, n_max=st.integers(1, 60))
+    @settings(max_examples=400, deadline=None)
+    def test_finite_or_honest_or_raises(self, r, d, y, theta, n_max):
+        try:
+            res = fp_resonator(r, d, 1.0)
+            out = ray_bound_oracle(res, RayState(y, theta), n_max)
+        except OptikitError:
+            return
+        limit = 1e9 * (max(abs(y), abs(theta)) + 1.0)
+        if out.diverged:
+            assert max(out.max_y, out.max_theta) > limit
+            return
+        # "not diverged" must mean every visited state was finite and in bounds
+        m = round_trip_matrix(res)
+        v = (y, theta)
+        for _ in range(n_max):
+            v = mat2_apply(m, v)
+            assert all(math.isfinite(c) and abs(c) <= limit for c in v), v
+        assert math.isfinite(out.max_y) and math.isfinite(out.max_theta)

@@ -1,0 +1,103 @@
+"""Start-up contract: the ray-level library and CLI run without numpy.
+
+`emoptics` and `quantum` (and through them numpy) load on first use.  Each
+check runs in a fresh interpreter, because this test process has long since
+imported numpy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import optikit
+
+SRC = Path(optikit.__file__).resolve().parent.parent
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+NUMPY_MODULES = ("numpy", "optikit.emoptics", "optikit.quantum")
+
+
+def run_fresh(code: str):
+    """Run `code` in a new interpreter importing optikit from this tree; return
+    the JSON value it prints on its last line."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["optikit", "optikit.cli"])
+def test_import_loads_no_numpy(module):
+    code = f"import json, sys\nimport {module}\nprint(json.dumps([m for m in {NUMPY_MODULES!r} if m in sys.modules]))"
+    assert run_fresh(code) == []
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["matrix", str(SAMPLES / "biconvex.osys")], 0),
+        (["trace", str(SAMPLES / "single_space.osys"), "--y0", "1e-3", "--theta0", "0"], 0),
+        (["stability", str(SAMPLES / "fp_stable.res"), "--oracle"], 0),
+        (["beam", str(SAMPLES / "single_space.osys"), "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"], 0),
+        # usage errors of the numpy commands are caught before their imports
+        (["interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "95"], 2),
+        (["quantum", "--omega", "1", "--dim", "1"], 2),
+    ],
+    ids=["matrix", "trace", "stability", "beam", "interface-usage", "quantum-usage"],
+)
+def test_ray_commands_run_without_numpy(argv, exit_code):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import optikit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = optikit.cli.main({argv!r})\n"
+        f"print(json.dumps([code] + [m for m in {NUMPY_MODULES!r} if m in sys.modules]))"
+    )
+    assert run_fresh(code) == [exit_code]
+
+
+def test_field_modules_resolve_on_first_use():
+    code = (
+        "import json, sys\n"
+        "import optikit\n"
+        "resolved = [optikit.emoptics is sys.modules['optikit.emoptics'],\n"
+        "            optikit.quantum is sys.modules['optikit.quantum']]\n"
+        "from optikit import emoptics, quantum\n"
+        "resolved += [emoptics is optikit.emoptics, quantum is optikit.quantum,\n"
+        "             callable(quantum.make_single_mode), 'numpy' in sys.modules]\n"
+        "print(json.dumps(resolved))"
+    )
+    assert run_fresh(code) == [True] * 6
+
+
+def test_misspelled_attribute_raises():
+    code = (
+        "import json\n"
+        "import optikit\n"
+        "errors = []\n"
+        "for name in ('emoptic', 'quantums', '_LAZY'):\n"
+        "    try:\n"
+        "        getattr(optikit, name)\n"
+        "    except AttributeError as exc:\n"
+        "        errors.append(str(exc))\n"
+        "try:\n"
+        "    from optikit import quantm\n"
+        "except ImportError:\n"
+        "    errors.append('import')\n"
+        "print(json.dumps(errors))"
+    )
+    assert run_fresh(code) == [
+        "module 'optikit' has no attribute 'emoptic'",
+        "module 'optikit' has no attribute 'quantums'",
+        "module 'optikit' has no attribute '_LAZY'",
+        "import",
+    ]

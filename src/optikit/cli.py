@@ -53,10 +53,6 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _fmt_radius(r: float) -> str:
-    return "inf" if math.isinf(r) else _fmt(r)
-
-
 def _require_at_most(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise _UsageError(f"{flag} must be <= {cap}, got {value}")
@@ -165,7 +161,7 @@ def _cmd_beam(args: argparse.Namespace) -> int:
     print(f"q_in {_fmt(qp.q.real)} {_fmt(qp.q.imag)}")
     print(f"M {_fmt(m.a11)} {_fmt(m.a12)} {_fmt(m.a21)} {_fmt(m.a22)}")
     print(f"q_out {_fmt(out.q.real)} {_fmt(out.q.imag)}")
-    print(f"R {_fmt_radius(r_out)}")
+    print(f"R {_fmt(r_out)}")
     print(f"w {_fmt(w_out)}")
     return EXIT_OK
 

@@ -43,7 +43,3 @@ class TotalInternalReflection(OptikitError):
 
 class DimensionMismatch(OptikitError):
     """Operands live in spaces of different dimension."""
-
-
-class NotNormalized(OptikitError):
-    """State vector norm differs from 1 beyond tolerance."""

@@ -78,12 +78,16 @@ def q_from_geometry(R: float, w: float, wavelength: float) -> QParameter:
     """Build q from wavefront radius R (may be FLAT/inf) and spot radius w."""
     if not w > 0:
         raise DomainError(f"spot radius must be positive, got {w!r}")
-    if not wavelength > 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength!r}")
+    if not 0 < wavelength < math.inf:
+        raise DomainError(f"wavelength must be positive and finite, got {wavelength!r}")
     if R == 0:
         raise DomainError("wavefront radius must be nonzero (use FLAT for a flat front)")
     inv_r = 0.0 if math.isinf(R) else 1.0 / R
-    inv_q = complex(inv_r, -wavelength / (math.pi * w * w))
+    area = math.pi * w * w
+    # pi w**2 underflows to 0 at w = 1e-300 and overflows at w = 1e308
+    if not (area > 0 and 0 < wavelength / area < math.inf):
+        raise DomainError(f"wavelength / (pi w**2) leaves the float range for w = {w!r}")
+    inv_q = complex(inv_r, -wavelength / area)
     return QParameter(1.0 / inv_q, wavelength)
 
 
@@ -92,11 +96,17 @@ def geometry_from_q(qp: QParameter) -> tuple[float, float]:
     if not qp.q.imag > 0:
         raise UnphysicalBeam(f"Im(q) must be positive, got q = {qp.q!r}")
     inv_q = 1.0 / qp.q
-    if abs(inv_q.real) < 1e-15 * abs(inv_q):
+    # Im(1/q) = -Im(q) / |q|**2 underflows to 0 as |q| nears the float range
+    if not inv_q.imag < 0:
+        raise DomainError(f"1/q underflows for q = {qp.q!r}")
+    # a radius beyond the float range, of either sign, is flat at any physical scale
+    if abs(inv_q.real) < 1e-15 * abs(inv_q) or math.isinf(1.0 / inv_q.real):
         r = FLAT
     else:
         r = 1.0 / inv_q.real
     w = math.sqrt(qp.wavelength / (math.pi * (-inv_q.imag)))
+    if not 0 < w < math.inf:
+        raise DomainError(f"spot radius {w!r} leaves the float range for q = {qp.q!r}")
     return (r, w)
 
 

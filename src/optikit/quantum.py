@@ -31,24 +31,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotNormalized
+from .errors import DimensionMismatch, DomainError
 
 __all__ = [
     "StateVector",
     "InnerProduct",
     "Operator",
     "SingleMode",
-    "inprod",
-    "is_linear_op",
-    "is_self_adjoint",
-    "expectation",
     "commutator",
     "annihilator",
-    "number_operator",
     "make_single_mode",
     "hermitian_eigenvalues",
     "ground_energy",
@@ -68,12 +62,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
     @classmethod
     def basis(cls, dim: int, n: int) -> "StateVector":
@@ -103,14 +91,6 @@ class InnerProduct:
         return complex(np.vdot(x.amplitudes, self.weight @ y.amplitudes))
 
 
-_DEFAULT_PAIRING = InnerProduct()
-
-
-def inprod(x: StateVector, y: StateVector) -> complex:
-    """Default inner product: conjugate-symmetric, linear in y, positive."""
-    return _DEFAULT_PAIRING(x, y)
-
-
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Linear operator as a dense complex matrix.  Treated as immutable."""
@@ -126,11 +106,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, x: StateVector) -> StateVector:
-        if x.dim != self.dim:
-            raise DimensionMismatch(f"dims {self.dim} and {x.dim} differ")
-        return StateVector(self.matrix @ x.amplitudes)
 
     def adjoint(self) -> "Operator":
         return Operator(self.matrix.conj().T)
@@ -148,63 +123,6 @@ class Operator:
         return Operator(scalar * self.matrix)
 
 
-def is_linear_op(
-    op: Union[Operator, Callable[[np.ndarray], np.ndarray]],
-    trials: int = 100,
-    seed: int = 0,
-    dim: int | None = None,
-) -> bool:
-    """Numerically test op(x + y) = op(x) + op(y) and op(a x) = a op(x).
-
-    Matrix operators pass by construction; the check exists so user-supplied
-    action hooks (callables on coefficient arrays) can be probed.  Scalars a
-    are drawn complex, which catches antilinear actions like conjugation.
-    """
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
-    if isinstance(op, Operator):
-        action = lambda v: op.matrix @ v
-        d = op.dim
-    else:
-        action = op
-        if dim is None:
-            raise DomainError("dim is required for a bare action hook")
-        d = dim
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        add_lhs = action(x + y)
-        add_rhs = action(x) + action(y)
-        smul_lhs = action(a * x)
-        smul_rhs = a * action(x)
-        scale = max(
-            np.max(np.abs(add_lhs)), np.max(np.abs(add_rhs)),
-            np.max(np.abs(smul_lhs)), np.max(np.abs(smul_rhs)), 1.0,
-        )
-        if np.max(np.abs(add_lhs - add_rhs)) > 1e-9 * scale:
-            return False
-        if np.max(np.abs(smul_lhs - smul_rhs)) > 1e-9 * scale:
-            return False
-    return True
-
-
-def is_self_adjoint(op: Operator, tol: float = 1e-12) -> bool:
-    """True iff the matrix equals its conjugate transpose within tol,
-    equivalently <x, op y> = <op x, y> on a spanning set."""
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    return bool(np.max(np.abs(op.matrix - op.matrix.conj().T)) <= tol)
-
-
-def expectation(op: Operator, psi: StateVector) -> complex:
-    """<psi, op psi> for a normalized state; real for self-adjoint op."""
-    if abs(psi.norm() - 1.0) > 1e-9:
-        raise NotNormalized(f"state norm is {psi.norm()!r}")
-    return inprod(psi, op.apply(psi))
-
-
 def commutator(a: Operator, b: Operator) -> Operator:
     """[a, b] = a b - b a."""
     if a.dim != b.dim:
@@ -220,12 +138,6 @@ def annihilator(dim: int) -> Operator:
     for n in range(1, dim):
         m[n - 1, n] = np.sqrt(n)
     return Operator(m)
-
-
-def number_operator(dim: int) -> Operator:
-    """a^ a, diagonal (0, 1, ..., dim-1) on the number basis."""
-    a = annihilator(dim)
-    return a.adjoint() @ a
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +163,8 @@ def _square_diagonal(band: np.ndarray) -> np.ndarray:
 def make_single_mode(omega: float, hbar: float = 1.0, dim: int = 32) -> SingleMode:
     """Build q, p, and the energy H = (omega**2/2) q**2 + (1/2) p**2.
 
-    O(D) arithmetic from the ladder band; see the module docstring.
+    O(D) arithmetic from the ladder band; see the module docstring.  Raises
+    DomainError when omega**2 or an entry of H leaves the double range.
     """
     if not 0 < omega < math.inf:
         raise DomainError(f"omega must be positive and finite, got {omega!r}")
@@ -272,14 +185,21 @@ def make_single_mode(omega: float, hbar: float = 1.0, dim: int = 32) -> SingleMo
     p.imag[upper] = -p_band
     p.imag[lower] = p_band
 
+    try:
+        w2 = omega**2 / 2.0
+    except OverflowError:
+        raise DomainError(f"omega**2 overflows for omega = {omega!r}") from None
     # q @ q and p @ p are real: their +-2 diagonals are q_n q_n+1 and
     # (-j p_n)(-j p_n+1) = -p_n p_n+1, with q_n, p_n the band entries
-    w2 = omega**2 / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        main = w2 * _square_diagonal(q_band) + 0.5 * _square_diagonal(p_band)
+        second = w2 * (q_band[:-1] * q_band[1:]) - 0.5 * (p_band[:-1] * p_band[1:])
+    if not (np.isfinite(main).all() and np.isfinite(second).all()):
+        raise DomainError(f"H overflows for omega = {omega!r}, hbar = {hbar!r}, dim = {dim}")
     h = np.zeros((dim, dim), dtype=complex)
     diag = np.arange(dim)
-    h[diag, diag] = w2 * _square_diagonal(q_band) + 0.5 * _square_diagonal(p_band)
+    h[diag, diag] = main
     m = np.arange(dim - 2)
-    second = w2 * (q_band[:-1] * q_band[1:]) - 0.5 * (p_band[:-1] * p_band[1:])
     h[m, m + 2] = second
     h[m + 2, m] = second
     return SingleMode(omega=omega, hbar=hbar, dim=dim, q=Operator(q), p=Operator(p), H=Operator(h))

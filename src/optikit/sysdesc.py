@@ -60,8 +60,6 @@ __all__ = [
     "serialize",
     "document_to_system",
     "document_to_resonator",
-    "system_to_document",
-    "resonator_to_document",
 ]
 
 _REAL = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -345,29 +343,3 @@ def document_to_resonator(doc: Document) -> Resonator:
         space=FreeSpace(space.n, space.d),
         right=_to_interface(right),
     )
-
-
-def _from_interface(iface, kind: InterfaceKind | None) -> InterfaceDirective:
-    kind_str = None if kind is None else kind.value
-    if isinstance(iface, Spherical):
-        return InterfaceDirective(shape="spherical", radius=iface.radius, kind=kind_str)
-    return InterfaceDirective(shape="plane", radius=None, kind=kind_str)
-
-
-def system_to_document(sys: OpticalSystem) -> Document:
-    items: list[Directive] = []
-    for comp in sys.components:
-        items.append(FreespaceDirective(n=comp.space.n, d=comp.space.d))
-        items.append(_from_interface(comp.iface, comp.kind))
-    items.append(FreespaceDirective(n=sys.terminal.n, d=sys.terminal.d))
-    return Document(kind="system", items=tuple(items))
-
-
-def resonator_to_document(res: Resonator) -> Document:
-    items: list[Directive] = [_from_interface(res.left, None)]
-    for comp in res.inner:
-        items.append(FreespaceDirective(n=comp.space.n, d=comp.space.d))
-        items.append(_from_interface(comp.iface, comp.kind))
-    items.append(FreespaceDirective(n=res.space.n, d=res.space.d))
-    items.append(_from_interface(res.right, None))
-    return Document(kind="resonator", items=tuple(items))

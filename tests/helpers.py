@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from optikit.core import Mat2, mat2_mul
 from optikit.rayoptics import (
@@ -36,6 +37,27 @@ def mat_pow_iterative(m: Mat2, n: int) -> Mat2:
     acc = Mat2(1.0, 0.0, 0.0, 1.0)
     for _ in range(n):
         acc = mat2_mul(m, acc)
+    return acc
+
+
+def exact_power(m: Mat2, n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Exact n-th power of m's float entries, by binary powering over Fraction
+    (oracle): row-major (a11, a12, a21, a22)."""
+
+    def mul(a, b):
+        return (
+            a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3],
+        )
+
+    base = tuple(Fraction(x) for x in (m.a11, m.a12, m.a21, m.a22))
+    acc = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    while n:
+        if n & 1:
+            acc = mul(acc, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
     return acc
 
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optikit import cli, emoptics, quantum
 
@@ -216,6 +220,24 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # w*w underflows to 0 in q_from_geometry (was ZeroDivisionError)
+            ("beam", SAMPLES / "single_space.osys", "--lambda", "1e-6", "--w", "1e-300", "--R", "inf"),
+            # 1/q = 0 in q_from_geometry (was complex division by zero)
+            ("beam", SAMPLES / "single_space.osys", "--lambda", "1e-6", "--w", "inf", "--R", "inf"),
+            # 1/q underflows to 0 in geometry_from_q (was ZeroDivisionError)
+            ("beam", SAMPLES / "single_space.osys", "--lambda", "1e-6", "--q-re", "1e308", "--q-im", "1e308"),
+            # omega**2 overflows in make_single_mode (was OverflowError)
+            ("quantum", "--omega", "1e300"),
+        ],
+    )
+    def test_float_range_overflow_is_domain_failure(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
     def test_quantum_dim_too_small(self, capsys):
         code, _, _ = run(capsys, "quantum", "--omega", "1", "--dim", "1")
         assert code == 2
@@ -266,3 +288,59 @@ class TestResourceCaps:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "must be <=" in err
+
+
+_REAL = ["0", "-0", "inf", "-inf", "nan", "5e-324", "-5e-324", "1e-300", "1e308", "-1e308", "-1", "1", "1e-6"]
+# sizes stay at most 17, or exceed every cap and are rejected before any work
+_SIZE = ["-1", "0", "1", "2", "17", "1.5", "2000000"]
+_VALUES = {
+    "--format": ["table", "csv", "tsv"],
+    "--oracle": None,
+    "--round-trips": _SIZE,
+    "--samples": _SIZE,
+    "--seed": _SIZE,
+    "--dim": _SIZE,
+}
+# flags in one group are given together, so that valid invocations are common
+_GROUPS = {
+    "matrix": [],
+    "trace": [("--y0", "--theta0"), ("--format",)],
+    "stability": [("--oracle",), ("--round-trips",), ("--y0",), ("--theta0",)],
+    "beam": [("--lambda",), ("--q-re", "--q-im"), ("--R", "--w")],
+    "interface": [("--n1", "--n2", "--theta-deg"), ("--a",), ("--samples",), ("--seed",)],
+    "quantum": [("--omega",), ("--dim",), ("--hbar",)],
+}
+_FILES = sorted(str(p) for p in SAMPLES.iterdir()) + [str(SAMPLES / "missing.osys")]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_GROUPS)))
+    argv = [command]
+    if command in ("matrix", "trace", "stability", "beam"):
+        argv.append(draw(st.sampled_from(_FILES)))
+    for group in _GROUPS[command]:
+        if draw(st.booleans()):
+            for flag in group:
+                values = _VALUES.get(flag, _REAL)
+                # --flag=value, so that argparse reads "-inf" as a value
+                argv.append(flag if values is None else f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+class TestArgvFuzz:
+    """Every invocation exits 0, 1 or 2, raises nothing, and a nonzero exit says why."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argvs())
+    @example(argv=["beam", str(SAMPLES / "single_space.osys"), "--lambda=1e-6", "--w=1e-300", "--R=inf"])
+    @example(argv=["beam", str(SAMPLES / "single_space.osys"), "--lambda=1e-6", "--w=inf", "--R=inf"])
+    @example(argv=["beam", str(SAMPLES / "single_space.osys"), "--lambda=1e-6", "--q-re=1e308", "--q-im=1e308"])
+    @example(argv=["quantum", "--omega=1e300"])
+    def test_exit_codes(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert "error: " in err.getvalue()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mat_close, mat_pow_iterative, random_unimodular
+from helpers import exact_power, mat_close, mat_pow_iterative, random_unimodular
 from optikit.core import (
     CVec3,
     IDENTITY2,
@@ -97,6 +97,39 @@ class TestSylvesterPower:
         # det = 1 but trace 2: theta degenerate
         with pytest.raises(DomainError):
             sylvester_power(Mat2(1.0, 1.0, 0.0, 1.0), 3)
+
+    def test_rejects_real_eigenvalues(self):
+        # |half-trace| < 1 but not below sqrt(det): real eigenvalues, no angle theta
+        with pytest.raises(DomainError):
+            sylvester_power(Mat2(1.0 - 2e-10, 0.0, 0.0, 1.0 - 2e-10), 3)
+
+    def test_keeps_the_determinant_factor(self):
+        # a rounded round trip has det = 1 +- O(1e-15); a form that assumes
+        # det = 1 drops det**(n/2), which is 1 + 5e-9 here
+        u = random_unimodular(random.Random(5))
+        k = math.sqrt(1.0 + 1e-12)
+        m = Mat2(k * u.a11, k * u.a12, k * u.a21, k * u.a22)
+        assert mat_close(sylvester_power(m, 10_000), mat_pow_iterative(m, 10_000), 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        det_error=st.floats(min_value=-9e-10, max_value=9e-10),
+        n=st.integers(min_value=0, max_value=400),
+    )
+    def test_error_within_stated_bound(self, seed, det_error, n):
+        k = math.sqrt(1.0 + det_error)
+        u = random_unimodular(random.Random(seed), 0.999)
+        m = Mat2(k * u.a11, k * u.a12, k * u.a21, k * u.a22)
+        got = sylvester_power(m, n)
+        exact = exact_power(m, n)
+        det, ht = m.det(), m.half_trace()
+        sin_theta = math.sqrt(1.0 - ht * ht / det)
+        size = max(1.0, abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22))
+        # the docstring's bound, c max(n, 1) eps |m|**2 s / sin(theta) with c = 8
+        bound = 8 * max(n, 1) * 2.0**-53 * size**2 / sin_theta * max(1, *map(abs, exact))
+        for value, reference in zip((got.a11, got.a12, got.a21, got.a22), exact):
+            assert abs(value - reference) <= bound
 
 
 class TestComplexCross:

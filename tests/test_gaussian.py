@@ -51,6 +51,13 @@ class TestQFromGeometry:
         with pytest.raises(DomainError):
             q_from_geometry(0.0, 1e-3, 1e-6)
 
+    @pytest.mark.parametrize("w", [1e-300, math.inf])
+    def test_spot_area_outside_float_range_rejected(self, w):
+        # pi w**2 underflows to 0 (was ZeroDivisionError) or makes 1/q = 0
+        # (was complex division by zero)
+        with pytest.raises(DomainError):
+            q_from_geometry(FLAT, w, 1e-6)
+
 
 class TestGeometryFromQ:
     def test_waist_values(self):
@@ -74,6 +81,22 @@ class TestGeometryFromQ:
     def test_nonfinite_rejected(self, q, wavelength):
         with pytest.raises(DomainError, match="finite"):
             QParameter(q, wavelength)
+
+    def test_underflowing_inverse_rejected(self):
+        # 1/q rounds to 0 (was ZeroDivisionError)
+        with pytest.raises(DomainError):
+            geometry_from_q(QParameter(complex(1e308, 1e308), 1e-6))
+
+    @pytest.mark.parametrize("q, wavelength", [(complex(1.0, 1e-3), 1e308), (complex(0.0, 5e-324), 1e-6)])
+    def test_spot_radius_outside_float_range_rejected(self, q, wavelength):
+        # w overflows to inf or underflows to 0
+        with pytest.raises(DomainError):
+            geometry_from_q(QParameter(q, wavelength))
+
+    def test_radius_beyond_float_range_is_flat(self):
+        # 1 / Re(1/q) overflows to -inf here
+        r, _ = geometry_from_q(QParameter(complex(-1e291, 1e300), 1e-6))
+        assert r == FLAT
 
 
 class TestPropagation:

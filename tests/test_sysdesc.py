@@ -15,9 +15,7 @@ from optikit.sysdesc import (
     document_to_resonator,
     document_to_system,
     parse,
-    resonator_to_document,
     serialize,
-    system_to_document,
 )
 
 FP_SOURCE = (
@@ -268,17 +266,6 @@ class TestSerialize:
         bad = Document(kind="system", items=(InterfaceDirective(shape="plane"),))
         with pytest.raises(DomainError):
             serialize(bad)
-
-    def test_domain_round_trip_through_text(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            doc = random_document(rng)
-            if doc.kind == "system":
-                system = document_to_system(doc)
-                assert document_to_system(parse(serialize(system_to_document(system)))) == system
-            else:
-                res = document_to_resonator(doc)
-                assert document_to_resonator(parse(serialize(resonator_to_document(res)))) == res
 
 
 def _check_positions(source: str, err: ParseError) -> None:

@@ -3,8 +3,8 @@
 Six subcommands over the library: `matrix`, `trace`, `stability`, `beam`,
 `interface`, and `quantum`.  Machine-readable results go to stdout at 12
 significant digits in a fixed column order; diagnostics go to stderr.  Exit
-codes: 0 computation done (verdicts such as "unstable" are data, not
-errors), 1 domain or validation failure, 2 usage or file-parse error.
+codes: 0 computation done (verdicts such as "unstable" are data, not errors),
+1 domain, validation or self-check failure, 2 usage or file-parse error.
 
 Only `interface` and `quantum` need numpy; they import it, and their numpy
 modules, after their argument checks, so the four ray-level commands and
@@ -22,7 +22,7 @@ from . import gaussian, rayoptics, sysdesc
 from .core import mat2_apply
 from .errors import OptikitError
 from .rayoptics import RayState
-from .resonator import ray_bound_oracle, stability as resonator_stability, validate_resonator
+from .resonator import ray_bound_oracle, stability as resonator_stability
 from .sysdesc import ParseError
 
 __all__ = ["main"]
@@ -78,16 +78,8 @@ def _load_document(path: str, want_kind: str) -> sysdesc.Document:
     return doc
 
 
-def _load_system(path: str) -> rayoptics.OpticalSystem:
-    system = sysdesc.document_to_system(_load_document(path, "system"))
-    report = rayoptics.validate_system(system)
-    if not report.ok:
-        raise OptikitError(f"{path}: invalid system: {report}")
-    return system
-
-
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    system = _load_system(args.file)
+    system = sysdesc.document_to_system(_load_document(args.file, "system"))
     m = rayoptics.system_composition(system)
     print(f"{_fmt(m.a11)} {_fmt(m.a12)}")
     print(f"{_fmt(m.a21)} {_fmt(m.a22)}")
@@ -97,10 +89,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     _require_finite_source(args)
-    system = _load_system(args.file)
+    system = sysdesc.document_to_system(_load_document(args.file, "system"))
     source = RayState(args.y0, args.theta0)
     trace = rayoptics.trace_ray(system, source)
-    composed = mat2_apply(rayoptics.system_composition(system), source.as_pair())
+    composed = mat2_apply(rayoptics._fold(system), source.as_pair())  # validated by trace_ray
     final = trace.final
     scale = max(abs(composed[0]), abs(composed[1]), 1.0)
     if max(abs(final.y - composed[0]), abs(final.theta - composed[1])) > 1e-12 * scale:
@@ -117,11 +109,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_stability(args: argparse.Namespace) -> int:
     _require_at_most("--round-trips", args.round_trips, MAX_ROUND_TRIPS)
     _require_finite_source(args)
-    doc = _load_document(args.file, "resonator")
-    res = sysdesc.document_to_resonator(doc)
-    report = validate_resonator(res)
-    if not report.ok:
-        raise OptikitError(f"{args.file}: invalid resonator: {report}")
+    res = sysdesc.document_to_resonator(_load_document(args.file, "resonator"))
     verdict = resonator_stability(res)
     print(f"det {_fmt(verdict.det)}")
     print(f"half_trace {_fmt(verdict.half_trace)}")
@@ -131,12 +119,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         print(f"oracle_max_y {_fmt(result.max_y)}")
         print(f"oracle_max_theta {_fmt(result.max_theta)}")
         print(f"oracle_diverged {'true' if result.diverged else 'false'}")
-        if verdict.marginal:
-            agreement = "n/a"
-        elif verdict.stable:
-            agreement = "true" if not result.diverged else "false"
-        else:
-            agreement = "true" if result.diverged else "false"
+        agreement = "n/a" if verdict.marginal else ("true" if verdict.stable != result.diverged else "false")
         print(f"agreement {agreement}")
     return EXIT_OK
 
@@ -150,12 +133,11 @@ def _cmd_beam(args: argparse.Namespace) -> int:
         raise _UsageError("--q-re and --q-im must be given together")
     if rw_given and (args.R is None or args.w is None):
         raise _UsageError("--R and --w must be given together")
-    system = _load_system(args.file)
+    m = rayoptics.system_composition(sysdesc.document_to_system(_load_document(args.file, "system")))
     if q_given:
         qp = gaussian.QParameter(complex(args.q_re, args.q_im), args.lam)
     else:
         qp = gaussian.q_from_geometry(args.R, args.w, args.lam)
-    m = rayoptics.system_composition(system)
     out = gaussian.propagate_q(qp, m)
     r_out, w_out = gaussian.geometry_from_q(out)
     print(f"q_in {_fmt(qp.q.real)} {_fmt(qp.q.imag)}")
@@ -195,7 +177,9 @@ def _cmd_interface(args: argparse.Namespace) -> int:
     print(f"max_residual {_fmt(residual)}")
     print(f"plane_of_incidence {'true' if in_plane else 'false'}")
     print(f"reflection_law {'true' if reflection_ok else 'false'}")
-    return EXIT_OK if residual < 1e-9 else EXIT_FAILURE
+    if not residual < 1e-9:
+        raise OptikitError(f"max_residual {_fmt(residual)} is not below 1e-09")
+    return EXIT_OK
 
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
@@ -223,8 +207,10 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     for label, op in (("q", sm.q), ("p", sm.p), ("H", sm.H)):
         residual = float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
         print(f"self_adjoint_{label} {_fmt(residual)}")
-    expected = args.hbar * args.omega / 2.0
-    return EXIT_OK if abs(ground - expected) <= 1e-10 else EXIT_FAILURE
+    deviation = abs(ground - args.hbar * args.omega / 2.0)
+    if not deviation <= 1e-10:
+        raise OptikitError(f"ground_energy deviates from hbar*omega/2 by {_fmt(deviation)}, above 1e-10")
+    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -303,7 +303,10 @@ def oblique_incidence_fields(
         E=CVec3(0j, complex(t_amp), 0j),
         H=CVec3(complex(t_amp * n2 / eta0 * ct), 0j, complex(-t_amp * n2 / eta0 * st)),
     )
-    return InterfaceSystem(spec, incident, reflected, transmitted, consts)
+    waves = (incident, reflected, transmitted)
+    if not all(cmath.isfinite(c) for w in waves for v in (w.k, w.E, w.H) for c in (v.x, v.y, v.z)):
+        raise DomainError(f"fields overflow double precision at a = {a!r}, n1 = {n1!r}, n2 = {n2!r}")
+    return InterfaceSystem(spec, *waves, consts)
 
 
 def _tangent_basis(normal: RVec3) -> tuple[RVec3, RVec3]:
@@ -388,6 +391,7 @@ _NEXT = [1, 2, 0]
 _PREV = [2, 0, 1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN residual is raised below
 def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> float:
     """Largest tangential-mismatch component over seeded plane samples.
 
@@ -424,8 +428,10 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
         a_r, a_i = _cmul(normal[_NEXT], n_im, d_r[:, _PREV], d_i[:, _PREV])
         b_r, b_i = _cmul(normal[_PREV], n_im, d_r[:, _NEXT], d_i[:, _NEXT])
         magnitude = np.hypot(a_r - b_r, a_i - b_i)
-        # fmax, like the reference's max(), never lets a NaN win
-        worst = max(worst, float(np.fmax.reduce(magnitude, axis=None)))
+        peak = float(np.max(magnitude))
+        if math.isnan(peak):  # overflowed fields; the reference's max() would drop it
+            raise DomainError("boundary residual is NaN: the fields overflow double precision")
+        worst = max(worst, peak)
 
 
 def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -> InterfaceReport:

@@ -212,7 +212,9 @@ def hermitian_eigenvalues(op: Operator) -> np.ndarray:
     everything else goes through the Hermitian eigensolver.
     """
     m = op.matrix
-    scale = max(float(np.max(np.abs(m))), 1e-300)
+    scale = max(float(np.max(np.abs(m))), 1e-300)  # a NaN entry keeps scale NaN
+    if not scale < math.inf:
+        raise DomainError(f"operator entries must be finite, got max |entry| = {scale!r}")
     off = m - np.diag(np.diag(m))
     if float(np.max(np.abs(off))) <= 1e-12 * scale:
         return np.sort(np.real(np.diag(m)))

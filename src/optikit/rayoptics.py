@@ -22,13 +22,13 @@ component's (or the terminal) free space.
 
 Cost and exactness: `system_composition` and `trace_ray` are O(n) in the
 number of components.  Each validates the system once (`validate_system`,
-built from the per-element clauses of `element_violations`) and then runs
-over the (d, C, D) entries of each component in plain floats, with no matrix
-allocated per element and no second check.  Both are bit-identical to the
-reference form, the `mat2_mul` fold and the `mat2_apply` stepping over
-`element_matrices`.  Every parameter must be finite, and a composed matrix
-or traced ray that overflows double precision raises InvalidSystem instead
-of returning inf or NaN.
+one pass of `element_violations`), then runs over the (d, C, D) entries of
+each component in plain floats, with no matrix allocated per element; the
+private `_fold` skips that pass for a caller that holds a valid system.
+Both are bit-identical to the reference form, the `mat2_mul` fold and the
+`mat2_apply` stepping over `element_matrices`.  Every parameter must be
+finite, and a composed matrix or traced ray that overflows double precision
+raises InvalidSystem instead of returning inf or NaN.
 """
 
 from __future__ import annotations
@@ -131,16 +131,17 @@ class RayTrace:
 class Violation:
     """One violated validity clause, located by component index.
 
-    index is the component position, or None for the terminal free space.
-    clause is the violated constraint, e.g. "0 < n".
+    index is the component position, None for a system's terminal free space,
+    or a name such as "left mirror"; clause is the violated constraint, e.g. "0 < n".
     """
 
-    index: int | None
+    index: int | str | None
     clause: str
     detail: str
 
     def __str__(self) -> str:
-        where = "terminal free space" if self.index is None else f"component {self.index}"
+        where = self.index if isinstance(self.index, str) else (
+            "terminal free space" if self.index is None else f"component {self.index}")
         return f"{where}: violates {self.clause} ({self.detail})"
 
 
@@ -157,8 +158,13 @@ class ValidationReport:
             return "valid"
         return "; ".join(str(v) for v in self.violations)
 
+    def require(self, error: type[Exception]) -> None:
+        """Raise error, listing every violation, unless the report is ok."""
+        if self.violations:
+            raise error(str(self))
 
-def element_violations(element: FreeSpace | OpticalInterface, index: int | None) -> list[Violation]:
+
+def element_violations(element: FreeSpace | OpticalInterface, index: int | str | None) -> list[Violation]:
     """Violated validity clauses of one free space or interface (empty == valid).
 
     A free space needs a finite n > 0 and a finite d >= 0; a spherical
@@ -181,20 +187,22 @@ def element_violations(element: FreeSpace | OpticalInterface, index: int | None)
     return out
 
 
-def validate_system(sys: OpticalSystem) -> ValidationReport:
-    """Report every violated validity constraint of a system (empty == valid)."""
+def _labelled_report(components: tuple[OpticalComponent, ...], before=(), after=()) -> ValidationReport:
+    """The one walk that validates systems and resonators: before, components, after."""
     violations: list[Violation] = []
-    for i, comp in enumerate(sys.components):
+    for index, element in before:
+        violations += element_violations(element, index)
+    for i, comp in enumerate(components):
         violations += element_violations(comp.space, i)
         violations += element_violations(comp.iface, i)
-    violations += element_violations(sys.terminal, None)
+    for index, element in after:
+        violations += element_violations(element, index)
     return ValidationReport(tuple(violations))
 
 
-def _require_valid(sys: OpticalSystem) -> None:
-    report = validate_system(sys)
-    if not report.ok:
-        raise InvalidSystem(str(report))
+def validate_system(sys: OpticalSystem) -> ValidationReport:
+    """Report every violated validity constraint of a system (empty == valid)."""
+    return _labelled_report(sys.components, after=((None, sys.terminal),))
 
 
 def _interface_entries(
@@ -217,7 +225,7 @@ def _interface_entries(
 
 def free_space_matrix(fs: FreeSpace) -> Mat2:
     """Translation matrix [[1, d], [0, 1]] of a valid free space."""
-    bad = element_violations(fs, None)
+    bad = element_violations(fs, "free space")
     if bad:
         raise InvalidComponent(str(bad[0]))
     return Mat2(1.0, fs.d, 0.0, 1.0)
@@ -250,7 +258,7 @@ def element_matrices(sys: OpticalSystem) -> list[Mat2]:
     reference form of the system: `system_composition` and `trace_ray` give
     bit for bit what folding and stepping through these matrices gives.
     """
-    _require_valid(sys)
+    validate_system(sys).require(InvalidSystem)
     mats: list[Mat2] = []
     for i, comp in enumerate(sys.components):
         mats.append(free_space_matrix(comp.space))
@@ -260,12 +268,11 @@ def element_matrices(sys: OpticalSystem) -> list[Mat2]:
 
 
 def _pair_entries(sys: OpticalSystem) -> list[tuple[float, float, float]]:
-    """(d, C, D) of each component after validating the whole system once.
+    """(d, C, D) of each component of a valid system.
 
     A component is its free space [[1, d], [0, 1]] followed by its interface
     [[1, 0], [C, D]].
     """
-    _require_valid(sys)
     comps = sys.components
     next_n = [comp.space.n for comp in comps[1:]]
     next_n.append(sys.terminal.n)
@@ -290,6 +297,12 @@ def system_composition(sys: OpticalSystem) -> Mat2:
     in its order (only the exact products 1.0 * x are left out), so it equals
     the `mat2_mul` fold of `element_matrices` bit for bit.
     """
+    validate_system(sys).require(InvalidSystem)
+    return _fold(sys)
+
+
+def _fold(sys: OpticalSystem) -> Mat2:
+    """`system_composition` of a system the caller has already validated."""
     a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
     for d, c, e in _pair_entries(sys):
         # free space [[1, d], [0, 1]] . acc
@@ -313,6 +326,7 @@ def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     the operations of `mat2_apply`, so the states equal stepping through
     `element_matrices` bit for bit.
     """
+    validate_system(sys).require(InvalidSystem)
     y, theta = float(source.y), float(source.theta)
     states = [source]
     for d, c, e in _pair_entries(sys):

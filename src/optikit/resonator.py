@@ -13,6 +13,9 @@ space, reflect on the right interface, back through the inner components in
 reverse, reflect on the left interface.  On the way back each transmitted
 interface is crossed with its index ratio inverted (n1/n0 instead of n0/n1),
 which keeps the round-trip determinant at 1.
+
+Cost: each entry point validates the resonator once.  Its round trip holds
+only the resonator's own elements, so `round_trip_matrix` folds it unchecked.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .rayoptics import (
     RayState,
     Spherical,
     ValidationReport,
-    element_violations,
-    system_composition,
+    _fold,
+    _labelled_report,
 )
 
 __all__ = [
@@ -89,22 +92,12 @@ class OracleResult:
 
 def validate_resonator(res: Resonator) -> ValidationReport:
     """Report every violated validity clause of a resonator (empty == valid)."""
-    violations = element_violations(res.left, None)
-    for i, comp in enumerate(res.inner):
-        violations += element_violations(comp.space, i)
-        violations += element_violations(comp.iface, i)
-    violations += element_violations(res.space, None)
-    violations += element_violations(res.right, None)
-    return ValidationReport(tuple(violations))
+    ends = (("cavity space", res.space), ("right mirror", res.right))
+    return _labelled_report(res.inner, (("left mirror", res.left),), ends)
 
 
-def _require_valid(res: Resonator) -> None:
-    report = validate_resonator(res)
-    if not report.ok:
-        raise InvalidResonator(str(report))
-
-
-def _round_trip_components(res: Resonator) -> list[OpticalComponent]:
+def _round_trip(res: Resonator) -> OpticalSystem:
+    """One cavity round trip as a sequential system, unchecked."""
     reflected = InterfaceKind.REFLECTED
     trip = list(res.inner)
     trip.append(OpticalComponent(res.space, res.right, reflected))
@@ -120,21 +113,21 @@ def _round_trip_components(res: Resonator) -> list[OpticalComponent]:
         trip.append(OpticalComponent(res.inner[0].space, res.left, reflected))
     else:
         trip.append(OpticalComponent(res.space, res.left, reflected))
-    return trip
+    return OpticalSystem(tuple(trip), FreeSpace(res.space.n, 0.0))
 
 
 def unfold_resonator(res: Resonator, n_round_trips: int) -> OpticalSystem:
     """Sequential optical system equivalent to N cavity round trips."""
-    _require_valid(res)
+    validate_resonator(res).require(InvalidResonator)
     if n_round_trips < 1:
         raise InvalidResonator(f"need at least one round trip, got {n_round_trips}")
-    trip = _round_trip_components(res)
-    terminal = FreeSpace(res.space.n, 0.0)
-    return OpticalSystem(tuple(trip * n_round_trips), terminal)
+    trip = _round_trip(res)
+    return OpticalSystem(trip.components * n_round_trips, trip.terminal)
 
 
 def round_trip_matrix(res: Resonator) -> Mat2:
-    return system_composition(unfold_resonator(res, 1))
+    validate_resonator(res).require(InvalidResonator)
+    return _fold(_round_trip(res))
 
 
 def stability_from_matrix(m: Mat2) -> StabilityVerdict:
@@ -206,5 +199,5 @@ def fp_resonator(R: float, d: float, n: float) -> Resonator:
     2*(1 - d/R)**2 - 1.
     """
     res = Resonator(left=Spherical(R), inner=(), space=FreeSpace(n, d), right=Spherical(R))
-    _require_valid(res)
+    validate_resonator(res).require(InvalidResonator)
     return res

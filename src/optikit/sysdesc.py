@@ -195,6 +195,35 @@ def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str)
     return InterfaceDirective(shape, radius, kind, line_no, tokens[0][1])
 
 
+def _structure_error(kind: str, items: list | tuple, head: str | None = None) -> tuple[int, str, str] | None:
+    """(index, message, expected) of the first structural rule a body breaks.
+
+    Directives alternate from a freespace in a [system] and from an interface
+    in a [resonator]; a system ends on a freespace; a resonator has at least
+    three directives, ends on an interface, and its mirrors carry no kind=.
+    index is len(items) when the body ends too early.  Given head, the next
+    directive's name, only its place is checked, as `parse` does per line.
+    """
+    order = ("freespace", "interface") if kind == "system" else ("interface", "freespace")
+    n = len(items)
+    if head:
+        return None if head == order[n % 2] else (n, f"unexpected directive {head!r}", order[n % 2])
+    for i, item in enumerate(items):
+        name = "freespace" if isinstance(item, FreespaceDirective) else "interface"
+        if name != order[i % 2]:
+            return i, f"unexpected directive {name!r}", order[i % 2]
+    if kind == "system":  # an even count covers the empty body too
+        return None if n % 2 else (n, "system must end with a freespace line", "freespace")
+    if n < 3:
+        return n, "resonator needs two mirror interfaces with a freespace between", "freespace/interface lines"
+    if n % 2 == 0:
+        return n, "resonator must end with an interface line", "interface"
+    for i in (0, n - 1):
+        if items[i].kind is not None:
+            return i, "kind is not allowed on a mirror interface", "no kind= on the first/last interface"
+    return None
+
+
 def parse(source: str) -> Document:
     """Parse a document, raising ParseError at the first grammar violation."""
     raw_lines = source.split("\n")
@@ -217,12 +246,9 @@ def parse(source: str) -> Document:
             kind = head[1:-1]
             continue
 
-        if kind == "system":
-            expect = "freespace" if len(items) % 2 == 0 else "interface"
-        else:
-            expect = "interface" if len(items) % 2 == 0 else "freespace"
-        if head != expect:
-            raise ParseError(line_no, head_col, f"unexpected directive {head!r}", expect)
+        misplaced = _structure_error(kind, items, head)
+        if misplaced:
+            raise ParseError(line_no, head_col, *misplaced[1:])
 
         if head == "freespace":
             items.append(_parse_freespace(tokens, line_no, raw))
@@ -232,28 +258,11 @@ def parse(source: str) -> Document:
     if kind is None:
         raise ParseError(1, 1, "empty document", "[system] or [resonator]")
 
-    end_col = _end_column(raw_lines[last_line_no - 1])
-    if kind == "system":
-        if len(items) % 2 == 0:  # covers the empty body too
-            raise ParseError(last_line_no, end_col, "system must end with a freespace line", "freespace")
-    else:
-        if len(items) < 3:
-            raise ParseError(
-                last_line_no, end_col,
-                "resonator needs two mirror interfaces with a freespace between",
-                "freespace/interface lines",
-            )
-        if len(items) % 2 == 0:
-            raise ParseError(last_line_no, end_col, "resonator must end with an interface line", "interface")
-        for mirror in (items[0], items[-1]):
-            assert isinstance(mirror, InterfaceDirective)
-            if mirror.kind is not None:
-                raise ParseError(
-                    mirror.line, mirror.column,
-                    "kind is not allowed on a mirror interface",
-                    "no kind= on the first/last interface",
-                )
-
+    broken = _structure_error(kind, items)
+    if broken:
+        i, message, expected = broken
+        end = (last_line_no, _end_column(raw_lines[last_line_no - 1]))
+        raise ParseError(*((items[i].line, items[i].column) if i < len(items) else end), message, expected)
     return Document(kind=kind, items=tuple(items))
 
 
@@ -262,27 +271,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_document(doc: Document) -> None:
-    if doc.kind not in ("system", "resonator"):
-        raise DomainError(f"unknown document kind {doc.kind!r}")
-    offset = 0 if doc.kind == "system" else 1
+def _check_document(doc: Document, kinds: tuple[str, ...] = ("system", "resonator")) -> None:
+    if doc.kind not in kinds:
+        raise DomainError(f"expected a {' or '.join(kinds)} document, got [{doc.kind}]")
+    broken = _structure_error(doc.kind, doc.items)
+    if broken:
+        i, message, expected = broken
+        where = f"directive {i}" if i < len(doc.items) else "end of document"
+        raise DomainError(f"{where}: {message} (expected {expected})")
     for i, item in enumerate(doc.items):
-        want_freespace = (i + offset) % 2 == 0
-        if want_freespace != isinstance(item, FreespaceDirective):
-            raise DomainError(f"directive {i} out of order for a {doc.kind} document")
         if isinstance(item, InterfaceDirective):
             if item.shape == "spherical" and item.radius is None:
                 raise DomainError(f"spherical directive {i} has no radius")
             if item.shape == "plane" and item.radius is not None:
                 raise DomainError(f"plane directive {i} carries a radius")
-    if doc.kind == "system" and len(doc.items) % 2 == 0:
-        raise DomainError("system document must end with a freespace directive")
-    if doc.kind == "resonator":
-        if len(doc.items) < 3 or len(doc.items) % 2 == 0:
-            raise DomainError("resonator document needs mirror/freespace/mirror structure")
-        for mirror in (doc.items[0], doc.items[-1]):
-            if mirror.kind is not None:  # type: ignore[union-attr]
-                raise DomainError("mirror interfaces carry no kind")
 
 
 def serialize(doc: Document) -> str:
@@ -322,18 +324,14 @@ def _components(items: tuple[Directive, ...], start: int, stop: int) -> tuple[Op
 
 def document_to_system(doc: Document) -> OpticalSystem:
     """Materialize a [system] document into ray-optics types."""
-    if doc.kind != "system":
-        raise DomainError(f"expected a system document, got [{doc.kind}]")
-    _check_document(doc)
+    _check_document(doc, ("system",))
     term: FreespaceDirective = doc.items[-1]  # type: ignore[assignment]
     return OpticalSystem(_components(doc.items, 0, len(doc.items) - 1), FreeSpace(term.n, term.d))
 
 
 def document_to_resonator(doc: Document) -> Resonator:
     """Materialize a [resonator] document into resonator types."""
-    if doc.kind != "resonator":
-        raise DomainError(f"expected a resonator document, got [{doc.kind}]")
-    _check_document(doc)
+    _check_document(doc, ("resonator",))
     left: InterfaceDirective = doc.items[0]  # type: ignore[assignment]
     right: InterfaceDirective = doc.items[-1]  # type: ignore[assignment]
     space: FreespaceDirective = doc.items[-2]  # type: ignore[assignment]

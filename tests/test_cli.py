@@ -1,12 +1,14 @@
+import collections
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from optikit import cli, emoptics, quantum
+from optikit import cli, emoptics, quantum, rayoptics, sysdesc
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -256,6 +258,34 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_invalid_resonator_names_the_element(self, capsys, tmp_path):
+        path = tmp_path / "x.res"
+        path.write_text("[resonator]\ninterface spherical R=0\nfreespace n=1.0 d=0.5\ninterface spherical R=1.0\n")
+        code, out, err = run(capsys, "stability", path)
+        assert code == 1 and out == ""
+        assert err == "error: left mirror: violates R != 0 (spherical interface with R = 0)\n"
+
+    def test_interface_overflow_is_domain_failure(self, capsys):
+        # t_amp overflowed to inf and max_residual read 0, after a numpy warning
+        code, out, err = run(
+            capsys, "interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30", "--a", "1e308", "--samples", "5"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "overflow" in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "argv, stdout_line, limit",
+        [
+            (("interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30", "--a", "1e10", "--samples", "5"),
+             "max_residual 8.25685913922e-05", "1e-09"),
+            (("quantum", "--omega", "1e10", "--hbar", "1e10", "--dim", "4"), "ground_energy 5e+19", "1e-10"),
+        ],
+    )
+    def test_failed_verdict_says_why(self, capsys, argv, stdout_line, limit):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and stdout_line in out.splitlines()
+        assert err.startswith("error: ") and err.count("\n") == 1 and limit in err
+
     def test_verdict_is_data_not_error(self, capsys):
         code, out, _ = run(capsys, "stability", SAMPLES / "fp_unstable.res")
         assert code == 0
@@ -337,6 +367,8 @@ class TestArgvFuzz:
     @example(argv=["beam", str(SAMPLES / "single_space.osys"), "--lambda=1e-6", "--w=inf", "--R=inf"])
     @example(argv=["beam", str(SAMPLES / "single_space.osys"), "--lambda=1e-6", "--q-re=1e308", "--q-im=1e308"])
     @example(argv=["quantum", "--omega=1e300"])
+    @example(argv=["interface", "--n1=1", "--n2=1.5", "--theta-deg=30", "--a=1e10", "--samples=5"])
+    @example(argv=["quantum", "--omega=1e10", "--hbar=1e10", "--dim=4"])
     def test_exit_codes(self, argv):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -344,3 +376,50 @@ class TestArgvFuzz:
         assert code in (0, 1, 2)
         if code != 0:
             assert "error: " in err.getvalue()
+
+
+class TestValidateOnce:
+    """Each element of a file is checked once per run, and twice with --oracle."""
+
+    INNER_RES = (
+        "[resonator]\ninterface spherical R=1.0\nfreespace n=1.0 d=0.1\ninterface spherical R=2.0\n"
+        "freespace n=1.5 d=0.05\ninterface plane kind=reflected\nfreespace n=1.0 d=0.3\n"
+        "interface spherical R=1.5\n"
+    )
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Calls of the clause function per element object, through any module that holds it."""
+        counts = collections.Counter()
+        clause = rayoptics.element_violations
+
+        def counting(element, index):
+            counts[id(element)] += 1
+            return clause(element, index)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("optikit") and getattr(module, "element_violations", None) is clause:
+                monkeypatch.setattr(module, "element_violations", counting)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv, times",
+        [
+            (["matrix", "{osys}"], 1),
+            (["trace", "{osys}", "--y0", "1e-3", "--theta0", "0"], 1),
+            (["beam", "{osys}", "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"], 1),
+            (["stability", "{res}"], 1),
+            (["stability", "{res}", "--oracle", "--round-trips", "20"], 2),
+            (["stability", "{fp}", "--oracle", "--round-trips", "20"], 2),
+        ],
+    )
+    def test_each_element_checked_once(self, capsys, tmp_path, checks, argv, times):
+        res = tmp_path / "inner.res"
+        res.write_text(self.INNER_RES)
+        files = {"osys": SAMPLES / "biconvex.osys", "res": res, "fp": SAMPLES / "fp_stable.res"}
+        path = str(argv[1]).format(**files)
+        code, _, _ = run(capsys, argv[0], path, *argv[2:])
+        assert code == 0
+        elements = len(sysdesc.parse(Path(path).read_text()).items)
+        assert len(checks) == elements
+        assert set(checks.values()) == {times}

@@ -261,6 +261,28 @@ class TestObliqueIncidenceFields:
             oblique_incidence_fields(0.3, *args)
 
 
+    @pytest.mark.parametrize(
+        "theta_deg, n1, n2, a",
+        [
+            (30.0, 1.0, 1.5, 1e308),  # t_amp overflows; the residual read 0
+            (0.0, 1.0, 1e308, 1.0),  # t_amp and the transmitted k overflow
+            (0.0, 1e308, 1e308, 1.0),  # every wavevector overflows
+        ],
+    )
+    def test_overflowed_fields_rejected(self, theta_deg, n1, n2, a):
+        with pytest.raises(DomainError, match="overflow"):
+            example_system(theta_deg, n1, n2, a)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_nonfinite_residual_raises_without_warning(self, amplitude):
+        # a hand-built system whose residual is NaN; fmax used to drop it
+        system = example_system()
+        tr = system.transmitted
+        bad = dataclasses.replace(system, transmitted=dataclasses.replace(tr, E=CVec3(0j, complex(amplitude), 0j)))
+        with pytest.raises(DomainError, match="NaN"):
+            max_boundary_residual(bad, 5, seed=0)
+
+
 def reference_max_residual(system, samples, seed):
     """Scalar reference: max component magnitude of `boundary_residual`."""
     side1 = (system.incident, system.reflected)

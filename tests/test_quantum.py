@@ -197,3 +197,14 @@ class TestHermitianEigenvalues:
         diag = Operator(np.diag(np.linalg.eigvalsh(herm.matrix)).astype(complex))
         fast = hermitian_eigenvalues(diag)
         assert np.max(np.abs(dense - fast)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[math.inf, 1.0], [1.0, 1.0]],  # the solver returned [nan nan]
+            [[math.nan, 0.0], [0.0, 1.0]],  # the diagonal short cut returned [0, -0]
+        ],
+    )
+    def test_nonfinite_operator_rejected(self, matrix):
+        with pytest.raises(DomainError, match="finite"):
+            hermitian_eigenvalues(Operator(np.array(matrix, dtype=complex)))

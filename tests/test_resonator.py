@@ -12,6 +12,7 @@ from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
     OpticalComponent,
+    Plane,
     RayState,
     Spherical,
     system_composition,
@@ -24,6 +25,7 @@ from optikit.resonator import (
     stability,
     stability_from_matrix,
     unfold_resonator,
+    validate_resonator,
 )
 
 
@@ -83,6 +85,40 @@ class TestUnfold:
         res = Resonator(Spherical(1.0), inner, FreeSpace(1.4, 0.2), Spherical(1.0))
         m = round_trip_matrix(res)
         assert math.isclose(m.det(), 1.0, rel_tol=1e-12)
+
+
+class TestViolationLabels:
+    """Each resonator element is named in its violation; none reads "terminal free space"."""
+
+    LENS = OpticalComponent(FreeSpace(1.0, 0.1), Spherical(0.5), InterfaceKind.TRANSMITTED)
+
+    @pytest.mark.parametrize(
+        "res, index, text",
+        [
+            (Resonator(Spherical(0.0), (), FreeSpace(1.0, 0.5), Spherical(1.0)),
+             "left mirror", "left mirror: violates R != 0 (spherical interface with R = 0)"),
+            (Resonator(Spherical(1.0), (), FreeSpace(1.0, 0.5), Spherical(math.inf)),
+             "right mirror", "right mirror: violates R finite (R = inf)"),
+            (Resonator(Plane(), (), FreeSpace(-1.0, 0.5), Plane()),
+             "cavity space", "cavity space: violates 0 < n (n = -1.0)"),
+            (Resonator(Plane(), (LENS, OpticalComponent(FreeSpace(1.0, -2.0), Plane(),
+                                                        InterfaceKind.TRANSMITTED)),
+                       FreeSpace(1.0, 0.5), Plane()),
+             1, "component 1: violates 0 <= d (d = -2.0)"),
+        ],
+    )
+    def test_label(self, res, index, text):
+        report = validate_resonator(res)
+        assert [v.index for v in report.violations] == [index]
+        assert str(report) == text
+        with pytest.raises(InvalidResonator) as exc:
+            stability(res)
+        assert str(exc.value) == text
+
+    def test_labels_in_element_order(self):
+        res = Resonator(Spherical(0.0), (self.LENS,), FreeSpace(0.0, 0.5), Spherical(0.0))
+        assert [v.index for v in validate_resonator(res).violations] == [
+            "left mirror", "cavity space", "right mirror"]
 
 
 class TestStability:

@@ -267,6 +267,38 @@ class TestSerialize:
         with pytest.raises(DomainError):
             serialize(bad)
 
+    @pytest.mark.parametrize(
+        "source, items",
+        [
+            ("[system]\nfreespace n=1 d=1\nfreespace n=1 d=1\n", ("fs", "fs")),
+            ("[system]\nfreespace n=1 d=1\ninterface plane\n", ("fs", "plane")),
+            ("[system]\n", ()),
+            ("[resonator]\nfreespace n=1 d=1\n", ("fs",)),
+            ("[resonator]\ninterface plane\nfreespace n=1 d=1\n", ("plane", "fs")),
+            ("[resonator]\ninterface plane\nfreespace n=1 d=1\ninterface plane\nfreespace n=1 d=1\n",
+             ("plane", "fs", "plane", "fs")),
+            ("[resonator]\ninterface plane kind=reflected\nfreespace n=1 d=1\ninterface plane\n",
+             ("reflected", "fs", "plane")),
+            ("[resonator]\ninterface plane\nfreespace n=1 d=1\ninterface plane kind=transmitted\n",
+             ("plane", "fs", "transmitted")),
+        ],
+    )
+    def test_hand_built_document_breaks_the_rule_parse_reports(self, source, items):
+        """`serialize` and `parse` state each structural rule in the same words."""
+        directives = {
+            "fs": FreespaceDirective(1.0, 1.0),
+            "plane": InterfaceDirective("plane"),
+            "reflected": InterfaceDirective("plane", kind="reflected"),
+            "transmitted": InterfaceDirective("plane", kind="transmitted"),
+        }
+        with pytest.raises(ParseError) as parsed:
+            parse(source)
+        doc = Document(kind=source.split("\n")[0][1:-1], items=tuple(directives[i] for i in items))
+        with pytest.raises(DomainError) as built:
+            serialize(doc)
+        assert parsed.value.message in str(built.value)
+        assert parsed.value.expected in str(built.value)
+
 
 def _check_positions(source: str, err: ParseError) -> None:
     lines = source.split("\n")

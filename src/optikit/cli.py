@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Six subcommands over the library: `matrix`, `trace`, `stability`, `beam`,
-`interface`, and `quantum`.  Machine-readable results go to stdout at 12
-significant digits in a fixed column order; diagnostics go to stderr.  Exit
-codes: 0 computation done (verdicts such as "unstable" are data, not errors),
-1 domain, validation or self-check failure, 2 usage or file-parse error.
+`interface`, and `quantum`.  Each command yields records, tuples of fields in
+a fixed column order; `main` is the one emitter, printing each record as a
+stdout line (floats at 12 significant digits) and each failure as one
+`error:` line on stderr.  Exit codes: 0 computation done (verdicts such as
+"unstable" are data, not errors), 1 domain, validation or self-check
+failure, 2 usage or file-parse error.
 
 Only `interface` and `quantum` need numpy; they import it, and their numpy
 modules, after their argument checks, so the four ray-level commands and
@@ -16,13 +18,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import gaussian, rayoptics, sysdesc
 from .core import mat2_apply
 from .errors import OptikitError
-from .rayoptics import RayState
-from .resonator import ray_bound_oracle, stability as resonator_stability
+from .rayoptics import OpticalSystem, RayState
+from .resonator import Resonator, ray_bound_oracle, stability as resonator_stability
 from .sysdesc import ParseError
 
 __all__ = ["main"]
@@ -47,10 +49,14 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # never print -0
-    return format(x, ".12g")
+def _fmt(x: object) -> str:
+    """A record field: a bool as true/false, text and ints as they are, else a .12g float, never -0."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (str, int)):
+        return str(x)
+    x = float(x)
+    return format(0.0 if x == 0.0 else x, ".12g")
 
 
 def _require_at_most(flag: str, value: int, cap: int) -> None:
@@ -63,7 +69,7 @@ def _require_finite_source(args: argparse.Namespace) -> None:
         raise _UsageError("source ray must be finite")
 
 
-def _load_document(path: str, want_kind: str) -> sysdesc.Document:
+def _load(path: str, want_kind: str) -> OpticalSystem | Resonator:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -75,21 +81,21 @@ def _load_document(path: str, want_kind: str) -> sysdesc.Document:
         raise _UsageError(f"{path}:{exc}") from exc
     if doc.kind != want_kind:
         raise _UsageError(f"{path}: expected a [{want_kind}] document, got [{doc.kind}]")
-    return doc
+    if want_kind == "system":
+        return sysdesc.document_to_system(doc)
+    return sysdesc.document_to_resonator(doc)
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    system = sysdesc.document_to_system(_load_document(args.file, "system"))
-    m = rayoptics.system_composition(system)
-    print(f"{_fmt(m.a11)} {_fmt(m.a12)}")
-    print(f"{_fmt(m.a21)} {_fmt(m.a22)}")
-    print(f"det {_fmt(m.det())}")
-    return EXIT_OK
+def _cmd_matrix(args: argparse.Namespace) -> Iterator[tuple]:
+    m = rayoptics.system_composition(_load(args.file, "system"))
+    yield m.a11, m.a12
+    yield m.a21, m.a22
+    yield "det", m.det()
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> Iterator[tuple]:
     _require_finite_source(args)
-    system = sysdesc.document_to_system(_load_document(args.file, "system"))
+    system = _load(args.file, "system")
     source = RayState(args.y0, args.theta0)
     trace = rayoptics.trace_ray(system, source)
     composed = mat2_apply(rayoptics._fold(system), source.as_pair())  # validated by trace_ray
@@ -97,34 +103,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     scale = max(abs(composed[0]), abs(composed[1]), 1.0)
     if max(abs(final.y - composed[0]), abs(final.theta - composed[1])) > 1e-12 * scale:
         # tripwire: the stepper and the composed matrix are independent paths
-        print("internal error: trace disagrees with composed matrix", file=sys.stderr)
-        return EXIT_FAILURE
-    sep = "," if args.format == "csv" else " "
-    print(sep.join(("index", "y", "theta")))
+        raise OptikitError("internal error: trace disagrees with composed matrix")
+    yield "index", "y", "theta"
     for i, state in enumerate(trace.states):
-        print(sep.join((str(i), _fmt(state.y), _fmt(state.theta))))
-    return EXIT_OK
+        yield i, state.y, state.theta
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
+def _cmd_stability(args: argparse.Namespace) -> Iterator[tuple]:
     _require_at_most("--round-trips", args.round_trips, MAX_ROUND_TRIPS)
     _require_finite_source(args)
-    res = sysdesc.document_to_resonator(_load_document(args.file, "resonator"))
+    res = _load(args.file, "resonator")
     verdict = resonator_stability(res)
-    print(f"det {_fmt(verdict.det)}")
-    print(f"half_trace {_fmt(verdict.half_trace)}")
-    print(f"verdict {verdict.verdict}")
+    yield "det", verdict.det
+    yield "half_trace", verdict.half_trace
+    yield "verdict", verdict.verdict
     if args.oracle:
         result = ray_bound_oracle(res, RayState(args.y0, args.theta0), args.round_trips)
-        print(f"oracle_max_y {_fmt(result.max_y)}")
-        print(f"oracle_max_theta {_fmt(result.max_theta)}")
-        print(f"oracle_diverged {'true' if result.diverged else 'false'}")
-        agreement = "n/a" if verdict.marginal else ("true" if verdict.stable != result.diverged else "false")
-        print(f"agreement {agreement}")
-    return EXIT_OK
+        yield "oracle_max_y", result.max_y
+        yield "oracle_max_theta", result.max_theta
+        yield "oracle_diverged", result.diverged
+        yield "agreement", "n/a" if verdict.marginal else verdict.stable != result.diverged
 
 
-def _cmd_beam(args: argparse.Namespace) -> int:
+def _cmd_beam(args: argparse.Namespace) -> Iterator[tuple]:
     q_given = args.q_re is not None or args.q_im is not None
     rw_given = args.R is not None or args.w is not None
     if q_given == rw_given:
@@ -133,22 +134,21 @@ def _cmd_beam(args: argparse.Namespace) -> int:
         raise _UsageError("--q-re and --q-im must be given together")
     if rw_given and (args.R is None or args.w is None):
         raise _UsageError("--R and --w must be given together")
-    m = rayoptics.system_composition(sysdesc.document_to_system(_load_document(args.file, "system")))
+    m = rayoptics.system_composition(_load(args.file, "system"))
     if q_given:
         qp = gaussian.QParameter(complex(args.q_re, args.q_im), args.lam)
     else:
         qp = gaussian.q_from_geometry(args.R, args.w, args.lam)
     out = gaussian.propagate_q(qp, m)
     r_out, w_out = gaussian.geometry_from_q(out)
-    print(f"q_in {_fmt(qp.q.real)} {_fmt(qp.q.imag)}")
-    print(f"M {_fmt(m.a11)} {_fmt(m.a12)} {_fmt(m.a21)} {_fmt(m.a22)}")
-    print(f"q_out {_fmt(out.q.real)} {_fmt(out.q.imag)}")
-    print(f"R {_fmt(r_out)}")
-    print(f"w {_fmt(w_out)}")
-    return EXIT_OK
+    yield "q_in", qp.q.real, qp.q.imag
+    yield "M", m.a11, m.a12, m.a21, m.a22
+    yield "q_out", out.q.real, out.q.imag
+    yield "R", r_out
+    yield "w", w_out
 
 
-def _cmd_interface(args: argparse.Namespace) -> int:
+def _cmd_interface(args: argparse.Namespace) -> Iterator[tuple]:
     if not 0 <= args.theta_deg < 90:
         raise _UsageError(f"theta-deg must be in [0, 90), got {args.theta_deg}")
     _require_at_most("--samples", args.samples, MAX_SAMPLES)
@@ -167,22 +167,21 @@ def _cmd_interface(args: argparse.Namespace) -> int:
     mirrored = emoptics.reflect_wavevector(system.incident.k, system.spec.normal)
     k_r = system.reflected.k
     reflection_ok = (mirrored - k_r).norm() <= 1e-12 * k_r.norm()
-    print(f"theta_t_deg {_fmt(math.degrees(theta_t))}")
-    print(f"r_amp {_fmt(r_amp)}")
-    print(f"t_amp {_fmt(t_amp)}")
-    print(f"fresnel_s_r {_fmt(rs)}")
-    print(f"fresnel_s_t {_fmt(ts)}")
-    print(f"fresnel_p_r {_fmt(rp)}")
-    print(f"fresnel_p_t {_fmt(tp)}")
-    print(f"max_residual {_fmt(residual)}")
-    print(f"plane_of_incidence {'true' if in_plane else 'false'}")
-    print(f"reflection_law {'true' if reflection_ok else 'false'}")
+    yield "theta_t_deg", math.degrees(theta_t)
+    yield "r_amp", r_amp
+    yield "t_amp", t_amp
+    yield "fresnel_s_r", rs
+    yield "fresnel_s_t", ts
+    yield "fresnel_p_r", rp
+    yield "fresnel_p_t", tp
+    yield "max_residual", residual
+    yield "plane_of_incidence", in_plane
+    yield "reflection_law", reflection_ok
     if not residual < 1e-9:
         raise OptikitError(f"max_residual {_fmt(residual)} is not below 1e-09")
-    return EXIT_OK
 
 
-def _cmd_quantum(args: argparse.Namespace) -> int:
+def _cmd_quantum(args: argparse.Namespace) -> Iterator[tuple]:
     if args.dim < 2:
         raise _UsageError(f"dim must be >= 2, got {args.dim}")
     _require_at_most("--dim", args.dim, MAX_DIM)
@@ -195,22 +194,19 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     from . import quantum
 
     sm = quantum.make_single_mode(args.omega, args.hbar, args.dim)
-    ground = quantum.ground_energy(sm)
-    evals = quantum.hermitian_eigenvalues(sm.H)[: min(8, args.dim)]
+    evals = quantum.hermitian_eigenvalues(sm.H)
+    ground = float(evals[0])  # quantum.ground_energy, without a second eigen pass
     comm = quantum.commutator(sm.q, sm.p).matrix
     lower = args.dim - 1
     defect = comm[:lower, :lower] - 1j * args.hbar * np.eye(lower)
-    comm_dev = float(np.max(np.abs(defect)))
-    print(f"ground_energy {_fmt(ground)}")
-    print("eigenvalues " + " ".join(_fmt(float(v)) for v in evals))
-    print(f"commutator_max_dev {_fmt(comm_dev)}")
+    yield "ground_energy", ground
+    yield "eigenvalues", *evals[:8]
+    yield "commutator_max_dev", np.max(np.abs(defect))
     for label, op in (("q", sm.q), ("p", sm.p), ("H", sm.H)):
-        residual = float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
-        print(f"self_adjoint_{label} {_fmt(residual)}")
+        yield f"self_adjoint_{label}", np.max(np.abs(op.matrix - op.matrix.conj().T))
     deviation = abs(ground - args.hbar * args.omega / 2.0)
     if not deviation <= 1e-10:
         raise OptikitError(f"ground_energy deviates from hbar*omega/2 by {_fmt(deviation)}, above 1e-10")
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,16 +268,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return code
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    sep = "," if getattr(args, "format", None) == "csv" else " "
     try:
-        return args.func(args)
-    except _UsageError as exc:
+        for record in args.func(args):
+            print(sep.join(map(_fmt, record)))
+    except (_UsageError, OptikitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OptikitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_FAILURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

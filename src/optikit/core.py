@@ -7,6 +7,7 @@ is an immutable value and every function is pure.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -114,9 +115,6 @@ class RVec3:
     def __sub__(self, other: "RVec3") -> "RVec3":
         return RVec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def __neg__(self) -> "RVec3":
-        return RVec3(-self.x, -self.y, -self.z)
-
     def scale(self, s: float) -> "RVec3":
         return RVec3(s * self.x, s * self.y, s * self.z)
 
@@ -203,8 +201,12 @@ def coplanar(points: Sequence[RVec3], tol: float = 1e-12) -> bool:
 
 
 def mobius(m: Mat2, q: complex) -> complex:
-    """Moebius action (a11*q + a12) / (a21*q + a22) of a 2x2 matrix."""
+    """Moebius action (a11*q + a12) / (a21*q + a22) of a 2x2 matrix: finite, or an OptikitError."""
     den = m.a21 * q + m.a22
-    if abs(den) < 1e-300:
+    # abs() of a finite complex can overflow, so it sees only tiny components
+    if abs(den.real) < 1e-300 and abs(den.imag) < 1e-300 and abs(den) < 1e-300:
         raise SingularTransform(f"denominator {den!r} vanishes for q = {q!r}")
-    return (m.a11 * q + m.a12) / den
+    out = (m.a11 * q + m.a12) / den
+    if not cmath.isfinite(out):
+        raise DomainError(f"q must be finite, got {out!r}")
+    return out

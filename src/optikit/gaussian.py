@@ -93,8 +93,6 @@ def q_from_geometry(R: float, w: float, wavelength: float) -> QParameter:
 
 def geometry_from_q(qp: QParameter) -> tuple[float, float]:
     """Recover (R, w) from q; R is FLAT when the wavefront is flat."""
-    if not qp.q.imag > 0:
-        raise UnphysicalBeam(f"Im(q) must be positive, got q = {qp.q!r}")
     inv_q = 1.0 / qp.q
     # Im(1/q) = -Im(q) / |q|**2 underflows to 0 as |q| nears the float range
     if not inv_q.imag < 0:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 from optikit.core import Mat2, mat2_mul
@@ -15,6 +16,13 @@ from optikit.rayoptics import (
     Plane,
     Spherical,
 )
+
+# IEEE edge values for float-range properties: signed zeros, subnormals, the
+# smallest normal, and magnitudes up to the largest double
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, -1e-300, 1.0, -1.0,
+    1e308, -1e308, sys.float_info.max, -sys.float_info.max,
+]
 
 
 def mat_close(a: Mat2, b: Mat2, rtol: float) -> bool:

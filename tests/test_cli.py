@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optikit import cli, emoptics, quantum, rayoptics, sysdesc
+from optikit.core import Mat2, mat2_mul
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -240,6 +241,25 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
+    def test_beam_denominator_beyond_float_range_is_domain_failure(self, capsys, tmp_path):
+        # abs() of the Moebius denominator overflowed in core.mobius (was OverflowError)
+        path = tmp_path / "fold.osys"
+        path.write_text(
+            "[system]\nfreespace n=0.5 d=0.1\ninterface spherical R=0.5\nfreespace n=1.5 d=0.2\n"
+            "interface plane kind=reflected\nfreespace n=1 d=1\n"
+        )
+        code, out, err = run(capsys, "beam", path, "--lambda=1e-6", "--q-re=1e308", "--q-im=1e308")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_trace_tripwire_is_an_error_line(self, capsys, monkeypatch):
+        # the composed matrix disagrees with the stepper (was "internal error:" without "error: ")
+        fold = rayoptics._fold
+        monkeypatch.setattr(rayoptics, "_fold", lambda system: mat2_mul(Mat2(1.0, 1.0, 0.0, 1.0), fold(system)))
+        code, out, err = run(capsys, "trace", SAMPLES / "single_space.osys", "--y0", "1", "--theta0", "0.1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_quantum_dim_too_small(self, capsys):
         code, _, _ = run(capsys, "quantum", "--omega", "1", "--dim", "1")
         assert code == 2
@@ -290,6 +310,15 @@ class TestExitCodes:
         code, out, _ = run(capsys, "stability", SAMPLES / "fp_unstable.res")
         assert code == 0
         assert "verdict unstable" in out
+
+
+def test_quantum_runs_one_eigen_pass(capsys, monkeypatch):
+    calls = []
+    eigenvalues = quantum.hermitian_eigenvalues
+    monkeypatch.setattr(quantum, "hermitian_eigenvalues", lambda op: calls.append(op) or eigenvalues(op))
+    code, out, _ = run(capsys, "quantum", "--omega", "1")
+    assert code == 0 and out.startswith("ground_energy 0.5\n")
+    assert len(calls) == 1
 
 
 class TestResourceCaps:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_power, mat_close, mat_pow_iterative, random_unimodular
+from helpers import EDGE_FLOATS, exact_power, mat_close, mat_pow_iterative, random_unimodular
 from optikit.core import (
     CVec3,
     IDENTITY2,
@@ -19,7 +20,7 @@ from optikit.core import (
     mobius,
     sylvester_power,
 )
-from optikit.errors import DomainError, SingularTransform
+from optikit.errors import DomainError, OptikitError, SingularTransform
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 matrices = st.builds(Mat2, finite, finite, finite, finite)
@@ -220,3 +221,27 @@ class TestMobius:
     def test_singular_denominator(self):
         with pytest.raises(SingularTransform):
             mobius(Mat2(1.0, 0.0, 1.0, 0.0), 0j)
+
+    def test_singular_threshold_is_on_the_modulus(self):
+        # both components are below 1e-300 in each case; only |den| decides
+        with pytest.raises(SingularTransform):
+            mobius(Mat2(1.0, 0.0, 1.0, 0.0), complex(7e-301, 7e-301))  # |den| = 9.9e-301
+        assert mobius(Mat2(1.0, 0.0, 1.0, 0.0), complex(8e-301, 8e-301)) == 1.0  # |den| = 1.13e-300
+
+    def test_denominator_beyond_float_range_is_domain_error(self):
+        # abs() of the finite denominator 1.5e308 + 1.5e308j overflowed (was OverflowError)
+        with pytest.raises(DomainError):
+            mobius(Mat2(1.0, 0.0, 1.0, 0.0), complex(1.5e308, 1.5e308))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=6, max_size=6)
+    )
+    def test_finite_or_optikit_error(self, entries):
+        *m, q_re, q_im = entries
+        try:
+            out = mobius(Mat2(*m), complex(q_re, q_im))
+        except OptikitError:
+            return
+        assert cmath.isfinite(out)

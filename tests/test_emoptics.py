@@ -225,7 +225,7 @@ class TestObliqueIncidenceFields:
     def test_flipped_transmitted_direction_fails_clause(self):
         system = example_system()
         flipped = dataclasses.replace(
-            system, transmitted=dataclasses.replace(system.transmitted, k=-system.transmitted.k)
+            system, transmitted=dataclasses.replace(system.transmitted, k=system.transmitted.k.scale(-1.0))
         )
         report = validate_interface_system(flipped, samples=50, seed=0)
         assert not report.clause("direction_transmitted").ok

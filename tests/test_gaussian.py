@@ -1,10 +1,14 @@
+import cmath
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import EDGE_FLOATS
 from optikit.core import Mat2, mat2_mul
-from optikit.errors import DomainError, UnphysicalBeam
+from optikit.errors import DomainError, OptikitError, UnphysicalBeam
 from optikit.gaussian import (
     FLAT,
     QParameter,
@@ -142,6 +146,20 @@ class TestPropagation:
             qp = QParameter(complex(rng.uniform(-5, 5), rng.uniform(1e-3, 5)), 1e-6)
             assert propagate_q(qp, m).q.imag > 0
             count += 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=5, max_size=5),
+        q_im=st.sampled_from([x for x in EDGE_FLOATS if x > 0]) | st.floats(min_value=5e-324, allow_infinity=False),
+    )
+    def test_finite_or_optikit_error(self, entries, q_im):
+        *m, q_re = entries
+        try:
+            out = propagate_q(QParameter(complex(q_re, q_im), 1e-6), Mat2(*m))
+        except OptikitError:
+            return
+        assert cmath.isfinite(out.q) and out.q.imag > 0
 
 
 class TestBeamAt:

@@ -202,11 +202,14 @@ def coplanar(points: Sequence[RVec3], tol: float = 1e-12) -> bool:
 
 def mobius(m: Mat2, q: complex) -> complex:
     """Moebius action (a11*q + a12) / (a21*q + a22) of a 2x2 matrix: finite, or an OptikitError."""
-    den = m.a21 * q + m.a22
+    num, den = m.a11 * q + m.a12, m.a21 * q + m.a22
     # abs() of a finite complex can overflow, so it sees only tiny components
     if abs(den.real) < 1e-300 and abs(den.imag) < 1e-300 and abs(den) < 1e-300:
         raise SingularTransform(f"denominator {den!r} vanishes for q = {q!r}")
-    out = (m.a11 * q + m.a12) / den
+    # complex division overflows internally near the double limit; 1/4 scales exactly
+    if max(abs(den.real), abs(den.imag)) >= 2.0**1022:
+        num, den = complex(num.real / 4, num.imag / 4), complex(den.real / 4, den.imag / 4)
+    out = num / den
     if not cmath.isfinite(out):
         raise DomainError(f"q must be finite, got {out!r}")
     return out

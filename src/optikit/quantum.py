@@ -17,20 +17,20 @@ Truncation artifacts live only at the top Fock level: the commutator
 -(D-1)*j*hbar at level D-1.  Results quoted for the infinite-dimensional
 mode hold on the lower block.
 
-Cost and exactness of `make_single_mode`: q and p are tridiagonal with zero
-diagonal and H is pentadiagonal (main and +-2 diagonals), so the build does
-O(D) arithmetic on the ladder band sqrt(1), ..., sqrt(D-1) and only fills the
-dense D x D matrices (16 D**2 bytes each) that `Operator` stores.  q and p are
-bit-equal to the dense ladder construction sqrt(hbar/(2 omega)) (a^ + a) and
-j sqrt(hbar omega/2) (a^ - a) from `annihilator`.  H is exactly Hermitian and
-agrees with (omega**2/2) q @ q + (1/2) p @ p to rounding; `commutator` keeps
-its own dense route, so the [q, p] check stays independent of this build.
+Cost and exactness: an `Operator` stores its nonzero diagonals and builds its
+dense D x D form (16 D**2 bytes) on the first read of `.matrix`.  q and p are
+tridiagonal, so building the mode, the spectrum of its diagonal H and [q, p]
+cost O(D).  Each entry of q @ p, p @ q, q @ q and p @ p sums at most two
+nonzero terms, so the band products round as a dense product summed term by
+term does, whatever the BLAS kernel; the closed form [q, p] above, top level
+included, is their independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -91,43 +91,73 @@ class InnerProduct:
         return complex(np.vdot(x.amplitudes, self.weight @ y.amplitudes))
 
 
-@dataclass(frozen=True, eq=False)
 class Operator:
-    """Linear operator as a dense complex matrix.  Treated as immutable."""
+    """Linear operator stored as its nonzero diagonals.  Treated as immutable.
 
-    matrix: np.ndarray
+    `bands[k]` holds the entries m[r, r + k] in row order (numpy's diagonal k);
+    `matrix`, the dense form, is built on first access and kept.
+    """
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray) -> None:
+        arr = np.asarray(matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"operator matrix must be square, got shape {arr.shape}")
-        object.__setattr__(self, "matrix", arr)
+        rows, cols = np.nonzero(arr)
+        self.dim = arr.shape[0]
+        self.bands = {int(k): arr.diagonal(k).copy() for k in np.unique(cols - rows)}
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    @classmethod
+    def _from_bands(cls, dim: int, bands: dict[int, np.ndarray]) -> "Operator":
+        op = cls.__new__(cls)
+        op.dim, op.bands = dim, bands
+        return op
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for k, band in self.bands.items():
+            rows = np.arange(band.size) + max(0, -k)
+            m[rows, rows + k] = band
+        return m
+
+    def _same_dim(self, other: "Operator") -> int:
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
+        return self.dim
 
     def adjoint(self) -> "Operator":
-        return Operator(self.matrix.conj().T)
+        return Operator._from_bands(self.dim, {-k: band.conj() for k, band in self.bands.items()})
 
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.matrix + other.matrix)
+    def _combine(self, other: "Operator", op) -> "Operator":
+        dim, keys = self._same_dim(other), self.bands.keys() | other.bands.keys()
+        # a missing band is the scalar 0.0, so every entry sees the dense a op b
+        return Operator._from_bands(dim, {k: op(self.bands.get(k, 0.0), other.bands.get(k, 0.0)) for k in keys})
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.matrix - other.matrix)
+    __add__ = partialmethod(_combine, op=np.add)
+    __sub__ = partialmethod(_combine, op=np.subtract)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.matrix @ other.matrix)
+        # (a b)[r, r + s + t] sums a[r, r + s] b[r + s, r + s + t] over band pairs (s, t),
+        # on the rows r where all three indices lie in 0..D-1; band j starts at row max(0, -j)
+        dim, out = self._same_dim(other), {}
+        for s, a in self.bands.items():
+            for t, b in other.bands.items():
+                k = s + t
+                lo, hi = max(0, -s, -k), min(dim, dim - s, dim - k)
+                if lo < hi:
+                    n, a0, b0, c0 = hi - lo, lo - max(0, -s), lo + s - max(0, -t), lo - max(0, -k)
+                    if k not in out:
+                        out[k] = np.zeros(dim - abs(k), dtype=complex)
+                    out[k][c0 : c0 + n] += a[a0 : a0 + n] * b[b0 : b0 + n]
+        return Operator._from_bands(dim, out)
 
     def __rmul__(self, scalar: complex) -> "Operator":
-        return Operator(scalar * self.matrix)
+        return Operator._from_bands(self.dim, {k: scalar * band for k, band in self.bands.items()})
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
     """[a, b] = a b - b a."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims {a.dim} and {b.dim} differ")
-    return Operator(a.matrix @ b.matrix - b.matrix @ a.matrix)
+    return a @ b - b @ a
 
 
 def annihilator(dim: int) -> Operator:
@@ -153,13 +183,6 @@ class SingleMode:
     H: Operator
 
 
-def _square_diagonal(band: np.ndarray) -> np.ndarray:
-    """Diagonal of X @ X for Hermitian tridiagonal X with zero diagonal and
-    off-diagonal magnitudes `band`: |x[n-1, n]|**2 + |x[n, n+1]|**2."""
-    sq = band * band
-    return np.concatenate(([0.0], sq)) + np.concatenate((sq, [0.0]))
-
-
 def make_single_mode(omega: float, hbar: float = 1.0, dim: int = 32) -> SingleMode:
     """Build q, p, and the energy H = (omega**2/2) q**2 + (1/2) p**2.
 
@@ -175,50 +198,36 @@ def make_single_mode(omega: float, hbar: float = 1.0, dim: int = 32) -> SingleMo
     ladder = np.sqrt(np.arange(1, dim))  # a[n-1, n] = sqrt(n)
     q_band = np.sqrt(hbar / (2.0 * omega)) * ladder
     p_band = np.sqrt(hbar * omega / 2.0) * ladder
-    n = np.arange(dim - 1)
-    upper, lower = (n, n + 1), (n + 1, n)
-
-    q = np.zeros((dim, dim), dtype=complex)
-    q[upper] = q_band
-    q[lower] = q_band
-    p = np.zeros((dim, dim), dtype=complex)
-    p.imag[upper] = -p_band
-    p.imag[lower] = p_band
+    q = Operator._from_bands(dim, dict.fromkeys((-1, 1), q_band.astype(complex)))
+    p_upper = np.zeros(dim - 1, dtype=complex)
+    p_upper.imag = -p_band  # assigned: 1j times an overflowed band would hold 0 * inf = nan
+    p = Operator._from_bands(dim, {-1: p_upper.conj(), 1: p_upper})
 
     try:
         w2 = omega**2 / 2.0
     except OverflowError:
         raise DomainError(f"omega**2 overflows for omega = {omega!r}") from None
-    # q @ q and p @ p are real: their +-2 diagonals are q_n q_n+1 and
-    # (-j p_n)(-j p_n+1) = -p_n p_n+1, with q_n, p_n the band entries
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        main = w2 * _square_diagonal(q_band) + 0.5 * _square_diagonal(p_band)
-        second = w2 * (q_band[:-1] * q_band[1:]) - 0.5 * (p_band[:-1] * p_band[1:])
-    if not (np.isfinite(main).all() and np.isfinite(second).all()):
+        h = w2 * (q @ q) + 0.5 * (p @ p)
+    if not all(np.isfinite(band).all() for band in h.bands.values()):
         raise DomainError(f"H overflows for omega = {omega!r}, hbar = {hbar!r}, dim = {dim}")
-    h = np.zeros((dim, dim), dtype=complex)
-    diag = np.arange(dim)
-    h[diag, diag] = main
-    m = np.arange(dim - 2)
-    h[m, m + 2] = second
-    h[m + 2, m] = second
-    return SingleMode(omega=omega, hbar=hbar, dim=dim, q=Operator(q), p=Operator(p), H=Operator(h))
+    return SingleMode(omega=omega, hbar=hbar, dim=dim, q=q, p=p, H=h)
 
 
 def hermitian_eigenvalues(op: Operator) -> np.ndarray:
     """Ascending real spectrum of a Hermitian operator.
 
-    Numerically diagonal matrices short-circuit to their sorted diagonal;
+    Numerically diagonal operators short-circuit to their sorted main band;
     everything else goes through the Hermitian eigensolver.
     """
-    m = op.matrix
-    scale = max(float(np.max(np.abs(m))), 1e-300)  # a NaN entry keeps scale NaN
+    peaks = {k: np.max(np.abs(band)) for k, band in op.bands.items()}  # a NaN entry keeps its peak NaN
+    scale = max(float(np.max(list(peaks.values()), initial=0.0)), 1e-300)
     if not scale < math.inf:
         raise DomainError(f"operator entries must be finite, got max |entry| = {scale!r}")
-    off = m - np.diag(np.diag(m))
-    if float(np.max(np.abs(off))) <= 1e-12 * scale:
-        return np.sort(np.real(np.diag(m)))
-    return np.linalg.eigvalsh(m)
+    off = [peak for k, peak in peaks.items() if k != 0]
+    if float(np.max(off, initial=0.0)) <= 1e-12 * scale:
+        return np.sort(np.real(op.bands.get(0, np.zeros(op.dim))))
+    return np.linalg.eigvalsh(op.matrix)
 
 
 def ground_energy(sm: SingleMode) -> float:

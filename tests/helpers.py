@@ -69,6 +69,17 @@ def exact_power(m: Mat2, n: int) -> tuple[Fraction, Fraction, Fraction, Fraction
     return acc
 
 
+def quotient_close(out: complex, num: complex, den: complex) -> bool:
+    """Whether out is within 4 ulps of |num/den|, taken exactly over Fraction
+    from the finite doubles num and den, plus 16 subnormal spacings, which a
+    subnormal numerator carries through the division scaled by 1/|den| (oracle)."""
+    nr, ni, dr, di = (Fraction(x) for x in (num.real, num.imag, den.real, den.imag))
+    d2 = dr * dr + di * di
+    er, ei = (nr * dr + ni * di) / d2, (ni * dr - nr * di) / d2
+    err2 = (Fraction(out.real) - er) ** 2 + (Fraction(out.imag) - ei) ** 2
+    return err2 <= (er * er + ei * ei) / 2**100 + (1 + 1 / d2) / 2**2140
+
+
 def random_unimodular(rng: random.Random, ht_limit: float = 0.99) -> Mat2:
     """Random det-1 matrix with |half-trace| <= ht_limit.
 

@@ -3,10 +3,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, exact_power, mat_close, mat_pow_iterative, random_unimodular
+from helpers import EDGE_FLOATS, exact_power, mat_close, mat_pow_iterative, quotient_close, random_unimodular
 from optikit.core import (
     CVec3,
     IDENTITY2,
@@ -229,19 +229,33 @@ class TestMobius:
         assert mobius(Mat2(1.0, 0.0, 1.0, 0.0), complex(8e-301, 8e-301)) == 1.0  # |den| = 1.13e-300
 
     def test_denominator_beyond_float_range_is_domain_error(self):
-        # abs() of the finite denominator 1.5e308 + 1.5e308j overflowed (was OverflowError)
+        # abs() of the finite denominator 1.5e308 + 1.5e308j overflowed (was
+        # OverflowError); the numerator 2 q overflows, so no quotient is finite
         with pytest.raises(DomainError):
-            mobius(Mat2(1.0, 0.0, 1.0, 0.0), complex(1.5e308, 1.5e308))
+            mobius(Mat2(2.0, 0.0, 1.0, 0.0), complex(1.5e308, 1.5e308))
+
+    def test_denominator_near_float_limit_divides_exactly(self):
+        # complex division overflowed its own intermediates: it returned -0j
+        # for a true -0.5, and nan (a DomainError) for q / q
+        assert mobius(Mat2(0.5, 0.2, -1.0, 1.0), complex(1e308, 1e308)) == -0.5
+        assert mobius(Mat2(1.0, 0.0, 1.0, 0.0), complex(1.5e308, 1.5e308)) == 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(
         entries=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
                          min_size=6, max_size=6)
     )
+    @example(entries=[0.5, 0.2, -1.0, 1.0, 1e308, 1e308])
     def test_finite_or_optikit_error(self, entries):
         *m, q_re, q_im = entries
+        m, q = Mat2(*m), complex(q_re, q_im)
         try:
-            out = mobius(Mat2(*m), complex(q_re, q_im))
+            out = mobius(m, q)
         except OptikitError:
             return
         assert cmath.isfinite(out)
+        # the division matches the exact quotient of num and den, rounded as
+        # mobius forms them
+        num, den = m.a11 * q + m.a12, m.a21 * q + m.a22
+        if cmath.isfinite(num) and cmath.isfinite(den):
+            assert quotient_close(out, num, den)

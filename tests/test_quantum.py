@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optikit.errors import DimensionMismatch, DomainError
 from optikit.quantum import (
@@ -18,6 +20,17 @@ from optikit.quantum import (
 
 def random_state(rng, dim):
     return StateVector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+
+def dense_product(a, b):
+    """a @ b summed term by term in index order, without BLAS (reference)."""
+    return np.sum(a[:, :, None] * b[None, :, :], axis=1)
+
+
+def random_sparse_matrix(rng, dim):
+    """Complex dim x dim matrix with about a third of its entries zero."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.where(rng.random((dim, dim)) < 0.35, 0.0, m)
 
 
 class TestInnerProduct:
@@ -74,6 +87,56 @@ class TestSelfAdjoint:
         for op in (sm.q, sm.p, sm.H):
             m = op.matrix
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+
+
+class TestBandedOperator:
+    def test_matches_dense_numpy(self):
+        rng = np.random.default_rng(9)
+        for dim in range(1, 7):
+            for _ in range(40):
+                x, y = random_sparse_matrix(rng, dim), random_sparse_matrix(rng, dim)
+                a, b = Operator(x), Operator(y)
+                scalar = complex(rng.standard_normal(), rng.standard_normal())
+                assert np.array_equal(a.matrix, x)
+                assert np.array_equal(a.adjoint().matrix, x.conj().T)
+                assert np.array_equal((a + b).matrix, x + y)
+                assert np.array_equal((a - b).matrix, x - y)
+                assert np.array_equal((scalar * a).matrix, scalar * x)
+                assert np.max(np.abs((a @ b).matrix - x @ y), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(x @ y)))
+                assert sorted(a.bands) == sorted({j - i for i, j in zip(*np.nonzero(x))})
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__matmul__"])
+    def test_dimension_mismatch(self, op):
+        with pytest.raises(DimensionMismatch):
+            getattr(Operator(np.eye(2)), op)(Operator(np.eye(3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        omega=st.floats(min_value=1e-100, max_value=1e100),
+        hbar=st.floats(min_value=1e-100, max_value=1e100),
+        dim=st.integers(min_value=2, max_value=64),
+    )
+    def test_mode_products_equal_dense_reference(self, omega, hbar, dim):
+        # q and p span two bands each, so every entry of a product sums at
+        # most two nonzero terms and the band route rounds as the dense one
+        sm = make_single_mode(omega, hbar, dim)
+        a = annihilator(dim).matrix
+        q = np.sqrt(hbar / (2.0 * omega)) * (a.T + a)
+        p = 1j * np.sqrt(hbar * omega / 2.0) * (a.T - a)
+        assert np.array_equal(sm.q.matrix, q) and np.array_equal(sm.p.matrix, p)
+        assert np.array_equal((sm.q @ sm.p).matrix, dense_product(q, p))
+        comm = dense_product(q, p) - dense_product(p, q)
+        assert np.array_equal(commutator(sm.q, sm.p).matrix, comm)
+
+    @pytest.mark.parametrize("omega, hbar", [(1.0, 1.0), (2.5, 0.7), (1e-3, 3e4), (7e5, 1e-6)])
+    @pytest.mark.parametrize("dim", [2, 3, 17, 64, 512])
+    def test_commutator_closed_form(self, omega, hbar, dim):
+        # [q, p] = j hbar (I - D e_{D-1} e_{D-1}^T), the top level included
+        sm = make_single_mode(omega, hbar, dim)
+        comm = commutator(sm.q, sm.p).matrix
+        expected = 1j * hbar * np.eye(dim)
+        expected[-1, -1] -= 1j * hbar * dim
+        assert np.max(np.abs(comm - expected)) <= 1e-12 * hbar * dim
 
 
 class TestCommutator:

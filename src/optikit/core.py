@@ -3,18 +3,35 @@
 2x2 real matrices, real and complex 3-vectors, the closed-form power of a
 unimodular 2x2 matrix, coplanarity, and Moebius transforms.  Everything here
 is an immutable value and every function is pure.
+
+Value types: every type on the ray path (here and in `rayoptics`,
+`gaussian`, `resonator` and `sysdesc`) derives from `Value`, an immutable
+record of the fields its `__slots__` names, in constructor order:
+
+- `==` and `hash` go by the compared fields, all of them unless the type
+  says otherwise (the sysdesc directives leave out their source position);
+  a value equals only a value of its own class, never a tuple;
+- `repr` is `Name(field=value, ...)` over every field;
+- assigning or deleting an attribute raises `AttributeError`;
+- `pickle`, `copy.copy` and `copy.deepcopy` rebuild a value through its
+  constructor, so validation runs again and the copy is equal.
+
+Each type sets its fields in its own `__init__` with `object.__setattr__`,
+and validates there when it must.  No module on the ray path imports
+`dataclasses`: every process would pay for its import, `inspect`'s with it,
+and about a millisecond per class.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, SingularTransform
 
 __all__ = [
+    "Value",
     "Mat2",
     "RVec3",
     "CVec3",
@@ -29,14 +46,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Value:
+    """Immutable value, equal, hashed and printed by its fields (module docstring)."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        """The fields that == and hash compare."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Mat2(Value):
     """2x2 real matrix, row-major entries."""
 
-    a11: float
-    a12: float
-    a21: float
-    a22: float
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11: float, a12: float, a21: float, a22: float) -> None:
+        object.__setattr__(self, "a11", a11)
+        object.__setattr__(self, "a12", a12)
+        object.__setattr__(self, "a21", a21)
+        object.__setattr__(self, "a22", a22)
 
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
@@ -101,13 +151,15 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
     return Mat2(m.a11 * sn - snm1, m.a12 * sn, m.a21 * sn, m.a22 * sn - snm1)
 
 
-@dataclass(frozen=True)
-class RVec3:
+class RVec3(Value):
     """Real 3-vector."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def __add__(self, other: "RVec3") -> "RVec3":
         return RVec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -135,13 +187,15 @@ class RVec3:
         return CVec3(complex(self.x), complex(self.y), complex(self.z))
 
 
-@dataclass(frozen=True)
-class CVec3:
+class CVec3(Value):
     """Complex 3-vector."""
 
-    x: complex
-    y: complex
-    z: complex
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: complex, y: complex, z: complex) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def __add__(self, other: "CVec3") -> "CVec3":
         return CVec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -206,10 +260,24 @@ def mobius(m: Mat2, q: complex) -> complex:
     # abs() of a finite complex can overflow, so it sees only tiny components
     if abs(den.real) < 1e-300 and abs(den.imag) < 1e-300 and abs(den) < 1e-300:
         raise SingularTransform(f"denominator {den!r} vanishes for q = {q!r}")
+    shift = 0
+    if (not cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(q)
+            and math.isfinite(m.a11) and math.isfinite(m.a12)):
+        # the numerator overflowed as it was formed: form it again from its row
+        # scaled by 2**-shift, which keeps each intermediate below 2**1022
+        # (no overflow in the division's own sums), and scale the quotient back
+        q_exponent = math.frexp(max(abs(q.real), abs(q.imag)))[1]
+        shift = max(math.frexp(m.a11)[1] + q_exponent, math.frexp(m.a12)[1]) - 1021
+        num = math.ldexp(m.a11, -shift) * q + math.ldexp(m.a12, -shift)
     # complex division overflows internally near the double limit; 1/4 scales exactly
     if max(abs(den.real), abs(den.imag)) >= 2.0**1022:
         num, den = complex(num.real / 4, num.imag / 4), complex(den.real / 4, den.imag / 4)
     out = num / den
+    if shift:
+        try:
+            out = complex(math.ldexp(out.real, shift), math.ldexp(out.imag, shift))
+        except OverflowError:
+            raise DomainError(f"the quotient leaves the float range for q = {q!r}") from None
     if not cmath.isfinite(out):
         raise DomainError(f"q must be finite, got {out!r}")
     return out

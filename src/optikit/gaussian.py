@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .core import Mat2, mobius
+from .core import Mat2, Value, mobius
 from .errors import DomainError, UnphysicalBeam
 
 __all__ = [
@@ -43,35 +42,37 @@ __all__ = [
 FLAT = math.inf
 
 
-@dataclass(frozen=True)
-class QParameter:
+class QParameter(Value):
     """Complex beam parameter q (meters) with its in-medium wavelength."""
 
-    q: complex
-    wavelength: float
+    __slots__ = ("q", "wavelength")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.wavelength < math.inf:
-            raise DomainError(f"wavelength must be positive and finite, got {self.wavelength!r}")
-        if not cmath.isfinite(self.q):
-            raise DomainError(f"q must be finite, got {self.q!r}")
-        if not self.q.imag > 0:
-            raise UnphysicalBeam(f"Im(q) must be positive, got q = {self.q!r}")
+    def __init__(self, q: complex, wavelength: float) -> None:
+        if not 0 < wavelength < math.inf:
+            raise DomainError(f"wavelength must be positive and finite, got {wavelength!r}")
+        if not cmath.isfinite(q):
+            raise DomainError(f"q must be finite, got {q!r}")
+        if not q.imag > 0:
+            raise UnphysicalBeam(f"Im(q) must be positive, got q = {q!r}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "wavelength", wavelength)
 
 
-@dataclass(frozen=True)
-class BeamGeometry:
+class BeamGeometry(Value):
     """On-axis beam geometry at distance z from the waist.
 
     R: wavefront radius of curvature (FLAT at the waist)
     w: spot radius, w0: waist radius, zR: Rayleigh range, z: axial position.
     """
 
-    R: float
-    w: float
-    w0: float
-    zR: float
-    z: float
+    __slots__ = ("R", "w", "w0", "zR", "z")
+
+    def __init__(self, R: float, w: float, w0: float, zR: float, z: float) -> None:
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w0", w0)
+        object.__setattr__(self, "zR", zR)
+        object.__setattr__(self, "z", z)
 
 
 def q_from_geometry(R: float, w: float, wavelength: float) -> QParameter:
@@ -118,12 +119,30 @@ def propagate_q(qp: QParameter, m: Mat2) -> QParameter:
 
 
 def beam_at(w0: float, wavelength: float, z: float) -> BeamGeometry:
-    """Geometry of a beam with waist radius w0 at axial distance z from it."""
-    if not w0 > 0:
-        raise DomainError(f"waist radius must be positive, got {w0!r}")
-    if not wavelength > 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength!r}")
+    """Geometry of a beam with waist radius w0 at axial distance z from it.
+
+    Every field is finite except R, which is FLAT at the waist and wherever
+    it leaves the float range.  That includes (zR/z)**2 overflowing, where
+    |Re(1/q)| < 1e-15 |1/q| and `geometry_from_q` reads the front as flat
+    too.  Raises DomainError when zR or w leaves the float range.
+    """
+    if not 0 < w0 < math.inf:
+        raise DomainError(f"waist radius must be positive and finite, got {w0!r}")
+    if not 0 < wavelength < math.inf:
+        raise DomainError(f"wavelength must be positive and finite, got {wavelength!r}")
+    if not math.isfinite(z):
+        raise DomainError(f"axial distance must be finite, got {z!r}")
     z_r = math.pi * w0 * w0 / wavelength
-    w = w0 * math.sqrt(1.0 + (z / z_r) ** 2)
-    r = FLAT if z == 0 else z * (1.0 + (z_r / z) ** 2)
-    return BeamGeometry(R=r, w=w, w0=w0, zR=z_r, z=z)
+    if not 0 < z_r < math.inf:
+        raise DomainError(f"Rayleigh range {z_r!r} leaves the float range for w0 = {w0!r}")
+    try:
+        w = w0 * math.sqrt(1.0 + (z / z_r) ** 2)
+    except OverflowError:  # the square root is |z / zR| to the last bit here
+        w = w0 * abs(z / z_r)
+    if w == math.inf:
+        raise DomainError(f"spot radius leaves the float range at z = {z!r}")
+    try:
+        r = FLAT if z == 0 else z * (1.0 + (z_r / z) ** 2)
+    except OverflowError:
+        r = FLAT
+    return BeamGeometry(R=r if math.isfinite(r) else FLAT, w=w, w0=w0, zR=z_r, z=z)

@@ -34,11 +34,10 @@ raises InvalidSystem instead of returning inf or NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .core import Mat2
+from .core import Mat2, Value
 from .errors import InvalidComponent, InvalidSystem
 
 __all__ = [
@@ -63,24 +62,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FreeSpace:
+class FreeSpace(Value):
     """Homogeneous propagation region: refractive index n, width d (meters)."""
 
-    n: float
-    d: float
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: float, d: float) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(Value):
     """Flat interface."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Spherical:
+
+class Spherical(Value):
     """Spherical interface with radius of curvature R != 0 (meters)."""
 
-    radius: float
+    __slots__ = ("radius",)
+
+    def __init__(self, radius: float) -> None:
+        object.__setattr__(self, "radius", radius)
 
 
 OpticalInterface = Union[Plane, Spherical]
@@ -91,53 +95,63 @@ class InterfaceKind(Enum):
     REFLECTED = "reflected"
 
 
-@dataclass(frozen=True)
-class OpticalComponent:
-    space: FreeSpace
-    iface: OpticalInterface
-    kind: InterfaceKind
+class OpticalComponent(Value):
+    __slots__ = ("space", "iface", "kind")
+
+    def __init__(self, space: FreeSpace, iface: OpticalInterface, kind: InterfaceKind) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "iface", iface)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class OpticalSystem:
-    components: tuple[OpticalComponent, ...]
-    terminal: FreeSpace
+class OpticalSystem(Value):
+    __slots__ = ("components", "terminal")
+
+    def __init__(self, components: tuple[OpticalComponent, ...], terminal: FreeSpace) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "terminal", terminal)
 
 
-@dataclass(frozen=True)
-class RayState:
+class RayState(Value):
     """Distance from axis y (meters) and inclination theta (radians)."""
 
-    y: float
-    theta: float
+    __slots__ = ("y", "theta")
+
+    def __init__(self, y: float, theta: float) -> None:
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "theta", theta)
 
     def as_pair(self) -> tuple[float, float]:
         return (self.y, self.theta)
 
 
-@dataclass(frozen=True)
-class RayTrace:
+class RayTrace(Value):
     """Ray states at the source, after each component, and after the terminal
     free space; length = number of components + 2."""
 
-    states: tuple[RayState, ...]
+    __slots__ = ("states",)
+
+    def __init__(self, states: tuple[RayState, ...]) -> None:
+        object.__setattr__(self, "states", states)
 
     @property
     def final(self) -> RayState:
         return self.states[-1]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One violated validity clause, located by component index.
 
     index is the component position, None for a system's terminal free space,
     or a name such as "left mirror"; clause is the violated constraint, e.g. "0 < n".
     """
 
-    index: int | str | None
-    clause: str
-    detail: str
+    __slots__ = ("index", "clause", "detail")
+
+    def __init__(self, index: int | str | None, clause: str, detail: str) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         where = self.index if isinstance(self.index, str) else (
@@ -145,9 +159,11 @@ class Violation:
         return f"{where}: violates {self.clause} ({self.detail})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(Value):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]) -> None:
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

@@ -21,9 +21,8 @@ only the resonator's own elements, so `round_trip_matrix` folds it unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Mat2, mat2_apply
+from .core import Mat2, Value, mat2_apply
 from .errors import DomainError, InvalidResonator, NonUnimodular
 from .rayoptics import (
     FreeSpace,
@@ -59,22 +58,29 @@ UNIMODULAR_TOL = 1e-6
 MARGINAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Resonator:
+class Resonator(Value):
     """Left interface, inner components, cavity free space, right interface."""
 
-    left: OpticalInterface
-    inner: tuple[OpticalComponent, ...]
-    space: FreeSpace
-    right: OpticalInterface
+    __slots__ = ("left", "inner", "space", "right")
+
+    def __init__(
+        self, left: OpticalInterface, inner: tuple[OpticalComponent, ...], space: FreeSpace,
+        right: OpticalInterface,
+    ) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    det: float
-    half_trace: float
-    stable: bool
-    marginal: bool
+class StabilityVerdict(Value):
+    __slots__ = ("det", "half_trace", "stable", "marginal")
+
+    def __init__(self, det: float, half_trace: float, stable: bool, marginal: bool) -> None:
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "half_trace", half_trace)
+        object.__setattr__(self, "stable", stable)
+        object.__setattr__(self, "marginal", marginal)
 
     @property
     def verdict(self) -> str:
@@ -83,11 +89,13 @@ class StabilityVerdict:
         return "stable" if self.stable else "unstable"
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    max_y: float
-    max_theta: float
-    diverged: bool
+class OracleResult(Value):
+    __slots__ = ("max_y", "max_theta", "diverged")
+
+    def __init__(self, max_y: float, max_theta: float, diverged: bool) -> None:
+        object.__setattr__(self, "max_y", max_y)
+        object.__setattr__(self, "max_theta", max_theta)
+        object.__setattr__(self, "diverged", diverged)
 
 
 def validate_resonator(res: Resonator) -> ValidationReport:

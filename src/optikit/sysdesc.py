@@ -37,9 +37,9 @@ A real such as 1e999 parses (to inf); the system's validation rejects it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Union
 
+from .core import Value
 from .errors import DomainError, OptikitError
 from .rayoptics import (
     FreeSpace,
@@ -80,30 +80,51 @@ class ParseError(OptikitError):
         super().__init__(text)
 
 
-@dataclass(frozen=True)
-class FreespaceDirective:
-    n: float
-    d: float
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class FreespaceDirective(Value):
+    """A freespace line; line and column locate it and are not compared."""
+
+    __slots__ = ("n", "d", "line", "column")
+
+    def __init__(self, n: float, d: float, line: int = 0, column: int = 0) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+
+    def _key(self) -> tuple:
+        return (self.n, self.d)
 
 
-@dataclass(frozen=True)
-class InterfaceDirective:
-    shape: str  # "plane" | "spherical"
-    radius: float | None = None
-    kind: str | None = None  # "transmitted" | "reflected" | None
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class InterfaceDirective(Value):
+    """An interface line: shape "plane" or "spherical", kind "transmitted",
+    "reflected" or None; line and column locate it and are not compared."""
+
+    __slots__ = ("shape", "radius", "kind", "line", "column")
+
+    def __init__(
+        self, shape: str, radius: float | None = None, kind: str | None = None, line: int = 0, column: int = 0
+    ) -> None:
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+
+    def _key(self) -> tuple:
+        return (self.shape, self.radius, self.kind)
 
 
 Directive = Union[FreespaceDirective, InterfaceDirective]
 
 
-@dataclass(frozen=True)
-class Document:
-    kind: str  # "system" | "resonator"
-    items: tuple[Directive, ...]
+class Document(Value):
+    """Kind "system" or "resonator", and its directives in source order."""
+
+    __slots__ = ("kind", "items")
+
+    def __init__(self, kind: str, items: tuple[Directive, ...]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "items", items)
 
 
 def _tokenize(raw_line: str) -> list[tuple[str, int]]:

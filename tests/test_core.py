@@ -230,9 +230,9 @@ class TestMobius:
 
     def test_denominator_beyond_float_range_is_domain_error(self):
         # abs() of the finite denominator 1.5e308 + 1.5e308j overflowed (was
-        # OverflowError); the numerator 2 q overflows, so no quotient is finite
+        # OverflowError); the numerator inf * q has no finite quotient
         with pytest.raises(DomainError):
-            mobius(Mat2(2.0, 0.0, 1.0, 0.0), complex(1.5e308, 1.5e308))
+            mobius(Mat2(math.inf, 0.0, 1.0, 0.0), complex(1.5e308, 1.5e308))
 
     def test_denominator_near_float_limit_divides_exactly(self):
         # complex division overflowed its own intermediates: it returned -0j
@@ -240,12 +240,24 @@ class TestMobius:
         assert mobius(Mat2(0.5, 0.2, -1.0, 1.0), complex(1e308, 1e308)) == -0.5
         assert mobius(Mat2(1.0, 0.0, 1.0, 0.0), complex(1.5e308, 1.5e308)) == 1.0
 
+    def test_overflowing_numerator_is_formed_again(self):
+        # the numerator 2e308 + 1j overflowed to inf as it was formed, a
+        # DomainError, though the quotient is representable; halving num and
+        # den is exact here, so (1e308 + 0.5j) / 1 is the exact quotient
+        out = mobius(Mat2(1.0, 1e308, 0.0, 2.0), complex(1e308, 1.0))
+        assert quotient_close(out, complex(1e308, 0.5), 1 + 0j)
+        assert out == complex(1e308, 0.5)
+        assert mobius(Mat2(2.0, 0.0, 1.0, 0.0), complex(1.5e308, 1.5e308)) == 2.0
+        with pytest.raises(DomainError):  # 1e318 is beyond the float range
+            mobius(Mat2(1e308, 0.0, 1e-10, 0.0), complex(1e308, 1.0))
+
     @settings(max_examples=300, deadline=None)
     @given(
         entries=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
                          min_size=6, max_size=6)
     )
     @example(entries=[0.5, 0.2, -1.0, 1.0, 1e308, 1e308])
+    @example(entries=[1.0, 1e308, 0.0, 2.0, 1e308, 1.0])
     def test_finite_or_optikit_error(self, entries):
         *m, q_re, q_im = entries
         m, q = Mat2(*m), complex(q_re, q_im)
@@ -255,7 +267,12 @@ class TestMobius:
             return
         assert cmath.isfinite(out)
         # the division matches the exact quotient of num and den, rounded as
-        # mobius forms them
+        # mobius forms them; a numerator that overflows is formed from its row
+        # scaled by the first power of two that keeps it finite, and so is out
         num, den = m.a11 * q + m.a12, m.a21 * q + m.a22
+        shift = 0
+        while not cmath.isfinite(num) and shift < 1100:
+            shift += 1
+            num = math.ldexp(m.a11, -shift) * q + math.ldexp(m.a12, -shift)
         if cmath.isfinite(num) and cmath.isfinite(den):
-            assert quotient_close(out, num, den)
+            assert quotient_close(complex(math.ldexp(out.real, -shift), math.ldexp(out.imag, -shift)), num, den)

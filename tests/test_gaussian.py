@@ -11,6 +11,7 @@ from optikit.core import Mat2, mat2_mul
 from optikit.errors import DomainError, OptikitError, UnphysicalBeam
 from optikit.gaussian import (
     FLAT,
+    BeamGeometry,
     QParameter,
     beam_at,
     geometry_from_q,
@@ -196,3 +197,88 @@ class TestBeamAt:
             beam_at(0.0, 1e-6, 1.0)
         with pytest.raises(DomainError):
             beam_at(1e-3, -1e-6, 1.0)
+
+    @pytest.mark.parametrize(
+        "w0, wavelength, z",
+        [
+            (5e-324, 5e-324, 1.0),  # zR underflows to 0 (was ZeroDivisionError)
+            (1.0, 5e-324, 0.0),  # zR overflows (returned zR=inf)
+            (math.inf, 1e-6, 1.0),
+            (1e-3, math.inf, 1.0),
+            (1e-3, 1e-6, math.inf),
+            (1e-3, 1e-6, math.nan),
+            (1e-100, 1e-100, 1e300),  # w = 3e299 / 1e-100 overflows
+        ],
+    )
+    def test_out_of_range_is_domain_error(self, w0, wavelength, z):
+        with pytest.raises(DomainError):
+            beam_at(w0, wavelength, z)
+
+    def test_radius_beyond_float_range_is_flat(self):
+        # (zR / z)**2 overflowed (was OverflowError); R = z + zR**2 / z is 2e616
+        geo = beam_at(1.0, 2.2250738585072014e-308, 1.0)
+        assert geo.R == FLAT and geo.w == 1.0 and geo.zR == math.pi / 2.2250738585072014e-308
+        # where (zR / z)**2 overflows, the q law reads the front as flat too
+        for z in (1e-300, -1e-300):
+            r_q, _ = geometry_from_q(propagate_q(q_from_geometry(FLAT, 1.0, 1e-6), free_space(z)))
+            assert beam_at(1.0, 1e-6, z).R == r_q == FLAT
+
+    def test_spot_radius_beyond_squared_range(self):
+        # (z / zR)**2 overflows, but w = w0 |z| / zR does not
+        geo = beam_at(1e-100, 1e-100, 1e60)
+        assert geo.w == 1e-100 * (1e60 / (math.pi * 1e-100))
+        assert math.isclose(geo.R, 1e60, rel_tol=1e-15)
+
+
+EDGE_OR_FINITE = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def plain_beam_at(w0: float, wavelength: float, z: float) -> BeamGeometry | None:
+    """The closed forms evaluated as written, or None for a non-positive w0 or
+    wavelength and where they leave the float range (reference)."""
+    if not (w0 > 0 and wavelength > 0):
+        return None
+    try:
+        z_r = math.pi * w0 * w0 / wavelength
+        w = w0 * math.sqrt(1.0 + (z / z_r) ** 2)
+        r = FLAT if z == 0 else z * (1.0 + (z_r / z) ** 2)
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return BeamGeometry(r, w, w0, z_r, z) if all(map(math.isfinite, (w, z_r))) and r != -math.inf else None
+
+
+class TestEdgeValues:
+    """Every entry point returns finite fields (R may be FLAT) or raises an OptikitError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(w0=EDGE_OR_FINITE, wavelength=EDGE_OR_FINITE, z=EDGE_OR_FINITE)
+    def test_beam_at(self, w0, wavelength, z):
+        try:
+            geo = beam_at(w0, wavelength, z)
+        except DomainError:
+            assert plain_beam_at(w0, wavelength, z) is None
+            return
+        assert all(map(math.isfinite, (geo.w, geo.w0, geo.zR, geo.z))) and geo.w > 0 and geo.zR > 0
+        assert geo.R == FLAT or math.isfinite(geo.R)
+        reference = plain_beam_at(w0, wavelength, z)
+        if reference is not None:  # representable results are the closed forms bit for bit
+            assert repr(geo) == repr(reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.just(FLAT) | EDGE_OR_FINITE, w=EDGE_OR_FINITE, wavelength=EDGE_OR_FINITE)
+    def test_q_from_geometry(self, r, w, wavelength):
+        try:
+            qp = q_from_geometry(r, w, wavelength)
+        except OptikitError:
+            return
+        assert cmath.isfinite(qp.q) and qp.q.imag > 0 and qp.wavelength == wavelength
+
+    @settings(max_examples=300, deadline=None)
+    @given(q_re=EDGE_OR_FINITE, q_im=EDGE_OR_FINITE, wavelength=EDGE_OR_FINITE)
+    def test_geometry_from_q(self, q_re, q_im, wavelength):
+        try:
+            r, w = geometry_from_q(QParameter(complex(q_re, q_im), wavelength))
+        except OptikitError:
+            return
+        assert r == FLAT or math.isfinite(r)
+        assert 0 < w < math.inf

@@ -1,4 +1,5 @@
-"""Start-up contract: the ray-level library and CLI run without numpy.
+"""Start-up contract: the ray-level library and CLI run without numpy, and
+without `dataclasses` or `inspect`.
 
 `emoptics` and `quantum` (and through them numpy) load on first use.  Each
 check runs in a fresh interpreter, because this test process has long since
@@ -63,6 +64,32 @@ def test_ray_commands_run_without_numpy(argv, exit_code):
         f"print(json.dumps([code] + [m for m in {NUMPY_MODULES!r} if m in sys.modules]))"
     )
     assert run_fresh(code) == [exit_code]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["matrix", str(SAMPLES / "biconvex.osys")],
+        ["trace", str(SAMPLES / "single_space.osys"), "--y0", "1e-3", "--theta0", "0"],
+        ["stability", str(SAMPLES / "fp_stable.res"), "--oracle"],
+        ["beam", str(SAMPLES / "single_space.osys"), "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"],
+    ],
+    ids=["import", "matrix", "trace", "stability", "beam"],
+)
+def test_ray_path_loads_no_dataclasses(argv):
+    # the ray-path value types are plain slotted classes: `dataclasses`, and
+    # the `inspect` it imports, would cost every process about 11 ms
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import optikit.cli\n"
+        "code = 0\n"
+        f"if {argv!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = optikit.cli.main({argv!r})\n"
+        "print(json.dumps([code] + [m for m in ('dataclasses', 'inspect') if m in sys.modules]))"
+    )
+    assert run_fresh(code) == [0]
 
 
 def test_field_modules_resolve_on_first_use():

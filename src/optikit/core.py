@@ -254,6 +254,14 @@ def coplanar(points: Sequence[RVec3], tol: float = 1e-12) -> bool:
     return True
 
 
+def _scaled_row(a: float, b: float, q: complex) -> tuple[complex, int]:
+    """(a*q + b) * 2**-shift, formed from the entries scaled down, and shift >= 0:
+    each intermediate stays below 2**1022, so the division's own sums cannot overflow."""
+    q_exponent = math.frexp(max(abs(q.real), abs(q.imag)))[1]
+    shift = max(math.frexp(a)[1] + q_exponent - 1021, math.frexp(b)[1] - 1021, 0)
+    return math.ldexp(a, -shift) * q + math.ldexp(b, -shift), shift
+
+
 def mobius(m: Mat2, q: complex) -> complex:
     """Moebius action (a11*q + a12) / (a21*q + a22) of a 2x2 matrix: finite, or an OptikitError."""
     num, den = m.a11 * q + m.a12, m.a21 * q + m.a22
@@ -261,14 +269,15 @@ def mobius(m: Mat2, q: complex) -> complex:
     if abs(den.real) < 1e-300 and abs(den.imag) < 1e-300 and abs(den) < 1e-300:
         raise SingularTransform(f"denominator {den!r} vanishes for q = {q!r}")
     shift = 0
-    if (not cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(q)
-            and math.isfinite(m.a11) and math.isfinite(m.a12)):
-        # the numerator overflowed as it was formed: form it again from its row
-        # scaled by 2**-shift, which keeps each intermediate below 2**1022
-        # (no overflow in the division's own sums), and scale the quotient back
-        q_exponent = math.frexp(max(abs(q.real), abs(q.imag)))[1]
-        shift = max(math.frexp(m.a11)[1] + q_exponent, math.frexp(m.a12)[1]) - 1021
-        num = math.ldexp(m.a11, -shift) * q + math.ldexp(m.a12, -shift)
+    if (not (cmath.isfinite(num) and cmath.isfinite(den)) and cmath.isfinite(q)
+            and all(map(math.isfinite, (m.a11, m.a12, m.a21, m.a22)))):
+        # a row overflowed as it was formed: form the numerator again from its
+        # scaled row, and the denominator too when it was the one, and scale
+        # the quotient back by the difference of the shifts
+        num, shift = _scaled_row(m.a11, m.a12, q)
+        if not cmath.isfinite(den):
+            den, den_shift = _scaled_row(m.a21, m.a22, q)
+            shift -= den_shift
     # complex division overflows internally near the double limit; 1/4 scales exactly
     if max(abs(den.real), abs(den.imag)) >= 2.0**1022:
         num, den = complex(num.real / 4, num.imag / 4), complex(den.real / 4, den.imag / 4)

@@ -8,16 +8,16 @@ components of E and H must match across an interface: with n the unit normal,
 
 at every point r of the plane and all times t.  `boundary_residual` returns
 the two mismatch vectors, and `validate_interface_system` checks a full
-incident/reflected/transmitted triple clause by clause: interface geometry,
-non-null fields, propagation directions relative to the normal, wavevector
-norms k0*n, the impedance relation H = (1/(eta0 k0)) k x E, and the boundary
-conditions sampled at seeded pseudo-random plane points.
+incident/reflected/transmitted triple: interface geometry, the constants,
+omega and |k| > 0, non-null fields, propagation directions relative to the
+normal, wavevector norms k0*n, the impedance relation H = (1/(eta0 k0)) k x E,
+and the boundary conditions sampled at seeded pseudo-random plane points.
 
 `oblique_incidence_fields` builds the worked s-oriented field triple whose
 amplitudes satisfy the tangential continuity identity a + r = t exactly.
 Note its H amplitudes are tangential-continuity companions of the E fields,
-not (1/(eta0 k0)) k x E of them; the validator reports that mismatch as an
-advisory clause instead of failing (see `Clause.required`).
+not (1/(eta0 k0)) k x E of them; the validator lists that mismatch in the
+report's `warnings`, which leave it ok (see `rayoptics.ValidationReport`).
 `fresnel_standard` gives the standard-convention s/p coefficients for
 comparison.
 
@@ -56,14 +56,13 @@ import numpy as np
 
 from .core import CVec3, RVec3, ccross, coplanar
 from .errors import DomainError, OffPlanePoint, TotalInternalReflection
+from .rayoptics import ValidationReport, Violation
 
 __all__ = [
     "PlaneWave",
     "InterfaceSpec",
     "EMConstants",
     "InterfaceSystem",
-    "Clause",
-    "InterfaceReport",
     "eval_plane_wave",
     "wavelength_of",
     "h_from_e",
@@ -128,43 +127,6 @@ class InterfaceSystem:
     consts: EMConstants
 
 
-@dataclass(frozen=True)
-class Clause:
-    """One checked condition.  Advisory clauses (required=False) are surfaced
-    but do not fail the report."""
-
-    key: str
-    ok: bool
-    required: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class InterfaceReport:
-    clauses: tuple[Clause, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.clauses if c.required)
-
-    @property
-    def warnings(self) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if not c.ok and not c.required)
-
-    def clause(self, key: str) -> Clause:
-        for c in self.clauses:
-            if c.key == key:
-                return c
-        raise KeyError(key)
-
-    def __str__(self) -> str:
-        parts = []
-        for c in self.clauses:
-            status = "ok" if c.ok else ("WARN" if not c.required else "FAIL")
-            parts.append(f"{c.key}: {status} ({c.detail})")
-        return "\n".join(parts)
-
-
 def eval_plane_wave(wave: PlaneWave, r: RVec3, t: float) -> tuple[CVec3, CVec3]:
     """Field amplitudes at (r, t): both scaled by exp(-j(k.r - omega t))."""
     phase = cmath.exp(-1j * (wave.k.dot(r) - wave.omega * t))
@@ -181,9 +143,10 @@ def wavelength_of(k: RVec3) -> float:
 
 def h_from_e(k: RVec3, E: CVec3, consts: EMConstants) -> CVec3:
     """Magnetic amplitude (1/(eta0 k0)) * (k x E) of a plane wave in a medium."""
-    if not (consts.eta0 > 0 and consts.k0 > 0):
-        raise DomainError("eta0 and k0 must be positive")
-    return ccross(k.as_complex(), E).scale(1.0 / (consts.eta0 * consts.k0))
+    product = consts.eta0 * consts.k0
+    if not (consts.eta0 > 0 and consts.k0 > 0 and product > 0):
+        raise DomainError(f"eta0, k0 and their product must be positive, got {consts.eta0!r}, {consts.k0!r}")
+    return ccross(k.as_complex(), E).scale(1.0 / product)
 
 
 def _require_on_plane(spec: InterfaceSpec, r: RVec3) -> None:
@@ -351,11 +314,6 @@ def sample_plane_points(
         yield (point + t1.scale(u) + t2.scale(v), t)
 
 
-def _field_scale(sys_i: InterfaceSystem) -> float:
-    waves = (sys_i.incident, sys_i.reflected, sys_i.transmitted)
-    return max(max(w.E.max_abs(), w.H.max_abs()) for w in waves)
-
-
 def _column(v: RVec3) -> np.ndarray:
     return np.array([[float(v.x)], [float(v.y)], [float(v.z)]])
 
@@ -434,117 +392,68 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
         worst = max(worst, peak)
 
 
-def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -> InterfaceReport:
-    """Check the full plane-wave-at-interface constraint, clause by clause."""
+def _peak(field: CVec3) -> float:
+    """Largest component modulus of a field; DomainError where abs() overflows."""
+    try:
+        return field.max_abs()
+    except OverflowError:
+        raise DomainError(f"field {field} overflows double precision") from None
+
+
+def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -> ValidationReport:
+    """Check the full plane-wave-at-interface constraint (module docstring).
+
+    Violations are located at "interface", "constants" or the wave's name.  A
+    failed impedance relation is a warning, which leaves the report ok.  A
+    check whose prerequisites failed is skipped: the failed prerequisite
+    already fails the report.  Raises DomainError where a field overflows.
+    """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
-    clauses: list[Clause] = []
-    spec = sys_i.spec
-    consts = sys_i.consts
-    waves = {
-        "incident": sys_i.incident,
-        "reflected": sys_i.reflected,
-        "transmitted": sys_i.transmitted,
-    }
-
+    spec, consts = sys_i.spec, sys_i.consts
+    violations: list[Violation] = []
+    warnings: list[Violation] = []
     norm_err = abs(spec.normal.norm() - 1.0)
-    iface_ok = spec.n1 > 0 and spec.n2 > 0 and norm_err <= 1e-12
-    clauses.append(
-        Clause(
-            "interface_valid",
-            iface_ok,
-            True,
-            f"n1 = {spec.n1!r}, n2 = {spec.n2!r}, | |normal| - 1 | = {norm_err:.3e}",
-        )
-    )
-
+    # sampling the boundary needs a real plane, nonzero wavevectors and periods
+    sampled = spec.n1 > 0 and spec.n2 > 0 and norm_err <= 1e-12
+    if not sampled:
+        detail = f"n1 = {spec.n1!r}, n2 = {spec.n2!r}, | |normal| - 1 | = {norm_err:.3e}"
+        violations.append(Violation("interface", "n1, n2 > 0 and |normal| = 1", detail))
     consts_ok = consts.eta0 > 0 and consts.k0 > 0
-    clauses.append(
-        Clause("constants_valid", consts_ok, True, f"eta0 = {consts.eta0!r}, k0 = {consts.k0!r}")
-    )
-
-    wellformed = all(w.omega > 0 and w.k.norm() > 0 for w in waves.values())
-    clauses.append(Clause("waves_wellformed", wellformed, True, "omega > 0 and |k| > 0 for all waves"))
-
-    for name, wave in waves.items():
-        nonnull = wave.E.max_abs() > 0 and wave.H.max_abs() > 0
-        clauses.append(Clause(f"non_null_{name}", nonnull, True, "E and H amplitudes nonzero"))
-
-    signs = {
-        "incident": sys_i.incident.k.dot(spec.normal) >= 0,
-        "reflected": sys_i.reflected.k.dot(spec.normal) <= 0,
-        "transmitted": sys_i.transmitted.k.dot(spec.normal) >= 0,
-    }
-    for name, ok in signs.items():
-        clauses.append(
-            Clause(
-                f"direction_{name}",
-                ok,
-                True,
-                f"k . n = {waves[name].k.dot(spec.normal):.6g}",
-            )
-        )
-
-    expected_norms = {
-        "incident": consts.k0 * spec.n1,
-        "reflected": consts.k0 * spec.n1,
-        "transmitted": consts.k0 * spec.n2,
-    }
-    worst_norm = 0.0
-    for name, wave in waves.items():
-        expect = expected_norms[name]
-        worst_norm = max(
-            worst_norm, abs(wave.k.norm() - expect) / max(abs(expect), 1e-300)
-        )
-    clauses.append(
-        Clause(
-            "wavevector_norms",
-            worst_norm <= 1e-9,
-            True,
-            f"max relative deviation from k0*n = {worst_norm:.3e}",
-        )
-    )
-
-    # Impedance relation H = (1/(eta0 k0)) k x E.  Advisory: the worked
-    # example's H amplitudes intentionally differ from it (module docstring),
-    # yet still satisfy the boundary conditions checked below.
-    if consts_ok:
-        worst_h = 0.0
-        for wave in waves.values():
-            expect = h_from_e(wave.k, wave.E, consts)
-            scale = max(expect.max_abs(), wave.H.max_abs(), 1e-300)
-            worst_h = max(worst_h, (wave.H - expect).max_abs() / scale)
-        clauses.append(
-            Clause(
-                "h_field_consistency",
-                worst_h <= 1e-9,
-                False,
-                f"max relative mismatch against (1/(eta0 k0)) k x E = {worst_h:.3e}",
-            )
-        )
-    else:
-        clauses.append(
-            Clause("h_field_consistency", False, False, "skipped: invalid constants")
-        )
-
-    if iface_ok and wellformed:
-        scale = _field_scale(sys_i)
-        worst_residual = max_boundary_residual(sys_i, samples, seed)
-        clauses.append(
-            Clause(
-                "boundary_conditions",
-                worst_residual <= 1e-9 * max(scale, 1e-300),
-                True,
-                f"max residual over {samples} samples = {worst_residual:.3e} (field scale {scale:.3g})",
-            )
-        )
-    else:
-        # sampling needs a real plane and nonzero wavevectors
-        clauses.append(
-            Clause("boundary_conditions", False, True, "skipped: prerequisites failed")
-        )
-
-    return InterfaceReport(tuple(clauses))
+    if not consts_ok:
+        violations.append(Violation("constants", "eta0, k0 > 0", f"eta0 = {consts.eta0!r}, k0 = {consts.k0!r}"))
+    scale = 0.0
+    for name, wave, side, n in (("incident", sys_i.incident, 1.0, spec.n1),
+                                ("reflected", sys_i.reflected, -1.0, spec.n1),
+                                ("transmitted", sys_i.transmitted, 1.0, spec.n2)):
+        norm, along = wave.k.norm(), wave.k.dot(spec.normal)
+        if not (wave.omega > 0 and norm > 0):
+            sampled = False
+            violations.append(Violation(name, "omega, |k| > 0", f"omega = {wave.omega!r}, |k| = {norm!r}"))
+        e_peak, h_peak = _peak(wave.E), _peak(wave.H)
+        scale = max(scale, e_peak, h_peak)
+        if not (e_peak > 0 and h_peak > 0):
+            violations.append(Violation(name, "E, H nonzero", f"max |E| = {e_peak!r}, max |H| = {h_peak!r}"))
+        if not side * along >= 0:
+            clause = "k . n >= 0" if side > 0 else "k . n <= 0"
+            violations.append(Violation(name, clause, f"k . n = {along:.6g}"))
+        if not consts_ok:
+            continue
+        expect = consts.k0 * n
+        if not abs(norm - expect) / max(abs(expect), 1e-300) <= 1e-9:
+            violations.append(Violation(name, "|k| = k0 n", f"|k| = {norm!r}, k0 n = {expect!r}"))
+        # advisory: the worked triple's H amplitudes differ from this on purpose
+        # (module docstring), yet satisfy the boundary conditions
+        h = h_from_e(wave.k, wave.E, consts)
+        mismatch = _peak(wave.H - h) / max(_peak(h), h_peak, 1e-300)
+        if not mismatch <= 1e-9:
+            warnings.append(Violation(name, "H = k x E / (eta0 k0)", f"relative mismatch {mismatch:.3e}"))
+    if sampled:
+        residual = max_boundary_residual(sys_i, samples, seed)
+        if not residual <= 1e-9 * max(scale, 1e-300):
+            detail = f"max residual over {samples} samples = {residual:.3e} (field scale {scale:.3g})"
+            violations.append(Violation("interface", "boundary conditions", detail))
+    return ValidationReport(tuple(violations), tuple(warnings))
 
 
 def check_plane_of_incidence(sys_i: InterfaceSystem) -> bool:

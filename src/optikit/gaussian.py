@@ -103,7 +103,11 @@ def geometry_from_q(qp: QParameter) -> tuple[float, float]:
         r = FLAT
     else:
         r = 1.0 / inv_q.real
-    w = math.sqrt(qp.wavelength / (math.pi * (-inv_q.imag)))
+    spread = math.pi * (-inv_q.imag)
+    if spread < math.inf:
+        w = math.sqrt(qp.wavelength / spread)
+    else:  # the product overflows as |q| nears 0, though w may not underflow
+        w = math.sqrt(qp.wavelength / math.pi) / math.sqrt(-inv_q.imag)
     if not 0 < w < math.inf:
         raise DomainError(f"spot radius {w!r} leaves the float range for q = {qp.q!r}")
     return (r, w)

@@ -143,7 +143,8 @@ class Violation(Value):
     """One violated validity clause, located by component index.
 
     index is the component position, None for a system's terminal free space,
-    or a name such as "left mirror"; clause is the violated constraint, e.g. "0 < n".
+    or a name such as "left mirror" or "reflected"; clause is the violated
+    constraint, e.g. "0 < n".
     """
 
     __slots__ = ("index", "clause", "detail")
@@ -160,10 +161,13 @@ class Violation(Value):
 
 
 class ValidationReport(Value):
-    __slots__ = ("violations",)
+    """Violations fail the report; warnings are advisory violations that leave it ok."""
 
-    def __init__(self, violations: tuple[Violation, ...]) -> None:
+    __slots__ = ("violations", "warnings")
+
+    def __init__(self, violations: tuple[Violation, ...], warnings: tuple[Violation, ...] = ()) -> None:
         object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "warnings", warnings)
 
     @property
     def ok(self) -> bool:

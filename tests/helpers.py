@@ -69,13 +69,24 @@ def exact_power(m: Mat2, n: int) -> tuple[Fraction, Fraction, Fraction, Fraction
     return acc
 
 
-def quotient_close(out: complex, num: complex, den: complex) -> bool:
-    """Whether out is within 4 ulps of |num/den|, taken exactly over Fraction
-    from the finite doubles num and den, plus 16 subnormal spacings, which a
-    subnormal numerator carries through the division scaled by 1/|den| (oracle)."""
+def exact_mobius(m: Mat2, q: complex) -> tuple[Fraction, Fraction]:
+    """Real and imaginary parts of (a11 q + a12) / (a21 q + a22), exactly over
+    Fraction from m's float entries and q (oracle)."""
+    a11, a12, a21, a22, x, y = (Fraction(v) for v in (m.a11, m.a12, m.a21, m.a22, q.real, q.imag))
+    nr, ni, dr, di = a11 * x + a12, a11 * y, a21 * x + a22, a21 * y
+    d2 = dr * dr + di * di
+    return ((nr * dr + ni * di) / d2, (ni * dr - nr * di) / d2)
+
+
+def quotient_close(out: complex, num: complex, den: complex, shift: int = 0) -> bool:
+    """Whether out is within 4 ulps of |2**shift num/den|, taken exactly over
+    Fraction from the finite doubles num and den, plus 16 subnormal spacings,
+    which a subnormal numerator carries through the division scaled by 1/|den|
+    and which rounding the scaled quotient into the subnormals adds (oracle)."""
     nr, ni, dr, di = (Fraction(x) for x in (num.real, num.imag, den.real, den.imag))
     d2 = dr * dr + di * di
-    er, ei = (nr * dr + ni * di) / d2, (ni * dr - nr * di) / d2
+    scale = Fraction(2) ** shift
+    er, ei = scale * (nr * dr + ni * di) / d2, scale * (ni * dr - nr * di) / d2
     err2 = (Fraction(out.real) - er) ** 2 + (Fraction(out.imag) - ei) ** 2
     return err2 <= (er * er + ei * ei) / 2**100 + (1 + 1 / d2) / 2**2140
 

@@ -1,12 +1,21 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, exact_power, mat_close, mat_pow_iterative, quotient_close, random_unimodular
+from helpers import (
+    EDGE_FLOATS,
+    exact_mobius,
+    exact_power,
+    mat_close,
+    mat_pow_iterative,
+    quotient_close,
+    random_unimodular,
+)
 from optikit.core import (
     CVec3,
     IDENTITY2,
@@ -251,6 +260,17 @@ class TestMobius:
         with pytest.raises(DomainError):  # 1e318 is beyond the float range
             mobius(Mat2(1e308, 0.0, 1e-10, 0.0), complex(1e308, 1.0))
 
+    @pytest.mark.parametrize("m, q", [(Mat2(1.0, 1.0, 1e308, 1e308), complex(10.0, 1.0)),
+                                      (Mat2(1.0, 0.0, 1e308, 0.0), complex(1e308, 1e308))])
+    def test_overflowing_denominator_is_formed_again(self, m, q):
+        # the denominator overflowed as it was formed: the first returned 0j,
+        # the second raised a NaN DomainError; both rows are proportional, so
+        # each exact quotient is 1 / 1e308, a subnormal double
+        out = mobius(m, q)
+        exact = exact_mobius(m, q)
+        assert exact == (1 / Fraction(1e308), 0)
+        assert abs(Fraction(out.real) - exact[0]) <= Fraction(2) ** -1074 and out.imag == 0
+
     @settings(max_examples=300, deadline=None)
     @given(
         entries=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
@@ -258,6 +278,8 @@ class TestMobius:
     )
     @example(entries=[0.5, 0.2, -1.0, 1.0, 1e308, 1e308])
     @example(entries=[1.0, 1e308, 0.0, 2.0, 1e308, 1.0])
+    @example(entries=[1.0, 1.0, 1e308, 1e308, 10.0, 1.0])
+    @example(entries=[1.0, 0.0, 1e308, 0.0, 1e308, 1e308])
     def test_finite_or_optikit_error(self, entries):
         *m, q_re, q_im = entries
         m, q = Mat2(*m), complex(q_re, q_im)
@@ -267,12 +289,18 @@ class TestMobius:
             return
         assert cmath.isfinite(out)
         # the division matches the exact quotient of num and den, rounded as
-        # mobius forms them; a numerator that overflows is formed from its row
-        # scaled by the first power of two that keeps it finite, and so is out
+        # mobius forms them; a row that overflows is formed from its entries
+        # scaled by the first power of two that keeps it finite, and out is
+        # scaled by the difference
         num, den = m.a11 * q + m.a12, m.a21 * q + m.a22
         shift = 0
         while not cmath.isfinite(num) and shift < 1100:
             shift += 1
             num = math.ldexp(m.a11, -shift) * q + math.ldexp(m.a12, -shift)
+        den_shift = 0
+        while not cmath.isfinite(den) and den_shift < 1100:
+            den_shift += 1
+            den = math.ldexp(m.a21, -den_shift) * q + math.ldexp(m.a22, -den_shift)
+        shift -= den_shift
         if cmath.isfinite(num) and cmath.isfinite(den):
-            assert quotient_close(complex(math.ldexp(out.real, -shift), math.ldexp(out.imag, -shift)), num, den)
+            assert quotient_close(out, num, den, shift)

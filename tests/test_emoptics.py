@@ -1,15 +1,18 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import EDGE_FLOATS
 from optikit.core import CVec3, RVec3, cdot
 from optikit.emoptics import (
     EMConstants,
     InterfaceSpec,
+    InterfaceSystem,
     PlaneWave,
     boundary_residual,
     check_plane_of_incidence,
@@ -25,7 +28,8 @@ from optikit.emoptics import (
     validate_interface_system,
     wavelength_of,
 )
-from optikit.errors import DomainError, OffPlanePoint, TotalInternalReflection
+from optikit.errors import DomainError, OffPlanePoint, OptikitError, TotalInternalReflection
+from optikit.rayoptics import ValidationReport
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +45,27 @@ def sample_wave() -> PlaneWave:
 
 def example_system(theta_deg=30.0, n1=1.0, n2=1.5, a=1.0):
     return oblique_incidence_fields(math.radians(theta_deg), n1, n2, a, TWO_PI, TWO_PI)
+
+
+IMPEDANCE = "H = k x E / (eta0 k0)"
+
+
+def s_wave(wave, amplitude, consts):
+    """The wave with E = amplitude along y and H = h_from_e(k, E)."""
+    e = CVec3(0j, complex(amplitude), 0j)
+    return dataclasses.replace(wave, E=e, H=h_from_e(wave.k, e, consts))
+
+
+def maxwell_system(theta_deg=30.0, n1=1.0, n2=1.5, amplitudes=None):
+    """The worked geometry with s waves of amplitudes (1, r, t) from
+    `fresnel_standard` unless given, and H = h_from_e(k, E): a solution of
+    Maxwell's equations, which passes every check of the validator."""
+    system = example_system(theta_deg, n1, n2)
+    if amplitudes is None:
+        amplitudes = (1.0, *fresnel_standard("s", n1, n2, math.radians(theta_deg)))
+    waves = (system.incident, system.reflected, system.transmitted)
+    return InterfaceSystem(system.spec, *(s_wave(w, a, system.consts) for w, a in zip(waves, amplitudes)),
+                           system.consts)
 
 
 class TestEvalPlaneWave:
@@ -212,8 +237,10 @@ class TestObliqueIncidenceFields:
 
     def test_validation_passes_with_advisory_impedance_warning(self):
         report = validate_interface_system(example_system(), samples=300, seed=1)
-        assert report.ok
-        assert [c.key for c in report.warnings] == ["h_field_consistency"]
+        assert report.ok and report.violations == ()
+        assert [(w.index, w.clause) for w in report.warnings] == [
+            (name, IMPEDANCE) for name in ("incident", "reflected", "transmitted")
+        ]
 
     def test_tangential_wavevectors_match(self):
         system = example_system(theta_deg=52.0, n1=1.2, n2=1.9)
@@ -228,7 +255,7 @@ class TestObliqueIncidenceFields:
             system, transmitted=dataclasses.replace(system.transmitted, k=system.transmitted.k.scale(-1.0))
         )
         report = validate_interface_system(flipped, samples=50, seed=0)
-        assert not report.clause("direction_transmitted").ok
+        assert ("transmitted", "k . n >= 0") in [(v.index, v.clause) for v in report.violations]
         assert not report.ok
 
     def test_zeroed_reflected_field_fails_non_null(self):
@@ -237,7 +264,8 @@ class TestObliqueIncidenceFields:
             system, reflected=dataclasses.replace(system.reflected, E=CVec3(0j, 0j, 0j))
         )
         report = validate_interface_system(silenced, samples=50, seed=0)
-        assert not report.clause("non_null_reflected").ok
+        assert ("reflected", "E, H nonzero") in [(v.index, v.clause) for v in report.violations]
+        assert not report.ok
 
     def test_tir_propagates(self):
         with pytest.raises(TotalInternalReflection):
@@ -281,6 +309,116 @@ class TestObliqueIncidenceFields:
         bad = dataclasses.replace(system, transmitted=dataclasses.replace(tr, E=CVec3(0j, complex(amplitude), 0j)))
         with pytest.raises(DomainError, match="NaN"):
             max_boundary_residual(bad, 5, seed=0)
+
+
+def forward_reflection():
+    # index-matched at normal incidence, a "reflected" wave that runs forward
+    # with amplitude 1/2 beside a transmitted one of 3/2 meets every other check
+    system = maxwell_system(0.0, 1.5, 1.5, amplitudes=(1.0, 0.5, 1.5))
+    forward = dataclasses.replace(system.reflected, k=system.incident.k)
+    return dataclasses.replace(system, reflected=s_wave(forward, 0.5, system.consts))
+
+
+def with_part(system, name, **fields):
+    """The system with the given fields of one part (spec, a wave, consts) replaced."""
+    return dataclasses.replace(system, **{name: dataclasses.replace(getattr(system, name), **fields)})
+
+
+# (breaks exactly one check, where the report locates it, the check, advisory)
+CHECKS = [
+    (lambda s: with_part(s, "spec", normal=RVec3(2.0, 0.0, 0.0)),
+     "interface", "n1, n2 > 0 and |normal| = 1", False),
+    (lambda s: with_part(s, "consts", eta0=-1.0), "constants", "eta0, k0 > 0", False),
+    (lambda s: with_part(s, "transmitted", omega=0.0), "transmitted", "omega, |k| > 0", False),
+    # a matched interface at normal incidence reflects nothing: r = 0 exactly
+    (lambda s: maxwell_system(0.0, 1.5, 1.5), "reflected", "E, H nonzero", False),
+    (lambda s: forward_reflection(), "reflected", "k . n <= 0", False),
+    (lambda s: with_part(s, "spec", n2=2.0), "transmitted", "|k| = k0 n", False),
+    # a normal component of H leaves the tangential boundary conditions alone
+    (lambda s: with_part(s, "reflected", H=s.reflected.H + CVec3(complex(s.reflected.H.max_abs()), 0j, 0j)),
+     "reflected", IMPEDANCE, True),
+    (lambda s: with_part(s, "transmitted", E=s.transmitted.E.scale(1.01), H=s.transmitted.H.scale(1.01)),
+     "interface", "boundary conditions", False),
+]
+CHECK_IDS = [
+    "interface", "constants", "omega_and_k", "null_field", "direction", "k_norm", "impedance", "boundary",
+]
+
+
+def system_floats(system):
+    """Every float of a system, in the order `system_from_floats` reads them."""
+    def parts(v):
+        return [p for c in (v.x, v.y, v.z) for p in ((c,) if isinstance(c, float) else (c.real, c.imag))]
+
+    out = [system.spec.n1, system.spec.n2, *parts(system.spec.point), *parts(system.spec.normal)]
+    for w in (system.incident, system.reflected, system.transmitted):
+        out += [*parts(w.k), w.omega, *parts(w.E), *parts(w.H)]
+    return out + [system.consts.k0, system.consts.eta0]
+
+
+def system_from_floats(values):
+    it = iter(values)
+
+    def real3():
+        return RVec3(next(it), next(it), next(it))
+
+    def complex3():
+        return CVec3(*(complex(next(it), next(it)) for _ in range(3)))
+
+    def wave():
+        return PlaneWave(k=real3(), omega=next(it), E=complex3(), H=complex3())
+
+    spec = InterfaceSpec(next(it), next(it), real3(), real3())
+    return InterfaceSystem(spec, wave(), wave(), wave(), EMConstants(next(it), next(it)))
+
+
+class TestValidateInterfaceSystem:
+    def test_maxwell_triple_passes_every_check(self):
+        for theta in (0.0, 30.0, 60.0, 80.0):
+            report = validate_interface_system(maxwell_system(theta), samples=200, seed=3)
+            assert report == ValidationReport((), ())
+
+    @pytest.mark.parametrize("broken, index, clause, advisory", CHECKS, ids=CHECK_IDS)
+    def test_each_check_fails_alone(self, broken, index, clause, advisory):
+        report = validate_interface_system(broken(maxwell_system()), samples=50, seed=0)
+        found = [(v.index, v.clause) for v in report.violations + report.warnings]
+        assert found == [(index, clause)]
+        assert report.ok is advisory
+        assert len(report.warnings) == advisory
+
+    def test_overflowing_field_is_domain_error(self):
+        # abs() of this finite amplitude overflowed (was OverflowError)
+        big = complex(sys.float_info.max, sys.float_info.max)
+        system = with_part(example_system(), "reflected", E=CVec3(0j, big, 0j))
+        with pytest.raises(DomainError):
+            validate_interface_system(system, samples=50, seed=0)
+
+    def test_underflowing_impedance_scale_is_domain_error(self):
+        # eta0 * k0 underflows to 0 (was ZeroDivisionError in h_from_e)
+        system = with_part(example_system(), "consts", k0=1e-300, eta0=1e-300)
+        with pytest.raises(DomainError):
+            validate_interface_system(system, samples=50, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from([maxwell_system(), example_system()]),
+        changes=st.lists(
+            st.tuples(st.integers(0, 57),
+                      st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_report_or_optikit_error(self, base, changes):
+        values = system_floats(base)
+        for i, v in changes:
+            values[i] = v
+        try:
+            report = validate_interface_system(system_from_floats(values), samples=20, seed=0)
+        except OptikitError:
+            return
+        assert isinstance(report, ValidationReport)
+        names = {"interface", "constants", "incident", "reflected", "transmitted"}
+        assert {v.index for v in report.violations + report.warnings} <= names
 
 
 def reference_max_residual(system, samples, seed):

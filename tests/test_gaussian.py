@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,17 @@ class TestGeometryFromQ:
         # w overflows to inf or underflows to 0
         with pytest.raises(DomainError):
             geometry_from_q(QParameter(q, wavelength))
+
+    def test_spot_radius_survives_an_overflowing_product(self):
+        # pi * (-Im(1/q)) = pi * 1e308 overflowed, so w read 0.0 and raised;
+        # w**2 = wavelength |q|**2 / (pi Im q), exactly over Fraction from the
+        # doubles (pi too), is within a few ulps of the returned w squared
+        q = complex(5e-309, 5e-309)
+        _, w = geometry_from_q(QParameter(q, 1e-6))
+        x, y = Fraction(q.real), Fraction(q.imag)
+        exact = Fraction(1e-6) * (x * x + y * y) / (Fraction(math.pi) * y)
+        assert abs(Fraction(w) ** 2 / exact - 1) < Fraction(2) ** -48
+        assert math.isclose(w, 5.6419e-158, rel_tol=1e-4)
 
     def test_radius_beyond_float_range_is_flat(self):
         # 1 / Re(1/q) overflows to -inf here
@@ -282,3 +294,6 @@ class TestEdgeValues:
             return
         assert r == FLAT or math.isfinite(r)
         assert 0 < w < math.inf
+        spread = math.pi * -(1 / complex(q_re, q_im)).imag
+        if spread < math.inf:  # the common path is the closed form bit for bit
+            assert w == math.sqrt(wavelength / spread)

@@ -56,8 +56,8 @@ CASES = [
      "RayTrace(states=(RayState(y=0.0, theta=1.0), RayState(y=1.0, theta=1.0)))"),
     (Violation, dict(index=2, clause="0 < n", detail="n = -1.0"), dict(index="left mirror"),
      "Violation(index=2, clause='0 < n', detail='n = -1.0')"),
-    (ValidationReport, dict(violations=(VIOLATION,)), dict(violations=()),
-     "ValidationReport(violations=(Violation(index=2, clause='0 < n', detail='n = -1.0'),))"),
+    (ValidationReport, dict(violations=(VIOLATION,), warnings=()), dict(violations=()),
+     "ValidationReport(violations=(Violation(index=2, clause='0 < n', detail='n = -1.0'),), warnings=())"),
     (QParameter, dict(q=1 + 2j, wavelength=1e-6), dict(q=1j), "QParameter(q=(1+2j), wavelength=1e-06)"),
     (BeamGeometry, dict(R=math.inf, w=1e-3, w0=1e-3, zR=3.0, z=0.0), dict(z=1.0),
      "BeamGeometry(R=inf, w=0.001, w0=0.001, zR=3.0, z=0.0)"),

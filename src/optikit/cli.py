@@ -155,7 +155,6 @@ def _cmd_interface(args: argparse.Namespace) -> Iterator[tuple]:
 
     theta_i = math.radians(args.theta_deg)
     theta_t = emoptics.snell_angle(args.n1, args.n2, theta_i)
-    r_amp, t_amp = emoptics.continuity_coefficients(args.n1, args.n2, theta_i, args.a)
     rs, ts = emoptics.fresnel_standard("s", args.n1, args.n2, theta_i)
     rp, tp = emoptics.fresnel_standard("p", args.n1, args.n2, theta_i)
     system = emoptics.oblique_incidence_fields(
@@ -167,8 +166,8 @@ def _cmd_interface(args: argparse.Namespace) -> Iterator[tuple]:
     k_r = system.reflected.k
     reflection_ok = (mirrored - k_r).norm() <= 1e-12 * k_r.norm()
     yield "theta_t_deg", math.degrees(theta_t)
-    yield "r_amp", r_amp
-    yield "t_amp", t_amp
+    yield "r_amp", system.reflected.E.y.real
+    yield "t_amp", system.transmitted.E.y.real
     yield "fresnel_s_r", rs
     yield "fresnel_s_t", ts
     yield "fresnel_p_r", rp

@@ -21,11 +21,15 @@ report's `warnings`, which leave it ok (see `rayoptics.ValidationReport`).
 `fresnel_standard` gives the standard-convention s/p coefficients for
 comparison.
 
-Cost and exactness of `max_boundary_residual`: the seeded (u, v, t) draws stay
-a per-sample `random.Random` loop, and one private generator owns their order
-for both the kernel and `sample_plane_points`.  Everything after the draws is
-float64 array work over blocks of at most `_CHUNK` samples, so time is
-O(samples) at a few microseconds per sample and memory is O(_CHUNK).
+Cost and exactness of `max_boundary_residual`: one private generator owns the
+seeded (u, v, t) draws of the kernel and of `sample_plane_points`.  It forms
+them from one `random.Random(seed)` in blocks of at most `_CHUNK` samples, each
+equal bit for bit to the per-sample `uniform` calls: one `getrandbits` call
+returns the block's 32-bit generator outputs in order, least significant word
+first; `random()` is ((a >> 5) * 2**26 + (b >> 6)) * 2**-53 of two of them; and
+`uniform(lo, hi)` is lo + (hi - lo) * random(), rounded once per operation in
+numpy as in Python.  The rest is float64 array work over the same blocks, so
+time is O(samples) at about a microsecond per sample and memory is O(_CHUNK).
 
 The kernel returns exactly (bit for bit) the max over `sample_plane_points`
 of the component magnitudes of `boundary_residual`, the scalar reference
@@ -40,13 +44,13 @@ arithmetic on split real/imaginary arrays:
 numpy's complex128 multiply and `np.abs` may take fused multiply-add or SIMD
 paths that differ from CPython in the last bit, so the kernel avoids them.
 The contract also needs `np.cos`, `np.sin` and `np.hypot` to round as the C
-library does; the test suite checks the kernel against the reference path.
+library does.  The test suite checks the draws against per-sample `uniform`
+calls and the kernel against the reference path; there is no fallback route.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -207,8 +211,10 @@ def continuity_coefficients(n1: float, n2: float, theta_i: float, a: float = 1.0
     t = a (2 n2 cos(theta_i)) / (n2 cos(theta_i) + n1 cos(theta_t))
     """
     theta_t = snell_angle(n1, n2, theta_i)
-    ci = math.cos(theta_i)
-    ct = math.cos(theta_t)
+    return _continuity(n1, n2, math.cos(theta_i), math.cos(theta_t), a)
+
+
+def _continuity(n1: float, n2: float, ci: float, ct: float, a: float) -> tuple[float, float]:
     den = n2 * ci + n1 * ct
     return (a * (n2 * ci - n1 * ct) / den, a * (2.0 * n2 * ci) / den)
 
@@ -236,9 +242,9 @@ def oblique_incidence_fields(
     if not (0 < omega < math.inf and 0 < k0 < math.inf):
         raise DomainError(f"omega and k0 must be positive and finite, got {omega!r}, {k0!r}")
     theta_t = snell_angle(n1, n2, theta_i)
-    r_amp, t_amp = continuity_coefficients(n1, n2, theta_i, a)
     ci, si = math.cos(theta_i), math.sin(theta_i)
     ct, st = math.cos(theta_t), math.sin(theta_t)
+    r_amp, t_amp = _continuity(n1, n2, ci, ct, a)
 
     spec = InterfaceSpec(n1=n1, n2=n2, point=RVec3(0.0, 0.0, 0.0), normal=RVec3(1.0, 0.0, 0.0))
     consts = EMConstants(k0=k0)
@@ -280,24 +286,27 @@ def _tangent_basis(normal: RVec3) -> tuple[RVec3, RVec3]:
     return (t1, t2)
 
 
-def _plane_draws(
-    sys_i: InterfaceSystem, samples: int, seed: int
-) -> Iterator[tuple[float, float, float]]:
-    """Seeded tangential offsets (u, v) and times t, one triple per sample.
+def _plane_draws(sys_i: InterfaceSystem, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Seeded offsets u, v and times t, in blocks of at most `_CHUNK` rows (u, v, t).
 
-    The single owner of the draw order: u, v, t per sample from
-    `random.Random(seed)`, so seeded outputs never change.
+    The single owner of the draw order: exactly the per-sample `uniform` draws
+    of one `random.Random(seed)` (module docstring), so seeded outputs never change.
     """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
     lam = wavelength_of(sys_i.incident.k)
     period = 2.0 * math.pi / sys_i.incident.omega
+    lo, hi = np.array([[-10.0 * lam, -10.0 * lam, 0.0], [10.0 * lam, 10.0 * lam, 10.0 * period]])
     rng = random.Random(seed)
-    for _ in range(samples):
-        u = rng.uniform(-10.0 * lam, 10.0 * lam)
-        v = rng.uniform(-10.0 * lam, 10.0 * lam)
-        t = rng.uniform(0.0, 10.0 * period)
-        yield (u, v, t)
+    for start in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - start)
+        # random() is (a >> 5, b >> 6) of two 32-bit outputs, and getrandbits
+        # returns the outputs in order, least significant word first
+        w = np.frombuffer(rng.getrandbits(192 * n).to_bytes(24 * n, "little"), "<u4")
+        x = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * 2.0**-53
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf span draws inf or NaN, as uniform does
+            block = lo + (hi - lo) * x.reshape(n, 3)  # uniform(lo, hi)
+        yield block
 
 
 def sample_plane_points(
@@ -310,8 +319,9 @@ def sample_plane_points(
     """
     point = sys_i.spec.point
     t1, t2 = _tangent_basis(sys_i.spec.normal)
-    for u, v, t in _plane_draws(sys_i, samples, seed):
-        yield (point + t1.scale(u) + t2.scale(v), t)
+    for block in _plane_draws(sys_i, samples, seed):
+        for u, v, t in block.tolist():
+            yield (point + t1.scale(u) + t2.scale(v), t)
 
 
 def _column(v: RVec3) -> np.ndarray:
@@ -362,13 +372,9 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
     t1, t2 = (_column(b) for b in _tangent_basis(spec.normal))
     normal = _column(spec.normal)
     n_im = np.zeros_like(normal)
-    draws = _plane_draws(sys_i, samples, seed)
     worst = 0.0
-    while True:
-        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(draws, _CHUNK)), float)
-        if block.size == 0:
-            return worst
-        u, v, t = block.reshape(-1, 3).T
+    for block in _plane_draws(sys_i, samples, seed):
+        u, v, t = block.T
         r = point + t1 * u + t2 * v
         # the inequality of `_require_on_plane`, which then raises for the first hit
         offset = r - point
@@ -390,6 +396,7 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
         if math.isnan(peak):  # overflowed fields; the reference's max() would drop it
             raise DomainError("boundary residual is NaN: the fields overflow double precision")
         worst = max(worst, peak)
+    return worst
 
 
 def _peak(field: CVec3) -> float:

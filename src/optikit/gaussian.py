@@ -94,7 +94,10 @@ def q_from_geometry(R: float, w: float, wavelength: float) -> QParameter:
 
 def geometry_from_q(qp: QParameter) -> tuple[float, float]:
     """Recover (R, w) from q; R is FLAT when the wavefront is flat."""
-    inv_q = 1.0 / qp.q
+    inv_q, shift = 1.0 / qp.q, 0
+    # pi |1/q| overflows as |q| nears 1/max: invert 2**600 q, and scale R and w back
+    if not math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf:
+        inv_q, shift = 1.0 / (qp.q * 2.0**600), 600
     # Im(1/q) = -Im(q) / |q|**2 underflows to 0 as |q| nears the float range
     if not inv_q.imag < 0:
         raise DomainError(f"1/q underflows for q = {qp.q!r}")
@@ -102,12 +105,12 @@ def geometry_from_q(qp: QParameter) -> tuple[float, float]:
     if abs(inv_q.real) < 1e-15 * abs(inv_q) or math.isinf(1.0 / inv_q.real):
         r = FLAT
     else:
-        r = 1.0 / inv_q.real
+        r = math.ldexp(1.0 / inv_q.real, -shift)
     spread = math.pi * (-inv_q.imag)
-    if spread < math.inf:
+    if shift:  # two square roots keep a small wavelength out of the subnormals
+        w = math.ldexp(math.sqrt(qp.wavelength) / math.sqrt(spread), -300)
+    else:
         w = math.sqrt(qp.wavelength / spread)
-    else:  # the product overflows as |q| nears 0, though w may not underflow
-        w = math.sqrt(qp.wavelength / math.pi) / math.sqrt(-inv_q.imag)
     if not 0 < w < math.inf:
         raise DomainError(f"spot radius {w!r} leaves the float range for q = {qp.q!r}")
     return (r, w)

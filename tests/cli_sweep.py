@@ -113,6 +113,11 @@ def invocations(systems: list[str], resonators: list[str]) -> list[list[str]]:
             ["interface", "--n1=1", "--n2=1.5", "--theta-deg=30", "--samples=5", f"--seed={v}"],
             ["quantum", "--omega=1", f"--dim={v}"],
         ]
+    # sample counts around the draw block of 4096, and seeds beyond 32 bits, across a block edge
+    for v in ("4095", "4096", "4097", "8193"):
+        argvs.append(["interface", "--n1=1", "--n2=1.5", "--theta-deg=30", f"--samples={v}"])
+    for v in (2**32 + 1, 2**70 + 5, -(2**40)):
+        argvs.append(["interface", "--n1=1", "--n2=1.5", "--theta-deg=30", "--samples=4097", f"--seed={v}"])
     argvs += [[], ["matrix"], ["matrix", lens, "--bogus"], ["trace", lens, "--y0=0", "--theta0=0", "--format=tsv"],
               ["beam", lens, "--lambda=1e-6"], ["beam", lens, "--lambda=1e-6", "--q-re=0"],
               ["beam", lens, "--lambda=1e-6", "--w=1e-3"], ["stability", lens], ["matrix", "fp_stable.res"],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import EDGE_FLOATS
 from optikit.core import CVec3, RVec3, cdot
 from optikit.emoptics import (
+    _CHUNK,
     EMConstants,
     InterfaceSpec,
     InterfaceSystem,
@@ -27,6 +28,8 @@ from optikit.emoptics import (
     snell_angle,
     validate_interface_system,
     wavelength_of,
+    _plane_draws,
+    _tangent_basis,
 )
 from optikit.errors import DomainError, OffPlanePoint, OptikitError, TotalInternalReflection
 from optikit.rayoptics import ValidationReport
@@ -456,6 +459,24 @@ def build_case(case):
     return system
 
 
+finite = st.floats(min_value=-1e3, max_value=1e3)
+amplitudes = st.builds(lambda *p: CVec3(complex(p[0], p[1]), complex(p[2], p[3]), complex(p[4], p[5])),
+                       *[finite] * 6)
+wavevectors = st.builds(RVec3, finite, finite, finite).filter(lambda k: k.norm() > 1e-3)
+general_waves = st.builds(PlaneWave, k=wavevectors, omega=st.floats(1e-2, 1e2), E=amplitudes, H=amplitudes)
+
+
+@st.composite
+def general_systems(draw):
+    """Any three waves at a tilted unit normal through a point away from the
+    origin, with complex amplitudes: the kernel reads no physics, only geometry."""
+    polar, azimuth = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, TWO_PI))
+    sin_polar = math.sin(polar)
+    normal = RVec3(sin_polar * math.cos(azimuth), sin_polar * math.sin(azimuth), math.cos(polar))
+    spec = InterfaceSpec(1.0, 1.5, draw(st.builds(RVec3, finite, finite, finite)), normal)
+    return InterfaceSystem(spec, draw(general_waves), draw(general_waves), draw(general_waves), EMConstants(1.0))
+
+
 class TestResidualKernel:
     """`max_boundary_residual` against the scalar `boundary_residual` path."""
 
@@ -472,6 +493,11 @@ class TestResidualKernel:
         system = build_case(case)
         assert max_boundary_residual(system, samples, seed) == reference_max_residual(system, samples, seed)
 
+    @settings(max_examples=150, deadline=None)
+    @given(system=general_systems(), samples=st.integers(1, 40), seed=st.integers(-2**80, 2**80))
+    def test_equals_reference_on_general_geometry(self, system, samples, seed):
+        assert max_boundary_residual(system, samples, seed) == reference_max_residual(system, samples, seed)
+
     def test_non_unit_normal_raises_off_plane(self):
         system = example_system()
         tilted = dataclasses.replace(
@@ -482,6 +508,45 @@ class TestResidualKernel:
         with pytest.raises(OffPlanePoint) as reference:
             reference_max_residual(tilted, 100, seed=0)
         assert str(kernel.value) == str(reference.value)
+
+
+def scalar_draws(system, samples, seed):
+    """Independent draw oracle: u, v and t per sample, each one `uniform` call."""
+    lam = wavelength_of(system.incident.k)
+    period = TWO_PI / system.incident.omega
+    rng = random.Random(seed)
+    return [(rng.uniform(-10.0 * lam, 10.0 * lam), rng.uniform(-10.0 * lam, 10.0 * lam),
+             rng.uniform(0.0, 10.0 * period)) for _ in range(samples)]
+
+
+class TestPlaneDraws:
+    """The bulk draws against per-sample `uniform` calls.  No other draw route
+    exists, so a Python whose `getrandbits` or `random()` changes fails here."""
+
+    # a wavelength and a period that are not powers of two, on a tilted plane
+    SYSTEM = dataclasses.replace(
+        oblique_incidence_fields(0.3, 1.2, 1.7, 1.0, 1.37 * TWO_PI, 0.83 * TWO_PI),
+        spec=InterfaceSpec(1.2, 1.7, RVec3(0.5, -2.0, 3.0), RVec3(0.6, 0.0, 0.8)),
+    )
+
+    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 8193])
+    @pytest.mark.parametrize("seed", [0, -12345, 2**32 + 1, 2**70 + 5])
+    def test_kernel_blocks_and_points_equal_scalar_draws(self, seed, samples):
+        expected = scalar_draws(self.SYSTEM, samples, seed)
+        blocks = list(_plane_draws(self.SYSTEM, samples, seed))
+        assert [len(b) for b in blocks] == [min(_CHUNK, samples - i) for i in range(0, samples, _CHUNK)]
+        assert [tuple(row) for b in blocks for row in b.tolist()] == expected
+        point = self.SYSTEM.spec.point
+        t1, t2 = _tangent_basis(self.SYSTEM.spec.normal)
+        points = [(point + t1.scale(u) + t2.scale(v), t) for u, v, t in expected]
+        assert list(sample_plane_points(self.SYSTEM, samples, seed)) == points
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=interface_cases, samples=st.integers(1, 30), seed=st.integers(-2**80, 2**80))
+    def test_equal_scalar_draws_for_any_seed(self, case, samples, seed):
+        system = build_case(case)
+        drawn = [tuple(row) for b in _plane_draws(system, samples, seed) for row in b.tolist()]
+        assert drawn == scalar_draws(system, samples, seed)
 
 
 class TestPlaneOfIncidence:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,12 @@ from optikit.gaussian import (
     propagate_q,
     q_from_geometry,
 )
+
+
+def exact_spot_square(q: complex, wavelength: float) -> Fraction:
+    """w**2 = wavelength |q|**2 / (pi Im q), exactly over Fraction from the doubles (pi too)."""
+    x, y = Fraction(q.real), Fraction(q.imag)
+    return Fraction(wavelength) * (x * x + y * y) / (Fraction(math.pi) * y)
 
 
 def free_space(d: float) -> Mat2:
@@ -93,11 +100,32 @@ class TestGeometryFromQ:
         with pytest.raises(DomainError):
             geometry_from_q(QParameter(complex(1e308, 1e308), 1e-6))
 
-    @pytest.mark.parametrize("q, wavelength", [(complex(1.0, 1e-3), 1e308), (complex(0.0, 5e-324), 1e-6)])
+    @pytest.mark.parametrize("q, wavelength", [(complex(1.0, 1e-3), 1e308)])
     def test_spot_radius_outside_float_range_rejected(self, q, wavelength):
-        # w overflows to inf or underflows to 0
+        # w overflows to inf
         with pytest.raises(DomainError):
             geometry_from_q(QParameter(q, wavelength))
+
+    def test_spot_radius_of_a_subnormal_q(self):
+        # 1/q overflows to -infj, so w read 0.0 and raised; the exact w is
+        # sqrt(wavelength Im q / pi) = 1.25e-165
+        r, w = geometry_from_q(QParameter(5e-324j, 1e-6))
+        assert r == FLAT
+        assert abs(Fraction(w) ** 2 / exact_spot_square(5e-324j, 1e-6) - 1) < Fraction(2) ** -48
+        assert math.isclose(w, 1.2540573e-165, rel_tol=1e-7)
+
+    @pytest.mark.parametrize("q", [complex(5e-324, 5e-324), complex(1e-310, 5e-324), complex(-3e-320, 7e-322),
+                                   complex(5e-324, 1e-315)])
+    def test_radius_and_spot_of_a_subnormal_q(self, q):
+        # pi |1/q| overflows: 1/q of the first three has an infinite real part,
+        # so R read 0.0 or -0.0 (or w read 0.0 and raised), and the last read
+        # a flat front; R is within 2**-48 of the exact |q|**2 / Re q, or within
+        # one subnormal spacing of it
+        r, w = geometry_from_q(QParameter(q, 1e-6))
+        x, y = Fraction(q.real), Fraction(q.imag)
+        exact_r = (x * x + y * y) / x
+        assert abs(Fraction(r) - exact_r) <= max(Fraction(5e-324), abs(exact_r) * Fraction(2) ** -48)
+        assert abs(Fraction(w) ** 2 / exact_spot_square(q, 1e-6) - 1) < Fraction(2) ** -48
 
     def test_spot_radius_survives_an_overflowing_product(self):
         # pi * (-Im(1/q)) = pi * 1e308 overflowed, so w read 0.0 and raised;
@@ -105,9 +133,7 @@ class TestGeometryFromQ:
         # doubles (pi too), is within a few ulps of the returned w squared
         q = complex(5e-309, 5e-309)
         _, w = geometry_from_q(QParameter(q, 1e-6))
-        x, y = Fraction(q.real), Fraction(q.imag)
-        exact = Fraction(1e-6) * (x * x + y * y) / (Fraction(math.pi) * y)
-        assert abs(Fraction(w) ** 2 / exact - 1) < Fraction(2) ** -48
+        assert abs(Fraction(w) ** 2 / exact_spot_square(q, 1e-6) - 1) < Fraction(2) ** -48
         assert math.isclose(w, 5.6419e-158, rel_tol=1e-4)
 
     def test_radius_beyond_float_range_is_flat(self):
@@ -294,6 +320,10 @@ class TestEdgeValues:
             return
         assert r == FLAT or math.isfinite(r)
         assert 0 < w < math.inf
-        spread = math.pi * -(1 / complex(q_re, q_im)).imag
-        if spread < math.inf:  # the common path is the closed form bit for bit
-            assert w == math.sqrt(wavelength / spread)
+        inv_q = 1 / complex(q_re, q_im)
+        if math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf:
+            # the common path is the closed form bit for bit
+            assert w == math.sqrt(wavelength / (math.pi * -inv_q.imag))
+        elif w >= sys.float_info.min:  # 2**600 q was inverted instead: w**2 within 2**-48
+            exact = exact_spot_square(complex(q_re, q_im), wavelength)
+            assert abs(Fraction(w) ** 2 / exact - 1) < Fraction(2) ** -48

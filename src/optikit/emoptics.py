@@ -215,8 +215,14 @@ def continuity_coefficients(n1: float, n2: float, theta_i: float, a: float = 1.0
 
 
 def _continuity(n1: float, n2: float, ci: float, ct: float, a: float) -> tuple[float, float]:
-    den = n2 * ci + n1 * ct
-    return (a * (n2 * ci - n1 * ct) / den, a * (2.0 * n2 * ci) / den)
+    return _ratios(a * (n2 * ci - n1 * ct), a * (2.0 * n2 * ci), n2 * ci + n1 * ct, n1, n2)
+
+
+def _ratios(r_num: float, t_num: float, den: float, n1: float, n2: float) -> tuple[float, float]:
+    # den is a sum of positive products, so it is 0 only when both underflow
+    if den == 0:
+        raise DomainError(f"the amplitude denominator underflows to 0 at n1 = {n1!r}, n2 = {n2!r}")
+    return r_num / den, t_num / den
 
 
 def oblique_incidence_fields(
@@ -485,7 +491,5 @@ def fresnel_standard(pol: str, n1: float, n2: float, theta_i: float) -> tuple[fl
     ci = math.cos(theta_i)
     ct = math.cos(theta_t)
     if pol == "s":
-        den = n1 * ci + n2 * ct
-        return ((n1 * ci - n2 * ct) / den, 2.0 * n1 * ci / den)
-    den = n2 * ci + n1 * ct
-    return ((n2 * ci - n1 * ct) / den, 2.0 * n1 * ci / den)
+        return _ratios(n1 * ci - n2 * ct, 2.0 * n1 * ci, n1 * ci + n2 * ct, n1, n2)
+    return _ratios(n2 * ci - n1 * ct, 2.0 * n1 * ci, n2 * ci + n1 * ct, n1, n2)

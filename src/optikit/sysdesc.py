@@ -24,14 +24,16 @@ the costliest failure this format could allow.  Serialization is canonical
 that re-reads to the same value) and `parse(serialize(doc))` reproduces the
 document exactly.
 
-Cost: `parse` is one pass over the source, O(its length).  A line is split
-into tokens with `str.split`, and each token's column is found with
-`str.index` from the end of the previous token.  A field token is matched
-against the key=value pattern only when it is not an allowed `key=`, which
-is the one case where that pattern picks between the two error messages;
-each value is matched against the real-number pattern once.
-`document_to_system` and `document_to_resonator` are O(n) in the directives.
-A real such as 1e999 parses (to inf); the system's validation rejects it.
+Cost: `parse` is one pass over the source, O(its length).  After the header,
+a canonical line (as `serialize` writes it, with any whitespace and an
+optional comment) that holds the directive due next is built from one
+`_FAST` match.  Any other line is tokenized (`str.split`, each column found
+with `str.index` after the previous token) and read by `_parse_fields`; only
+this path raises `ParseError`, so every error and position has one source.
+The paths agree because regex whitespace is what `str.split` splits on and
+both read reals with `_R` and `float`; a differential test pins this.
+`serialize` and `document_to_*` check a document in one walk, O(n) in the
+directives.  A real such as 1e999 parses (to inf); validation rejects it.
 """
 
 from __future__ import annotations
@@ -62,8 +64,18 @@ __all__ = [
     "document_to_resonator",
 ]
 
-_REAL = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_R = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REAL = re.compile(_R)
 _KEYVAL = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
+# A canonical directive line; its groups are the indent, n, d, R and kind.
+_FAST = re.compile(
+    rf"(\s*)(?:freespace\s+n=({_R})\s+d=({_R})"
+    rf"|interface\s+(?:plane|spherical\s+R=({_R}))(?:\s+kind=(transmitted|reflected))?)\s*(?:#.*)?"
+)
+_ORDER = {"system": ("freespace", "interface"), "resonator": ("interface", "freespace")}
+_KINDS = {None: InterfaceKind.TRANSMITTED, **{k.value: k for k in InterfaceKind}}
+_SHAPES = {"plane": True, "spherical": False}  # shape -> whether its radius is None
+_INTERFACE_RULE = "plane, or spherical with R=; kind= transmitted, reflected or none"
 
 
 class ParseError(OptikitError):
@@ -145,13 +157,9 @@ def _tokenize(raw_line: str) -> list[tuple[str, int]]:
 
 
 def _parse_real(value: str, line: int, col: int, key: str) -> float:
-    if not _REAL.match(value):
+    if not _REAL.fullmatch(value):
         raise ParseError(line, col, f"invalid real for {key}: {value!r}", f"{key}=<real>")
     return float(value)
-
-
-def _end_column(raw_line: str) -> int:
-    return len(raw_line.rstrip("\n")) + 1
 
 
 # (required keys in reporting order, allowed keys) of each field list
@@ -183,7 +191,7 @@ def _parse_fields(
         seen[key] = (value, col)
     for key in required:
         if key not in seen:
-            raise ParseError(line_no, _end_column(raw_line), f"missing key {key!r}", f"{key}=")
+            raise ParseError(line_no, len(raw_line) + 1, f"missing key {key!r}", f"{key}=")
     return seen
 
 
@@ -198,7 +206,7 @@ def _parse_freespace(tokens: list[tuple[str, int]], line_no: int, raw_line: str)
 
 def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> InterfaceDirective:
     if len(tokens) < 2:
-        raise ParseError(line_no, _end_column(raw_line), "missing interface shape", "plane or spherical")
+        raise ParseError(line_no, len(raw_line) + 1, "missing interface shape", "plane or spherical")
     shape, shape_col = tokens[1]
     if shape == "spherical":
         fields = _parse_fields(tokens[2:], line_no, raw_line, _SPHERICAL_FIELDS)
@@ -220,19 +228,29 @@ def _structure_error(kind: str, items: list | tuple, head: str | None = None) ->
     """(index, message, expected) of the first structural rule a body breaks.
 
     Directives alternate from a freespace in a [system] and from an interface
-    in a [resonator]; a system ends on a freespace; a resonator has at least
-    three directives, ends on an interface, and its mirrors carry no kind=.
-    index is len(items) when the body ends too early.  Given head, the next
+    in a [resonator]; each interface has a known shape, a radius exactly when
+    spherical, and a known kind; then `_ending_error` applies.  index is
+    len(items) when the body ends too early.  Given head, the next
     directive's name, only its place is checked, as `parse` does per line.
     """
-    order = ("freespace", "interface") if kind == "system" else ("interface", "freespace")
-    n = len(items)
+    order = _ORDER[kind]
     if head:
+        n = len(items)
         return None if head == order[n % 2] else (n, f"unexpected directive {head!r}", order[n % 2])
     for i, item in enumerate(items):
         name = "freespace" if isinstance(item, FreespaceDirective) else "interface"
         if name != order[i % 2]:
             return i, f"unexpected directive {name!r}", order[i % 2]
+        if name == "interface" and (_SHAPES.get(item.shape) != (item.radius is None) or item.kind not in _KINDS):
+            return i, f"invalid interface {item.shape!r}, R={item.radius!r}, kind={item.kind!r}", _INTERFACE_RULE
+    return _ending_error(kind, items)
+
+
+def _ending_error(kind: str, items: list | tuple) -> tuple[int, str, str] | None:
+    """The ending rules, for a body whose directives are each in place: a
+    system ends on a freespace; a resonator has at least three directives,
+    ends on an interface, and its mirrors carry no kind=."""
+    n = len(items)
     if kind == "system":  # an even count covers the empty body too
         return None if n % 2 else (n, "system must end with a freespace line", "freespace")
     if n < 3:
@@ -250,13 +268,21 @@ def parse(source: str) -> Document:
     raw_lines = source.split("\n")
     kind: str | None = None
     items: list[Directive] = []
-    last_line_no = 1
 
     for line_no, raw in enumerate(raw_lines, start=1):
+        fast = kind and _FAST.fullmatch(raw)
+        if fast and ("freespace" if fast[2] else "interface") == order[len(items) % 2]:
+            indent, n, d, radius, iface_kind = fast.groups()
+            col = len(indent) + 1
+            if n:
+                items.append(FreespaceDirective(float(n), float(d), line_no, col))
+            else:
+                shape = "spherical" if radius else "plane"
+                items.append(InterfaceDirective(shape, radius and float(radius), iface_kind, line_no, col))
+            continue
         tokens = _tokenize(raw)
         if not tokens:
             continue
-        last_line_no = line_no
         head, head_col = tokens[0]
 
         if kind is None:
@@ -264,7 +290,8 @@ def parse(source: str) -> Document:
                 raise ParseError(line_no, head_col, f"unexpected token {head!r}", "[system] or [resonator]")
             if len(tokens) > 1:
                 raise ParseError(line_no, tokens[1][1], f"trailing token {tokens[1][0]!r}", "end of line")
-            kind = head[1:-1]
+            kind, header_line = head[1:-1], line_no
+            order = _ORDER[kind]
             continue
 
         misplaced = _structure_error(kind, items, head)
@@ -279,17 +306,13 @@ def parse(source: str) -> Document:
     if kind is None:
         raise ParseError(1, 1, "empty document", "[system] or [resonator]")
 
-    broken = _structure_error(kind, items)
+    broken = _ending_error(kind, items)
     if broken:
         i, message, expected = broken
-        end = (last_line_no, _end_column(raw_lines[last_line_no - 1]))
+        last = items[-1].line if items else header_line  # the last line with a token
+        end = (last, len(raw_lines[last - 1]) + 1)
         raise ParseError(*((items[i].line, items[i].column) if i < len(items) else end), message, expected)
     return Document(kind=kind, items=tuple(items))
-
-
-def _fmt(x: float) -> str:
-    # repr gives the shortest spelling that re-reads to the same double
-    return repr(float(x))
 
 
 def _check_document(doc: Document, kinds: tuple[str, ...] = ("system", "resonator")) -> None:
@@ -300,12 +323,6 @@ def _check_document(doc: Document, kinds: tuple[str, ...] = ("system", "resonato
         i, message, expected = broken
         where = f"directive {i}" if i < len(doc.items) else "end of document"
         raise DomainError(f"{where}: {message} (expected {expected})")
-    for i, item in enumerate(doc.items):
-        if isinstance(item, InterfaceDirective):
-            if item.shape == "spherical" and item.radius is None:
-                raise DomainError(f"spherical directive {i} has no radius")
-            if item.shape == "plane" and item.radius is not None:
-                raise DomainError(f"plane directive {i} carries a radius")
 
 
 def serialize(doc: Document) -> str:
@@ -314,23 +331,15 @@ def serialize(doc: Document) -> str:
     lines = [f"[{doc.kind}]"]
     for item in doc.items:
         if isinstance(item, FreespaceDirective):
-            lines.append(f"freespace n={_fmt(item.n)} d={_fmt(item.d)}")
+            lines.append(f"freespace n={float(item.n)!r} d={float(item.d)!r}")
         else:
-            parts = ["interface", item.shape]
-            if item.shape == "spherical":
-                parts.append(f"R={_fmt(item.radius)}")
-            if item.kind is not None:
-                parts.append(f"kind={item.kind}")
-            lines.append(" ".join(parts))
+            radius = "" if item.radius is None else f" R={float(item.radius)!r}"
+            lines.append(f"interface {item.shape}{radius}" + ("" if item.kind is None else f" kind={item.kind}"))
     return "\n".join(lines) + "\n"
 
 
 def _to_interface(item: InterfaceDirective):
     return Plane() if item.shape == "plane" else Spherical(item.radius)
-
-
-def _to_kind(kind: str | None) -> InterfaceKind:
-    return InterfaceKind.REFLECTED if kind == "reflected" else InterfaceKind.TRANSMITTED
 
 
 def _components(items: tuple[Directive, ...], start: int, stop: int) -> tuple[OpticalComponent, ...]:
@@ -339,7 +348,7 @@ def _components(items: tuple[Directive, ...], start: int, stop: int) -> tuple[Op
     for i in range(start, stop, 2):
         fs: FreespaceDirective = items[i]  # type: ignore[assignment]
         iface: InterfaceDirective = items[i + 1]  # type: ignore[assignment]
-        comps.append(OpticalComponent(FreeSpace(fs.n, fs.d), _to_interface(iface), _to_kind(iface.kind)))
+        comps.append(OpticalComponent(FreeSpace(fs.n, fs.d), _to_interface(iface), _KINDS[iface.kind]))
     return tuple(comps)
 
 

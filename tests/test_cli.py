@@ -198,6 +198,12 @@ class TestExitCodes:
         assert code == 1
         assert "total internal reflection" in err
 
+    def test_interface_underflowed_denominator_is_domain_failure(self, capsys):
+        # n2 cos(theta_i) + n1 cos(theta_t) underflowed to 0: a ZeroDivisionError traceback
+        code, out, err = run(capsys, "interface", "--n1=5e-324", "--n2=5e-324", "--theta-deg=70")
+        assert code == 1 and out == ""
+        assert err == "error: the amplitude denominator underflows to 0 at n1 = 5e-324, n2 = 5e-324\n"
+
     def test_quantum_nonfinite_omega_is_domain_failure(self, capsys):
         code, out, err = run(capsys, "quantum", "--omega", "inf")
         assert code == 1 and out == ""

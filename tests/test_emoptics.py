@@ -596,6 +596,21 @@ class TestFresnelStandard:
         with pytest.raises(DomainError):
             fresnel_standard("x", 1.0, 1.5, 0.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, theta: fresnel_standard("s", n, n, theta),
+            lambda n, theta: fresnel_standard("p", n, n, theta),
+            lambda n, theta: continuity_coefficients(n, n, theta),
+            lambda n, theta: oblique_incidence_fields(theta, n, n, 1.0, 1.0, 1.0),
+        ],
+    )
+    def test_underflowed_denominator_is_a_domain_error(self, call):
+        # at 70 degrees both products of the denominator round to 0
+        with pytest.raises(DomainError, match="underflows to 0"):
+            call(5e-324, math.radians(70.0))
+        assert call(5e-324, math.radians(30.0)) is not None  # here they round up to 5e-324
+
 
 class TestGoalReplaySweep:
     def test_random_tuples_without_tir(self):

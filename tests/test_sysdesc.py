@@ -1,10 +1,14 @@
+import itertools
 import random
+import re
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optikit import sysdesc
 from optikit.errors import DomainError, InvalidSystem, OptikitError
 from optikit.rayoptics import FreeSpace, InterfaceKind, Spherical, system_composition
 from optikit.sysdesc import (
@@ -268,6 +272,25 @@ class TestSerialize:
             serialize(bad)
 
     @pytest.mark.parametrize(
+        "iface",
+        [
+            InterfaceDirective("cylinder"),
+            InterfaceDirective("spherical"),
+            InterfaceDirective("plane", radius=1.0),
+            InterfaceDirective("plane", kind="sideways"),
+        ],
+    )
+    def test_interface_outside_the_grammar_rejected(self, iface):
+        """An unknown shape once became Spherical(None), and kind=sideways
+        serialized to text that `parse` rejects."""
+        fs = FreespaceDirective(1.0, 0.1)
+        system = Document("system", (fs, iface, fs))
+        resonator = Document("resonator", (InterfaceDirective("plane"), fs, iface, fs, InterfaceDirective("plane")))
+        for call, doc in ((serialize, system), (document_to_system, system), (document_to_resonator, resonator)):
+            with pytest.raises(DomainError, match="invalid interface"):
+                call(doc)
+
+    @pytest.mark.parametrize(
         "source, items",
         [
             ("[system]\nfreespace n=1 d=1\nfreespace n=1 d=1\n", ("fs", "fs")),
@@ -354,3 +377,91 @@ class TestFuzz:
                 assert (exc.line, exc.column) <= (first.line, first.column)
             checked += 1
         assert checked > 100
+
+
+# Whitespace that str.split() splits on, next to the ASCII space that
+# canonical text uses; the zeros of some other decimal-digit scripts; and
+# characters that look like spaces or digits but are neither.
+_SPACES = " " * 8 + "\t\x0b\x0c\r\x1c\x1f\x85\xa0\u2028\u3000"
+_ZEROS = ("\u0660", "\u0966", "\uff10", "\U0001d7ce")
+_NOISE = "fi=.e+-#[]R019 nd\u00b2\u200b\u180e" + _SPACES
+
+
+def _decorated(rng: random.Random) -> str:
+    """A generated document that keeps its meaning: any indent, separators,
+    trailing space, comments and blank lines."""
+    def gap(least):
+        return "".join(rng.choices(_SPACES, k=rng.randint(least, 2)))
+
+    lines = []
+    for line in serialize(random_document(rng)).split("\n"):
+        if rng.random() < 0.2:
+            lines.append(gap(0) + rng.choice(["", "# note", "#"]))
+        comment = rng.choice(["", "", "#", "# c", "#freespace n=1 d=1"])
+        lines.append(gap(0) + "".join(t + gap(1) for t in line.split(" "))[:-1] + gap(0) + comment)
+    return "\n".join(lines)
+
+
+def _mutated(source: str, rng: random.Random) -> str:
+    lines = source.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        j = rng.randint(0, len(line))
+        op = rng.randrange(6)
+        if op == 0:  # insert a character
+            line = line[:j] + rng.choice(_NOISE) + line[j:]
+        elif op == 1:  # delete one
+            line = line[:j] + line[j + 1:]
+        elif op == 2:  # replace one, a separator half the time
+            j = rng.choice([k for k, c in enumerate(line) if c.isspace() and rng.random() < 0.5] or [j])
+            line = line[:j] + rng.choice(_NOISE) + line[j + 1:]
+        elif op == 3:  # permute the fields after the keyword
+            head, *fields = line.split(" ")
+            rng.shuffle(fields)
+            line = " ".join([head, *fields])
+        elif op == 4:  # a comment touching whatever precedes it
+            line = line[:j] + rng.choice(["#", "#x", "# R=1"])
+        else:  # an ASCII digit spelled in another decimal script
+            digits = [k for k, c in enumerate(line) if c in string.digits]
+            if digits:
+                k = rng.choice(digits)
+                line = line[:k] + chr(ord(rng.choice(_ZEROS)) + int(line[k])) + line[k + 1:]
+        lines[i] = line
+    return "\n".join(lines)
+
+
+def _outcome(source: str) -> tuple:
+    try:
+        doc = parse(source)
+    except ParseError as err:
+        return "error", err.line, err.column, err.message, err.expected
+    # Value equality ignores line and column, so they are compared apart
+    return "document", doc, [(item.line, item.column) for item in doc.items]
+
+
+class TestFastPath:
+    """`parse` builds canonical lines from one regex match; every other line,
+    and every error, goes through the tokenizer.  Both must read a source alike."""
+
+    def test_agrees_with_the_tokenizer_alone(self, monkeypatch):
+        rng = random.Random(2013)
+        sources = []
+        for _ in range(1500):
+            source = _decorated(rng)
+            sources += [source, _mutated(source, rng), serialize(random_document(rng))]
+        both = [_outcome(s) for s in sources]
+        monkeypatch.setattr(sysdesc, "_FAST", re.compile(r"(?!)"))
+        alone = [_outcome(s) for s in sources]
+        for source, fast, slow in zip(sources, both, alone):
+            assert fast == slow, source
+        parsed = sum(o[0] == "document" for o in both)
+        assert 1500 < parsed < len(sources) - 500  # many of each outcome
+
+    def test_regex_whitespace_is_split_whitespace(self):
+        # The fast pattern separates fields with \s and the tokenizer with
+        # str.split(); a Python whose tables differ must fail here.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        kept = re.sub(r"\s", "", every)
+        assert kept == "".join(every.split())
+        assert kept == "".join(itertools.filterfalse(str.isspace, every))

@@ -2,30 +2,15 @@
 optics: ray-transfer matrices, resonator stability, Gaussian-beam ABCD
 propagation, plane-wave interface checks, and a truncated single-mode field.
 
-`import optikit` does not import numpy: the numpy modules `emoptics` and
-`quantum` load on first use, as `optikit.quantum` or `from optikit import quantum`.
+Public names are reached through their modules, as `optikit.rayoptics.FreeSpace`.
+`import optikit` loads the ray-level modules but not numpy: the numpy modules
+`emoptics` and `quantum` load on first use, as `optikit.quantum` or
+`from optikit import quantum`.
 """
 
 import importlib
 
 from . import core, errors, gaussian, rayoptics, resonator, sysdesc
-from .core import CVec3, Mat2, RVec3, ccross, coplanar, mat2_apply, mat2_mul, mobius, sylvester_power
-from .errors import OptikitError
-from .gaussian import FLAT, BeamGeometry, QParameter, beam_at, geometry_from_q, propagate_q, q_from_geometry
-from .rayoptics import (
-    FreeSpace,
-    InterfaceKind,
-    OpticalComponent,
-    OpticalSystem,
-    Plane,
-    RayState,
-    Spherical,
-    system_composition,
-    trace_ray,
-    validate_system,
-)
-from .resonator import Resonator, fp_resonator, ray_bound_oracle, stability, unfold_resonator
-from .sysdesc import Document, ParseError, parse, serialize
 
 __version__ = "0.1.0"
 

@@ -16,8 +16,11 @@ record of the fields its `__slots__` names, in constructor order:
 - `pickle`, `copy.copy` and `copy.deepcopy` rebuild a value through its
   constructor, so validation runs again and the copy is equal.
 
-Each type sets its fields in its own `__init__` with `object.__setattr__`,
-and validates there when it must.  No module on the ray path imports
+A type that defines no `__init__` gets one generated from its `__slots__`:
+one parameter per field, in order, the trailing ones defaulting to the
+type's `_defaults` tuple, each field set through its slot's descriptor.  A
+type that must validate (`gaussian.QParameter`) writes its own `__init__` and
+sets its fields with `object.__setattr__`.  No module on the ray path imports
 `dataclasses`: every process would pay for its import, `inspect`'s with it,
 and about a millisecond per class.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from types import CodeType, FunctionType
 from typing import Sequence
 
 from .errors import DomainError, SingularTransform
@@ -50,6 +54,12 @@ class Value:
     """Immutable value, equal, hashed and printed by its fields (module docstring)."""
 
     __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls)
 
     def _key(self) -> tuple:
         """The fields that == and hash compare."""
@@ -77,16 +87,34 @@ class Value:
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
+# code of `__init__(self, _0, ..., _<n-1>)` by field count n: one compile per count
+_TEMPLATES: dict[int, CodeType] = {}
+
+
+def _constructor(cls: type) -> FunctionType:
+    """`__init__(self, <cls.__slots__ in order>)`, setting each field through its slot's descriptor.
+
+    The template for the field count is compiled once and renamed, so a class
+    costs no compile of its own.
+    """
+    fields = cls.__slots__
+    if len(fields) not in _TEMPLATES:
+        params = "".join(f", _{i}" for i in range(len(fields)))
+        body = "".join(f"\n    _set{i}(self, _{i})" for i in range(len(fields))) or " pass"
+        namespace: dict = {}
+        exec(f"def __init__(self{params}):{body}", namespace)
+        _TEMPLATES[len(fields)] = namespace["__init__"].__code__
+    code = _TEMPLATES[len(fields)].replace(co_varnames=("self",) + fields)
+    setters = {f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(fields)}
+    init = FunctionType(code, {"__name__": cls.__module__, **setters}, argdefs=cls._defaults)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Mat2(Value):
     """2x2 real matrix, row-major entries."""
 
     __slots__ = ("a11", "a12", "a21", "a22")
-
-    def __init__(self, a11: float, a12: float, a21: float, a22: float) -> None:
-        object.__setattr__(self, "a11", a11)
-        object.__setattr__(self, "a12", a12)
-        object.__setattr__(self, "a21", a21)
-        object.__setattr__(self, "a22", a22)
 
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
@@ -156,11 +184,6 @@ class RVec3(Value):
 
     __slots__ = ("x", "y", "z")
 
-    def __init__(self, x: float, y: float, z: float) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
     def __add__(self, other: "RVec3") -> "RVec3":
         return RVec3(self.x + other.x, self.y + other.y, self.z + other.z)
 
@@ -191,11 +214,6 @@ class CVec3(Value):
     """Complex 3-vector."""
 
     __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: complex, y: complex, z: complex) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
 
     def __add__(self, other: "CVec3") -> "CVec3":
         return CVec3(self.x + other.x, self.y + other.y, self.z + other.z)

@@ -67,13 +67,6 @@ class BeamGeometry(Value):
 
     __slots__ = ("R", "w", "w0", "zR", "z")
 
-    def __init__(self, R: float, w: float, w0: float, zR: float, z: float) -> None:
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w0", w0)
-        object.__setattr__(self, "zR", zR)
-        object.__setattr__(self, "z", z)
-
 
 def q_from_geometry(R: float, w: float, wavelength: float) -> QParameter:
     """Build q from wavefront radius R (may be FLAT/inf) and spot radius w."""
@@ -95,7 +88,7 @@ def q_from_geometry(R: float, w: float, wavelength: float) -> QParameter:
 def geometry_from_q(qp: QParameter) -> tuple[float, float]:
     """Recover (R, w) from q; R is FLAT when the wavefront is flat."""
     inv_q, shift = 1.0 / qp.q, 0
-    # pi |1/q| overflows as |q| nears 1/max: invert 2**600 q, and scale R and w back
+    # pi |1/q| overflows as |q| nears 1/max: invert 2**600 q, and scale R back
     if not math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf:
         inv_q, shift = 1.0 / (qp.q * 2.0**600), 600
     # Im(1/q) = -Im(q) / |q|**2 underflows to 0 as |q| nears the float range
@@ -106,14 +99,30 @@ def geometry_from_q(qp: QParameter) -> tuple[float, float]:
         r = FLAT
     else:
         r = math.ldexp(1.0 / inv_q.real, -shift)
-    spread = math.pi * (-inv_q.imag)
-    if shift:  # two square roots keep a small wavelength out of the subnormals
-        w = math.ldexp(math.sqrt(qp.wavelength) / math.sqrt(spread), -300)
-    else:
-        w = math.sqrt(qp.wavelength / spread)
+    ratio = qp.wavelength / (math.pi * -inv_q.imag)
+    # the closed form where Im q and each of its steps is a normal float, else from q itself
+    closed = not shift and 2.0**-1022 <= min(qp.q.imag, -inv_q.imag, ratio) and ratio < math.inf
+    w = math.sqrt(ratio) if closed else _spot_radius(qp.q, qp.wavelength)
     if not 0 < w < math.inf:
         raise DomainError(f"spot radius {w!r} leaves the float range for q = {qp.q!r}")
     return (r, w)
+
+
+def _spot_radius(q: complex, wavelength: float) -> float:
+    """w = sqrt(wavelength |q|**2 / (pi Im q)), inf where it overflows.
+
+    The binary exponents of |q| and Im q are split off exactly, so no step
+    leaves the normal floats and w**2 is within a few ulps wherever w is normal.
+    """
+    mantissa, exponent = math.frexp(q.imag)
+    shift = math.frexp(max(abs(q.real), q.imag))[1]
+    modulus = math.hypot(math.ldexp(q.real, -shift), math.ldexp(q.imag, -shift))
+    half, odd = divmod(exponent, 2)  # sqrt(Im q) = sqrt(mantissa 2**odd) 2**half
+    root = modulus * math.sqrt(wavelength) / math.sqrt(math.pi * math.ldexp(mantissa, odd))
+    try:
+        return math.ldexp(root, shift - half)
+    except OverflowError:
+        return math.inf
 
 
 def propagate_q(qp: QParameter, m: Mat2) -> QParameter:

@@ -67,10 +67,6 @@ class FreeSpace(Value):
 
     __slots__ = ("n", "d")
 
-    def __init__(self, n: float, d: float) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-
 
 class Plane(Value):
     """Flat interface."""
@@ -82,9 +78,6 @@ class Spherical(Value):
     """Spherical interface with radius of curvature R != 0 (meters)."""
 
     __slots__ = ("radius",)
-
-    def __init__(self, radius: float) -> None:
-        object.__setattr__(self, "radius", radius)
 
 
 OpticalInterface = Union[Plane, Spherical]
@@ -98,28 +91,15 @@ class InterfaceKind(Enum):
 class OpticalComponent(Value):
     __slots__ = ("space", "iface", "kind")
 
-    def __init__(self, space: FreeSpace, iface: OpticalInterface, kind: InterfaceKind) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "iface", iface)
-        object.__setattr__(self, "kind", kind)
-
 
 class OpticalSystem(Value):
     __slots__ = ("components", "terminal")
-
-    def __init__(self, components: tuple[OpticalComponent, ...], terminal: FreeSpace) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "terminal", terminal)
 
 
 class RayState(Value):
     """Distance from axis y (meters) and inclination theta (radians)."""
 
     __slots__ = ("y", "theta")
-
-    def __init__(self, y: float, theta: float) -> None:
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "theta", theta)
 
     def as_pair(self) -> tuple[float, float]:
         return (self.y, self.theta)
@@ -130,9 +110,6 @@ class RayTrace(Value):
     free space; length = number of components + 2."""
 
     __slots__ = ("states",)
-
-    def __init__(self, states: tuple[RayState, ...]) -> None:
-        object.__setattr__(self, "states", states)
 
     @property
     def final(self) -> RayState:
@@ -149,11 +126,6 @@ class Violation(Value):
 
     __slots__ = ("index", "clause", "detail")
 
-    def __init__(self, index: int | str | None, clause: str, detail: str) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "clause", clause)
-        object.__setattr__(self, "detail", detail)
-
     def __str__(self) -> str:
         where = self.index if isinstance(self.index, str) else (
             "terminal free space" if self.index is None else f"component {self.index}")
@@ -164,10 +136,7 @@ class ValidationReport(Value):
     """Violations fail the report; warnings are advisory violations that leave it ok."""
 
     __slots__ = ("violations", "warnings")
-
-    def __init__(self, violations: tuple[Violation, ...], warnings: tuple[Violation, ...] = ()) -> None:
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "warnings", warnings)
+    _defaults = ((),)
 
     @property
     def ok(self) -> bool:

@@ -28,7 +28,6 @@ from .rayoptics import (
     FreeSpace,
     InterfaceKind,
     OpticalComponent,
-    OpticalInterface,
     OpticalSystem,
     RayState,
     Spherical,
@@ -63,24 +62,9 @@ class Resonator(Value):
 
     __slots__ = ("left", "inner", "space", "right")
 
-    def __init__(
-        self, left: OpticalInterface, inner: tuple[OpticalComponent, ...], space: FreeSpace,
-        right: OpticalInterface,
-    ) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "right", right)
-
 
 class StabilityVerdict(Value):
     __slots__ = ("det", "half_trace", "stable", "marginal")
-
-    def __init__(self, det: float, half_trace: float, stable: bool, marginal: bool) -> None:
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "half_trace", half_trace)
-        object.__setattr__(self, "stable", stable)
-        object.__setattr__(self, "marginal", marginal)
 
     @property
     def verdict(self) -> str:
@@ -91,11 +75,6 @@ class StabilityVerdict(Value):
 
 class OracleResult(Value):
     __slots__ = ("max_y", "max_theta", "diverged")
-
-    def __init__(self, max_y: float, max_theta: float, diverged: bool) -> None:
-        object.__setattr__(self, "max_y", max_y)
-        object.__setattr__(self, "max_theta", max_theta)
-        object.__setattr__(self, "diverged", diverged)
 
 
 def validate_resonator(res: Resonator) -> ValidationReport:
@@ -109,18 +88,15 @@ def _round_trip(res: Resonator) -> OpticalSystem:
     reflected = InterfaceKind.REFLECTED
     trip = list(res.inner)
     trip.append(OpticalComponent(res.space, res.right, reflected))
-    if res.inner:
-        # Return leg: the cavity space now precedes the last inner interface,
-        # each earlier interface is preceded by the space that followed it on
-        # the way in, and the first inner space leads back to the left mirror.
-        # With the n0/n1 pairing rule this inverts every transmitted index
-        # ratio on the way back.
-        spaces = [res.space] + [c.space for c in reversed(res.inner)]
-        for space, comp in zip(spaces, reversed(res.inner)):
-            trip.append(OpticalComponent(space, comp.iface, comp.kind))
-        trip.append(OpticalComponent(res.inner[0].space, res.left, reflected))
-    else:
-        trip.append(OpticalComponent(res.space, res.left, reflected))
+    # Return leg: the cavity space now precedes the last inner interface,
+    # each earlier interface is preceded by the space that followed it on
+    # the way in, and the first inner space (the cavity space when there is
+    # none) leads back to the left mirror.  With the n0/n1 pairing rule this
+    # inverts every transmitted index ratio on the way back.
+    spaces = [res.space] + [c.space for c in reversed(res.inner)]
+    for space, comp in zip(spaces, reversed(res.inner)):
+        trip.append(OpticalComponent(space, comp.iface, comp.kind))
+    trip.append(OpticalComponent(spaces[-1], res.left, reflected))
     return OpticalSystem(tuple(trip), FreeSpace(res.space.n, 0.0))
 
 

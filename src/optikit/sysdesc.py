@@ -96,12 +96,7 @@ class FreespaceDirective(Value):
     """A freespace line; line and column locate it and are not compared."""
 
     __slots__ = ("n", "d", "line", "column")
-
-    def __init__(self, n: float, d: float, line: int = 0, column: int = 0) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
+    _defaults = (0, 0)
 
     def _key(self) -> tuple:
         return (self.n, self.d)
@@ -112,15 +107,7 @@ class InterfaceDirective(Value):
     "reflected" or None; line and column locate it and are not compared."""
 
     __slots__ = ("shape", "radius", "kind", "line", "column")
-
-    def __init__(
-        self, shape: str, radius: float | None = None, kind: str | None = None, line: int = 0, column: int = 0
-    ) -> None:
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
+    _defaults = (None, None, 0, 0)
 
     def _key(self) -> tuple:
         return (self.shape, self.radius, self.kind)
@@ -133,10 +120,6 @@ class Document(Value):
     """Kind "system" or "resonator", and its directives in source order."""
 
     __slots__ = ("kind", "items")
-
-    def __init__(self, kind: str, items: tuple[Directive, ...]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "items", items)
 
 
 def _tokenize(raw_line: str) -> list[tuple[str, int]]:

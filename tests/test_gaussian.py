@@ -100,11 +100,26 @@ class TestGeometryFromQ:
         with pytest.raises(DomainError):
             geometry_from_q(QParameter(complex(1e308, 1e308), 1e-6))
 
-    @pytest.mark.parametrize("q, wavelength", [(complex(1.0, 1e-3), 1e308)])
+    @pytest.mark.parametrize("q, wavelength", [(complex(1e160, 1.0), 1e308)])
     def test_spot_radius_outside_float_range_rejected(self, q, wavelength):
-        # w overflows to inf
+        # w = 5.6e313 overflows to inf
         with pytest.raises(DomainError):
             geometry_from_q(QParameter(q, wavelength))
+
+    @pytest.mark.parametrize(
+        "q, wavelength, spot",
+        [(1e-300j, 1e-300, 5.6419e-301), (1e-3j, 1e-320, 1.7841e-162), (1e20j, 1e300, 5.6419e159),
+         (complex(1.0, 1e-3), 1e308, 1.7841e155), (complex(1.0, 5e-324), 1.0, 2.5382e161),
+         (complex(1.5, 5e-324), 1e-300, 3.8074e11)],
+    )
+    def test_spot_radius_where_the_closed_form_leaves_the_normal_floats(self, q, wavelength, spot):
+        # wavelength / spread underflowed to 0.0 (or into the subnormals, 25% off
+        # in w) or overflowed to inf, so w read 0.0 or inf and raised, and a
+        # subnormal Im(1/q) put spread 32% off in w (the last case); w from q
+        # itself is within a few ulps of the exact value
+        _, w = geometry_from_q(QParameter(q, wavelength))
+        assert abs(Fraction(w) ** 2 / exact_spot_square(q, wavelength) - 1) < Fraction(2) ** -48
+        assert math.isclose(w, spot, rel_tol=1e-4)
 
     def test_spot_radius_of_a_subnormal_q(self):
         # 1/q overflows to -infj, so w read 0.0 and raised; the exact w is
@@ -321,9 +336,12 @@ class TestEdgeValues:
         assert r == FLAT or math.isfinite(r)
         assert 0 < w < math.inf
         inv_q = 1 / complex(q_re, q_im)
-        if math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf:
-            # the common path is the closed form bit for bit
-            assert w == math.sqrt(wavelength / (math.pi * -inv_q.imag))
-        elif w >= sys.float_info.min:  # 2**600 q was inverted instead: w**2 within 2**-48
+        ratio = wavelength / (math.pi * -inv_q.imag)
+        if (math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf
+                and sys.float_info.min <= min(q_im, -inv_q.imag, ratio) and ratio < math.inf):
+            # the common path, where Im q, Im(1/q) and wavelength / spread are
+            # normal floats, is the closed form bit for bit
+            assert w == math.sqrt(ratio)
+        elif w >= sys.float_info.min:  # w came from q itself: w**2 within 2**-48
             exact = exact_spot_square(complex(q_re, q_im), wavelength)
             assert abs(Fraction(w) ** 2 / exact - 1) < Fraction(2) ** -48

@@ -6,6 +6,7 @@ and deletion, built by keyword, and restored equal by pickle and copy.
 """
 
 import copy
+import inspect
 import math
 import pickle
 
@@ -79,6 +80,12 @@ CASES = [
 
 # fields left out of == and hash, as positions into the source
 UNCOMPARED = {FreespaceDirective: ("line", "column"), InterfaceDirective: ("line", "column")}
+# declared constructor defaults; every other field is required
+DEFAULTS = {
+    FreespaceDirective: dict(line=0, column=0),
+    InterfaceDirective: dict(radius=None, kind=None, line=0, column=0),
+    ValidationReport: dict(warnings=()),
+}
 
 by_type = pytest.mark.parametrize(
     "cls, fields, changed, text", CASES, ids=[case[0].__name__ for case in CASES]
@@ -133,6 +140,27 @@ def test_copies_are_equal(cls, fields, changed, text, round_trip):
     assert type(back) is cls
     assert back == value and hash(back) == hash(value)
     assert repr(back) == text  # uncompared fields survive too
+
+
+@by_type
+def test_signature_lists_fields_in_order(cls, fields, changed, text):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(cls.__slots__) == list(fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls, {})
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@by_type
+def test_wrong_arguments_raise_type_error(cls, fields, changed, text):
+    with pytest.raises(TypeError):
+        cls(*fields.values(), 0.0)  # one positional too many
+    with pytest.raises(TypeError):
+        cls(**fields, extra=0.0)
+    if fields:  # the first field is required in every type
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing .*'{next(iter(fields))}'$"):
+            cls(**dict(list(fields.items())[1:]))
 
 
 class TestDirectives:

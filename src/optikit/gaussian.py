@@ -91,17 +91,22 @@ def geometry_from_q(qp: QParameter) -> tuple[float, float]:
     # pi |1/q| overflows as |q| nears 1/max: invert 2**600 q, and scale R back
     if not math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf:
         inv_q, shift = 1.0 / (qp.q * 2.0**600), 600
-    # Im(1/q) = -Im(q) / |q|**2 underflows to 0 as |q| nears the float range
-    if not inv_q.imag < 0:
-        raise DomainError(f"1/q underflows for q = {qp.q!r}")
+    # Im(1/q) = -Im(q) / |q|**2 underflows to 0 for |q| far above Im q, and
+    # complex division overflows inside 1/q as |q| nears the float range:
+    # invert 2**-600 q for R, while w comes from q itself below
+    elif not inv_q.imag < 0:
+        inv_q, shift = 1.0 / (qp.q * 2.0**-600), -600
     # a radius beyond the float range, of either sign, is flat at any physical scale
     if abs(inv_q.real) < 1e-15 * abs(inv_q) or math.isinf(1.0 / inv_q.real):
         r = FLAT
     else:
-        r = math.ldexp(1.0 / inv_q.real, -shift)
-    ratio = qp.wavelength / (math.pi * -inv_q.imag)
-    # the closed form where Im q and each of its steps is a normal float, else from q itself
-    closed = not shift and 2.0**-1022 <= min(qp.q.imag, -inv_q.imag, ratio) and ratio < math.inf
+        try:
+            r = math.ldexp(1.0 / inv_q.real, -shift)
+        except OverflowError:
+            r = FLAT
+    # the closed form where no shift was needed and Im q and its steps are normal floats
+    ratio = 0.0 if shift else qp.wavelength / (math.pi * -inv_q.imag)
+    closed = 2.0**-1022 <= min(qp.q.imag, -inv_q.imag, ratio) and ratio < math.inf
     w = math.sqrt(ratio) if closed else _spot_radius(qp.q, qp.wavelength)
     if not 0 < w < math.inf:
         raise DomainError(f"spot radius {w!r} leaves the float range for q = {qp.q!r}")

@@ -16,13 +16,16 @@ which keeps the round-trip determinant at 1.
 
 Cost: each entry point validates the resonator once.  Its round trip holds
 only the resonator's own elements, so `round_trip_matrix` folds it unchecked.
+`ray_bound_oracle` is O(n_max) in four local floats: it unpacks the round-trip
+matrix once and steps (y, theta) with the products and sums of `mat2_apply`,
+so its result equals `mat2_apply` stepping bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import Mat2, Value, mat2_apply
+from .core import Mat2, Value
 from .errors import DomainError, InvalidResonator, NonUnimodular
 from .rayoptics import (
     FreeSpace,
@@ -157,18 +160,24 @@ def ray_bound_oracle(
     if not 0.0 < limit < math.inf:
         raise DomainError(f"divergence limit must be positive and finite, got {limit!r}")
     m = round_trip_matrix(res)
-    v = source.as_pair()
-    max_y = abs(v[0])
-    max_theta = abs(v[1])
+    a11, a12, a21, a22 = m.a11, m.a12, m.a21, m.a22
+    y, theta = source.y, source.theta
+    max_y = abs(y)
+    max_theta = abs(theta)
     diverged = False
+    # a strict `>` keeps the current maximum on ties and NaN, as `max` does
     for _ in range(n_max):
-        v = mat2_apply(m, v)
-        max_y = max(max_y, abs(v[0]))
-        max_theta = max(max_theta, abs(v[1]))
+        y, theta = a11 * y + a12 * theta, a21 * y + a22 * theta
+        ay = abs(y)
+        if ay > max_y:
+            max_y = ay
+        at = abs(theta)
+        if at > max_theta:
+            max_theta = at
         if max_y > limit or max_theta > limit:
             diverged = True
             break
-    if not diverged and not (math.isfinite(v[0]) and math.isfinite(v[1])):
+    if not diverged and not (math.isfinite(y) and math.isfinite(theta)):
         # opposite products overflowed to inf - inf: NaN never enters the
         # maxima, and the true amplitude is beyond double precision
         raise DomainError("ray state overflowed double precision within the divergence limit")

@@ -236,8 +236,8 @@ class TestExitCodes:
             ("beam", SAMPLES / "single_space.osys", "--lambda", "1e-6", "--w", "1e-300", "--R", "inf"),
             # 1/q = 0 in q_from_geometry (was complex division by zero)
             ("beam", SAMPLES / "single_space.osys", "--lambda", "1e-6", "--w", "inf", "--R", "inf"),
-            # 1/q underflows to 0 in geometry_from_q (was ZeroDivisionError)
-            ("beam", SAMPLES / "single_space.osys", "--lambda", "1e-6", "--q-re", "1e308", "--q-im", "1e308"),
+            # w = 5.6e454 overflows in geometry_from_q, where Im(1/q) underflows to 0
+            ("beam", SAMPLES / "single_space.osys", "--lambda", "1e-6", "--q-re", "1e308", "--q-im", "1e-300"),
             # omega**2 overflows in make_single_mode (was OverflowError)
             ("quantum", "--omega", "1e300"),
         ],
@@ -246,6 +246,14 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+
+    def test_beam_q_near_float_range_reads_flat(self, capsys):
+        # 1/q is 0 here, since complex division overflows inside it (was "error: 1/q underflows")
+        code, out, err = run(
+            capsys, "beam", SAMPLES / "single_space.osys", "--lambda", "1e-6", "--q-re", "1e308", "--q-im", "1e308"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["R inf", "w 7.97884560803e+150"]
 
     def test_beam_denominator_beyond_float_range_is_domain_failure(self, capsys, tmp_path):
         # abs() of the Moebius denominator overflowed in core.mobius (was OverflowError)

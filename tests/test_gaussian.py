@@ -95,10 +95,18 @@ class TestGeometryFromQ:
         with pytest.raises(DomainError, match="finite"):
             QParameter(q, wavelength)
 
-    def test_underflowing_inverse_rejected(self):
-        # 1/q rounds to 0 (was ZeroDivisionError)
-        with pytest.raises(DomainError):
-            geometry_from_q(QParameter(complex(1e308, 1e308), 1e-6))
+    @pytest.mark.parametrize(
+        "q, wavelength, radius, spot",
+        [(complex(1e308, 1e308), 1e-6, FLAT, 7.9788e150), (complex(-1e308, 1e308), 1e-6, FLAT, 7.9788e150),
+         (complex(1e200, 1e-200), 5e-324, 1e200, 1.2541e138), (complex(-5e189, 1.0), 1e-6, -5e189, 2.8209e186)],
+    )
+    def test_underflowing_inverse_keeps_representable_spot(self, q, wavelength, radius, spot):
+        # Im(1/q) underflows to 0, and 1/q itself is 0 for 1e308 + 1e308j since
+        # complex division overflows inside it (raised "1/q underflows")
+        r, w = geometry_from_q(QParameter(q, wavelength))
+        assert r == radius
+        assert abs(Fraction(w) ** 2 / exact_spot_square(q, wavelength) - 1) < Fraction(2) ** -48
+        assert math.isclose(w, spot, rel_tol=1e-4)
 
     @pytest.mark.parametrize("q, wavelength", [(complex(1e160, 1.0), 1e308)])
     def test_spot_radius_outside_float_range_rejected(self, q, wavelength):
@@ -336,7 +344,7 @@ class TestEdgeValues:
         assert r == FLAT or math.isfinite(r)
         assert 0 < w < math.inf
         inv_q = 1 / complex(q_re, q_im)
-        ratio = wavelength / (math.pi * -inv_q.imag)
+        ratio = wavelength / (math.pi * -inv_q.imag) if inv_q.imag < 0 else math.inf
         if (math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf
                 and sys.float_info.min <= min(q_im, -inv_q.imag, ratio) and ratio < math.inf):
             # the common path, where Im q, Im(1/q) and wavelength / spread are

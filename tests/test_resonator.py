@@ -2,23 +2,26 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mat_close, mat_pow_iterative
+from helpers import EDGE_FLOATS, mat_close, mat_pow_iterative
 from optikit.core import Mat2, mat2_apply, sylvester_power
 from optikit.errors import DomainError, InvalidResonator, NonUnimodular, OptikitError
 from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
     OpticalComponent,
+    OpticalSystem,
     Plane,
     RayState,
     Spherical,
     system_composition,
 )
 from optikit.resonator import (
+    OracleResult,
     Resonator,
+    StabilityVerdict,
     fp_resonator,
     ray_bound_oracle,
     round_trip_matrix,
@@ -264,3 +267,104 @@ class TestOracleFiniteContract:
             v = mat2_apply(m, v)
             assert all(math.isfinite(c) and abs(c) <= limit for c in v), v
         assert math.isfinite(out.max_y) and math.isfinite(out.max_theta)
+
+
+EDGE_OR_FINITE = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+ANY_FLOAT = EDGE_OR_FINITE | st.sampled_from((math.inf, -math.inf, math.nan))
+
+
+def reference_oracle(res, source, n_max, divergence_factor=1e9):
+    """`ray_bound_oracle` stepped with `mat2_apply` and builtin `max`."""
+    if n_max < 1:
+        raise InvalidResonator(f"need at least one round trip, got {n_max}")
+    if not (math.isfinite(source.y) and math.isfinite(source.theta)):
+        raise DomainError(f"source ray must be finite, got y={source.y!r}, theta={source.theta!r}")
+    limit = divergence_factor * (max(abs(source.y), abs(source.theta)) + 1.0)
+    if not 0.0 < limit < math.inf:
+        raise DomainError(f"divergence limit must be positive and finite, got {limit!r}")
+    m = round_trip_matrix(res)
+    v = source.as_pair()
+    max_y, max_theta = abs(v[0]), abs(v[1])
+    diverged = False
+    for _ in range(n_max):
+        v = mat2_apply(m, v)
+        max_y = max(max_y, abs(v[0]))
+        max_theta = max(max_theta, abs(v[1]))
+        if max_y > limit or max_theta > limit:
+            diverged = True
+            break
+    if not diverged and not (math.isfinite(v[0]) and math.isfinite(v[1])):
+        raise DomainError("ray state overflowed double precision within the divergence limit")
+    return OracleResult(max_y=max_y, max_theta=max_theta, diverged=diverged)
+
+
+def _outcome(oracle, *args):
+    """Type and bits of each maximum and the flag, or the exception's type and text."""
+    try:
+        out = oracle(*args)
+    except OptikitError as exc:
+        return type(exc), str(exc)
+    return [(type(x), float(x).hex()) for x in (out.max_y, out.max_theta)], out.diverged
+
+
+_radius = st.sampled_from((1.0, -1.0, 0.5, 2.0, 1e-10, -1e-10, 1e10)) | st.floats(-1e3, 1e3).filter(bool)
+_iface = st.just(Plane()) | _radius.map(Spherical)
+_space = st.builds(FreeSpace, st.just(1.0) | st.floats(1.0, 2.0), st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1e3))
+_component = st.builds(OpticalComponent, _space, _iface, st.sampled_from(InterfaceKind))
+# two mirrors, or 1-4 inner components of either kind
+_resonators = st.builds(
+    Resonator, _iface, st.just(()) | st.lists(_component, min_size=1, max_size=4).map(tuple), _space, _iface
+)
+# small integers make a source whose maxima stay ints unless a step exceeds them
+_sources = st.builds(RayState, EDGE_OR_FINITE | st.integers(-3, 3), EDGE_OR_FINITE | st.integers(-3, 3))
+_factors = st.sampled_from((1e9, 1e-3, 0.5, 1.0, 2.0)) | st.floats(1e-6, 1e12)
+
+
+class TestOracleDifferential:
+    """The oracle equals `mat2_apply` stepping with builtin `max`, bit for bit."""
+
+    @given(res=_resonators, source=_sources, n_max=st.integers(1, 2000), factor=_factors)
+    @example(res=fp_resonator(1.0, 0.5, 1.0), source=RayState(0, 0), n_max=3, factor=1e9)
+    @example(res=fp_resonator(1e-10, 1.0, 1.0), source=RayState(1e290, -1e290), n_max=5, factor=1e9)
+    @example(res=fp_resonator(1.0, 2.5, 1.0), source=RayState(1e-3, 0.0), n_max=200, factor=1e9)
+    @example(res=fp_resonator(1.0, 0.5, 1.0), source=RayState(2.0, -1.0), n_max=10, factor=1e-3)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_mat2_apply_stepping(self, res, source, n_max, factor):
+        args = (res, source, n_max, factor)
+        assert _outcome(ray_bound_oracle, *args) == _outcome(reference_oracle, *args)
+
+
+class TestEdgeValues:
+    """Every entry point returns finite fields or raises an OptikitError."""
+
+    @given(a11=ANY_FLOAT, a12=ANY_FLOAT, a21=ANY_FLOAT, a22=ANY_FLOAT)
+    @settings(max_examples=300, deadline=None)
+    def test_stability_from_matrix(self, a11, a12, a21, a22):
+        try:
+            v = stability_from_matrix(Mat2(a11, a12, a21, a22))
+        except OptikitError:
+            return
+        assert math.isfinite(v.det) and math.isfinite(v.half_trace)
+        assert not (v.stable and v.marginal)
+
+    @given(r=ANY_FLOAT, d=ANY_FLOAT, n=ANY_FLOAT, trips=st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_fp_resonator_entry_points(self, r, d, n, trips):
+        try:
+            res = fp_resonator(r, d, n)
+        except OptikitError:
+            return
+        for entry in (stability, round_trip_matrix, lambda res: unfold_resonator(res, trips)):
+            try:
+                out = entry(res)
+            except OptikitError:
+                continue
+            if isinstance(out, StabilityVerdict):
+                assert math.isfinite(out.det) and math.isfinite(out.half_trace)
+            elif isinstance(out, Mat2):
+                assert all(map(math.isfinite, (out.a11, out.a12, out.a21, out.a22)))
+            else:
+                assert isinstance(out, OpticalSystem) and len(out.components) == 2 * trips
+                spaces = [c.space for c in out.components] + [out.terminal]
+                assert all(math.isfinite(s.n) and math.isfinite(s.d) for s in spaces)
+                assert all(math.isfinite(c.iface.radius) for c in out.components)

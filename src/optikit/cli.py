@@ -97,7 +97,7 @@ def _cmd_trace(args: argparse.Namespace) -> Iterator[tuple]:
     system = _load(args.file, "system")
     source = RayState(args.y0, args.theta0)
     trace = rayoptics.trace_ray(system, source)
-    composed = mat2_apply(rayoptics._fold(system), source.as_pair())  # validated by trace_ray
+    composed = mat2_apply(rayoptics.system_composition(system), source.as_pair())
     final = trace.final
     scale = max(abs(composed[0]), abs(composed[1]), 1.0)
     if max(abs(final.y - composed[0]), abs(final.theta - composed[1])) > 1e-12 * scale:

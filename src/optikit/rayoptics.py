@@ -21,20 +21,21 @@ of an interface comes from the component's own free space and the following
 component's (or the terminal) free space.
 
 Cost and exactness: `system_composition` and `trace_ray` are O(n) in the
-number of components.  Each validates the system once (`validate_system`,
-one pass of `element_violations`), then runs over the (d, C, D) entries of
-each component in plain floats, with no matrix allocated per element; the
-private `_fold` skips that pass for a caller that holds a valid system.
-Both are bit-identical to the reference form, the `mat2_mul` fold and the
-`mat2_apply` stepping over `element_matrices`.  Every parameter must be
-finite, and a composed matrix or traced ray that overflows double precision
-raises InvalidSystem instead of returning inf or NaN.
+number of components, over the (d, C, D) entries of each component in plain
+floats, and bit-identical to the reference form, the `mat2_mul` fold and the
+`mat2_apply` stepping over `element_matrices`.  They share one check with
+`validate_system`: the report and entries of the last system checked are
+kept, one reference in the module, and reused while calls pass that object,
+if its components are a tuple (a list can change between calls).  Every
+parameter must be finite (an int beyond the double range is not), and a
+composed matrix or traced ray that overflows raises InvalidSystem.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from sys import float_info
 from typing import Union
 
 from .core import Mat2, Value
@@ -162,18 +163,25 @@ def element_violations(element: FreeSpace | OpticalInterface, index: int | str |
     """
     out = []
     if isinstance(element, FreeSpace):
-        n, d = element.n, element.d
+        n, d = _checkable(element.n), _checkable(element.d)
         if not 0 < n < math.inf:
             out.append(Violation(index, "n finite" if n > 0 else "0 < n", f"n = {n!r}"))
         if not 0 <= d < math.inf:
             out.append(Violation(index, "d finite" if d >= 0 else "0 <= d", f"d = {d!r}"))
     elif isinstance(element, Spherical):
-        r = element.radius
+        r = _checkable(element.radius)
         if r == 0:
             out.append(Violation(index, "R != 0", "spherical interface with R = 0"))
         elif not -math.inf < r < math.inf:
             out.append(Violation(index, "R finite", f"R = {r!r}"))
     return out
+
+
+def _checkable(x: float) -> float:
+    """x for the range clauses: a Python int beyond the double range reads as a signed infinity."""
+    if isinstance(x, int) and not -float_info.max <= x <= float_info.max:
+        return math.inf if x > 0 else -math.inf
+    return x
 
 
 def _labelled_report(components: tuple[OpticalComponent, ...], before=(), after=()) -> ValidationReport:
@@ -189,9 +197,26 @@ def _labelled_report(components: tuple[OpticalComponent, ...], before=(), after=
     return ValidationReport(tuple(violations))
 
 
+# (system, report, entries) of the last system checked, replaced in one assignment
+_last = (None, None, None)
+
+
+def _checked(sys: OpticalSystem) -> tuple[ValidationReport, list | None]:
+    """The report of a system and, when it is ok, its `_pair_entries`."""
+    global _last
+    last = _last
+    if last[0] is sys:
+        return last[1], last[2]
+    report = _labelled_report(sys.components, after=((None, sys.terminal),))
+    entries = _pair_entries(sys) if report.ok else None
+    if type(sys.components) is tuple:
+        _last = (sys, report, entries)
+    return report, entries
+
+
 def validate_system(sys: OpticalSystem) -> ValidationReport:
     """Report every violated validity constraint of a system (empty == valid)."""
-    return _labelled_report(sys.components, after=((None, sys.terminal),))
+    return _checked(sys)[0]
 
 
 def _interface_entries(
@@ -202,9 +227,9 @@ def _interface_entries(
         if kind is InterfaceKind.TRANSMITTED:
             try:
                 return (n0 - n1) / (n1 * iface.radius), n0 / n1
-            except ZeroDivisionError:
-                # n1 * R underflowed to zero; dividing in two steps gives the
-                # exact 0 of matched indices, and inf where the power overflows
+            except (ZeroDivisionError, OverflowError):
+                # n1 * R underflowed to 0 or is an int beyond the double range; two
+                # steps give the exact 0 of matched indices, inf where the power overflows
                 return (n0 - n1) / n1 / iface.radius, n0 / n1
         return -2.0 / iface.radius, 1.0
     if kind is InterfaceKind.TRANSMITTED:
@@ -233,12 +258,6 @@ def interface_matrix(
     return Mat2(1.0, 0.0, c, e)
 
 
-def _next_index(sys: OpticalSystem, i: int) -> float:
-    if i + 1 < len(sys.components):
-        return sys.components[i + 1].space.n
-    return sys.terminal.n
-
-
 def element_matrices(sys: OpticalSystem) -> list[Mat2]:
     """Per-element matrices in traversal order.
 
@@ -248,23 +267,20 @@ def element_matrices(sys: OpticalSystem) -> list[Mat2]:
     bit for bit what folding and stepping through these matrices gives.
     """
     validate_system(sys).require(InvalidSystem)
+    next_n = [comp.space.n for comp in sys.components[1:]] + [sys.terminal.n]
     mats: list[Mat2] = []
-    for i, comp in enumerate(sys.components):
+    for comp, n1 in zip(sys.components, next_n):
         mats.append(free_space_matrix(comp.space))
-        mats.append(interface_matrix(comp.iface, comp.kind, comp.space.n, _next_index(sys, i)))
+        mats.append(interface_matrix(comp.iface, comp.kind, comp.space.n, n1))
     mats.append(free_space_matrix(sys.terminal))
     return mats
 
 
 def _pair_entries(sys: OpticalSystem) -> list[tuple[float, float, float]]:
-    """(d, C, D) of each component of a valid system.
-
-    A component is its free space [[1, d], [0, 1]] followed by its interface
-    [[1, 0], [C, D]].
-    """
+    """(d, C, D) of each component of a valid system: its free space
+    [[1, d], [0, 1]] followed by its interface [[1, 0], [C, D]]."""
     comps = sys.components
-    next_n = [comp.space.n for comp in comps[1:]]
-    next_n.append(sys.terminal.n)
+    next_n = [comp.space.n for comp in comps[1:]] + [sys.terminal.n]
     entries = []
     for comp, n1 in zip(comps, next_n):
         c, e = _interface_entries(comp.iface, comp.kind, comp.space.n, n1)
@@ -286,19 +302,19 @@ def system_composition(sys: OpticalSystem) -> Mat2:
     in its order (only the exact products 1.0 * x are left out), so it equals
     the `mat2_mul` fold of `element_matrices` bit for bit.
     """
-    validate_system(sys).require(InvalidSystem)
-    return _fold(sys)
+    report, entries = _checked(sys)
+    report.require(InvalidSystem)
+    return _fold(entries, sys.terminal.d)
 
 
-def _fold(sys: OpticalSystem) -> Mat2:
-    """`system_composition` of a system the caller has already validated."""
+def _fold(entries: list[tuple[float, float, float]], d: float) -> Mat2:
+    """Composed matrix of valid component entries and a terminal width d."""
     a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
-    for d, c, e in _pair_entries(sys):
-        # free space [[1, d], [0, 1]] . acc
-        a11, a12, a21, a22 = a11 + d * a21, a12 + d * a22, 0.0 * a11 + a21, 0.0 * a12 + a22
+    for w, c, e in entries:
+        # free space [[1, w], [0, 1]] . acc
+        a11, a12, a21, a22 = a11 + w * a21, a12 + w * a22, 0.0 * a11 + a21, 0.0 * a12 + a22
         # interface [[1, 0], [c, e]] . acc
         a11, a12, a21, a22 = a11 + 0.0 * a21, a12 + 0.0 * a22, c * a11 + e * a21, c * a12 + e * a22
-    d = sys.terminal.d
     a11, a12, a21, a22 = a11 + d * a21, a12 + d * a22, 0.0 * a11 + a21, 0.0 * a12 + a22
     _require_finite("composed matrix", a11, a12, a21, a22)
     return Mat2(a11, a12, a21, a22)
@@ -315,10 +331,11 @@ def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     the operations of `mat2_apply`, so the states equal stepping through
     `element_matrices` bit for bit.
     """
-    validate_system(sys).require(InvalidSystem)
-    y, theta = float(source.y), float(source.theta)
+    report, entries = _checked(sys)
+    report.require(InvalidSystem)
+    y, theta = float(_checkable(source.y)), float(_checkable(source.theta))
     states = [source]
-    for d, c, e in _pair_entries(sys):
+    for d, c, e in entries:
         y, theta = y + d * theta, 0.0 * y + theta
         y, theta = y + 0.0 * theta, c * y + e * theta
         states.append(RayState(y, theta))

@@ -14,11 +14,12 @@ reverse, reflect on the left interface.  On the way back each transmitted
 interface is crossed with its index ratio inverted (n1/n0 instead of n0/n1),
 which keeps the round-trip determinant at 1.
 
-Cost: each entry point validates the resonator once.  Its round trip holds
-only the resonator's own elements, so `round_trip_matrix` folds it unchecked.
-`ray_bound_oracle` is O(n_max) in four local floats: it unpacks the round-trip
-matrix once and steps (y, theta) with the products and sums of `mat2_apply`,
-so its result equals `mat2_apply` stepping bit for bit.
+Cost: `round_trip_matrix` validates the resonator and folds its round trip
+unchecked.  It keeps the matrix of the last resonator, one reference in the
+module, so `stability` and `ray_bound_oracle` on one resonator share one check
+while calls pass that object, if its inner components are a tuple.
+`ray_bound_oracle` is O(n_max) in four local floats, stepping (y, theta) with
+the operations of `mat2_apply`, so its result equals that stepping bit for bit.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from .rayoptics import (
     RayState,
     Spherical,
     ValidationReport,
+    _checkable,
     _fold,
     _labelled_report,
+    _pair_entries,
 )
 
 __all__ = [
@@ -58,6 +61,8 @@ __all__ = [
 UNIMODULAR_TOL = 1e-6
 # |half-trace| this close to 1 is reported as marginal, never stable
 MARGINAL_TOL = 1e-9
+# (resonator, round-trip matrix) of the last resonator served, replaced in one assignment
+_last = (None, None)
 
 
 class Resonator(Value):
@@ -113,8 +118,16 @@ def unfold_resonator(res: Resonator, n_round_trips: int) -> OpticalSystem:
 
 
 def round_trip_matrix(res: Resonator) -> Mat2:
+    global _last
+    last = _last
+    if last[0] is res:
+        return last[1]
     validate_resonator(res).require(InvalidResonator)
-    return _fold(_round_trip(res))
+    trip = _round_trip(res)
+    m = _fold(_pair_entries(trip), trip.terminal.d)
+    if type(res.inner) is tuple:
+        _last = (res, m)
+    return m
 
 
 def stability_from_matrix(m: Mat2) -> StabilityVerdict:
@@ -154,16 +167,15 @@ def ray_bound_oracle(
     """
     if n_max < 1:
         raise InvalidResonator(f"need at least one round trip, got {n_max}")
-    if not (math.isfinite(source.y) and math.isfinite(source.theta)):
-        raise DomainError(f"source ray must be finite, got y={source.y!r}, theta={source.theta!r}")
-    limit = divergence_factor * (max(abs(source.y), abs(source.theta)) + 1.0)
+    y, theta = float(_checkable(source.y)), float(_checkable(source.theta))
+    if not (math.isfinite(y) and math.isfinite(theta)):
+        raise DomainError(f"source ray must be finite, got y={y!r}, theta={theta!r}")
+    limit = _checkable(divergence_factor) * (max(abs(y), abs(theta)) + 1.0)
     if not 0.0 < limit < math.inf:
         raise DomainError(f"divergence limit must be positive and finite, got {limit!r}")
     m = round_trip_matrix(res)
     a11, a12, a21, a22 = m.a11, m.a12, m.a21, m.a22
-    y, theta = source.y, source.theta
-    max_y = abs(y)
-    max_theta = abs(theta)
+    max_y, max_theta = abs(y), abs(theta)
     diverged = False
     # a strict `>` keeps the current maximum on ties and NaN, as `max` does
     for _ in range(n_max):

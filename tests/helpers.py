@@ -7,7 +7,8 @@ import random
 import sys
 from fractions import Fraction
 
-from optikit.core import Mat2, mat2_mul
+from optikit.core import Mat2, Value, mat2_mul
+from optikit.errors import OptikitError
 from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -23,6 +24,29 @@ EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, -1e-300, 1.0, -1.0,
     1e308, -1e308, sys.float_info.max, -sys.float_info.max,
 ]
+# Python ints at and beyond the double range: 2**1023 converts to a float,
+# the others overflow a float() conversion
+EDGE_INTS = [2**1023, 2**1024, -(2**1024), 10**400, -(10**400)]
+
+
+def bits(x: object) -> object:
+    """x with every float, inside values and tuples too, as its type and hex form,
+    so that == compares bit for bit."""
+    if isinstance(x, float):
+        return float, x.hex()
+    if isinstance(x, Value):
+        return type(x), tuple(bits(getattr(x, name)) for name in x.__slots__)
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return x
+
+
+def outcome(fn, *args) -> object:
+    """bits of fn(*args), or the type and text of the OptikitError it raises."""
+    try:
+        return bits(fn(*args))
+    except OptikitError as exc:
+        return type(exc), str(exc)
 
 
 def mat_close(a: Mat2, b: Mat2, rtol: float) -> bool:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import struct
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mat_close, random_system
+from helpers import EDGE_FLOATS, EDGE_INTS, mat_close, outcome, random_system
 from optikit.core import IDENTITY2, Mat2, mat2_apply, mat2_mul
 from optikit.errors import InvalidComponent, InvalidSystem
 from optikit.rayoptics import (
@@ -82,6 +83,31 @@ class TestValidation:
             FreeSpace(1.0, 0.0),
         )
         assert [v.clause for v in validate_system(sys).violations] == ["R finite"]
+
+    @pytest.mark.parametrize(
+        "element, clause",
+        [
+            (FreeSpace(10**400, 0.1), "n finite"),
+            (FreeSpace(-(10**400), 0.1), "0 < n"),
+            (FreeSpace(1.0, 2**1024), "d finite"),
+            (FreeSpace(1.0, -(10**400)), "0 <= d"),
+            (Spherical(10**400), "R finite"),
+            (Spherical(-(2**1024)), "R finite"),
+        ],
+    )
+    def test_int_beyond_double_range_flagged(self, element, clause):
+        assert [v.clause for v in element_violations(element, 0)] == [clause]
+
+    def test_int_source_beyond_double_range_rejected(self):
+        # the source reads as an infinity, which the trace cannot carry
+        with pytest.raises(InvalidSystem, match="traced ray overflows"):
+            trace_ray(OpticalSystem((), FreeSpace(1.0, 1.0)), RayState(10**400, 0.0))
+
+    def test_int_power_beyond_double_range_is_finite(self):
+        # n1 * R is an int product of 1e400; the two-step division gives the power
+        comp = OpticalComponent(FreeSpace(1.0, 0.0), Spherical(10**200), T)
+        m = system_composition(OpticalSystem((comp,), FreeSpace(10**200, 1.0)))
+        assert (m.a21, m.a22) == (-1e-200, 1e-200)
 
     def test_plane_has_no_clauses(self):
         assert element_violations(Plane(), 3) == []
@@ -298,3 +324,68 @@ class TestReferenceForm:
             return
         states = trace_ray(system, RayState(y, theta)).states
         assert _bits(x for s in states for x in s.as_pair()) == _bits(x for v in ref for x in v)
+
+
+# Systems with edge values, ints beyond the double range among them, in any
+# field, so that some are invalid, some overflow and some are valid
+_edges = st.sampled_from(EDGE_FLOATS + EDGE_INTS + [math.inf, -math.inf, math.nan])
+_edge_spaces = st.builds(FreeSpace, _indices | _edges, _widths | _edges)
+_edge_components = st.builds(
+    OpticalComponent, _edge_spaces, _interfaces | _edges.map(Spherical), st.sampled_from(InterfaceKind)
+)
+_edge_systems = st.builds(OpticalSystem, st.lists(_edge_components, max_size=6).map(tuple), _edge_spaces)
+_rays = st.lists(st.tuples(_coords, _coords), min_size=1, max_size=3)
+
+
+def _system_calls(rays):
+    """validate_system, system_composition and trace_ray of each ray, as functions of a system."""
+    return [validate_system, system_composition] + [
+        lambda system, ray=ray: trace_ray(system, RayState(*ray)) for ray in rays
+    ]
+
+
+class TestCheckMemo:
+    """Calls that reuse the check of the last system give what a fresh check gives, bit for bit."""
+
+    @given(system=_systems | _edge_systems, rays=_rays)
+    @settings(max_examples=300, deadline=None)
+    def test_checked_value_equals_fresh_copy(self, system, rays):
+        calls = _system_calls(rays)
+        fresh = [outcome(call, copy.copy(system)) for call in calls]
+        validate_system(system)
+        assert [outcome(call, system) for call in calls] == fresh
+
+    @given(
+        a=_systems | _edge_systems,
+        b=_systems,
+        rays=_rays,
+        order=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 4)), max_size=16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_alternating_systems(self, a, b, rays, order):
+        calls = _system_calls(rays)
+        fresh = [[outcome(call, copy.copy(system)) for call in calls] for system in (a, b)]
+        for which, i in order:
+            i %= len(calls)
+            assert outcome(calls[i], (a, b)[which]) == fresh[which][i]
+
+    @given(system=_systems, extra=_edge_components, rays=_rays)
+    @settings(max_examples=200, deadline=None)
+    def test_list_built_system_sees_mutation(self, system, extra, rays):
+        calls = _system_calls(rays)
+        comps = list(system.components)
+        listed = OpticalSystem(comps, system.terminal)
+        before = [outcome(call, system) for call in calls]
+        assert [outcome(call, listed) for call in calls] == before
+        comps.insert(0, extra)
+        after = [outcome(call, listed) for call in calls]
+        assert after == [outcome(call, OpticalSystem(tuple(comps), system.terminal)) for call in calls]
+
+    def test_invalid_system_raises_on_every_call(self):
+        system = OpticalSystem((OpticalComponent(FreeSpace(-1.0, 0.5), Plane(), T),), FreeSpace(1.0, 0.0))
+        for _ in range(3):
+            assert not validate_system(system).ok
+            with pytest.raises(InvalidSystem, match="0 < n"):
+                system_composition(system)
+            with pytest.raises(InvalidSystem, match="0 < n"):
+                trace_ray(system, RayState(1e-3, 0.0))

@@ -1,11 +1,14 @@
+import copy
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, mat_close, mat_pow_iterative
+from helpers import EDGE_FLOATS, EDGE_INTS, mat_close, mat_pow_iterative, outcome, random_system
 from optikit.core import Mat2, mat2_apply, sylvester_power
 from optikit.errors import DomainError, InvalidResonator, NonUnimodular, OptikitError
 from optikit.rayoptics import (
@@ -17,6 +20,7 @@ from optikit.rayoptics import (
     RayState,
     Spherical,
     system_composition,
+    trace_ray,
 )
 from optikit.resonator import (
     OracleResult,
@@ -231,6 +235,20 @@ class TestOracleFiniteContract:
         with pytest.raises(DomainError, match="divergence limit"):
             ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(1e300, 0.0), 100)
 
+    def test_int_beyond_double_range_rejected(self):
+        with pytest.raises(DomainError, match="source ray must be finite"):
+            ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(10**400, 0.0), 5)
+        with pytest.raises(DomainError, match="divergence limit"):
+            ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(0.0, 0.0), 5, 10**400)
+        with pytest.raises(InvalidResonator, match="R finite"):
+            fp_resonator(10**400, 1.0, 1.0)
+        with pytest.raises(InvalidResonator, match="R finite"):
+            stability(Resonator(Spherical(10**400), (), FreeSpace(1.0, 1.0), Spherical(10**400)))
+
+    def test_int_source_gives_float_maxima(self):
+        out = ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(0, 0), 3)
+        assert (type(out.max_y), type(out.max_theta)) == (float, float)
+
     def test_overflow_to_nan_rejected(self):
         # a21*y and a22*theta overflow to +inf and -inf, so theta becomes NaN
         # while both maxima stay at the finite source scale
@@ -271,19 +289,21 @@ class TestOracleFiniteContract:
 
 EDGE_OR_FINITE = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
 ANY_FLOAT = EDGE_OR_FINITE | st.sampled_from((math.inf, -math.inf, math.nan))
+ANY_NUMBER = ANY_FLOAT | st.sampled_from(EDGE_INTS)
 
 
 def reference_oracle(res, source, n_max, divergence_factor=1e9):
     """`ray_bound_oracle` stepped with `mat2_apply` and builtin `max`."""
     if n_max < 1:
         raise InvalidResonator(f"need at least one round trip, got {n_max}")
-    if not (math.isfinite(source.y) and math.isfinite(source.theta)):
-        raise DomainError(f"source ray must be finite, got y={source.y!r}, theta={source.theta!r}")
-    limit = divergence_factor * (max(abs(source.y), abs(source.theta)) + 1.0)
+    # a coordinate beyond the double range, an int, reads as a signed infinity
+    v = tuple(float(x) if abs(x) <= sys.float_info.max else math.inf if x > 0 else -math.inf for x in source.as_pair())
+    if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+        raise DomainError(f"source ray must be finite, got y={v[0]!r}, theta={v[1]!r}")
+    limit = divergence_factor * (max(abs(v[0]), abs(v[1])) + 1.0)
     if not 0.0 < limit < math.inf:
         raise DomainError(f"divergence limit must be positive and finite, got {limit!r}")
     m = round_trip_matrix(res)
-    v = source.as_pair()
     max_y, max_theta = abs(v[0]), abs(v[1])
     diverged = False
     for _ in range(n_max):
@@ -315,8 +335,10 @@ _component = st.builds(OpticalComponent, _space, _iface, st.sampled_from(Interfa
 _resonators = st.builds(
     Resonator, _iface, st.just(()) | st.lists(_component, min_size=1, max_size=4).map(tuple), _space, _iface
 )
-# small integers make a source whose maxima stay ints unless a step exceeds them
-_sources = st.builds(RayState, EDGE_OR_FINITE | st.integers(-3, 3), EDGE_OR_FINITE | st.integers(-3, 3))
+# small integers make a source whose maxima are float copies of ints unless a
+# step exceeds them; ints beyond the double range make no float at all
+_ints = st.integers(-3, 3) | st.sampled_from(EDGE_INTS)
+_sources = st.builds(RayState, EDGE_OR_FINITE | _ints, EDGE_OR_FINITE | _ints)
 _factors = st.sampled_from((1e9, 1e-3, 0.5, 1.0, 2.0)) | st.floats(1e-6, 1e12)
 
 
@@ -347,14 +369,18 @@ class TestEdgeValues:
         assert math.isfinite(v.det) and math.isfinite(v.half_trace)
         assert not (v.stable and v.marginal)
 
-    @given(r=ANY_FLOAT, d=ANY_FLOAT, n=ANY_FLOAT, trips=st.integers(1, 8))
+    @given(r=ANY_NUMBER, d=ANY_NUMBER, n=ANY_NUMBER, trips=st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
     def test_fp_resonator_entry_points(self, r, d, n, trips):
         try:
             res = fp_resonator(r, d, n)
         except OptikitError:
             return
-        for entry in (stability, round_trip_matrix, lambda res: unfold_resonator(res, trips)):
+        entries = (
+            stability, round_trip_matrix, lambda res: unfold_resonator(res, trips),
+            lambda res: ray_bound_oracle(res, RayState(1e-3, 0.0), trips),
+        )
+        for entry in entries:
             try:
                 out = entry(res)
             except OptikitError:
@@ -363,8 +389,106 @@ class TestEdgeValues:
                 assert math.isfinite(out.det) and math.isfinite(out.half_trace)
             elif isinstance(out, Mat2):
                 assert all(map(math.isfinite, (out.a11, out.a12, out.a21, out.a22)))
+            elif isinstance(out, OracleResult):
+                assert out.diverged or (math.isfinite(out.max_y) and math.isfinite(out.max_theta))
             else:
                 assert isinstance(out, OpticalSystem) and len(out.components) == 2 * trips
                 spaces = [c.space for c in out.components] + [out.terminal]
                 assert all(math.isfinite(s.n) and math.isfinite(s.d) for s in spaces)
                 assert all(math.isfinite(c.iface.radius) for c in out.components)
+
+
+# resonators with edge values, ints beyond the double range among them, in
+# their mirrors and cavity space, so that some are invalid
+_edge_resonators = st.builds(
+    Resonator,
+    _iface | ANY_NUMBER.map(Spherical),
+    st.just(()) | st.lists(_component, min_size=1, max_size=2).map(tuple),
+    st.builds(FreeSpace, ANY_NUMBER, ANY_NUMBER),
+    _iface | ANY_NUMBER.map(Spherical),
+)
+
+
+def _resonator_calls(source, n_max):
+    """round_trip_matrix, stability and ray_bound_oracle, as functions of a resonator."""
+    return [round_trip_matrix, stability, lambda res: ray_bound_oracle(res, source, n_max)]
+
+
+class TestRoundTripMemo:
+    """Calls that reuse the round trip of the last resonator give what a fresh
+    round trip gives, bit for bit."""
+
+    @given(res=_resonators | _edge_resonators, source=_sources, n_max=st.integers(1, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_checked_value_equals_fresh_copy(self, res, source, n_max):
+        calls = _resonator_calls(source, n_max)
+        fresh = [outcome(call, copy.copy(res)) for call in calls]
+        outcome(round_trip_matrix, res)
+        assert [outcome(call, res) for call in calls] == fresh
+
+    @given(
+        a=_resonators | _edge_resonators,
+        b=_resonators,
+        source=_sources,
+        order=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_alternating_resonators(self, a, b, source, order):
+        calls = _resonator_calls(source, 50)
+        fresh = [[outcome(call, copy.copy(res)) for call in calls] for res in (a, b)]
+        for which, i in order:
+            assert outcome(calls[i], (a, b)[which]) == fresh[which][i]
+
+    @given(res=_resonators, extra=_component, source=_sources)
+    @settings(max_examples=200, deadline=None)
+    def test_list_built_resonator_sees_mutation(self, res, extra, source):
+        calls = _resonator_calls(source, 50)
+        inner = list(res.inner)
+        listed = Resonator(res.left, inner, res.space, res.right)
+        before = [outcome(call, res) for call in calls]
+        assert [outcome(call, listed) for call in calls] == before
+        inner.insert(0, extra)
+        after = [outcome(call, listed) for call in calls]
+        assert after == [outcome(call, Resonator(res.left, tuple(inner), res.space, res.right)) for call in calls]
+
+    def test_invalid_resonator_raises_on_every_call(self):
+        res = Resonator(Spherical(0.0), (), FreeSpace(1.0, 0.5), Spherical(1.0))
+        for _ in range(3):
+            assert not validate_resonator(res).ok
+            for call in _resonator_calls(RayState(1e-3, 0.0), 10):
+                with pytest.raises(InvalidResonator, match="R != 0"):
+                    call(res)
+
+    def test_threads_get_the_results_of_their_own_values(self):
+        """Four threads on two cores share both caches; each call must see one
+        whole entry, of its own value, never a mix of two."""
+        rng = random.Random(16)
+        systems = [random_system(rng) for _ in range(4)]
+        resonators = [fp_resonator(1.0 + i, 0.5, 1.0) for i in range(4)]
+        source = RayState(1e-3, 1e-4)
+
+        def results(system, res):
+            return [outcome(system_composition, system), outcome(trace_ray, system, source), outcome(stability, res)]
+
+        expected = [results(copy.copy(s), copy.copy(r)) for s, r in zip(systems, resonators)]
+        wrong = []
+
+        def work(i):
+            for _ in range(300):
+                got = results(systems[i], resonators[i])
+                if got != expected[i]:
+                    wrong.append(i)
+                    return
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

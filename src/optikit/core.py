@@ -272,16 +272,24 @@ def coplanar(points: Sequence[RVec3], tol: float = 1e-12) -> bool:
     return True
 
 
+def _split(z: complex) -> tuple[complex, int]:
+    """(m, e) with z = m * 2**e and the larger part of m in [0.5, 1), or (z, 0) at 0: exact,
+    but for the bits of a smaller part that lie below 2**(e - 1074), which round away."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+
+
 def _scaled_row(a: float, b: float, q: complex) -> tuple[complex, int]:
     """(a*q + b) * 2**-shift, formed from the entries scaled down, and shift >= 0:
     each intermediate stays below 2**1022, so the division's own sums cannot overflow."""
-    q_exponent = math.frexp(max(abs(q.real), abs(q.imag)))[1]
-    shift = max(math.frexp(a)[1] + q_exponent - 1021, math.frexp(b)[1] - 1021, 0)
+    shift = max(math.frexp(a)[1] + _split(q)[1] - 1021, math.frexp(b)[1] - 1021, 0)
     return math.ldexp(a, -shift) * q + math.ldexp(b, -shift), shift
 
 
 def mobius(m: Mat2, q: complex) -> complex:
-    """Moebius action (a11*q + a12) / (a21*q + a22) of a 2x2 matrix: finite, or an OptikitError."""
+    """Moebius action (a11*q + a12) / (a21*q + a22) of a 2x2 matrix: finite, or an OptikitError.
+    num / den as formed where both rows are finite; an overflowing row is formed again, scaled down,
+    by `_scaled_row`, and the quotient scaled back; a den part >= 2**1022 divides both rows by 4."""
     num, den = m.a11 * q + m.a12, m.a21 * q + m.a22
     # abs() of a finite complex can overflow, so it sees only tiny components
     if abs(den.real) < 1e-300 and abs(den.imag) < 1e-300 and abs(den) < 1e-300:
@@ -289,22 +297,17 @@ def mobius(m: Mat2, q: complex) -> complex:
     shift = 0
     if (not (cmath.isfinite(num) and cmath.isfinite(den)) and cmath.isfinite(q)
             and all(map(math.isfinite, (m.a11, m.a12, m.a21, m.a22)))):
-        # a row overflowed as it was formed: form the numerator again from its
-        # scaled row, and the denominator too when it was the one, and scale
-        # the quotient back by the difference of the shifts
         num, shift = _scaled_row(m.a11, m.a12, q)
         if not cmath.isfinite(den):
             den, den_shift = _scaled_row(m.a21, m.a22, q)
             shift -= den_shift
-    # complex division overflows internally near the double limit; 1/4 scales exactly
-    if max(abs(den.real), abs(den.imag)) >= 2.0**1022:
+    if max(abs(den.real), abs(den.imag)) >= 2.0**1022:  # division overflows inside; 1/4 is exact
         num, den = complex(num.real / 4, num.imag / 4), complex(den.real / 4, den.imag / 4)
     out = num / den
-    if shift:
-        try:
-            out = complex(math.ldexp(out.real, shift), math.ldexp(out.imag, shift))
-        except OverflowError:
-            raise DomainError(f"the quotient leaves the float range for q = {q!r}") from None
+    try:
+        out = complex(math.ldexp(out.real, shift), math.ldexp(out.imag, shift))
+    except OverflowError:
+        raise DomainError(f"the quotient leaves the float range for q = {q!r}") from None
     if not cmath.isfinite(out):
         raise DomainError(f"q must be finite, got {out!r}")
     return out

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import Mat2, Value, mobius
+from .core import Mat2, Value, _split, mobius
 from .errors import DomainError, UnphysicalBeam
 
 __all__ = [
@@ -86,48 +86,30 @@ def q_from_geometry(R: float, w: float, wavelength: float) -> QParameter:
 
 
 def geometry_from_q(qp: QParameter) -> tuple[float, float]:
-    """Recover (R, w) from q; R is FLAT when the wavefront is flat."""
-    inv_q, shift = 1.0 / qp.q, 0
-    # pi |1/q| overflows as |q| nears 1/max: invert 2**600 q, and scale R back
-    if not math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf:
-        inv_q, shift = 1.0 / (qp.q * 2.0**600), 600
-    # Im(1/q) = -Im(q) / |q|**2 underflows to 0 for |q| far above Im q, and
-    # complex division overflows inside 1/q as |q| nears the float range:
-    # invert 2**-600 q for R, while w comes from q itself below
-    elif not inv_q.imag < 0:
-        inv_q, shift = 1.0 / (qp.q * 2.0**-600), -600
-    # a radius beyond the float range, of either sign, is flat at any physical scale
-    if abs(inv_q.real) < 1e-15 * abs(inv_q) or math.isinf(1.0 / inv_q.real):
-        r = FLAT
-    else:
-        try:
-            r = math.ldexp(1.0 / inv_q.real, -shift)
-        except OverflowError:
-            r = FLAT
-    # the closed form where no shift was needed and Im q and its steps are normal floats
-    ratio = 0.0 if shift else qp.wavelength / (math.pi * -inv_q.imag)
-    closed = 2.0**-1022 <= min(qp.q.imag, -inv_q.imag, ratio) and ratio < math.inf
-    w = math.sqrt(ratio) if closed else _spot_radius(qp.q, qp.wavelength)
-    if not 0 < w < math.inf:
-        raise DomainError(f"spot radius {w!r} leaves the float range for q = {qp.q!r}")
-    return (r, w)
+    """Recover (R, w) from q; R is FLAT when the wavefront is flat or beyond the float range.
 
-
-def _spot_radius(q: complex, wavelength: float) -> float:
-    """w = sqrt(wavelength |q|**2 / (pi Im q)), inf where it overflows.
-
-    The binary exponents of |q| and Im q are split off exactly, so no step
-    leaves the normal floats and w**2 is within a few ulps wherever w is normal.
+    Where pi |1/q| is finite and Im(1/q) < 0, R = 1 / Re(1/q), else Re q + Im q (Im q / Re q).
+    w = sqrt(wavelength / (pi (-Im 1/q))) where Im q and its steps are normal floats, else it
+    comes from q's exponent split, and w >= sqrt(wavelength Im q / pi) never rounds to 0.
     """
-    mantissa, exponent = math.frexp(q.imag)
-    shift = math.frexp(max(abs(q.real), q.imag))[1]
-    modulus = math.hypot(math.ldexp(q.real, -shift), math.ldexp(q.imag, -shift))
-    half, odd = divmod(exponent, 2)  # sqrt(Im q) = sqrt(mantissa 2**odd) 2**half
-    root = modulus * math.sqrt(wavelength) / math.sqrt(math.pi * math.ldexp(mantissa, odd))
+    q, inv_q, ratio = qp.q, 1.0 / qp.q, 0.0
+    if math.pi * math.hypot(inv_q.real, inv_q.imag) < math.inf and inv_q.imag < 0:
+        r = FLAT if abs(inv_q.real) < 1e-15 * abs(inv_q) else 1.0 / inv_q.real
+        ratio = qp.wavelength / (math.pi * -inv_q.imag)
+    else:  # 1e-15 |q| may round in the subnormals or |q| overflow: q's mantissa m tests it
+        m = _split(q)[0]
+        r = FLAT if abs(m.real) <= 1e-15 * abs(m) else q.real + q.imag * (q.imag / q.real)
+    r = FLAT if math.isinf(r) else r
+    if 2.0**-1022 <= min(q.imag, -inv_q.imag, ratio) and ratio < math.inf:
+        return (r, math.sqrt(ratio))
+    # w**2 = wavelength |m|**2 2**(2e - k) / (pi y), for q = m 2**e and Im q = y 2**k
+    (m, e), (y, k) = _split(q), math.frexp(q.imag)
+    half, odd = divmod(2 * e - k, 2)
+    root = math.hypot(m.real, m.imag) * math.sqrt(qp.wavelength) / math.sqrt(math.pi * math.ldexp(y, -odd))
     try:
-        return math.ldexp(root, shift - half)
+        return (r, math.ldexp(root, half))
     except OverflowError:
-        return math.inf
+        raise DomainError(f"spot radius inf leaves the float range for q = {q!r}") from None
 
 
 def propagate_q(qp: QParameter, m: Mat2) -> QParameter:

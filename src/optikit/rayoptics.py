@@ -249,6 +249,7 @@ def interface_matrix(
     iface: OpticalInterface, kind: InterfaceKind, n0: float, n1: float
 ) -> Mat2:
     """Refraction or reflection matrix of an interface between indices n0, n1."""
+    n0, n1 = _checkable(n0), _checkable(n1)
     if not (0 < n0 < math.inf and 0 < n1 < math.inf):
         raise InvalidComponent(f"indices must be positive and finite, got n0 = {n0!r}, n1 = {n1!r}")
     bad = element_violations(iface, None)

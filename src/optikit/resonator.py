@@ -137,8 +137,9 @@ def stability_from_matrix(m: Mat2) -> StabilityVerdict:
     UNIMODULAR_TOL raises NonUnimodular instead of guessing.  Half-trace
     exactly on the +-1 boundary (within MARGINAL_TOL) is reported as
     marginal, not stable: boundedness genuinely fails there for defective
-    round-trip matrices.
+    round-trip matrices.  An int entry beyond the double range reads as an infinity.
     """
+    m = Mat2(*(float(_checkable(x)) for x in (m.a11, m.a12, m.a21, m.a22)))
     det = m.det()
     if not abs(det - 1.0) <= UNIMODULAR_TOL:  # fails closed on a NaN det
         raise NonUnimodular(f"round-trip det = {det!r}; criterion needs det = 1")

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import EDGE_FLOATS
@@ -158,6 +158,19 @@ class TestGeometryFromQ:
         _, w = geometry_from_q(QParameter(q, 1e-6))
         assert abs(Fraction(w) ** 2 / exact_spot_square(q, 1e-6) - 1) < Fraction(2) ** -48
         assert math.isclose(w, 5.6419e-158, rel_tol=1e-4)
+
+    @pytest.mark.parametrize(
+        "q, wavelength, radius",
+        [(complex(1e300, 5.956493286724859), 2.2250738585072014e-308, 1e300),
+         (complex(-2.3516174642086094e237, 3.153233021604339e-80), 5.586041281357935e-84,
+          float.fromhex("-0x1.71cd7cb2a5af9p+788"))],
+    )
+    def test_radius_off_the_closed_form_comes_from_q(self, q, wavelength, radius):
+        # Im(1/q) underflows to 0, and R came from 1 / Re(1 / (2**-600 q)) scaled
+        # back, one ulp off; Re q + Im q (Im q / Re q) is the exact R rounded
+        r, _ = geometry_from_q(QParameter(q, wavelength))
+        x, y = Fraction(q.real), Fraction(q.imag)
+        assert r == float((x * x + y * y) / x) == radius
 
     def test_radius_beyond_float_range_is_flat(self):
         # 1 / Re(1/q) overflows to -inf here
@@ -336,6 +349,7 @@ class TestEdgeValues:
 
     @settings(max_examples=300, deadline=None)
     @given(q_re=EDGE_OR_FINITE, q_im=EDGE_OR_FINITE, wavelength=EDGE_OR_FINITE)
+    @example(q_re=1e-323, q_im=1e-310, wavelength=1e-6)  # pi |1/q| overflows; |Re q| / |q| is 1e-13
     def test_geometry_from_q(self, q_re, q_im, wavelength):
         try:
             r, w = geometry_from_q(QParameter(complex(q_re, q_im), wavelength))
@@ -353,3 +367,15 @@ class TestEdgeValues:
         elif w >= sys.float_info.min:  # w came from q itself: w**2 within 2**-48
             exact = exact_spot_square(complex(q_re, q_im), wavelength)
             assert abs(Fraction(w) ** 2 / exact - 1) < Fraction(2) ** -48
+        # R = |q|**2 / Re q: a finite R is within 2**-48 of it or one subnormal
+        # spacing, and R is FLAT only where |R| exceeds the float range or
+        # 1e15 |q|, that is |Re q| <= 1e-15 |q|; a band of 2**-47 in |R| at
+        # either threshold covers the rounding of 1/q and of the test, which
+        # on the closed form runs in the subnormals for |q| above 4.5e292
+        x, y = Fraction(q_re), Fraction(q_im)
+        if r != FLAT:
+            exact_r = (x * x + y * y) / x
+            assert abs(Fraction(r) - exact_r) <= max(abs(exact_r) * Fraction(2) ** -48, Fraction(2) ** -1074)
+        elif x != 0:
+            band, q2 = 1 - Fraction(2) ** -47, x * x + y * y
+            assert q2 / abs(x) >= Fraction(sys.float_info.max) * band or x * x * band**2 <= Fraction(1e-15) ** 2 * q2

@@ -173,6 +173,15 @@ class TestElementMatrices:
         with pytest.raises(InvalidComponent):
             interface_matrix(Spherical(math.nan), R, 1.0, 1.0)
 
+    @pytest.mark.parametrize("iface, n0, n1", [(Spherical(1.0), 10**400, 1.0), (Plane(), 1.0, 10**400),
+                                               (Plane(), -(10**400), 1.0)], ids=["n0", "n1", "negative"])
+    def test_int_index_beyond_double_range_rejected(self, iface, n0, n1):
+        # the first two raised OverflowError from n0 - n1 or n0 / n1, since
+        # 0 < n < inf holds for such an int, and the third's message printed all
+        # 401 digits; an int beyond the double range now reads as an infinity
+        with pytest.raises(InvalidComponent, match="inf"):
+            interface_matrix(iface, T, n0, n1)
+
 
 class TestSystemComposition:
     def test_empty_system_zero_terminal(self):
@@ -335,6 +344,42 @@ _edge_components = st.builds(
 )
 _edge_systems = st.builds(OpticalSystem, st.lists(_edge_components, max_size=6).map(tuple), _edge_spaces)
 _rays = st.lists(st.tuples(_coords, _coords), min_size=1, max_size=3)
+
+
+def _no_nan(*mats: Mat2) -> bool:
+    return not any(math.isnan(x) for m in mats for x in (m.a11, m.a12, m.a21, m.a22))
+
+
+class TestEdgeValues:
+    """The element-level entry points return matrices with no NaN entry, or raise an OptikitError."""
+
+    @given(iface=_interfaces | _edges.map(Spherical), kind=st.sampled_from(InterfaceKind),
+           n0=_indices | _edges, n1=_indices | _edges)
+    @settings(max_examples=300, deadline=None)
+    def test_interface_matrix(self, iface, kind, n0, n1):
+        try:
+            m = interface_matrix(iface, kind, n0, n1)
+        except InvalidComponent:
+            return
+        assert _no_nan(m) and all(type(x) is float for x in (m.a11, m.a12, m.a21, m.a22))
+
+    @given(space=_edge_spaces)
+    @settings(max_examples=300, deadline=None)
+    def test_free_space_matrix(self, space):
+        try:
+            m = free_space_matrix(space)
+        except InvalidComponent:
+            return
+        assert all(map(math.isfinite, (m.a11, m.a12, m.a21, m.a22)))
+
+    @given(system=_systems | _edge_systems)
+    @settings(max_examples=300, deadline=None)
+    def test_element_matrices(self, system):
+        try:
+            mats = element_matrices(system)
+        except InvalidSystem:
+            return
+        assert len(mats) == 2 * len(system.components) + 1 and _no_nan(*mats)
 
 
 def _system_calls(rays):

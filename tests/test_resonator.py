@@ -169,6 +169,19 @@ class TestStability:
         with pytest.raises(NonUnimodular):
             stability_from_matrix(Mat2(math.nan, 0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("m", [Mat2(10**400, 0, 0, 1), Mat2(10**400, 1, 10**400 - 1, 1),
+                                   Mat2(2**1023, 0, 0, 2**1023)], ids=["a11", "exact-det-1", "det-2**2046"])
+    def test_int_entry_beyond_double_range_rejected(self, m):
+        # each raised OverflowError, from abs(det - 1.0) or the half-trace: the
+        # second's exact int det is 1, and the third's is 2**2046; the entries
+        # are read as floats, an int beyond the double range as an infinity
+        with pytest.raises(NonUnimodular):
+            stability_from_matrix(m)
+
+    def test_int_entries_give_float_verdicts(self):
+        v = stability_from_matrix(Mat2(1, 0, 0, 1))
+        assert (type(v.det), type(v.half_trace)) == (float, float) and v.marginal
+
 
 class TestOracle:
     def test_axis_ray(self):
@@ -359,7 +372,7 @@ class TestOracleDifferential:
 class TestEdgeValues:
     """Every entry point returns finite fields or raises an OptikitError."""
 
-    @given(a11=ANY_FLOAT, a12=ANY_FLOAT, a21=ANY_FLOAT, a22=ANY_FLOAT)
+    @given(a11=ANY_NUMBER, a12=ANY_NUMBER, a21=ANY_NUMBER, a22=ANY_NUMBER)
     @settings(max_examples=300, deadline=None)
     def test_stability_from_matrix(self, a11, a12, a21, a22):
         try:

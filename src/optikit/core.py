@@ -304,6 +304,9 @@ def mobius(m: Mat2, q: complex) -> complex:
     if max(abs(den.real), abs(den.imag)) >= 2.0**1022:  # division overflows inside; 1/4 is exact
         num, den = complex(num.real / 4, num.imag / 4), complex(den.real / 4, den.imag / 4)
     out = num / den
+    if not cmath.isfinite(out) and cmath.isfinite(num) and cmath.isfinite(den):
+        # Smith's method overflowed inside, in num.real + num.imag * ratio; 1/4 of num cannot
+        out, shift = complex(num.real / 4, num.imag / 4) / den, shift + 2
     try:
         out = complex(math.ldexp(out.real, shift), math.ldexp(out.imag, shift))
     except OverflowError:

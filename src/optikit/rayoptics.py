@@ -26,9 +26,10 @@ floats, and bit-identical to the reference form, the `mat2_mul` fold and the
 `mat2_apply` stepping over `element_matrices`.  They share one check with
 `validate_system`: the report and entries of the last system checked are
 kept, one reference in the module, and reused while calls pass that object,
-if its components are a tuple (a list can change between calls).  Every
-parameter must be finite (an int beyond the double range is not), and a
-composed matrix or traced ray that overflows raises InvalidSystem.
+if its components are a tuple (a list can change between calls).  Clauses
+read a float as it is, with no helper call.  Parameters must be finite (an
+int beyond the double range is not) and so must a source ray (DomainError);
+a composed matrix or traced ray that overflows raises InvalidSystem.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from sys import float_info
 from typing import Union
 
 from .core import Mat2, Value
-from .errors import InvalidComponent, InvalidSystem
+from .errors import DomainError, InvalidComponent, InvalidSystem
 
 __all__ = [
     "FreeSpace",
@@ -163,13 +164,14 @@ def element_violations(element: FreeSpace | OpticalInterface, index: int | str |
     """
     out = []
     if isinstance(element, FreeSpace):
-        n, d = _checkable(element.n), _checkable(element.d)
+        n = element.n if element.n.__class__ is float else _checkable(element.n)
+        d = element.d if element.d.__class__ is float else _checkable(element.d)
         if not 0 < n < math.inf:
             out.append(Violation(index, "n finite" if n > 0 else "0 < n", f"n = {n!r}"))
         if not 0 <= d < math.inf:
             out.append(Violation(index, "d finite" if d >= 0 else "0 <= d", f"d = {d!r}"))
     elif isinstance(element, Spherical):
-        r = _checkable(element.radius)
+        r = element.radius if element.radius.__class__ is float else _checkable(element.radius)
         if r == 0:
             out.append(Violation(index, "R != 0", "spherical interface with R = 0"))
         elif not -math.inf < r < math.inf:
@@ -289,6 +291,14 @@ def _pair_entries(sys: OpticalSystem) -> list[tuple[float, float, float]]:
     return entries
 
 
+def _source_floats(source: RayState) -> tuple[float, float]:
+    """(y, theta) of a source ray as floats, or DomainError unless both are finite."""
+    y, theta = float(_checkable(source.y)), float(_checkable(source.theta))
+    if not (math.isfinite(y) and math.isfinite(theta)):
+        raise DomainError(f"source ray must be finite, got y={y!r}, theta={theta!r}")
+    return y, theta
+
+
 def _require_finite(what: str, *values: float) -> None:
     if not all(map(math.isfinite, values)):
         raise InvalidSystem(f"{what} overflows double precision: {values!r}")
@@ -334,7 +344,7 @@ def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     """
     report, entries = _checked(sys)
     report.require(InvalidSystem)
-    y, theta = float(_checkable(source.y)), float(_checkable(source.theta))
+    y, theta = _source_floats(source)
     states = [source]
     for d, c, e in entries:
         y, theta = y + d * theta, 0.0 * y + theta

@@ -40,6 +40,7 @@ from .rayoptics import (
     _fold,
     _labelled_report,
     _pair_entries,
+    _source_floats,
 )
 
 __all__ = [
@@ -168,9 +169,7 @@ def ray_bound_oracle(
     """
     if n_max < 1:
         raise InvalidResonator(f"need at least one round trip, got {n_max}")
-    y, theta = float(_checkable(source.y)), float(_checkable(source.theta))
-    if not (math.isfinite(y) and math.isfinite(theta)):
-        raise DomainError(f"source ray must be finite, got y={y!r}, theta={theta!r}")
+    y, theta = _source_floats(source)
     limit = _checkable(divergence_factor) * (max(abs(y), abs(theta)) + 1.0)
     if not 0.0 < limit < math.inf:
         raise DomainError(f"divergence limit must be positive and finite, got {limit!r}")

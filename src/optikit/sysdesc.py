@@ -21,24 +21,28 @@ Unknown keys, duplicate keys, missing keys, and trailing tokens are
 positioned errors, never warnings: a silently dropped physical parameter is
 the costliest failure this format could allow.  Serialization is canonical
 (comments dropped, keys in the order n,d / R,kind, shortest float spelling
-that re-reads to the same value) and `parse(serialize(doc))` reproduces the
-document exactly.
+that re-reads to the same value, 1e999 for inf) and `parse(serialize(doc))`
+reproduces the document exactly; a NaN, or a number past the double range,
+raises DomainError.
 
 Cost: `parse` is one pass over the source, O(its length).  After the header,
-a canonical line (as `serialize` writes it, with any whitespace and an
-optional comment) that holds the directive due next is built from one
+a canonical line (as `serialize` writes it, with any ASCII whitespace and
+an optional comment) that holds the directive due next is built from one
 `_FAST` match.  Any other line is tokenized (`str.split`, each column found
 with `str.index` after the previous token) and read by `_parse_fields`; only
 this path raises `ParseError`, so every error and position has one source.
-The paths agree because regex whitespace is what `str.split` splits on and
-both read reals with `_R` and `float`; a differential test pins this.
+The paths agree because ASCII whitespace is split on too and both read
+reals with `_R` and `float`; a differential test pins this.
 `serialize` and `document_to_*` check a document in one walk, O(n) in the
-directives.  A real such as 1e999 parses (to inf); validation rejects it.
+directives, but only the kind of the one `parse` returned last (kept in the
+module).  A real such as 1e999 parses (to inf); validation rejects it.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from sys import float_info
 from typing import Union
 
 from .core import Value
@@ -67,15 +71,18 @@ __all__ = [
 _R = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL = re.compile(_R)
 _KEYVAL = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
-# A canonical directive line; its groups are the indent, n, d, R and kind.
+# A canonical directive line, its digits and spaces ASCII; its groups are the indent, n, d, R and kind.
 _FAST = re.compile(
-    rf"(\s*)(?:freespace\s+n=({_R})\s+d=({_R})"
+    rf"(?a)(\s*)(?:freespace\s+n=({_R})\s+d=({_R})"
     rf"|interface\s+(?:plane|spherical\s+R=({_R}))(?:\s+kind=(transmitted|reflected))?)\s*(?:#.*)?"
 )
 _ORDER = {"system": ("freespace", "interface"), "resonator": ("interface", "freespace")}
 _KINDS = {None: InterfaceKind.TRANSMITTED, **{k.value: k for k in InterfaceKind}}
 _SHAPES = {"plane": True, "spherical": False}  # shape -> whether its radius is None
 _INTERFACE_RULE = "plane, or spherical with R=; kind= transmitted, reflected or none"
+_PLANE = Plane()
+# the document `parse` returned last, replaced whole: its structure is checked
+_parsed = None
 
 
 class ParseError(OptikitError):
@@ -248,6 +255,7 @@ def _ending_error(kind: str, items: list | tuple) -> tuple[int, str, str] | None
 
 def parse(source: str) -> Document:
     """Parse a document, raising ParseError at the first grammar violation."""
+    global _parsed
     raw_lines = source.split("\n")
     kind: str | None = None
     items: list[Directive] = []
@@ -295,13 +303,14 @@ def parse(source: str) -> Document:
         last = items[-1].line if items else header_line  # the last line with a token
         end = (last, len(raw_lines[last - 1]) + 1)
         raise ParseError(*((items[i].line, items[i].column) if i < len(items) else end), message, expected)
-    return Document(kind=kind, items=tuple(items))
+    doc = _parsed = Document(kind=kind, items=tuple(items))
+    return doc
 
 
 def _check_document(doc: Document, kinds: tuple[str, ...] = ("system", "resonator")) -> None:
     if doc.kind not in kinds:
         raise DomainError(f"expected a {' or '.join(kinds)} document, got [{doc.kind}]")
-    broken = _structure_error(doc.kind, doc.items)
+    broken = doc is not _parsed and _structure_error(doc.kind, doc.items)
     if broken:
         i, message, expected = broken
         where = f"directive {i}" if i < len(doc.items) else "end of document"
@@ -309,48 +318,41 @@ def _check_document(doc: Document, kinds: tuple[str, ...] = ("system", "resonato
 
 
 def serialize(doc: Document) -> str:
-    """Canonical text form; parse(serialize(doc)) reproduces doc exactly."""
+    """Canonical text form, which parse reads back as doc exactly (spelling and errors: module docstring)."""
     _check_document(doc)
-    lines = [f"[{doc.kind}]"]
-    for item in doc.items:
-        if isinstance(item, FreespaceDirective):
-            lines.append(f"freespace n={float(item.n)!r} d={float(item.d)!r}")
-        else:
-            radius = "" if item.radius is None else f" R={float(item.radius)!r}"
-            lines.append(f"interface {item.shape}{radius}" + ("" if item.kind is None else f" kind={item.kind}"))
-    return "\n".join(lines) + "\n"
-
-
-def _to_interface(item: InterfaceDirective):
-    return Plane() if item.shape == "plane" else Spherical(item.radius)
+    items, first = doc.items, doc.kind == "resonator"  # first: the index of the first freespace
+    if doc is not _parsed:  # `parse` reads no NaN and no number beyond the double range
+        for i, item in enumerate(items):
+            for key in ("n", "d") if isinstance(item, FreespaceDirective) else ("radius",):
+                x = getattr(item, key) or 0.0  # a plane's radius is None
+                if not (abs(x) <= float_info.max or x in (math.inf, -math.inf)):
+                    raise DomainError(f"directive {i}: {key} is NaN or beyond the double range")
+    lines = [f"[{doc.kind}]"] + [""] * len(items)
+    lines[1 + first::2] = [f"freespace n={float(i.n)!r} d={float(i.d)!r}" for i in items[first::2]]
+    lines[2 - first::2] = [f"interface {i.shape}" + ("" if i.radius is None else f" R={float(i.radius)!r}")
+                           + ("" if i.kind is None else f" kind={i.kind}") for i in items[1 - first::2]]
+    return ("\n".join(lines) + "\n").replace("inf", "1e999")  # repr's "inf"; no keyword holds "inf"
 
 
 def _components(items: tuple[Directive, ...], start: int, stop: int) -> tuple[OpticalComponent, ...]:
     """Components of the (freespace, interface) directive pairs in items[start:stop]."""
-    comps = []
-    for i in range(start, stop, 2):
-        fs: FreespaceDirective = items[i]  # type: ignore[assignment]
-        iface: InterfaceDirective = items[i + 1]  # type: ignore[assignment]
-        comps.append(OpticalComponent(FreeSpace(fs.n, fs.d), _to_interface(iface), _KINDS[iface.kind]))
-    return tuple(comps)
+    return tuple([
+        OpticalComponent(FreeSpace(f.n, f.d), _PLANE if i.radius is None else Spherical(i.radius),
+                         _KINDS[i.kind])
+        for f, i in zip(items[start:stop:2], items[start + 1:stop:2])
+    ])
 
 
 def document_to_system(doc: Document) -> OpticalSystem:
     """Materialize a [system] document into ray-optics types."""
     _check_document(doc, ("system",))
-    term: FreespaceDirective = doc.items[-1]  # type: ignore[assignment]
-    return OpticalSystem(_components(doc.items, 0, len(doc.items) - 1), FreeSpace(term.n, term.d))
+    items = doc.items
+    return OpticalSystem(_components(items, 0, len(items) - 1), FreeSpace(items[-1].n, items[-1].d))
 
 
 def document_to_resonator(doc: Document) -> Resonator:
     """Materialize a [resonator] document into resonator types."""
     _check_document(doc, ("resonator",))
-    left: InterfaceDirective = doc.items[0]  # type: ignore[assignment]
-    right: InterfaceDirective = doc.items[-1]  # type: ignore[assignment]
-    space: FreespaceDirective = doc.items[-2]  # type: ignore[assignment]
-    return Resonator(
-        left=_to_interface(left),
-        inner=_components(doc.items, 1, len(doc.items) - 2),
-        space=FreeSpace(space.n, space.d),
-        right=_to_interface(right),
-    )
+    items = doc.items
+    left, right = (_PLANE if i.radius is None else Spherical(i.radius) for i in (items[0], items[-1]))
+    return Resonator(left, _components(items, 1, len(items) - 2), FreeSpace(items[-2].n, items[-2].d), right)

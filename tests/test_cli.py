@@ -425,22 +425,31 @@ class TestArgvFuzz:
 
 class TestValidateOnce:
     """Each element of a file is checked once per run, also with --oracle, and
-    once for any number of library calls on one system."""
+    once for any number of library calls on one system.  An element is its
+    object at its place in the report: every plane interface is one `Plane()`."""
 
     INNER_RES = (
         "[resonator]\ninterface spherical R=1.0\nfreespace n=1.0 d=0.1\ninterface spherical R=2.0\n"
         "freespace n=1.5 d=0.05\ninterface plane kind=reflected\nfreespace n=1.0 d=0.3\n"
         "interface spherical R=1.5\n"
     )
+    PLANES_SYS = (
+        "[system]\nfreespace n=1.0 d=0.1\ninterface plane\nfreespace n=1.5 d=0.2\ninterface plane kind=reflected\n"
+        "freespace n=1.2 d=0.05\ninterface spherical R=0.5\nfreespace n=1.0 d=0.3\n"
+    )
+    PLANES_RES = (
+        "[resonator]\ninterface plane\nfreespace n=1.0 d=0.1\ninterface plane\nfreespace n=1.5 d=0.2\n"
+        "interface plane\nfreespace n=1.0 d=0.3\ninterface spherical R=1.0\n"
+    )
 
     @pytest.fixture
     def checks(self, monkeypatch):
-        """Calls of the clause function per element object, through any module that holds it."""
+        """Calls of the clause function per element object and index, through any module that holds it."""
         counts = collections.Counter()
         clause = rayoptics.element_violations
 
         def counting(element, index):
-            counts[id(element)] += 1
+            counts[(id(element), index)] += 1
             return clause(element, index)
 
         for name, module in list(sys.modules.items()):
@@ -457,12 +466,16 @@ class TestValidateOnce:
             (["stability", "{res}"], 1),
             (["stability", "{res}", "--oracle", "--round-trips", "20"], 1),
             (["stability", "{fp}", "--oracle", "--round-trips", "20"], 1),
+            (["matrix", "{planes_sys}"], 1),
+            (["trace", "{planes_sys}", "--y0", "1e-3", "--theta0", "0"], 1),
+            (["stability", "{planes_res}", "--oracle", "--round-trips", "20"], 1),
         ],
     )
     def test_each_element_checked_once(self, capsys, tmp_path, checks, argv, times):
-        res = tmp_path / "inner.res"
-        res.write_text(self.INNER_RES)
-        files = {"osys": SAMPLES / "biconvex.osys", "res": res, "fp": SAMPLES / "fp_stable.res"}
+        files = {"osys": SAMPLES / "biconvex.osys", "fp": SAMPLES / "fp_stable.res"}
+        for name, text in (("res", self.INNER_RES), ("planes_sys", self.PLANES_SYS), ("planes_res", self.PLANES_RES)):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text)
         path = str(argv[1]).format(**files)
         code, _, _ = run(capsys, argv[0], path, *argv[2:])
         assert code == 0

@@ -260,6 +260,16 @@ class TestMobius:
         with pytest.raises(DomainError):  # 1e318 is beyond the float range
             mobius(Mat2(1e308, 0.0, 1e-10, 0.0), complex(1e308, 1.0))
 
+    def test_division_overflowing_inside_is_formed_again(self):
+        # num = 1.5e308 + 1.5e308j and den ~ 1 + 1j are finite, but complex
+        # division overflowed inside, in num.real + num.imag * (den.imag / den.real):
+        # a DomainError, though the quotient ~ 1.5e308 is representable
+        m, q = Mat2(1.0, 0.0, 1 / 1.5e308, 0.0), complex(1.5e308, 1.5e308)
+        out = mobius(m, q)
+        assert quotient_close(out, m.a11 * q + m.a12, m.a21 * q + m.a22)
+        with pytest.raises(DomainError):  # the quotient ~ 6e308 is not representable
+            mobius(Mat2(1.0, 0.0, 0.25 / 1.5e308, 0.0), q)
+
     @pytest.mark.parametrize("m, q", [(Mat2(1.0, 1.0, 1e308, 1e308), complex(10.0, 1.0)),
                                       (Mat2(1.0, 0.0, 1e308, 0.0), complex(1e308, 1e308))])
     def test_overflowing_denominator_is_formed_again(self, m, q):

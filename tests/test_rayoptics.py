@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import EDGE_FLOATS, EDGE_INTS, mat_close, outcome, random_system
 from optikit.core import IDENTITY2, Mat2, mat2_apply, mat2_mul
-from optikit.errors import InvalidComponent, InvalidSystem
+from optikit.errors import DomainError, InvalidComponent, InvalidSystem
 from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -99,9 +99,17 @@ class TestValidation:
         assert [v.clause for v in element_violations(element, 0)] == [clause]
 
     def test_int_source_beyond_double_range_rejected(self):
-        # the source reads as an infinity, which the trace cannot carry
-        with pytest.raises(InvalidSystem, match="traced ray overflows"):
+        # the source reads as an infinity: the source is at fault, not the system
+        with pytest.raises(DomainError, match="source ray must be finite"):
             trace_ray(OpticalSystem((), FreeSpace(1.0, 1.0)), RayState(10**400, 0.0))
+
+    @pytest.mark.parametrize("source", [RayState(math.nan, 0.0), RayState(math.inf, 0.0), RayState(0.0, -math.inf)])
+    def test_non_finite_source_rejected(self, source):
+        # the check `ray_bound_oracle` makes, after the system's report
+        with pytest.raises(DomainError, match="source ray must be finite"):
+            trace_ray(OpticalSystem((), FreeSpace(1.0, 1.0)), source)
+        with pytest.raises(InvalidSystem, match="0 < n"):
+            trace_ray(OpticalSystem((), FreeSpace(-1.0, 1.0)), source)
 
     def test_int_power_beyond_double_range_is_finite(self):
         # n1 * R is an int product of 1e400; the two-step division gives the power

@@ -1,13 +1,17 @@
+import copy
 import itertools
+import math
 import random
 import re
 import string
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import EDGE_FLOATS, EDGE_INTS, outcome
 from optikit import sysdesc
 from optikit.errors import DomainError, InvalidSystem, OptikitError
 from optikit.rayoptics import FreeSpace, InterfaceKind, Spherical, system_composition
@@ -459,9 +463,144 @@ class TestFastPath:
         assert 1500 < parsed < len(sources) - 500  # many of each outcome
 
     def test_regex_whitespace_is_split_whitespace(self):
-        # The fast pattern separates fields with \s and the tokenizer with
-        # str.split(); a Python whose tables differ must fail here.
+        # The fast pattern separates fields with ASCII \s and the tokenizer
+        # with str.split(); a Python whose tables differ must fail here.
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         kept = re.sub(r"\s", "", every)
         assert kept == "".join(every.split())
         assert kept == "".join(itertools.filterfalse(str.isspace, every))
+        assert all(map(str.isspace, re.findall(r"(?a)\s", every)))
+
+
+_EDGE_REALS = st.sampled_from(EDGE_FLOATS + EDGE_INTS + [math.inf, -math.inf, math.nan]) | st.floats(-1e3, 1e3)
+_KIND_VALUES = st.sampled_from((None, "transmitted", "reflected"))
+_FREESPACES = st.builds(FreespaceDirective, _EDGE_REALS, _EDGE_REALS)
+_INTERFACES = st.builds(InterfaceDirective, st.just("plane"), st.none(), _KIND_VALUES) | st.builds(
+    InterfaceDirective, st.just("spherical"), _EDGE_REALS, _KIND_VALUES)
+_MIRRORS = st.builds(InterfaceDirective, st.just("plane")) | st.builds(InterfaceDirective, st.just("spherical"), _EDGE_REALS)
+_PAIRS = st.lists(st.tuples(_FREESPACES, _INTERFACES), max_size=4).map(lambda pairs: sum(pairs, ()))
+_EDGE_DOCUMENTS = st.builds(
+    lambda pairs, fs: Document("system", pairs + (fs,)), _PAIRS, _FREESPACES
+) | st.builds(
+    lambda left, pairs, fs, right: Document("resonator", (left, *pairs, fs, right)), _MIRRORS, _PAIRS, _FREESPACES, _MIRRORS
+)
+
+
+def _reals(doc: Document) -> list:
+    return [x for item in doc.items for x in ((item.n, item.d) if isinstance(item, FreespaceDirective) else (item.radius,))]
+
+
+class TestEdgeReals:
+    """Hand-built documents with edge reals: every call returns or raises an
+    OptikitError, and any text `serialize` writes parses back to an equal document."""
+
+    def test_infinity_is_spelled_as_a_real_that_reads_back(self):
+        doc = parse("[system]\nfreespace n=1e999 d=1.0\n")
+        assert serialize(doc) == "[system]\nfreespace n=1e999 d=1.0\n"
+        negative = Document("resonator", (InterfaceDirective("spherical", -math.inf), FreespaceDirective(1.0, math.inf),
+                                          InterfaceDirective("plane")))
+        text = serialize(negative)
+        assert text == "[resonator]\ninterface spherical R=-1e999\nfreespace n=1.0 d=1e999\ninterface plane\n"
+        assert parse(text) == negative
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ((FreespaceDirective(10**400, 1.0),), "directive 0: n is"),
+            ((FreespaceDirective(math.nan, 1.0),), "directive 0: n is"),
+            ((FreespaceDirective(1.0, 0.5), InterfaceDirective("plane"), FreespaceDirective(1.0, -(2**1024))),
+             "directive 2: d is"),
+            ((FreespaceDirective(1.0, 0.5), InterfaceDirective("spherical", math.nan), FreespaceDirective(1.0, 1.0)),
+             "directive 1: radius is"),
+        ],
+    )
+    def test_real_without_spelling_is_a_domain_error(self, items, message):
+        # 10**400 made float() raise OverflowError, and NaN serialized to n=nan,
+        # which parse rejects
+        with pytest.raises(DomainError, match=f"{message} NaN or beyond the double range"):
+            serialize(Document("system", items))
+
+    @given(doc=_EDGE_DOCUMENTS)
+    @settings(max_examples=400, deadline=None)
+    def test_finite_or_optikit_error(self, doc):
+        for call in (serialize, document_to_system, document_to_resonator):
+            try:
+                out = call(doc)
+            except OptikitError:
+                out = None
+            if call is serialize:
+                spellable = all(x is None or abs(x) <= sys.float_info.max or x in (math.inf, -math.inf)
+                                for x in _reals(doc))
+                assert (out is not None) == spellable
+                if spellable:
+                    assert parse(out) == doc
+
+
+_CALLS = (serialize, document_to_system, document_to_resonator)
+
+
+class TestParsedMemo:
+    """`parse` vouches for the document it returned last; on that document,
+    every call gives what it gives on a copy that `parse` never returned."""
+
+    @given(seed=st.integers(0, 2**32), mutate=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_parsed_document_equals_fresh_copy(self, seed, mutate):
+        rng = random.Random(seed)
+        source = _decorated(rng)
+        try:
+            doc = parse(_mutated(source, rng) if mutate else source)
+        except ParseError:
+            return
+        fresh = [outcome(call, copy.copy(doc)) for call in _CALLS]
+        assert [outcome(call, doc) for call in _CALLS] == fresh
+
+    @given(seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+           order=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_alternating_documents(self, seeds, order):
+        docs = [parse(serialize(random_document(random.Random(seed)))) for seed in seeds]
+        fresh = [[outcome(call, copy.copy(doc)) for call in _CALLS] for doc in docs]
+        for which, i in order:
+            assert outcome(_CALLS[i], docs[which]) == fresh[which][i]
+
+    def test_hand_built_document_is_checked_on_every_call(self):
+        doc = parse(FP_SOURCE)
+        built = Document(doc.kind, doc.items)
+        assert [outcome(call, built) for call in _CALLS] == [outcome(call, doc) for call in _CALLS]
+        broken = Document(doc.kind, doc.items[:-1])
+        for _ in range(2):
+            parse(FP_SOURCE)
+            for call in (serialize, document_to_resonator):
+                with pytest.raises(DomainError, match="resonator needs two mirror interfaces"):
+                    call(broken)
+
+    def test_threads_get_the_results_of_their_own_documents(self):
+        """Four threads on two cores parse their own documents; each call must
+        see its own document's check, whichever document `parse` returned last."""
+        rng = random.Random(19)
+        sources = [serialize(random_document(rng)) for _ in range(4)]
+        expected = [[outcome(call, copy.copy(parse(source))) for call in _CALLS] for source in sources]
+        broken = Document("system", (InterfaceDirective("plane"),))
+        wrong = []
+
+        def work(i):
+            for _ in range(300):
+                doc = parse(sources[i])
+                got = [outcome(call, doc) for call in _CALLS]
+                if got != expected[i] or outcome(serialize, broken)[0] is not DomainError:
+                    wrong.append(i)
+                    return
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

@@ -60,7 +60,7 @@ import numpy as np
 
 from .core import CVec3, RVec3, ccross, coplanar
 from .errors import DomainError, OffPlanePoint, TotalInternalReflection
-from .rayoptics import ValidationReport, Violation
+from .rayoptics import ValidationReport, Violation, _checkable
 
 __all__ = [
     "PlaneWave",
@@ -139,9 +139,14 @@ def eval_plane_wave(wave: PlaneWave, r: RVec3, t: float) -> tuple[CVec3, CVec3]:
 
 def wavelength_of(k: RVec3) -> float:
     """Wavelength 2*pi/|k| of a wavevector."""
-    norm = k.norm()
+    try:
+        norm = k.norm()
+    except OverflowError:  # an int component squares past the double range
+        norm = math.inf
     if norm == 0:
         raise DomainError("zero wavevector has no wavelength")
+    if not norm < math.inf:
+        raise DomainError(f"wavevector norm must be finite, got {norm!r}")
     return 2.0 * math.pi / norm
 
 
@@ -185,6 +190,7 @@ def boundary_residual(
 
 def snell_angle(n1: float, n2: float, theta_i: float) -> float:
     """Transmitted angle arcsin(n1 sin(theta_i) / n2), radians."""
+    n1, n2 = _checkable(n1), _checkable(n2)
     if not (0 < n1 < math.inf and 0 < n2 < math.inf):
         raise DomainError(f"indices must be positive and finite, got {n1!r}, {n2!r}")
     if not 0 <= theta_i < math.pi / 2:
@@ -215,10 +221,14 @@ def continuity_coefficients(n1: float, n2: float, theta_i: float, a: float = 1.0
 
 
 def _continuity(n1: float, n2: float, ci: float, ct: float, a: float) -> tuple[float, float]:
-    return _ratios(a * (n2 * ci - n1 * ct), a * (2.0 * n2 * ci), n2 * ci + n1 * ct, n1, n2)
+    return _ratios(lambda n1, n2: (a * (n2 * ci - n1 * ct), a * (2.0 * n2 * ci), n2 * ci + n1 * ct), n1, n2)
 
 
-def _ratios(r_num: float, t_num: float, den: float, n1: float, n2: float) -> tuple[float, float]:
+def _ratios(form, n1: float, n2: float) -> tuple[float, float]:
+    """(r_num / den, t_num / den) of (r_num, t_num, den) = form(n1, n2), homogeneous
+    of degree 0 in (n1, n2): where an index passes half the double range, so that
+    den or 2 n ci can overflow, the triple is formed from the exact n1 / 4 and n2 / 4."""
+    r_num, t_num, den = form(n1, n2) if 2.0 * max(n1, n2) < math.inf else form(n1 / 4, n2 / 4)
     # den is a sum of positive products, so it is 0 only when both underflow
     if den == 0:
         raise DomainError(f"the amplitude denominator underflows to 0 at n1 = {n1!r}, n2 = {n2!r}")
@@ -243,6 +253,7 @@ def oblique_incidence_fields(
     (+-cos, 0, -sin) scaled by n/eta0 -- deliberately not recomputed through
     `h_from_e` (see module docstring).
     """
+    a, omega, k0 = _checkable(a), _checkable(omega), _checkable(k0)
     if not 0 < a < math.inf:
         raise DomainError(f"amplitude must be positive and finite, got {a!r}")
     if not (0 < omega < math.inf and 0 < k0 < math.inf):
@@ -491,5 +502,5 @@ def fresnel_standard(pol: str, n1: float, n2: float, theta_i: float) -> tuple[fl
     ci = math.cos(theta_i)
     ct = math.cos(theta_t)
     if pol == "s":
-        return _ratios(n1 * ci - n2 * ct, 2.0 * n1 * ci, n1 * ci + n2 * ct, n1, n2)
-    return _ratios(n2 * ci - n1 * ct, 2.0 * n1 * ci, n2 * ci + n1 * ct, n1, n2)
+        return _ratios(lambda n1, n2: (n1 * ci - n2 * ct, 2.0 * n1 * ci, n1 * ci + n2 * ct), n1, n2)
+    return _ratios(lambda n1, n2: (n2 * ci - n1 * ct, 2.0 * n1 * ci, n2 * ci + n1 * ct), n1, n2)

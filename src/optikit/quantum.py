@@ -35,6 +35,7 @@ from functools import cached_property, partialmethod
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
+from .rayoptics import _checkable
 
 __all__ = [
     "StateVector",
@@ -162,8 +163,8 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 def annihilator(dim: int) -> Operator:
     """Lowering operator: a |n> = sqrt(n) |n-1>."""
-    if dim < 1:
-        raise DomainError(f"dimension must be >= 1, got {dim}")
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise DomainError(f"dimension must be an int >= 1, got {dim!r}")
     m = np.zeros((dim, dim), dtype=complex)
     for n in range(1, dim):
         m[n - 1, n] = np.sqrt(n)
@@ -189,12 +190,13 @@ def make_single_mode(omega: float, hbar: float = 1.0, dim: int = 32) -> SingleMo
     O(D) arithmetic from the ladder band; see the module docstring.  Raises
     DomainError when omega**2 or an entry of H leaves the double range.
     """
+    omega, hbar = float(_checkable(omega)), float(_checkable(hbar))
     if not 0 < omega < math.inf:
         raise DomainError(f"omega must be positive and finite, got {omega!r}")
     if not 0 < hbar < math.inf:
         raise DomainError(f"hbar must be positive and finite, got {hbar!r}")
-    if dim < 2:
-        raise DomainError(f"dimension must be >= 2, got {dim}")
+    if not (isinstance(dim, (int, np.integer)) and dim >= 2):
+        raise DomainError(f"dimension must be an int >= 2, got {dim!r}")
     ladder = np.sqrt(np.arange(1, dim))  # a[n-1, n] = sqrt(n)
     q_band = np.sqrt(hbar / (2.0 * omega)) * ladder
     p_band = np.sqrt(hbar * omega / 2.0) * ladder

@@ -27,7 +27,9 @@ floats, and bit-identical to the reference form, the `mat2_mul` fold and the
 `validate_system`: the report and entries of the last system checked are
 kept, one reference in the module, and reused while calls pass that object,
 if its components are a tuple (a list can change between calls).  Clauses
-read a float as it is, with no helper call.  Parameters must be finite (an
+read a float as it is, with no helper call, and so does the source check; a
+plane interface's (C, D) is written inline, and only a spherical one is
+formed by `_interface_entries`.  Parameters must be finite (an
 int beyond the double range is not) and so must a source ray (DomainError);
 a composed matrix or traced ray that overflows raises InvalidSystem.
 """
@@ -282,18 +284,23 @@ def element_matrices(sys: OpticalSystem) -> list[Mat2]:
 def _pair_entries(sys: OpticalSystem) -> list[tuple[float, float, float]]:
     """(d, C, D) of each component of a valid system: its free space
     [[1, d], [0, 1]] followed by its interface [[1, 0], [C, D]]."""
-    comps = sys.components
+    comps, transmitted = sys.components, InterfaceKind.TRANSMITTED
     next_n = [comp.space.n for comp in comps[1:]] + [sys.terminal.n]
     entries = []
     for comp, n1 in zip(comps, next_n):
-        c, e = _interface_entries(comp.iface, comp.kind, comp.space.n, n1)
-        entries.append((comp.space.d, c, e))
+        space = comp.space
+        if isinstance(comp.iface, Spherical):
+            entries.append((space.d, *_interface_entries(comp.iface, comp.kind, space.n, n1)))
+        else:  # a plane: (0, n0 / n1) transmitted, (0, 1) reflected, as `_interface_entries` gives
+            entries.append((space.d, 0.0, space.n / n1 if comp.kind is transmitted else 1.0))
     return entries
 
 
 def _source_floats(source: RayState) -> tuple[float, float]:
     """(y, theta) of a source ray as floats, or DomainError unless both are finite."""
-    y, theta = float(_checkable(source.y)), float(_checkable(source.theta))
+    y, theta = source.y, source.theta
+    if y.__class__ is not float or theta.__class__ is not float:
+        y, theta = float(_checkable(y)), float(_checkable(theta))
     if not (math.isfinite(y) and math.isfinite(theta)):
         raise DomainError(f"source ray must be finite, got y={y!r}, theta={theta!r}")
     return y, theta

@@ -18,8 +18,11 @@ Cost: `round_trip_matrix` validates the resonator and folds its round trip
 unchecked.  It keeps the matrix of the last resonator, one reference in the
 module, so `stability` and `ray_bound_oracle` on one resonator share one check
 while calls pass that object, if its inner components are a tuple.
-`ray_bound_oracle` is O(n_max) in four local floats, stepping (y, theta) with
-the operations of `mat2_apply`, so its result equals that stepping bit for bit.
+`ray_bound_oracle` is O(n_max), stepping (y, theta) in local floats with the
+operations of `mat2_apply`, so its result equals that stepping bit for bit.
+Per trip it compares the state with the running extremes [lo, hi] of y and of
+theta, with no call, and tests the limit only on a trip that moves one (or on
+the first, when the source is already beyond it); each maximum is max(hi, -lo).
 """
 
 from __future__ import annotations
@@ -140,7 +143,8 @@ def stability_from_matrix(m: Mat2) -> StabilityVerdict:
     marginal, not stable: boundedness genuinely fails there for defective
     round-trip matrices.  An int entry beyond the double range reads as an infinity.
     """
-    m = Mat2(*(float(_checkable(x)) for x in (m.a11, m.a12, m.a21, m.a22)))
+    if not (m.a11.__class__ is m.a12.__class__ is m.a21.__class__ is m.a22.__class__ is float):
+        m = Mat2(*(float(_checkable(x)) for x in (m.a11, m.a12, m.a21, m.a22)))
     det = m.det()
     if not abs(det - 1.0) <= UNIMODULAR_TOL:  # fails closed on a NaN det
         raise NonUnimodular(f"round-trip det = {det!r}; criterion needs det = 1")
@@ -175,25 +179,30 @@ def ray_bound_oracle(
         raise DomainError(f"divergence limit must be positive and finite, got {limit!r}")
     m = round_trip_matrix(res)
     a11, a12, a21, a22 = m.a11, m.a12, m.a21, m.a22
-    max_y, max_theta = abs(y), abs(theta)
-    diverged = False
-    # a strict `>` keeps the current maximum on ties and NaN, as `max` does
-    for _ in range(n_max):
+    y_hi, t_hi = abs(y), abs(theta)
+    y_lo, t_lo = -y_hi, -t_hi
+    # a source beyond the limit diverges on the first trip, whatever it moves
+    diverged = y_hi > limit or t_hi > limit
+    for _ in range(1 if diverged else n_max):
         y, theta = a11 * y + a12 * theta, a21 * y + a22 * theta
-        ay = abs(y)
-        if ay > max_y:
-            max_y = ay
-        at = abs(theta)
-        if at > max_theta:
-            max_theta = at
-        if max_y > limit or max_theta > limit:
-            diverged = True
-            break
+        # strict comparisons keep the extremes on ties and NaN, as `max` does
+        if y > y_hi or y < y_lo or theta > t_hi or theta < t_lo:
+            if y > y_hi:
+                y_hi = y
+            elif y < y_lo:
+                y_lo = y
+            if theta > t_hi:
+                t_hi = theta
+            elif theta < t_lo:
+                t_lo = theta
+            if y_hi > limit or t_hi > limit or y_lo < -limit or t_lo < -limit:
+                diverged = True
+                break
     if not diverged and not (math.isfinite(y) and math.isfinite(theta)):
         # opposite products overflowed to inf - inf: NaN never enters the
         # maxima, and the true amplitude is beyond double precision
         raise DomainError("ray state overflowed double precision within the divergence limit")
-    return OracleResult(max_y=max_y, max_theta=max_theta, diverged=diverged)
+    return OracleResult(max_y=max(y_hi, -y_lo), max_theta=max(t_hi, -t_lo), diverged=diverged)
 
 
 def fp_resonator(R: float, d: float, n: float) -> Resonator:

@@ -22,15 +22,17 @@ positioned errors, never warnings: a silently dropped physical parameter is
 the costliest failure this format could allow.  Serialization is canonical
 (comments dropped, keys in the order n,d / R,kind, shortest float spelling
 that re-reads to the same value, 1e999 for inf) and `parse(serialize(doc))`
-reproduces the document exactly; a NaN, or a number past the double range,
-raises DomainError.
+reproduces the document exactly; a NaN, a number past the double range, or
+an int that no double equals (2**53 + 1) raises DomainError.
 
 Cost: `parse` is one pass over the source, O(its length).  After the header,
 a canonical line (as `serialize` writes it, with any ASCII whitespace and
 an optional comment) that holds the directive due next is built from one
-`_FAST` match.  Any other line is tokenized (`str.split`, each column found
-with `str.index` after the previous token) and read by `_parse_fields`; only
-this path raises `ParseError`, so every error and position has one source.
+`_FAST` match.  An empty line, and a header line that holds nothing else, are
+read as they are (`_PLAIN`).  Any other line is tokenized (`str.split`, each
+column found with `str.index` after the previous token) and read by
+`_parse_fields`; only this path raises `ParseError`, so every error and
+position has one source.
 The paths agree because ASCII whitespace is split on too and both read
 reals with `_R` and `float`; a differential test pins this.
 `serialize` and `document_to_*` check a document in one walk, O(n) in the
@@ -81,6 +83,8 @@ _KINDS = {None: InterfaceKind.TRANSMITTED, **{k.value: k for k in InterfaceKind}
 _SHAPES = {"plane": True, "spherical": False}  # shape -> whether its radius is None
 _INTERFACE_RULE = "plane, or spherical with R=; kind= transmitted, reflected or none"
 _PLANE = Plane()
+# lines read without `_tokenize`: the empty line, and a header alone (its one token)
+_PLAIN = ("", "[system]", "[resonator]")
 # the document `parse` returned last, replaced whole: its structure is checked
 _parsed = None
 
@@ -271,7 +275,7 @@ def parse(source: str) -> Document:
                 shape = "spherical" if radius else "plane"
                 items.append(InterfaceDirective(shape, radius and float(radius), iface_kind, line_no, col))
             continue
-        tokens = _tokenize(raw)
+        tokens = ([(raw, 1)] if raw else []) if raw in _PLAIN else _tokenize(raw)
         if not tokens:
             continue
         head, head_col = tokens[0]
@@ -321,12 +325,13 @@ def serialize(doc: Document) -> str:
     """Canonical text form, which parse reads back as doc exactly (spelling and errors: module docstring)."""
     _check_document(doc)
     items, first = doc.items, doc.kind == "resonator"  # first: the index of the first freespace
-    if doc is not _parsed:  # `parse` reads no NaN and no number beyond the double range
+    if doc is not _parsed:  # a parsed document holds doubles, none of them NaN
         for i, item in enumerate(items):
             for key in ("n", "d") if isinstance(item, FreespaceDirective) else ("radius",):
                 x = getattr(item, key) or 0.0  # a plane's radius is None
-                if not (abs(x) <= float_info.max or x in (math.inf, -math.inf)):
-                    raise DomainError(f"directive {i}: {key} is NaN or beyond the double range")
+                if not (abs(x) <= float_info.max and float(x) == x or x in (math.inf, -math.inf)):
+                    raise DomainError(f"directive {i}: {key} is NaN or beyond the double range,"
+                                      " or no double equals it")
     lines = [f"[{doc.kind}]"] + [""] * len(items)
     lines[1 + first::2] = [f"freespace n={float(i.n)!r} d={float(i.d)!r}" for i in items[first::2]]
     lines[2 - first::2] = [f"interface {i.shape}" + ("" if i.radius is None else f" R={float(i.radius)!r}")

@@ -4,10 +4,10 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS
+from helpers import EDGE_FLOATS, EDGE_INTS
 from optikit.core import CVec3, RVec3, cdot
 from optikit.emoptics import (
     _CHUNK,
@@ -611,6 +611,23 @@ class TestFresnelStandard:
             call(5e-324, math.radians(70.0))
         assert call(5e-324, math.radians(30.0)) is not None  # here they round up to 5e-324
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n1, n2, theta: fresnel_standard("s", n1, n2, theta),
+            lambda n1, n2, theta: fresnel_standard("p", n1, n2, theta),
+            continuity_coefficients,
+        ],
+    )
+    @pytest.mark.parametrize("n1, n2, theta", [(1e308, 1.5e308, 0.5), (1.7e308, 1e308, 0.2), (1e308, 1.2e308, 0.3),
+                                               (1e308, 1e-300, 0.0), (1.0, 1.7e308, 1.0)])
+    def test_indices_at_the_top_of_the_range(self, call, n1, n2, theta):
+        # past half the double range the denominator or 2 n ci can overflow
+        # (the first three gave r = ±0.0 and t = NaN); the coefficients
+        # depend on n1 / n2 alone, and n / 4 is exact
+        assert call(n1, n2, theta) == call(n1 / 4, n2 / 4, theta)
+        assert all(map(math.isfinite, call(n1, n2, theta)))
+
 
 class TestGoalReplaySweep:
     def test_random_tuples_without_tir(self):
@@ -626,3 +643,60 @@ class TestGoalReplaySweep:
             report = validate_interface_system(system, samples=200, seed=done)
             assert report.ok
             done += 1
+
+
+# edge floats, ints at and beyond the double range, infinities and NaN, mixed with finite floats
+ANY_NUMBER = st.sampled_from(EDGE_FLOATS + EDGE_INTS + [math.inf, -math.inf, math.nan]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_ANGLES = ANY_NUMBER | st.floats(0.0, 1.5707963267948966)
+
+
+class TestEdgeValues:
+    """Each entry point returns finite values or raises an OptikitError."""
+
+    @given(n1=ANY_NUMBER, n2=ANY_NUMBER, theta=_ANGLES)
+    @example(n1=1.0, n2=10**400, theta=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_snell_angle(self, n1, n2, theta):
+        try:
+            out = snell_angle(n1, n2, theta)
+        except OptikitError:
+            return
+        assert math.isfinite(out)
+
+    @given(pol=st.sampled_from("sp"), n1=ANY_NUMBER, n2=ANY_NUMBER, theta=_ANGLES)
+    @example(pol="s", n1=1.0, n2=10**400, theta=0.0)
+    @example(pol="s", n1=1e308, n2=1.5e308, theta=0.5)
+    @example(pol="p", n1=1.7e308, n2=1e308, theta=0.2)
+    @settings(max_examples=300, deadline=None)
+    def test_fresnel_standard(self, pol, n1, n2, theta):
+        try:
+            out = fresnel_standard(pol, n1, n2, theta)
+        except OptikitError:
+            return
+        assert all(map(math.isfinite, out))
+
+    @given(n1=ANY_NUMBER, n2=ANY_NUMBER, theta=_ANGLES)
+    @example(n1=5e-324, n2=2**1024, theta=0.0)
+    @example(n1=1e308, n2=1.2e308, theta=0.3)
+    @settings(max_examples=300, deadline=None)
+    def test_continuity_coefficients(self, n1, n2, theta):
+        try:
+            out = continuity_coefficients(n1, n2, theta)
+        except OptikitError:
+            return
+        assert all(map(math.isfinite, out))
+
+    @given(x=ANY_NUMBER, y=ANY_NUMBER, z=ANY_NUMBER)
+    @example(x=math.nan, y=0.0, z=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_wavelength_of(self, x, y, z):
+        try:
+            out = wavelength_of(RVec3(x, y, z))
+        except OptikitError:
+            return
+        assert math.isfinite(out)
+
+    def test_int_amplitude_beyond_double_range(self):
+        with pytest.raises(DomainError, match="amplitude must be positive and finite"):
+            oblique_incidence_fields(0.3, 1.0, 1.5, 2**1024, TWO_PI, TWO_PI)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from optikit.errors import DimensionMismatch, DomainError
+from helpers import EDGE_FLOATS, EDGE_INTS
+from optikit.errors import DimensionMismatch, DomainError, OptikitError
 from optikit.quantum import (
     InnerProduct,
     Operator,
@@ -203,6 +204,16 @@ class TestSingleMode:
         with pytest.raises(DomainError):
             make_single_mode(omega, hbar, 64)
 
+    @pytest.mark.parametrize("call", [lambda dim: make_single_mode(1.0, 1.0, dim), annihilator])
+    @pytest.mark.parametrize("dim", [2.5, 3.0, "3"])
+    def test_dimension_must_be_an_int(self, call, dim):
+        # np.zeros raised TypeError for 2.5
+        with pytest.raises(DomainError, match="dimension must be an int >= "):
+            call(dim)
+
+    def test_numpy_int_dimension(self):
+        assert make_single_mode(1.0, 1.0, np.int64(3)).dim == 3
+
     @pytest.mark.parametrize("dim", [2, 3, 16, 512])
     def test_banded_build_matches_dense_ladder(self, dim):
         omega, hbar = 2.5, 0.7
@@ -271,3 +282,21 @@ class TestHermitianEigenvalues:
     def test_nonfinite_operator_rejected(self, matrix):
         with pytest.raises(DomainError, match="finite"):
             hermitian_eigenvalues(Operator(np.array(matrix, dtype=complex)))
+
+
+ANY_NUMBER = st.sampled_from(EDGE_FLOATS + EDGE_INTS + [math.inf, -math.inf, math.nan]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+class TestEdgeValues:
+    """make_single_mode returns finite bands or raises an OptikitError."""
+
+    @given(omega=ANY_NUMBER, hbar=ANY_NUMBER, dim=st.integers(-1, 64))
+    @example(omega=10**400, hbar=1.0, dim=2)
+    @settings(max_examples=300, deadline=None)
+    def test_make_single_mode(self, omega, hbar, dim):
+        try:
+            sm = make_single_mode(omega, hbar, dim)
+        except OptikitError:
+            return
+        assert all(np.isfinite(band).all() for op in (sm.q, sm.p, sm.H) for band in op.bands.values())

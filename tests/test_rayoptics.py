@@ -5,7 +5,7 @@ import struct
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import EDGE_FLOATS, EDGE_INTS, mat_close, outcome, random_system
@@ -306,6 +306,12 @@ _systems = st.builds(
     st.builds(FreeSpace, _indices, _widths),
 )
 _coords = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e3, 1e3))
+# plane interfaces of both kinds between unequal indices, and a spherical one
+_PLANES = OpticalSystem((
+    OpticalComponent(FreeSpace(1.0, 0.5), Plane(), InterfaceKind.TRANSMITTED),
+    OpticalComponent(FreeSpace(1.5, 0.25), Plane(), InterfaceKind.REFLECTED),
+    OpticalComponent(FreeSpace(1.3, 0.1), Spherical(-2.0), InterfaceKind.TRANSMITTED),
+), FreeSpace(1.7, 0.3))
 
 
 class TestReferenceForm:
@@ -314,6 +320,7 @@ class TestReferenceForm:
     reference overflows."""
 
     @given(system=_systems)
+    @example(system=_PLANES)
     @settings(max_examples=300, deadline=None)
     def test_composition_is_the_mat2_mul_fold(self, system):
         ref = reduce(lambda acc, m: mat2_mul(m, acc), element_matrices(system), IDENTITY2)
@@ -326,6 +333,7 @@ class TestReferenceForm:
         assert _bits((m.a11, m.a12, m.a21, m.a22)) == _bits(entries)
 
     @given(system=_systems, y=_coords, theta=_coords)
+    @example(system=_PLANES, y=1e-3, theta=-0.2)
     @settings(max_examples=300, deadline=None)
     def test_trace_is_mat2_apply_stepping(self, system, y, theta):
         mats = element_matrices(system)

@@ -355,6 +355,11 @@ _sources = st.builds(RayState, EDGE_OR_FINITE | _ints, EDGE_OR_FINITE | _ints)
 _factors = st.sampled_from((1e9, 1e-3, 0.5, 1.0, 2.0)) | st.floats(1e-6, 1e12)
 
 
+def _plane_cavity(d: float) -> Resonator:
+    """Two plane mirrors d apart: the round trip is [[1, 2d], [0, 1]]."""
+    return Resonator(Plane(), (), FreeSpace(1.0, d), Plane())
+
+
 class TestOracleDifferential:
     """The oracle equals `mat2_apply` stepping with builtin `max`, bit for bit."""
 
@@ -363,6 +368,15 @@ class TestOracleDifferential:
     @example(res=fp_resonator(1e-10, 1.0, 1.0), source=RayState(1e290, -1e290), n_max=5, factor=1e9)
     @example(res=fp_resonator(1.0, 2.5, 1.0), source=RayState(1e-3, 0.0), n_max=200, factor=1e9)
     @example(res=fp_resonator(1.0, 0.5, 1.0), source=RayState(2.0, -1.0), n_max=10, factor=1e-3)
+    # a source already beyond the limit diverges on the first trip, which moves no extreme
+    @example(res=_plane_cavity(0.0), source=RayState(0.0, 1e308), n_max=1, factor=0.5)
+    # y moves only negative, within the limit and then across it
+    @example(res=_plane_cavity(0.5), source=RayState(0.0, -1e-3), n_max=50, factor=1e9)
+    @example(res=_plane_cavity(0.5), source=RayState(0.0, -1e-3), n_max=50, factor=1e-2)
+    # a NaN state moves no extreme and ends in the overflow error
+    @example(res=fp_resonator(1e-10, 1.0, 1.0), source=RayState(1e290, -1e290), n_max=3, factor=1.0)
+    # y crosses the limit on the trip where theta overflows to inf - inf
+    @example(res=fp_resonator(1e-10, 1.0, 1.0), source=RayState(-1e290, 1e290 / 3), n_max=4, factor=1.0)
     @settings(max_examples=300, deadline=None)
     def test_equals_mat2_apply_stepping(self, res, source, n_max, factor):
         args = (res, source, n_max, factor)

@@ -8,9 +8,8 @@ Value types: every type on the ray path (here and in `rayoptics`,
 `gaussian`, `resonator` and `sysdesc`) derives from `Value`, an immutable
 record of the fields its `__slots__` names, in constructor order:
 
-- `==` and `hash` go by the compared fields, all of them unless the type
-  says otherwise (the sysdesc directives leave out their source position);
-  a value equals only a value of its own class, never a tuple;
+- `==` and `hash` go by the fields; a value equals only a value of its own
+  class, never a tuple;
 - `repr` is `Name(field=value, ...)` over every field;
 - assigning or deleting an attribute raises `AttributeError`;
 - `pickle`, `copy.copy` and `copy.deepcopy` rebuild a value through its
@@ -61,17 +60,14 @@ class Value:
         if "__init__" not in cls.__dict__:
             cls.__init__ = _constructor(cls)
 
-    def _key(self) -> tuple:
-        """The fields that == and hash compare."""
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            names = self.__slots__
+            return tuple(getattr(self, name) for name in names) == tuple(getattr(other, name) for name in names)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -143,6 +143,10 @@ def wavelength_of(k: RVec3) -> float:
         norm = k.norm()
     except OverflowError:  # an int component squares past the double range
         norm = math.inf
+    if norm == math.inf:  # the squares overflow: scale by the largest component, if it is finite
+        x, y, z = (float(_checkable(c)) for c in (k.x, k.y, k.z))
+        top = max(abs(x), abs(y), abs(z))
+        norm = top * RVec3(x / top, y / top, z / top).norm() if top < math.inf else top
     if norm == 0:
         raise DomainError("zero wavevector has no wavelength")
     if not norm < math.inf:
@@ -204,10 +208,25 @@ def snell_angle(n1: float, n2: float, theta_i: float) -> float:
 
 
 def reflect_wavevector(k_i: RVec3, normal: RVec3) -> RVec3:
-    """Reflected wavevector k_i - 2 (k_i . n) n for a unit normal n."""
-    if abs(normal.norm() - 1.0) > 1e-9:
-        raise DomainError(f"normal must be unit length, got |n| = {normal.norm()!r}")
-    return k_i - normal.scale(2.0 * k_i.dot(normal))
+    """Reflected wavevector k_i - 2 (k_i . n) n for a unit normal n.
+
+    The form is linear in k_i: where it overflows, it is taken at k_i / 4 and
+    scaled back.  DomainError for a non-finite k_i, a normal off unit length,
+    or a reflected vector beyond the double range.
+    """
+    parts = [_checkable(c) for c in (k_i.x, k_i.y, k_i.z)]
+    if not all(map(math.isfinite, parts)):
+        raise DomainError(f"wavevector must be finite, got {parts!r}")
+    norm = RVec3(*(float(_checkable(c)) for c in (normal.x, normal.y, normal.z))).norm()
+    if not abs(norm - 1.0) <= 1e-9:
+        raise DomainError(f"normal must be unit length, got |n| = {norm!r}")
+    k_r = k_i - normal.scale(2.0 * k_i.dot(normal))
+    if not all(map(math.isfinite, (k_r.x, k_r.y, k_r.z))):
+        quarter = k_i.scale(0.25)
+        k_r = (quarter - normal.scale(2.0 * quarter.dot(normal))).scale(4.0)
+        if not all(map(math.isfinite, (k_r.x, k_r.y, k_r.z))):
+            raise DomainError(f"reflected wavevector overflows double precision: {k_r!r}")
+    return k_r
 
 
 def continuity_coefficients(n1: float, n2: float, theta_i: float, a: float = 1.0) -> tuple[float, float]:
@@ -253,7 +272,8 @@ def oblique_incidence_fields(
     (+-cos, 0, -sin) scaled by n/eta0 -- deliberately not recomputed through
     `h_from_e` (see module docstring).
     """
-    a, omega, k0 = _checkable(a), _checkable(omega), _checkable(k0)
+    a, n1, n2 = float(_checkable(a)), float(_checkable(n1)), float(_checkable(n2))
+    omega, k0 = _checkable(omega), _checkable(k0)
     if not 0 < a < math.inf:
         raise DomainError(f"amplitude must be positive and finite, got {a!r}")
     if not (0 < omega < math.inf and 0 < k0 < math.inf):

@@ -19,11 +19,15 @@ and the final freespace before the right mirror is the cavity space.
 
 Unknown keys, duplicate keys, missing keys, and trailing tokens are
 positioned errors, never warnings: a silently dropped physical parameter is
-the costliest failure this format could allow.  Serialization is canonical
-(comments dropped, keys in the order n,d / R,kind, shortest float spelling
-that re-reads to the same value, 1e999 for inf) and `parse(serialize(doc))`
-reproduces the document exactly; a NaN, a number past the double range, or
-an int that no double equals (2**53 + 1) raises DomainError.
+the costliest failure this format could allow.  `parse` returns a `Document`:
+its body is the `OpticalSystem` or `Resonator` the source describes, built
+as each (freespace, interface) pair completes, and `written` holds each
+component interface's kind= token as written (None where there is none).
+Serialization is canonical (comments dropped, keys in the order n,d / R,kind,
+shortest float spelling that re-reads to the same value, 1e999 for inf) and
+`parse(serialize(doc))` reproduces the document exactly; a NaN, a number
+past the double range, or an int that no double equals (2**53 + 1) raises
+DomainError.
 
 Cost: `parse` is one pass over the source, O(its length).  After the header,
 a canonical line (as `serialize` writes it, with any ASCII whitespace and
@@ -35,9 +39,12 @@ column found with `str.index` after the previous token) and read by
 position has one source.
 The paths agree because ASCII whitespace is split on too and both read
 reals with `_R` and `float`; a differential test pins this.
-`serialize` and `document_to_*` check a document in one walk, O(n) in the
-directives, but only the kind of the one `parse` returned last (kept in the
-module).  A real such as 1e999 parses (to inf); validation rejects it.
+`serialize` spells the free spaces and the interfaces with one comprehension
+each, and `document_to_*` return the body as it is.  A hand-built document
+(one that `parse` did not return last, which the module keeps) is checked on
+every call, in one walk over its components and one over its elements; its
+body's types settle alternation and the ending rules.  A real such as 1e999
+parses (to inf); validation rejects it.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from __future__ import annotations
 import math
 import re
 from sys import float_info
-from typing import Union
 
 from .core import Value
 from .errors import DomainError, OptikitError
@@ -61,8 +67,6 @@ from .resonator import Resonator
 
 __all__ = [
     "ParseError",
-    "FreespaceDirective",
-    "InterfaceDirective",
     "Document",
     "parse",
     "serialize",
@@ -80,8 +84,6 @@ _FAST = re.compile(
 )
 _ORDER = {"system": ("freespace", "interface"), "resonator": ("interface", "freespace")}
 _KINDS = {None: InterfaceKind.TRANSMITTED, **{k.value: k for k in InterfaceKind}}
-_SHAPES = {"plane": True, "spherical": False}  # shape -> whether its radius is None
-_INTERFACE_RULE = "plane, or spherical with R=; kind= transmitted, reflected or none"
 _PLANE = Plane()
 # lines read without `_tokenize`: the empty line, and a header alone (its one token)
 _PLAIN = ("", "[system]", "[resonator]")
@@ -103,34 +105,16 @@ class ParseError(OptikitError):
         super().__init__(text)
 
 
-class FreespaceDirective(Value):
-    """A freespace line; line and column locate it and are not compared."""
-
-    __slots__ = ("n", "d", "line", "column")
-    _defaults = (0, 0)
-
-    def _key(self) -> tuple:
-        return (self.n, self.d)
-
-
-class InterfaceDirective(Value):
-    """An interface line: shape "plane" or "spherical", kind "transmitted",
-    "reflected" or None; line and column locate it and are not compared."""
-
-    __slots__ = ("shape", "radius", "kind", "line", "column")
-    _defaults = (None, None, 0, 0)
-
-    def _key(self) -> tuple:
-        return (self.shape, self.radius, self.kind)
-
-
-Directive = Union[FreespaceDirective, InterfaceDirective]
-
-
 class Document(Value):
-    """Kind "system" or "resonator", and its directives in source order."""
+    """The OpticalSystem or Resonator a source describes, and the kind= token
+    of each component interface as written: None, "transmitted" or "reflected"."""
 
-    __slots__ = ("kind", "items")
+    __slots__ = ("body", "written")
+
+    @property
+    def kind(self) -> str:
+        """"system" for an OpticalSystem body, "resonator" otherwise."""
+        return "system" if self.body.__class__ is OpticalSystem else "resonator"
 
 
 def _tokenize(raw_line: str) -> list[tuple[str, int]]:
@@ -189,25 +173,26 @@ def _parse_fields(
     return seen
 
 
-def _parse_freespace(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> FreespaceDirective:
+def _parse_freespace(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> FreeSpace:
     fields = _parse_fields(tokens[1:], line_no, raw_line, _FREESPACE_FIELDS)
     n_text, n_col = fields["n"]
     d_text, d_col = fields["d"]
     n = _parse_real(n_text, line_no, n_col, "n")
     d = _parse_real(d_text, line_no, d_col, "d")
-    return FreespaceDirective(n, d, line_no, tokens[0][1])
+    return FreeSpace(n, d)
 
 
-def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> InterfaceDirective:
+def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> tuple[object, str | None]:
+    """The Plane or Spherical of a line and its kind= token, None where there is none."""
     if len(tokens) < 2:
         raise ParseError(line_no, len(raw_line) + 1, "missing interface shape", "plane or spherical")
     shape, shape_col = tokens[1]
     if shape == "spherical":
         fields = _parse_fields(tokens[2:], line_no, raw_line, _SPHERICAL_FIELDS)
-        radius = _parse_real(fields["R"][0], line_no, fields["R"][1], "R")
+        iface = Spherical(_parse_real(fields["R"][0], line_no, fields["R"][1], "R"))
     elif shape == "plane":
         fields = _parse_fields(tokens[2:], line_no, raw_line, _PLANE_FIELDS)
-        radius = None
+        iface = _PLANE
     else:
         raise ParseError(line_no, shape_col, f"unknown interface shape {shape!r}", "plane or spherical")
     kind = None
@@ -215,46 +200,7 @@ def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str)
         kind, kind_col = fields["kind"]
         if kind not in ("transmitted", "reflected"):
             raise ParseError(line_no, kind_col, f"invalid kind {kind!r}", "transmitted or reflected")
-    return InterfaceDirective(shape, radius, kind, line_no, tokens[0][1])
-
-
-def _structure_error(kind: str, items: list | tuple, head: str | None = None) -> tuple[int, str, str] | None:
-    """(index, message, expected) of the first structural rule a body breaks.
-
-    Directives alternate from a freespace in a [system] and from an interface
-    in a [resonator]; each interface has a known shape, a radius exactly when
-    spherical, and a known kind; then `_ending_error` applies.  index is
-    len(items) when the body ends too early.  Given head, the next
-    directive's name, only its place is checked, as `parse` does per line.
-    """
-    order = _ORDER[kind]
-    if head:
-        n = len(items)
-        return None if head == order[n % 2] else (n, f"unexpected directive {head!r}", order[n % 2])
-    for i, item in enumerate(items):
-        name = "freespace" if isinstance(item, FreespaceDirective) else "interface"
-        if name != order[i % 2]:
-            return i, f"unexpected directive {name!r}", order[i % 2]
-        if name == "interface" and (_SHAPES.get(item.shape) != (item.radius is None) or item.kind not in _KINDS):
-            return i, f"invalid interface {item.shape!r}, R={item.radius!r}, kind={item.kind!r}", _INTERFACE_RULE
-    return _ending_error(kind, items)
-
-
-def _ending_error(kind: str, items: list | tuple) -> tuple[int, str, str] | None:
-    """The ending rules, for a body whose directives are each in place: a
-    system ends on a freespace; a resonator has at least three directives,
-    ends on an interface, and its mirrors carry no kind=."""
-    n = len(items)
-    if kind == "system":  # an even count covers the empty body too
-        return None if n % 2 else (n, "system must end with a freespace line", "freespace")
-    if n < 3:
-        return n, "resonator needs two mirror interfaces with a freespace between", "freespace/interface lines"
-    if n % 2 == 0:
-        return n, "resonator must end with an interface line", "interface"
-    for i in (0, n - 1):
-        if items[i].kind is not None:
-            return i, "kind is not allowed on a mirror interface", "no kind= on the first/last interface"
-    return None
+    return iface, kind
 
 
 def parse(source: str) -> Document:
@@ -262,102 +208,133 @@ def parse(source: str) -> Document:
     global _parsed
     raw_lines = source.split("\n")
     kind: str | None = None
-    items: list[Directive] = []
+    count = 0  # directives read
+    comps: list[OpticalComponent] = []
+    written: list[str | None] = []
 
     for line_no, raw in enumerate(raw_lines, start=1):
         fast = kind and _FAST.fullmatch(raw)
-        if fast and ("freespace" if fast[2] else "interface") == order[len(items) % 2]:
-            indent, n, d, radius, iface_kind = fast.groups()
+        if fast and (head := "freespace" if fast[2] else "interface") == order[count % 2]:
+            indent, n, d, radius, token = fast.groups()
             col = len(indent) + 1
             if n:
-                items.append(FreespaceDirective(float(n), float(d), line_no, col))
+                space = FreeSpace(float(n), float(d))
             else:
-                shape = "spherical" if radius else "plane"
-                items.append(InterfaceDirective(shape, radius and float(radius), iface_kind, line_no, col))
-            continue
-        tokens = ([(raw, 1)] if raw else []) if raw in _PLAIN else _tokenize(raw)
-        if not tokens:
-            continue
-        head, head_col = tokens[0]
-
-        if kind is None:
-            if head not in ("[system]", "[resonator]"):
-                raise ParseError(line_no, head_col, f"unexpected token {head!r}", "[system] or [resonator]")
-            if len(tokens) > 1:
-                raise ParseError(line_no, tokens[1][1], f"trailing token {tokens[1][0]!r}", "end of line")
-            kind, header_line = head[1:-1], line_no
-            order = _ORDER[kind]
-            continue
-
-        misplaced = _structure_error(kind, items, head)
-        if misplaced:
-            raise ParseError(line_no, head_col, *misplaced[1:])
-
-        if head == "freespace":
-            items.append(_parse_freespace(tokens, line_no, raw))
+                iface = Spherical(float(radius)) if radius else _PLANE
         else:
-            items.append(_parse_interface(tokens, line_no, raw))
+            tokens = ([(raw, 1)] if raw else []) if raw in _PLAIN else _tokenize(raw)
+            if not tokens:
+                continue
+            head, col = tokens[0]
+            if kind is None:
+                if head not in ("[system]", "[resonator]"):
+                    raise ParseError(line_no, col, f"unexpected token {head!r}", "[system] or [resonator]")
+                if len(tokens) > 1:
+                    raise ParseError(line_no, tokens[1][1], f"trailing token {tokens[1][0]!r}", "end of line")
+                kind, last = head[1:-1], (line_no, col)
+                order = _ORDER[kind]
+                continue
+            if head != order[count % 2]:
+                raise ParseError(line_no, col, f"unexpected directive {head!r}", order[count % 2])
+            if head == "freespace":
+                space = _parse_freespace(tokens, line_no, raw)
+            else:
+                iface, token = _parse_interface(tokens, line_no, raw)
+        if head == "interface":  # it completes a (freespace, interface) pair, or it is a left mirror
+            if count:
+                comps.append(OpticalComponent(space, iface, _KINDS[token]))
+                written.append(token)
+            else:
+                left, first = iface, (line_no, col, token)
+        count += 1
+        last = (line_no, col)  # the last line with a token
 
     if kind is None:
         raise ParseError(1, 1, "empty document", "[system] or [resonator]")
-
-    broken = _ending_error(kind, items)
-    if broken:
-        i, message, expected = broken
-        last = items[-1].line if items else header_line  # the last line with a token
-        end = (last, len(raw_lines[last - 1]) + 1)
-        raise ParseError(*((items[i].line, items[i].column) if i < len(items) else end), message, expected)
-    doc = _parsed = Document(kind=kind, items=tuple(items))
+    end = (last[0], len(raw_lines[last[0] - 1]) + 1)
+    if kind == "system":  # an even count covers the empty body too
+        if count % 2 == 0:
+            raise ParseError(*end, "system must end with a freespace line", "freespace")
+        body = OpticalSystem(tuple(comps), space)
+    else:
+        if count < 3:
+            raise ParseError(*end, "resonator needs two mirror interfaces with a freespace between",
+                             "freespace/interface lines")
+        if count % 2 == 0:
+            raise ParseError(*end, "resonator must end with an interface line", "interface")
+        for line_no, col, token in (first, (*last, written.pop())):
+            if token is not None:
+                raise ParseError(line_no, col, "kind is not allowed on a mirror interface",
+                                 "no kind= on the first/last interface")
+        right = comps.pop()
+        body = Resonator(left, tuple(comps), right.space, right.iface)
+    doc = _parsed = Document(body, tuple(written))
     return doc
 
 
-def _check_document(doc: Document, kinds: tuple[str, ...] = ("system", "resonator")) -> None:
-    if doc.kind not in kinds:
-        raise DomainError(f"expected a {' or '.join(kinds)} document, got [{doc.kind}]")
-    broken = doc is not _parsed and _structure_error(doc.kind, doc.items)
-    if broken:
-        i, message, expected = broken
-        where = f"directive {i}" if i < len(doc.items) else "end of document"
-        raise DomainError(f"{where}: {message} (expected {expected})")
+def _elements(doc: Document) -> tuple[list, list, tuple]:
+    """The free spaces, the interfaces and the interfaces' kind= tokens of a
+    document's body, each in source order."""
+    body = doc.body
+    if body.__class__ is OpticalSystem:
+        comps = body.components
+        return [c.space for c in comps] + [body.terminal], [c.iface for c in comps], doc.written
+    comps = body.inner
+    ifaces = [body.left, *(c.iface for c in comps), body.right]
+    return [c.space for c in comps] + [body.space], ifaces, (None, *doc.written, None)
+
+
+def _check_document(doc: Document, kind: str | None = None, reals: bool = False) -> None:
+    """DomainError unless doc is of the given kind and, where `parse` did not
+    return it last, its body is an OpticalSystem or Resonator of the element
+    types the grammar spells, written names each component's kind, and (given
+    reals) each real has a spelling."""
+    if doc is not _parsed:
+        body, written = doc.body, doc.written
+        if body.__class__ not in (OpticalSystem, Resonator):
+            raise DomainError(f"a document body is an OpticalSystem or a Resonator, got {type(body).__name__}")
+        comps = body.components if body.__class__ is OpticalSystem else body.inner
+        if not (isinstance(comps, (tuple, list)) and isinstance(written, tuple) and len(written) == len(comps)):
+            raise DomainError("a document's written is a tuple of one kind= token per component")
+        for i, (comp, token) in enumerate(zip(comps, written)):
+            if not (comp.__class__ is OpticalComponent and token in (None, "transmitted", "reflected")
+                    and _KINDS[token] is comp.kind):
+                raise DomainError(f"component {i}: not an OpticalComponent of the kind its token {token!r} names")
+        spaces, ifaces, _ = _elements(doc)
+        for what, elements, types in (("free space", spaces, (FreeSpace,)),
+                                      ("interface", ifaces, (Plane, Spherical))):
+            for k, element in enumerate(elements):
+                if element.__class__ not in types:
+                    raise DomainError(f"{what} {k} is a {type(element).__name__}")
+                for key in element.__slots__ if reals else ():
+                    x = getattr(element, key)
+                    if not (abs(x) <= float_info.max and float(x) == x or x in (math.inf, -math.inf)):
+                        raise DomainError(f"{what} {k}: {key} is NaN or beyond the double range,"
+                                          " or no double equals it")
+    if kind and doc.kind != kind:
+        raise DomainError(f"expected a {kind} document, got [{doc.kind}]")
 
 
 def serialize(doc: Document) -> str:
     """Canonical text form, which parse reads back as doc exactly (spelling and errors: module docstring)."""
-    _check_document(doc)
-    items, first = doc.items, doc.kind == "resonator"  # first: the index of the first freespace
-    if doc is not _parsed:  # a parsed document holds doubles, none of them NaN
-        for i, item in enumerate(items):
-            for key in ("n", "d") if isinstance(item, FreespaceDirective) else ("radius",):
-                x = getattr(item, key) or 0.0  # a plane's radius is None
-                if not (abs(x) <= float_info.max and float(x) == x or x in (math.inf, -math.inf)):
-                    raise DomainError(f"directive {i}: {key} is NaN or beyond the double range,"
-                                      " or no double equals it")
-    lines = [f"[{doc.kind}]"] + [""] * len(items)
-    lines[1 + first::2] = [f"freespace n={float(i.n)!r} d={float(i.d)!r}" for i in items[first::2]]
-    lines[2 - first::2] = [f"interface {i.shape}" + ("" if i.radius is None else f" R={float(i.radius)!r}")
-                           + ("" if i.kind is None else f" kind={i.kind}") for i in items[1 - first::2]]
+    _check_document(doc, reals=True)  # a parsed document holds doubles, none of them NaN
+    spaces, ifaces, tokens = _elements(doc)
+    first = doc.body.__class__ is Resonator  # the index of the first free space
+    lines = [f"[{doc.kind}]"] + [""] * (len(spaces) + len(ifaces))
+    lines[1 + first::2] = [f"freespace n={float(s.n)!r} d={float(s.d)!r}" for s in spaces]
+    lines[2 - first::2] = [
+        ("interface plane" if i.__class__ is Plane else f"interface spherical R={float(i.radius)!r}")
+        + ("" if t is None else f" kind={t}") for i, t in zip(ifaces, tokens)]
     return ("\n".join(lines) + "\n").replace("inf", "1e999")  # repr's "inf"; no keyword holds "inf"
 
 
-def _components(items: tuple[Directive, ...], start: int, stop: int) -> tuple[OpticalComponent, ...]:
-    """Components of the (freespace, interface) directive pairs in items[start:stop]."""
-    return tuple([
-        OpticalComponent(FreeSpace(f.n, f.d), _PLANE if i.radius is None else Spherical(i.radius),
-                         _KINDS[i.kind])
-        for f, i in zip(items[start:stop:2], items[start + 1:stop:2])
-    ])
-
-
 def document_to_system(doc: Document) -> OpticalSystem:
-    """Materialize a [system] document into ray-optics types."""
-    _check_document(doc, ("system",))
-    items = doc.items
-    return OpticalSystem(_components(items, 0, len(items) - 1), FreeSpace(items[-1].n, items[-1].d))
+    """The OpticalSystem of a [system] document."""
+    _check_document(doc, "system")
+    return doc.body
 
 
 def document_to_resonator(doc: Document) -> Resonator:
-    """Materialize a [resonator] document into resonator types."""
-    _check_document(doc, ("resonator",))
-    items = doc.items
-    left, right = (_PLANE if i.radius is None else Spherical(i.radius) for i in (items[0], items[-1]))
-    return Resonator(left, _components(items, 1, len(items) - 2), FreeSpace(items[-2].n, items[-2].d), right)
+    """The Resonator of a [resonator] document."""
+    _check_document(doc, "resonator")
+    return doc.body

@@ -689,6 +689,8 @@ class TestEdgeValues:
 
     @given(x=ANY_NUMBER, y=ANY_NUMBER, z=ANY_NUMBER)
     @example(x=math.nan, y=0.0, z=0.0)
+    @example(x=1e200, y=0.0, z=0.0)
+    @example(x=10**200, y=math.nan, z=0.0)
     @settings(max_examples=300, deadline=None)
     def test_wavelength_of(self, x, y, z):
         try:
@@ -700,3 +702,42 @@ class TestEdgeValues:
     def test_int_amplitude_beyond_double_range(self):
         with pytest.raises(DomainError, match="amplitude must be positive and finite"):
             oblique_incidence_fields(0.3, 1.0, 1.5, 2**1024, TWO_PI, TWO_PI)
+
+    def test_int_products_beyond_double_range(self):
+        # a * n1 was an exact int product that float() could not convert
+        with pytest.raises(DomainError, match="fields overflow"):
+            oblique_incidence_fields(0.3, 2**1023, 2**1023, 2, 1.0, 1.0)
+
+    def test_wavelength_of_a_norm_whose_square_overflows(self):
+        # |k| = 1e200 read as inf, as the squares pass the double range
+        assert wavelength_of(RVec3(1e200, 0.0, 0.0)) == TWO_PI / 1e200
+        assert wavelength_of(RVec3(10**200, 0, 0)) == TWO_PI / 1e200
+        assert math.isclose(wavelength_of(RVec3(-1e300, 1e300, 1e300)), TWO_PI / (math.sqrt(3) * 1e300), rel_tol=1e-15)
+
+    @given(k=st.builds(RVec3, ANY_NUMBER, ANY_NUMBER, ANY_NUMBER),
+           n=st.sampled_from([RVec3(0.0, 0.0, 1.0), RVec3(-1.0, 0.0, 0.0), RVec3(0, 1, 0), RVec3(0.6, 0.0, -0.8),
+                              RVec3(math.sqrt(0.5), math.sqrt(0.5), 0.0), RVec3(math.nan, 0.0, 0.0),
+                              RVec3(10**200, 0, 0), RVec3(2**1024, 0, 0), RVec3(0.0, math.inf, 0.0)]))
+    @example(k=RVec3(math.nan, 0, 1), n=RVec3(0, 0, 1.0))
+    @example(k=RVec3(1e308, 0, 1e308), n=RVec3(0, 0, 1.0))
+    @example(k=RVec3(-1.7e308, 1e-300, 1.7e308), n=RVec3(0.6, 0.0, -0.8))
+    @settings(max_examples=300, deadline=None)
+    def test_reflect_wavevector(self, k, n):
+        try:
+            out = reflect_wavevector(k, n)
+        except OptikitError:
+            return
+        assert all(map(math.isfinite, (out.x, out.y, out.z)))
+        plain = k - n.scale(2.0 * k.dot(n))
+        if all(map(math.isfinite, (plain.x, plain.y, plain.z))):
+            assert [c.hex() for c in (out.x, out.y, out.z)] == [float(c).hex() for c in (plain.x, plain.y, plain.z)]
+
+    def test_reflect_wavevector_reproducers(self):
+        with pytest.raises(DomainError, match="wavevector must be finite"):
+            reflect_wavevector(RVec3(math.nan, 0, 1), RVec3(0, 0, 1.0))
+        with pytest.raises(DomainError, match="normal must be unit length"):
+            reflect_wavevector(RVec3(1.0, 0, 1), RVec3(math.nan, 0, 0.0))
+        # the plain form gave (nan, nan, -inf); 2 (k . n) overflowed
+        assert reflect_wavevector(RVec3(1e308, 0, 1e308), RVec3(0, 0, 1.0)) == RVec3(1e308, 0.0, -1e308)
+        with pytest.raises(DomainError, match="reflected wavevector overflows"):
+            reflect_wavevector(RVec3(1.7e308, 0, 1.7e308), RVec3(0.6, 0.0, -0.8))

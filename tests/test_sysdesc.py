@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import random
@@ -14,11 +15,18 @@ from hypothesis import strategies as st
 from helpers import EDGE_FLOATS, EDGE_INTS, outcome
 from optikit import sysdesc
 from optikit.errors import DomainError, InvalidSystem, OptikitError
-from optikit.rayoptics import FreeSpace, InterfaceKind, Spherical, system_composition
+from optikit.rayoptics import (
+    FreeSpace,
+    InterfaceKind,
+    OpticalComponent,
+    OpticalSystem,
+    Plane,
+    Spherical,
+    system_composition,
+)
+from optikit.resonator import Resonator
 from optikit.sysdesc import (
     Document,
-    FreespaceDirective,
-    InterfaceDirective,
     ParseError,
     document_to_resonator,
     document_to_system,
@@ -34,6 +42,19 @@ FP_SOURCE = (
 )
 
 
+def written_document(comps_and_tokens, end) -> Document:
+    """A hand-built document: a system of the components and terminal free
+    space end, or, given end as (left, space, right), a resonator."""
+    comps = tuple(comp for comp, _ in comps_and_tokens)
+    body = Resonator(end[0], comps, *end[1:]) if isinstance(end, tuple) else OpticalSystem(comps, end)
+    return Document(body, tuple(token for _, token in comps_and_tokens))
+
+
+def component(space, iface, token=None):
+    """(component, its kind= token as written)."""
+    return OpticalComponent(space, iface, InterfaceKind(token or "transmitted")), token
+
+
 def random_document(rng: random.Random) -> Document:
     def real():
         return round(rng.uniform(-5, 5), rng.randint(0, 12)) or 1.0
@@ -42,27 +63,22 @@ def random_document(rng: random.Random) -> Document:
         kind = None
         if not mirror and rng.random() < 0.5:
             kind = rng.choice(["transmitted", "reflected"])
-        if rng.random() < 0.5:
-            return InterfaceDirective(shape="plane", radius=None, kind=kind)
-        return InterfaceDirective(shape="spherical", radius=real(), kind=kind)
+        return (Plane() if rng.random() < 0.5 else Spherical(real())), kind
 
     def freespace():
-        return FreespaceDirective(n=real(), d=real())
+        return FreeSpace(n=real(), d=real())
+
+    def pair():
+        space = freespace()
+        return component(space, *interface())
 
     if rng.random() < 0.5:
-        items = []
-        for _ in range(rng.randint(0, 4)):
-            items.append(freespace())
-            items.append(interface())
-        items.append(freespace())
-        return Document(kind="system", items=tuple(items))
-    items = [interface(mirror=True)]
-    for _ in range(rng.randint(0, 3)):
-        items.append(freespace())
-        items.append(interface())
-    items.append(freespace())
-    items.append(interface(mirror=True))
-    return Document(kind="resonator", items=tuple(items))
+        pairs = [pair() for _ in range(rng.randint(0, 4))]
+        return written_document(pairs, freespace())
+    left = interface(mirror=True)[0]
+    pairs = [pair() for _ in range(rng.randint(0, 3))]
+    space = freespace()
+    return written_document(pairs, (left, space, interface(mirror=True)[0]))
 
 
 class TestParse:
@@ -82,7 +98,7 @@ class TestParse:
 
     def test_keys_in_any_order(self):
         doc = parse("[system]\nfreespace d=2.0 n=1.0\n")
-        assert doc.items[0] == FreespaceDirective(n=1.0, d=2.0)
+        assert doc.body.terminal == FreeSpace(n=1.0, d=2.0)
 
     def test_comments_and_blank_lines_ignored(self):
         source = "# cavity description\n\n[system]\nfreespace n=1.0 d=2.0  # terminal\n"
@@ -102,9 +118,35 @@ class TestParse:
         assert res.inner[0].kind is InterfaceKind.REFLECTED
         assert res.space == FreeSpace(1.0, 0.2)
 
+    def test_body_is_built_from_the_pairs(self):
+        """Each (freespace, interface) pair is a component; its kind= token
+        is kept as written, so the canonical text keeps kind=transmitted."""
+        transmitted, reflected = InterfaceKind.TRANSMITTED, InterfaceKind.REFLECTED
+        source = (
+            "[resonator]\ninterface spherical R=2.0\nfreespace n=1.0 d=0.1\ninterface plane kind=transmitted\n"
+            "freespace n=1.5 d=0.2\ninterface spherical R=0.5 kind=reflected\nfreespace n=1.0 d=0.3\ninterface plane\n"
+        )
+        doc = parse(source)
+        assert doc.body == Resonator(Spherical(2.0), (
+            OpticalComponent(FreeSpace(1.0, 0.1), Plane(), transmitted),
+            OpticalComponent(FreeSpace(1.5, 0.2), Spherical(0.5), reflected),
+        ), FreeSpace(1.0, 0.3), Plane())
+        assert doc.written == ("transmitted", "reflected")
+        assert serialize(doc) == source
+        assert document_to_resonator(doc) is doc.body
+
+    def test_system_components_and_terminal(self):
+        source = "[system]\nfreespace n=1.0 d=0.1\ninterface plane\nfreespace n=1.5 d=0.2\n"
+        doc = parse(source)
+        component = OpticalComponent(FreeSpace(1.0, 0.1), Plane(), InterfaceKind.TRANSMITTED)
+        assert doc.body == OpticalSystem((component,), FreeSpace(1.5, 0.2))
+        assert doc.written == (None,)
+        assert serialize(doc) == source
+        assert document_to_system(doc) is doc.body
+
     def test_exponent_notation(self):
         doc = parse("[system]\nfreespace n=1.0 d=2.5e-3\n")
-        assert doc.items[0].d == 2.5e-3
+        assert doc.body.terminal.d == 2.5e-3
 
 
 def error_of(source: str) -> ParseError:
@@ -177,6 +219,11 @@ class TestParseErrors:
         err = error_of(source)
         assert "mirror" in err.message
         assert err.line == 2
+        # with kind= on both mirrors, the first one is reported
+        err = error_of(source + "freespace n=1.0 d=0.5\ninterface plane kind=transmitted\n")
+        assert (err.line, err.column) == (2, 1)
+        err = error_of(source.replace(" kind=reflected", "") + "freespace n=1 d=1\n  interface plane kind=reflected\n")
+        assert (err.line, err.column) == (6, 3)
 
     def test_bad_kind_value(self):
         err = error_of("[system]\nfreespace n=1 d=1\ninterface plane kind=up\nfreespace n=1 d=1\n")
@@ -218,8 +265,10 @@ class TestErrorPositions:
 
     def test_token_touching_comment_keeps_its_value(self):
         doc = parse("[system]\n  freespace n=1.0 d=2.0#note\n")
-        assert doc.items[0] == FreespaceDirective(n=1.0, d=2.0)
-        assert (doc.items[0].line, doc.items[0].column) == (2, 3)
+        assert doc.body.terminal == FreeSpace(n=1.0, d=2.0)
+        # a directive's own column, as a mirror error reports it
+        err = error_of("[resonator]\n  interface plane kind=reflected#note\nfreespace n=1 d=1\ninterface plane\n")
+        assert (err.line, err.column, err.message) == (2, 3, "kind is not allowed on a mirror interface")
 
     def test_parse_error_is_an_optikit_error(self):
         assert isinstance(error_of("[system]\n"), OptikitError)
@@ -256,13 +305,10 @@ class TestSerialize:
         assert serialize(parse(once)) == once
 
     def test_shortest_float_spelling_survives(self):
-        doc = Document(
-            kind="system",
-            items=(FreespaceDirective(n=1 + 1e-15, d=0.1),),
-        )
+        doc = written_document((), FreeSpace(n=1 + 1e-15, d=0.1))
         again = parse(serialize(doc))
-        assert again.items[0].n == doc.items[0].n
-        assert again.items[0].d == doc.items[0].d
+        assert again.body.terminal.n == doc.body.terminal.n
+        assert again.body.terminal.d == doc.body.terminal.d
 
     def test_round_trip_generated_documents(self):
         rng = random.Random(12)
@@ -270,61 +316,50 @@ class TestSerialize:
             doc = random_document(rng)
             assert parse(serialize(doc)) == doc
 
-    def test_malformed_document_rejected(self):
-        bad = Document(kind="system", items=(InterfaceDirective(shape="plane"),))
-        with pytest.raises(DomainError):
-            serialize(bad)
+    def test_kind_follows_the_body(self):
+        assert parse("[system]\nfreespace n=1 d=1\n").kind == "system"
+        assert parse(FP_SOURCE).kind == "resonator"
+        doc = written_document((), FreeSpace(1.0, 1.0))
+        with pytest.raises(DomainError, match=r"expected a resonator document, got \[system\]"):
+            document_to_resonator(doc)
 
     @pytest.mark.parametrize(
-        "iface",
+        "doc, message",
         [
-            InterfaceDirective("cylinder"),
-            InterfaceDirective("spherical"),
-            InterfaceDirective("plane", radius=1.0),
-            InterfaceDirective("plane", kind="sideways"),
+            # element types the grammar has no line for
+            (Document(FreeSpace(1.0, 1.0), ()), "a document body is an OpticalSystem or a Resonator, got FreeSpace"),
+            (written_document((), Plane()), "free space 0 is a Plane"),
+            (written_document([component(FreeSpace(1.0, 0.1), FreeSpace(1.0, 0.1))], FreeSpace(1.0, 0.1)),
+             "interface 0 is a FreeSpace"),
+            (written_document([component(Plane(), Plane())], FreeSpace(1.0, 0.1)),
+             "free space 0 is a Plane"),
+            (written_document((), (FreeSpace(1.0, 0.1), FreeSpace(1.0, 0.1), Plane())),
+             "interface 0 is a FreeSpace"),
+            (written_document((), (Plane(), Plane(), Plane())), "free space 0 is a Plane"),
+            (written_document((), (Plane(), FreeSpace(1.0, 0.1), None)),
+             "interface 1 is a NoneType"),
+            (Document(OpticalSystem(((FreeSpace(1.0, 0.1), Plane()),), FreeSpace(1.0, 0.1)), (None,)),
+             "component 0: not an OpticalComponent"),
+            (Document(OpticalSystem(None, FreeSpace(1.0, 0.1)), ()), "one kind= token per component"),
+            # kind= tokens that do not match the components
+            (Document(OpticalSystem((), FreeSpace(1.0, 0.1)), (None,)), "one kind= token per component"),
+            (Document(OpticalSystem((component(FreeSpace(1.0, 0.1), Plane())[0],), FreeSpace(1.0, 0.1)), [None]),
+             "one kind= token per component"),
+            (Document(OpticalSystem((component(FreeSpace(1.0, 0.1), Plane(), "reflected")[0],), FreeSpace(1.0, 0.1)),
+                      (None,)), "component 0: not an OpticalComponent of the kind its token None names"),
+            (Document(OpticalSystem((component(FreeSpace(1.0, 0.1), Plane())[0],), FreeSpace(1.0, 0.1)),
+                      ("sideways",)), "its token 'sideways' names"),
+            (Document(OpticalSystem((OpticalComponent(FreeSpace(1.0, 0.1), Plane(), "reflected"),),
+                                    FreeSpace(1.0, 0.1)), ("reflected",)), "its token 'reflected' names"),
         ],
     )
-    def test_interface_outside_the_grammar_rejected(self, iface):
-        """An unknown shape once became Spherical(None), and kind=sideways
-        serialized to text that `parse` rejects."""
-        fs = FreespaceDirective(1.0, 0.1)
-        system = Document("system", (fs, iface, fs))
-        resonator = Document("resonator", (InterfaceDirective("plane"), fs, iface, fs, InterfaceDirective("plane")))
-        for call, doc in ((serialize, system), (document_to_system, system), (document_to_resonator, resonator)):
-            with pytest.raises(DomainError, match="invalid interface"):
+    def test_hand_built_document_outside_the_grammar_rejected(self, doc, message):
+        """A body the grammar cannot spell, or kind= tokens that do not name
+        its kinds: `serialize` once wrote an unknown shape as text that `parse`
+        rejects, and both conversions once built values from it."""
+        for call in (serialize, document_to_system, document_to_resonator):
+            with pytest.raises(DomainError, match=re.escape(message)):
                 call(doc)
-
-    @pytest.mark.parametrize(
-        "source, items",
-        [
-            ("[system]\nfreespace n=1 d=1\nfreespace n=1 d=1\n", ("fs", "fs")),
-            ("[system]\nfreespace n=1 d=1\ninterface plane\n", ("fs", "plane")),
-            ("[system]\n", ()),
-            ("[resonator]\nfreespace n=1 d=1\n", ("fs",)),
-            ("[resonator]\ninterface plane\nfreespace n=1 d=1\n", ("plane", "fs")),
-            ("[resonator]\ninterface plane\nfreespace n=1 d=1\ninterface plane\nfreespace n=1 d=1\n",
-             ("plane", "fs", "plane", "fs")),
-            ("[resonator]\ninterface plane kind=reflected\nfreespace n=1 d=1\ninterface plane\n",
-             ("reflected", "fs", "plane")),
-            ("[resonator]\ninterface plane\nfreespace n=1 d=1\ninterface plane kind=transmitted\n",
-             ("plane", "fs", "transmitted")),
-        ],
-    )
-    def test_hand_built_document_breaks_the_rule_parse_reports(self, source, items):
-        """`serialize` and `parse` state each structural rule in the same words."""
-        directives = {
-            "fs": FreespaceDirective(1.0, 1.0),
-            "plane": InterfaceDirective("plane"),
-            "reflected": InterfaceDirective("plane", kind="reflected"),
-            "transmitted": InterfaceDirective("plane", kind="transmitted"),
-        }
-        with pytest.raises(ParseError) as parsed:
-            parse(source)
-        doc = Document(kind=source.split("\n")[0][1:-1], items=tuple(directives[i] for i in items))
-        with pytest.raises(DomainError) as built:
-            serialize(doc)
-        assert parsed.value.message in str(built.value)
-        assert parsed.value.expected in str(built.value)
 
 
 def _check_positions(source: str, err: ParseError) -> None:
@@ -440,8 +475,34 @@ def _outcome(source: str) -> tuple:
         doc = parse(source)
     except ParseError as err:
         return "error", err.line, err.column, err.message, err.expected
-    # Value equality ignores line and column, so they are compared apart
-    return "document", doc, [(item.line, item.column) for item in doc.items]
+    return "document", doc
+
+
+def _digest_sources(rng: random.Random):
+    """Generated, decorated, mutated and random printable sources, four per round."""
+    generated = serialize(random_document(rng))
+    decorated = _decorated(rng)
+    yield generated
+    yield decorated
+    yield _mutated(decorated, rng)
+    yield "".join(rng.choices(string.printable, k=rng.randint(0, 120)))
+
+
+class TestOutcomeDigest:
+    def test_outcomes_are_pinned(self):
+        """Every ParseError (line, column, message, expected) and every
+        canonical text of 20,000 seeded sources, hashed: a change to any
+        error position or message, or to the canonical form, moves the digest."""
+        rng = random.Random(2021)
+        digest = hashlib.sha256()
+        for _ in range(5000):
+            for source in _digest_sources(rng):
+                try:
+                    out = serialize(parse(source))
+                except ParseError as err:
+                    out = (err.line, err.column, err.message, err.expected)
+                digest.update(repr(out).encode() + b"\n")
+        assert digest.hexdigest() == "5207e418e3f558081fec364c2efd2b4782865baef9411fc73ef00c8adf5fd7b5"
 
 
 class TestFastPath:
@@ -476,21 +537,21 @@ class TestFastPath:
 # 2**53 + 1 is an int inside the double range that no double equals
 _EDGE_REALS = st.sampled_from(
     EDGE_FLOATS + EDGE_INTS + [2**53 + 1, -(2**53 + 1), math.inf, -math.inf, math.nan]) | st.floats(-1e3, 1e3)
-_KIND_VALUES = st.sampled_from((None, "transmitted", "reflected"))
-_FREESPACES = st.builds(FreespaceDirective, _EDGE_REALS, _EDGE_REALS)
-_INTERFACES = st.builds(InterfaceDirective, st.just("plane"), st.none(), _KIND_VALUES) | st.builds(
-    InterfaceDirective, st.just("spherical"), _EDGE_REALS, _KIND_VALUES)
-_MIRRORS = st.builds(InterfaceDirective, st.just("plane")) | st.builds(InterfaceDirective, st.just("spherical"), _EDGE_REALS)
-_PAIRS = st.lists(st.tuples(_FREESPACES, _INTERFACES), max_size=4).map(lambda pairs: sum(pairs, ()))
-_EDGE_DOCUMENTS = st.builds(
-    lambda pairs, fs: Document("system", pairs + (fs,)), _PAIRS, _FREESPACES
-) | st.builds(
-    lambda left, pairs, fs, right: Document("resonator", (left, *pairs, fs, right)), _MIRRORS, _PAIRS, _FREESPACES, _MIRRORS
-)
+_TOKENS = st.sampled_from((None, "transmitted", "reflected"))
+_FREESPACES = st.builds(FreeSpace, _EDGE_REALS, _EDGE_REALS)
+_MIRRORS = st.just(Plane()) | st.builds(Spherical, _EDGE_REALS)
+_PAIRS = st.lists(st.builds(component, _FREESPACES, _MIRRORS, _TOKENS), max_size=4)
+_EDGE_DOCUMENTS = st.builds(written_document, _PAIRS, _FREESPACES | st.tuples(_MIRRORS, _FREESPACES, _MIRRORS))
 
 
 def _reals(doc: Document) -> list:
-    return [x for item in doc.items for x in ((item.n, item.d) if isinstance(item, FreespaceDirective) else (item.radius,))]
+    """The reals of a document's free spaces and spherical interfaces."""
+    body = doc.body
+    if isinstance(body, OpticalSystem):
+        elements = [e for c in body.components for e in (c.space, c.iface)] + [body.terminal]
+    else:
+        elements = [body.left, *(e for c in body.inner for e in (c.space, c.iface)), body.space, body.right]
+    return [getattr(e, key) for e in elements for key in e.__slots__]
 
 
 class TestEdgeReals:
@@ -500,32 +561,32 @@ class TestEdgeReals:
     def test_infinity_is_spelled_as_a_real_that_reads_back(self):
         doc = parse("[system]\nfreespace n=1e999 d=1.0\n")
         assert serialize(doc) == "[system]\nfreespace n=1e999 d=1.0\n"
-        negative = Document("resonator", (InterfaceDirective("spherical", -math.inf), FreespaceDirective(1.0, math.inf),
-                                          InterfaceDirective("plane")))
+        negative = written_document((), (Spherical(-math.inf), FreeSpace(1.0, math.inf), Plane()))
         text = serialize(negative)
         assert text == "[resonator]\ninterface spherical R=-1e999\nfreespace n=1.0 d=1e999\ninterface plane\n"
         assert parse(text) == negative
 
     @pytest.mark.parametrize(
-        "items, message",
+        "pairs, end, message",
         [
-            ((FreespaceDirective(10**400, 1.0),), "directive 0: n is"),
-            ((FreespaceDirective(math.nan, 1.0),), "directive 0: n is"),
-            ((FreespaceDirective(1.0, 0.5), InterfaceDirective("plane"), FreespaceDirective(1.0, -(2**1024))),
-             "directive 2: d is"),
-            ((FreespaceDirective(1.0, 0.5), InterfaceDirective("spherical", math.nan), FreespaceDirective(1.0, 1.0)),
-             "directive 1: radius is"),
-            ((FreespaceDirective(2**53 + 1, 1.0),), "directive 0: n is"),
-            ((FreespaceDirective(1.0, 0.5), InterfaceDirective("spherical", -(2**53 + 1)), FreespaceDirective(1.0, 1.0)),
-             "directive 1: radius is"),
+            ((), FreeSpace(10**400, 1.0), "free space 0: n is"),
+            ((), FreeSpace(math.nan, 1.0), "free space 0: n is"),
+            ([component(FreeSpace(1.0, 0.5), Plane())], FreeSpace(1.0, -(2**1024)), "free space 1: d is"),
+            ([component(FreeSpace(1.0, 0.5), Spherical(math.nan))], FreeSpace(1.0, 1.0), "interface 0: radius is"),
+            ((), FreeSpace(2**53 + 1, 1.0), "free space 0: n is"),
+            ([component(FreeSpace(1.0, 0.5), Spherical(-(2**53 + 1)))], FreeSpace(1.0, 1.0), "interface 0: radius is"),
+            ((), (Spherical(math.nan), FreeSpace(1.0, 1.0), Plane()), "interface 0: radius is"),
+            ((), (Plane(), FreeSpace(1.0, 10**400), Plane()), "free space 0: d is"),
+            ([component(FreeSpace(2**53 + 1, 1.0), Plane(), "reflected")], (Plane(), FreeSpace(1.0, 1.0), Plane()),
+             "free space 0: n is"),
         ],
     )
-    def test_real_without_spelling_is_a_domain_error(self, items, message):
+    def test_real_without_spelling_is_a_domain_error(self, pairs, end, message):
         # 10**400 made float() raise OverflowError, NaN serialized to n=nan,
         # which parse rejects, and 2**53 + 1 to n=9007199254740992.0, which
         # parses to another number
         with pytest.raises(DomainError, match=f"{message} NaN or beyond the double range"):
-            serialize(Document("system", items))
+            serialize(written_document(pairs, end))
 
     @given(doc=_EDGE_DOCUMENTS)
     @settings(max_examples=400, deadline=None)
@@ -536,7 +597,7 @@ class TestEdgeReals:
             except OptikitError:
                 out = None
             if call is serialize:
-                spellable = all(x is None or abs(x) <= sys.float_info.max and float(x) == x
+                spellable = all(abs(x) <= sys.float_info.max and float(x) == x
                                 or x in (math.inf, -math.inf) for x in _reals(doc))
                 assert (out is not None) == spellable
                 if spellable:
@@ -573,13 +634,13 @@ class TestParsedMemo:
 
     def test_hand_built_document_is_checked_on_every_call(self):
         doc = parse(FP_SOURCE)
-        built = Document(doc.kind, doc.items)
+        built = Document(doc.body, doc.written)
         assert [outcome(call, built) for call in _CALLS] == [outcome(call, doc) for call in _CALLS]
-        broken = Document(doc.kind, doc.items[:-1])
+        broken = Document(doc.body, ("reflected",))  # a token for a mirror
         for _ in range(2):
             parse(FP_SOURCE)
             for call in (serialize, document_to_resonator):
-                with pytest.raises(DomainError, match="resonator needs two mirror interfaces"):
+                with pytest.raises(DomainError, match="one kind= token per component"):
                     call(broken)
 
     def test_threads_get_the_results_of_their_own_documents(self):
@@ -588,7 +649,7 @@ class TestParsedMemo:
         rng = random.Random(19)
         sources = [serialize(random_document(rng)) for _ in range(4)]
         expected = [[outcome(call, copy.copy(parse(source))) for call in _CALLS] for source in sources]
-        broken = Document("system", (InterfaceDirective("plane"),))
+        broken = written_document((), Plane())
         wrong = []
 
         def work(i):

@@ -28,7 +28,7 @@ from optikit.rayoptics import (
     Violation,
 )
 from optikit.resonator import OracleResult, Resonator, StabilityVerdict
-from optikit.sysdesc import Document, FreespaceDirective, InterfaceDirective
+from optikit.sysdesc import Document
 
 SPACE = FreeSpace(n=1.0, d=0.1)
 COMPONENT = OpticalComponent(space=SPACE, iface=Spherical(radius=0.5), kind=InterfaceKind.REFLECTED)
@@ -69,31 +69,19 @@ CASES = [
      "StabilityVerdict(det=1.0, half_trace=0.5, stable=True, marginal=False)"),
     (OracleResult, dict(max_y=1e-3, max_theta=2e-3, diverged=False), dict(diverged=True),
      "OracleResult(max_y=0.001, max_theta=0.002, diverged=False)"),
-    (FreespaceDirective, dict(n=1.0, d=0.5, line=3, column=1), dict(n=2.0),
-     "FreespaceDirective(n=1.0, d=0.5, line=3, column=1)"),
-    (InterfaceDirective, dict(shape="spherical", radius=2.0, kind="reflected", line=4, column=2),
-     dict(kind=None),
-     "InterfaceDirective(shape='spherical', radius=2.0, kind='reflected', line=4, column=2)"),
-    (Document, dict(kind="system", items=(FreespaceDirective(1.0, 0.5),)), dict(kind="resonator"),
-     "Document(kind='system', items=(FreespaceDirective(n=1.0, d=0.5, line=0, column=0),))"),
+    (Document, dict(body=OpticalSystem((COMPONENT,), SPACE), written=("reflected",)), dict(written=(None,)),
+     f"Document(body=OpticalSystem(components=({COMPONENT_REPR},), terminal={SPACE_REPR}), written=('reflected',))"),
+    (Document, dict(body=Resonator(Plane(), (), SPACE, Spherical(2.0)), written=()),
+     dict(body=Resonator(Plane(), (), SPACE, Plane())),
+     f"Document(body=Resonator(left=Plane(), inner=(), space={SPACE_REPR}, right=Spherical(radius=2.0)), written=())"),
 ]
 
-# fields left out of == and hash, as positions into the source
-UNCOMPARED = {FreespaceDirective: ("line", "column"), InterfaceDirective: ("line", "column")}
 # declared constructor defaults; every other field is required
-DEFAULTS = {
-    FreespaceDirective: dict(line=0, column=0),
-    InterfaceDirective: dict(radius=None, kind=None, line=0, column=0),
-    ValidationReport: dict(warnings=()),
-}
+DEFAULTS = {ValidationReport: dict(warnings=())}
 
 by_type = pytest.mark.parametrize(
     "cls, fields, changed, text", CASES, ids=[case[0].__name__ for case in CASES]
 )
-
-
-def compared(cls, fields):
-    return tuple(v for k, v in fields.items() if k not in UNCOMPARED.get(cls, ()))
 
 
 @by_type
@@ -101,7 +89,7 @@ def test_equal_and_hashed_by_field(cls, fields, changed, text):
     value = cls(**fields)
     twin = cls(*fields.values())  # positional and keyword construction agree
     assert value == twin and not value != twin
-    assert hash(value) == hash(twin) == hash(compared(cls, fields))
+    assert hash(value) == hash(twin) == hash(tuple(fields.values()))
     if changed:
         other = cls(**{**fields, **changed})
         assert value != other and not value == other
@@ -112,7 +100,6 @@ def test_never_equals_its_tuple(cls, fields, changed, text):
     value, fields_tuple = cls(**fields), tuple(fields.values())
     assert value != fields_tuple and fields_tuple != value
     assert not value == fields_tuple
-    assert value != compared(cls, fields)
 
 
 @by_type
@@ -139,7 +126,7 @@ def test_copies_are_equal(cls, fields, changed, text, round_trip):
     back = round_trip(value)
     assert type(back) is cls
     assert back == value and hash(back) == hash(value)
-    assert repr(back) == text  # uncompared fields survive too
+    assert repr(back) == text
 
 
 @by_type
@@ -163,20 +150,14 @@ def test_wrong_arguments_raise_type_error(cls, fields, changed, text):
             cls(**dict(list(fields.items())[1:]))
 
 
-class TestDirectives:
-    def test_defaults(self):
-        assert InterfaceDirective("plane") == InterfaceDirective("plane", None, None, 0, 0)
-        assert repr(InterfaceDirective("plane")) == (
-            "InterfaceDirective(shape='plane', radius=None, kind=None, line=0, column=0)"
-        )
-        assert repr(FreespaceDirective(1.0, 0.5)) == "FreespaceDirective(n=1.0, d=0.5, line=0, column=0)"
-
-    def test_position_is_not_compared(self):
-        a, b = FreespaceDirective(1.0, 0.5, 3, 1), FreespaceDirective(1.0, 0.5, 9, 7)
-        assert a == b and hash(a) == hash(b)
-        a, b = InterfaceDirective("spherical", 2.0, None, 4, 2), InterfaceDirective("spherical", 2.0)
-        assert a == b and hash(a) == hash(b)
-        assert Document("system", (a,)) == Document("system", (b,))
+class TestDocument:
+    def test_kind_is_derived_from_the_body(self):
+        system = Document(OpticalSystem((), SPACE), ())
+        resonator = Document(Resonator(Plane(), (), SPACE, Plane()), ())
+        assert (system.kind, resonator.kind) == ("system", "resonator")
+        assert "kind" not in Document.__slots__
+        with pytest.raises(AttributeError):
+            system.kind = "resonator"
 
 
 class TestQParameterValidates:

@@ -28,8 +28,8 @@ equal bit for bit to the per-sample `uniform` calls: one `getrandbits` call
 returns the block's 32-bit generator outputs in order, least significant word
 first; `random()` is ((a >> 5) * 2**26 + (b >> 6)) * 2**-53 of two of them; and
 `uniform(lo, hi)` is lo + (hi - lo) * random(), rounded once per operation in
-numpy as in Python.  The rest is float64 array work over the same blocks, so
-time is O(samples) at about a microsecond per sample and memory is O(_CHUNK).
+numpy as in Python.  The rest is float64 array work over the same blocks:
+memory O(_CHUNK), time about 0.1 ms + 0.25 us a sample on an x86-64 Xeon.
 
 The kernel returns exactly (bit for bit) the max over `sample_plane_points`
 of the component magnitudes of `boundary_residual`, the scalar reference
@@ -41,6 +41,11 @@ arithmetic on split real/imaginary arrays:
   computes for the purely imaginary argument;
 - magnitudes are hypot(re, im), which is what `abs` computes.
 
+Where a block's phases are finite and its amplitudes too small for a sum to
+overflow, it leaves out products with 1 and with a zero amplitude part or normal
+entry: exact +-0s, which change only the sign of a zero sum, and hypot ignores
+that.  Other blocks form every product, as there 0 * inf is NaN.
+
 numpy's complex128 multiply and `np.abs` may take fused multiply-add or SIMD
 paths that differ from CPython in the last bit, so the kernel avoids them.
 The contract also needs `np.cos`, `np.sin` and `np.hypot` to round as the C
@@ -51,6 +56,7 @@ calls and the kernel against the reference path; there is no fallback route.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -131,6 +137,21 @@ class InterfaceSystem:
     consts: EMConstants
 
 
+def _finite_fields(fn):
+    """fn, raising DomainError for a field result not finite or an int past the double range."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except OverflowError:
+            raise DomainError(f"{fn.__name__}: an int part is beyond the double range") from None
+        if not all(cmath.isfinite(c) for f in (out if isinstance(out, tuple) else (out,)) for c in (f.x, f.y, f.z)):
+            raise DomainError(f"{fn.__name__}: not finite, {out!r}")
+        return out
+    return checked
+
+
+@_finite_fields
 def eval_plane_wave(wave: PlaneWave, r: RVec3, t: float) -> tuple[CVec3, CVec3]:
     """Field amplitudes at (r, t): both scaled by exp(-j(k.r - omega t))."""
     phase = cmath.exp(-1j * (wave.k.dot(r) - wave.omega * t))
@@ -143,17 +164,20 @@ def wavelength_of(k: RVec3) -> float:
         norm = k.norm()
     except OverflowError:  # an int component squares past the double range
         norm = math.inf
-    if norm == math.inf:  # the squares overflow: scale by the largest component, if it is finite
+    if norm == math.inf or norm == 0:  # the squares overflow or underflow: scale by the largest component
         x, y, z = (float(_checkable(c)) for c in (k.x, k.y, k.z))
         top = max(abs(x), abs(y), abs(z))
-        norm = top * RVec3(x / top, y / top, z / top).norm() if top < math.inf else top
+        norm = top * RVec3(x / top, y / top, z / top).norm() if 0 < top < math.inf else top
     if norm == 0:
         raise DomainError("zero wavevector has no wavelength")
     if not norm < math.inf:
         raise DomainError(f"wavevector norm must be finite, got {norm!r}")
+    if not 2.0 * math.pi / norm < math.inf:  # only a scaled norm is this small
+        raise DomainError(f"wavelength 2 pi / |k| overflows double precision at |k| = {norm!r}")
     return 2.0 * math.pi / norm
 
 
+@_finite_fields
 def h_from_e(k: RVec3, E: CVec3, consts: EMConstants) -> CVec3:
     """Magnetic amplitude (1/(eta0 k0)) * (k x E) of a plane wave in a medium."""
     product = consts.eta0 * consts.k0
@@ -168,6 +192,7 @@ def _require_on_plane(spec: InterfaceSpec, r: RVec3) -> None:
         raise OffPlanePoint(f"point {r} is off the interface plane")
 
 
+@_finite_fields
 def boundary_residual(
     side1: Sequence[PlaneWave],
     side2: PlaneWave,
@@ -323,14 +348,21 @@ def _tangent_basis(normal: RVec3) -> tuple[RVec3, RVec3]:
     return (t1, t2)
 
 
+def _check_sampling(samples: int, seed: int) -> None:
+    """DomainError unless both are ints and samples >= 1: a seed of None seeds from the OS."""
+    if not (isinstance(samples, int) and isinstance(seed, int)):
+        raise DomainError(f"samples and seed must be ints, got {samples!r}, {seed!r}")
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
+
+
 def _plane_draws(sys_i: InterfaceSystem, samples: int, seed: int) -> Iterator[np.ndarray]:
     """Seeded offsets u, v and times t, in blocks of at most `_CHUNK` rows (u, v, t).
 
     The single owner of the draw order: exactly the per-sample `uniform` draws
     of one `random.Random(seed)` (module docstring), so seeded outputs never change.
     """
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples}")
+    _check_sampling(samples, seed)
     lam = wavelength_of(sys_i.incident.k)
     period = 2.0 * math.pi / sys_i.incident.omega
     lo, hi = np.array([[-10.0 * lam, -10.0 * lam, 0.0], [10.0 * lam, 10.0 * lam, 10.0 * period]])
@@ -362,7 +394,7 @@ def sample_plane_points(
 
 
 def _column(v: RVec3) -> np.ndarray:
-    return np.array([[float(v.x)], [float(v.y)], [float(v.z)]])
+    return np.array([[float(_checkable(c))] for c in (v.x, v.y, v.z)])
 
 
 def _dot3(a, b):
@@ -370,30 +402,18 @@ def _dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cmul(ar, ai, br, bi):
-    """CPython's complex product on split parts (no fused multiply-add)."""
-    return (ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _amplitudes(wave: PlaneWave) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of (E, H), shape (2, 3, 1)."""
-    parts = np.array(
-        [[complex(c) for c in (f.x, f.y, f.z)] for f in (wave.E, wave.H)]
-    )[:, :, None]
-    return (parts.real, parts.imag)
-
-
-def _block_fields(wave: PlaneWave, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split (E, H) of `eval_plane_wave` at n points, shape (2, 3, n)."""
-    # -1j * x is (0.0, -x) and cmath.exp of it is (cos(-x), sin(-x))
-    arg = -(_dot3(_column(wave.k), r) - float(wave.omega) * t)
-    ar, ai = _amplitudes(wave)
-    return _cmul(np.cos(arg), np.sin(arg), ar, ai)
-
-
-# component i of u x v is u[_NEXT[i]] v[_PREV[i]] - u[_PREV[i]] v[_NEXT[i]]
-_NEXT = [1, 2, 0]
-_PREV = [2, 0, 1]
+def _side_difference(c, s, ar, ai):
+    """Side 1 minus side 2, (re, im) of shape (row, n): each wave's phase (c, s),
+    shape (wave, n), times its amplitude parts, shape (wave, row, 1), the
+    transmitted wave's negated, as CPython's complex product (c*ar - s*ai,
+    c*ai + s*ar), summed wave by wave.  A part given as None is all zero, and
+    its products are left out."""
+    c, s = c[:, None], s[:, None]
+    out = []
+    for fc, fs in ((ar, None if ai is None else -ai), (ai, ar)):
+        t = c * fc if fs is None else s * fs if fc is None else c * fc + s * fs
+        out.append(t[0] + t[1] + t[2])
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN residual is raised below
@@ -408,7 +428,24 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
     point = _column(spec.point)
     t1, t2 = (_column(b) for b in _tangent_basis(spec.normal))
     normal = _column(spec.normal)
-    n_im = np.zeros_like(normal)
+    nrm = normal[:, 0].tolist()
+    waves = (sys_i.incident, sys_i.reflected, sys_i.transmitted)
+    k = np.stack([_column(w.k) for w in waves], axis=1)  # (component, wave, 1)
+    omega = np.array([[float(_checkable(w.omega))] for w in waves])
+    # amplitudes by wave and row (E x, y, z, then H); the transmitted wave's are
+    # negated, so that side 1 minus side 2 is a sum: -(x - y) is -x + y exactly
+    amps = [[complex(_checkable(c)) for f in (w.E, w.H) for c in (f.x, f.y, f.z)] for w in waves]
+    amps[2] = [-z for z in amps[2]]
+    amp = np.array(amps)[..., None]
+    # component i of n x d is n[i + 1] d[i + 2] - n[i + 2] d[i + 1]: its terms
+    # (n entry, row of d) without a zero factor; a lone term keeps its magnitude
+    plan = [[(a, f + j) for a, j in ((nrm[i - 2], (i + 2) % 3), (-nrm[i - 1], (i + 1) % 3))
+             if a and any(zs[f + j] for zs in amps)] for f in (0, 3) for i in range(3)]
+    plan = [[(abs(t[0][0]), t[0][1])] if len(t) == 1 else t for t in plan if t]
+    live = sorted({row for terms in plan for _, row in terms})
+    ar, ai = (x[:, live] if x[:, live].any() else None for x in (amp.real, amp.imag))
+    # with |cos|, |sin| <= 1, amplitudes this small keep every sum finite
+    bounded = sum(abs(z.real) + abs(z.imag) for zs in amps for z in zs) < 2.0**1020
     worst = 0.0
     for block in _plane_draws(sys_i, samples, seed):
         u, v, t = block.T
@@ -419,17 +456,27 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
         if off_plane.any():
             i = int(np.argmax(off_plane))
             _require_on_plane(spec, RVec3(*r[:, i].tolist()))
-        inc_r, inc_i = _block_fields(sys_i.incident, r, t)
-        ref_r, ref_i = _block_fields(sys_i.reflected, r, t)
-        tra_r, tra_i = _block_fields(sys_i.transmitted, r, t)
-        # side 1 summed from CVec3(0j, 0j, 0j), then crossed with the normal as
-        # a complex vector, exactly as `boundary_residual` does
-        d_r = (0.0 + inc_r + ref_r) - tra_r
-        d_i = (0.0 + inc_i + ref_i) - tra_i
-        a_r, a_i = _cmul(normal[_NEXT], n_im, d_r[:, _PREV], d_i[:, _PREV])
-        b_r, b_i = _cmul(normal[_PREV], n_im, d_r[:, _NEXT], d_i[:, _NEXT])
-        magnitude = np.hypot(a_r - b_r, a_i - b_i)
-        peak = float(np.max(magnitude))
+        # -1j * x is (0.0, -x) and cmath.exp of it is (cos(-x), sin(-x))
+        arg = -(_dot3(k, r) - omega * t)
+        c, s = np.cos(arg), np.sin(arg)
+        if bounded and np.isfinite(arg).all():
+            # a zero factor times a finite array is an exact +-0, which changes a
+            # sum only in the sign of a zero: those products are left out
+            d = dict(zip(live, zip(*_side_difference(c, s, ar, ai)))) if live else {}
+            mags = []
+            for terms in plan:
+                parts = [d[row] if a == 1 else (a * d[row][0], a * d[row][1]) for a, row in terms]
+                re, im = (sum(p[1:], p[0]) for p in zip(*parts))  # the terms added in order
+                mags.append(np.hypot(re, im))
+        else:
+            # non-finite phases or sums: every product, as `boundary_residual`
+            # forms them, with n a complex vector of zero imaginary parts
+            d_r, d_i = (x.reshape(2, 3, -1) for x in _side_difference(c, s, amp.real, amp.imag))
+            (p_r, p_i), (q_r, q_i) = ((d_r[:, rows], d_i[:, rows]) for rows in ([2, 0, 1], [1, 2, 0]))
+            a, b = normal[[1, 2, 0]], normal[[2, 0, 1]]  # n[i + 1] and n[i + 2]
+            re = (a * p_r - 0.0 * p_i) - (b * q_r - 0.0 * q_i)
+            mags = [np.hypot(re, (a * p_i + 0.0 * p_r) - (b * q_i + 0.0 * q_r))]
+        peak = float(np.max([0.0, *(np.max(m) for m in mags)]))
         if math.isnan(peak):  # overflowed fields; the reference's max() would drop it
             raise DomainError("boundary residual is NaN: the fields overflow double precision")
         worst = max(worst, peak)
@@ -452,8 +499,7 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
     check whose prerequisites failed is skipped: the failed prerequisite
     already fails the report.  Raises DomainError where a field overflows.
     """
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples}")
+    _check_sampling(samples, seed)
     spec, consts = sys_i.spec, sys_i.consts
     violations: list[Violation] = []
     warnings: list[Violation] = []

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, EDGE_INTS
+from helpers import EDGE_FLOATS, EDGE_INTS, outcome
 from optikit.core import CVec3, RVec3, cdot
 from optikit.emoptics import (
     _CHUNK,
@@ -477,6 +478,42 @@ def general_systems(draw):
     return InterfaceSystem(spec, draw(general_waves), draw(general_waves), draw(general_waves), EMConstants(1.0))
 
 
+signed_zeros = st.sampled_from([0.0, -0.0])
+# each amplitude component zero, real, imaginary or complex: the kernel leaves
+# out the products of the zero parts
+sparse_parts = (st.builds(complex, signed_zeros, signed_zeros) | st.builds(complex, finite, signed_zeros)
+                | st.builds(complex, signed_zeros, finite) | st.builds(complex, finite, finite))
+sparse_amplitudes = st.builds(CVec3, sparse_parts, sparse_parts, sparse_parts)
+AXIS_NORMALS = [RVec3(*(sign if i == axis else 0.0 for i in range(3))) for axis in range(3) for sign in (1.0, -1.0)]
+
+
+@st.composite
+def sparse_systems(draw):
+    """Three waves of sparse amplitudes at an axis-aligned or a general unit normal."""
+    if draw(st.booleans()):
+        normal = draw(st.sampled_from(AXIS_NORMALS))
+    else:
+        polar, azimuth = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, TWO_PI))
+        normal = RVec3(math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar))
+    spec = InterfaceSpec(1.0, 1.5, draw(st.builds(RVec3, finite, finite, finite)), normal)
+    waves = [draw(st.builds(PlaneWave, k=wavevectors, omega=st.floats(1e-2, 1e2), E=sparse_amplitudes,
+                            H=sparse_amplitudes)) for _ in range(3)]
+    return InterfaceSystem(spec, *waves, EMConstants(1.0))
+
+
+def with_waves(normal=RVec3(1.0, 0.0, 0.0), **parts):
+    """The worked triple at the given normal, with parts given as wave_field=value."""
+    system = example_system()
+    system = dataclasses.replace(system, spec=dataclasses.replace(system.spec, normal=normal))
+    for name, value in parts.items():
+        wave, field = name.split("_")
+        system = dataclasses.replace(system, **{wave: dataclasses.replace(getattr(system, wave), **{field: value})})
+    return system
+
+
+NAN_RESIDUAL = (DomainError, "boundary residual is NaN: the fields overflow double precision")
+
+
 class TestResidualKernel:
     """`max_boundary_residual` against the scalar `boundary_residual` path."""
 
@@ -497,6 +534,42 @@ class TestResidualKernel:
     @given(system=general_systems(), samples=st.integers(1, 40), seed=st.integers(-2**80, 2**80))
     def test_equals_reference_on_general_geometry(self, system, samples, seed):
         assert max_boundary_residual(system, samples, seed) == reference_max_residual(system, samples, seed)
+
+    # a pinned outcome is that of forming every product in full, which the
+    # reference path cannot give: it raises DomainError on fields not finite
+    @settings(max_examples=200, deadline=None)
+    @given(system=sparse_systems(), samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), pinned=st.none())
+    # two real parts of 1e308 overflow a sum at a general normal: hypot(inf, NaN) is inf
+    @example(system=with_waves(RVec3(0.48, 0.6, 0.64), incident_E=CVec3(1e308 + 0j, 0j, 0j),
+                               reflected_E=CVec3(1e308 + 0j, 0j, 0j)), samples=1, seed=1, pinned=(float, "inf"))
+    @example(system=with_waves(incident_E=CVec3(0j, 1e308 + 0j, 0j), reflected_E=CVec3(0j, 1e308 + 0j, 0j)),
+             samples=5, seed=0, pinned=NAN_RESIDUAL)
+    @example(system=with_waves(incident_E=CVec3(0j, complex(math.nan), 0j)), samples=5, seed=0, pinned=NAN_RESIDUAL)
+    # an infinite H x that only zero normal entries multiply: 0 * inf is NaN
+    @example(system=with_waves(transmitted_H=CVec3(complex(math.inf), 0j, 0j)), samples=5, seed=0,
+             pinned=NAN_RESIDUAL)
+    # fields along the normal, which n x d leaves out, and a phase that is not finite: 0 * NaN is NaN
+    @example(system=with_waves(**{f"{wave}_{field}": CVec3(1 + 0j, 0j, 0j) if field == "E" else CVec3(0j, 0j, 0j)
+                                  for wave in ("incident", "reflected", "transmitted") for field in "EH"},
+                               reflected_k=RVec3(-1e308, 0.0, 1e308)), samples=5, seed=0, pinned=NAN_RESIDUAL)
+    def test_equals_reference_on_sparse_systems(self, system, samples, seed, pinned):
+        want = pinned or outcome(reference_max_residual, system, samples, seed)
+        assert outcome(max_boundary_residual, system, samples, seed) == want
+
+    @pytest.mark.parametrize("samples", [4095, 4096, 4097])
+    @settings(max_examples=3, deadline=None)
+    @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference_on_sparse_systems_across_chunk_edge(self, system, seed, samples):
+        assert max_boundary_residual(system, samples, seed) == reference_max_residual(system, samples, seed)
+
+    @pytest.mark.parametrize("call", [max_boundary_residual, validate_interface_system,
+                                      lambda *args: list(sample_plane_points(*args))])
+    def test_samples_and_seed_must_be_ints(self, call):
+        # a float count raised a foreign TypeError; None seeded from the OS
+        with pytest.raises(DomainError, match="samples and seed must be ints"):
+            call(example_system(), 2.5, 1)
+        with pytest.raises(DomainError, match="samples and seed must be ints"):
+            call(example_system(), 5, None)
 
     def test_non_unit_normal_raises_off_plane(self):
         system = example_system()
@@ -649,6 +722,21 @@ class TestGoalReplaySweep:
 ANY_NUMBER = st.sampled_from(EDGE_FLOATS + EDGE_INTS + [math.inf, -math.inf, math.nan]) | st.floats(
     allow_nan=False, allow_infinity=False)
 _ANGLES = ANY_NUMBER | st.floats(0.0, 1.5707963267948966)
+ANY_RVEC = st.builds(RVec3, ANY_NUMBER, ANY_NUMBER, ANY_NUMBER)
+_ANY_FLOAT = st.sampled_from(EDGE_FLOATS + [math.inf, -math.inf, math.nan]) | st.floats()
+ANY_CVEC = st.builds(CVec3, *[ANY_NUMBER | st.builds(complex, _ANY_FLOAT, _ANY_FLOAT)] * 3)
+
+
+def finite_or_optikit_error(fn, *args):
+    """fn(*args) raises an OptikitError, or returns finite fields equal bit for
+    bit to those of the unchecked function."""
+    try:
+        out = fn(*args)
+    except OptikitError:
+        return
+    fields = out if isinstance(out, tuple) else (out,)
+    assert all(cmath.isfinite(c) for f in fields for c in (f.x, f.y, f.z))
+    assert repr(out) == repr(fn.__wrapped__(*args))
 
 
 class TestEdgeValues:
@@ -714,6 +802,15 @@ class TestEdgeValues:
         assert wavelength_of(RVec3(10**200, 0, 0)) == TWO_PI / 1e200
         assert math.isclose(wavelength_of(RVec3(-1e300, 1e300, 1e300)), TWO_PI / (math.sqrt(3) * 1e300), rel_tol=1e-15)
 
+    def test_wavelength_of_a_norm_whose_square_underflows(self):
+        # |k| = 1e-200 read as 0, as the squares underflow
+        assert wavelength_of(RVec3(1e-200, 0.0, 0.0)) == TWO_PI / 1e-200
+        assert wavelength_of(RVec3(0.0, -3e-170, 4e-170)) == TWO_PI / 5e-170
+        with pytest.raises(DomainError, match="overflows double precision"):
+            wavelength_of(RVec3(5e-324, 0.0, 0.0))
+        with pytest.raises(DomainError, match="zero wavevector"):
+            wavelength_of(RVec3(0.0, -0.0, 0.0))
+
     @given(k=st.builds(RVec3, ANY_NUMBER, ANY_NUMBER, ANY_NUMBER),
            n=st.sampled_from([RVec3(0.0, 0.0, 1.0), RVec3(-1.0, 0.0, 0.0), RVec3(0, 1, 0), RVec3(0.6, 0.0, -0.8),
                               RVec3(math.sqrt(0.5), math.sqrt(0.5), 0.0), RVec3(math.nan, 0.0, 0.0),
@@ -741,3 +838,48 @@ class TestEdgeValues:
         assert reflect_wavevector(RVec3(1e308, 0, 1e308), RVec3(0, 0, 1.0)) == RVec3(1e308, 0.0, -1e308)
         with pytest.raises(DomainError, match="reflected wavevector overflows"):
             reflect_wavevector(RVec3(1.7e308, 0, 1.7e308), RVec3(0.6, 0.0, -0.8))
+
+    @given(k=ANY_RVEC, e=ANY_CVEC, k0=ANY_NUMBER)
+    @example(k=RVec3(math.inf, 0, 0), e=CVec3(0j, 1 + 0j, 0j), k0=1.0)
+    @example(k=RVec3(2**1100, 0, 0), e=CVec3(0j, 1 + 0j, 0j), k0=1.0)
+    @example(k=RVec3(1.0, 0, 0), e=CVec3(0j, 1 + 0j, 0j), k0=10**400)
+    @settings(max_examples=300, deadline=None)
+    def test_h_from_e(self, k, e, k0):
+        finite_or_optikit_error(h_from_e, k, e, EMConstants(k0))
+
+    @given(k=ANY_RVEC, e=ANY_CVEC, r=ANY_RVEC, t=ANY_NUMBER)
+    @example(k=RVec3(1.0, 0, 0), e=CVec3(0j, 1 + 0j, 0j), r=RVec3(2**1100, 0, 0), t=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_eval_plane_wave(self, k, e, r, t):
+        finite_or_optikit_error(eval_plane_wave, PlaneWave(k, TWO_PI, e, e), r, t)
+
+    @given(y=ANY_NUMBER, z=ANY_NUMBER, t=ANY_NUMBER, e=st.none() | ANY_CVEC, k=st.none() | ANY_RVEC)
+    @example(y=0.1, z=0.2, t=math.nan, e=None, k=None)
+    @example(y=0.1, z=0.2, t=0.0, e=CVec3(0j, 1e308 + 0j, 0j), k=None)
+    @settings(max_examples=300, deadline=None)
+    def test_boundary_residual(self, y, z, t, e, k):
+        system = example_system()
+        changes = {name: value for name, value in (("E", e), ("k", k)) if value is not None}
+        transmitted = dataclasses.replace(system.transmitted, **changes)
+        side1 = (system.incident, system.reflected)
+        finite_or_optikit_error(boundary_residual, side1, transmitted, system.spec, RVec3(0.0, y, z), t)
+
+    @pytest.mark.parametrize("part", [{"reflected_E": CVec3(0j, 10**400, 0j)}, {"reflected_k": RVec3(10**400, 0, 1)},
+                                      {"reflected_omega": -(10**400)}])
+    def test_residual_kernel_int_parts_beyond_double_range(self, part):
+        # float() of the int raised a foreign OverflowError
+        with pytest.raises(DomainError, match="boundary residual is NaN"):
+            max_boundary_residual(with_waves(**part), 5, 0)
+
+    def test_vector_entry_point_reproducers(self):
+        wave = PlaneWave(RVec3(1.0, 0.0, 0.0), TWO_PI, CVec3(0j, 1 + 0j, 0j), CVec3(0j, 0j, 1 + 0j))
+        with pytest.raises(DomainError, match="h_from_e: not finite"):  # returned NaN fields
+            h_from_e(RVec3(math.inf, 0, 0), CVec3(0j, 1 + 0j, 0j), EMConstants(1.0))
+        with pytest.raises(DomainError, match="beyond the double range"):  # raised OverflowError
+            h_from_e(RVec3(2**1100, 0, 0), CVec3(0j, 1 + 0j, 0j), EMConstants(1.0))
+        with pytest.raises(DomainError, match="beyond the double range"):  # raised OverflowError
+            eval_plane_wave(wave, RVec3(2**1100, 0, 0), 0.0)
+        system = example_system()
+        with pytest.raises(DomainError, match="eval_plane_wave: not finite"):  # returned NaN vectors
+            boundary_residual((system.incident, system.reflected), system.transmitted, system.spec,
+                              RVec3(0.0, 0.1, 0.2), math.nan)

@@ -279,14 +279,8 @@ def _ratios(form, n1: float, n2: float) -> tuple[float, float]:
     return r_num / den, t_num / den
 
 
-def oblique_incidence_fields(
-    theta_i: float,
-    n1: float,
-    n2: float,
-    a: float,
-    omega: float,
-    k0: float,
-) -> InterfaceSystem:
+def oblique_incidence_fields(theta_i: float, n1: float, n2: float, a: float, omega: float,
+                             k0: float) -> InterfaceSystem:
     """Worked interface example: s-oriented E fields on the y-z plane.
 
     The interface is the y-z plane with normal (1, 0, 0); wavevectors are
@@ -311,36 +305,22 @@ def oblique_incidence_fields(
     spec = InterfaceSpec(n1=n1, n2=n2, point=RVec3(0.0, 0.0, 0.0), normal=RVec3(1.0, 0.0, 0.0))
     consts = EMConstants(k0=k0)
     eta0 = consts.eta0
-
-    k_i = RVec3(k0 * n1 * ci, 0.0, k0 * n1 * si)
-    k_r = RVec3(-k0 * n1 * ci, 0.0, k0 * n1 * si)
-    k_t = RVec3(k0 * n2 * ct, 0.0, k0 * n2 * st)
-
-    incident = PlaneWave(
-        k=k_i,
-        omega=omega,
-        E=CVec3(0j, complex(a), 0j),
-        H=CVec3(complex(a * n1 / eta0 * ci), 0j, complex(-a * n1 / eta0 * si)),
-    )
-    reflected = PlaneWave(
-        k=k_r,
-        omega=omega,
-        E=CVec3(0j, complex(r_amp), 0j),
-        H=CVec3(complex(-r_amp * n1 / eta0 * ci), 0j, complex(-r_amp * n1 / eta0 * si)),
-    )
-    transmitted = PlaneWave(
-        k=k_t,
-        omega=omega,
-        E=CVec3(0j, complex(t_amp), 0j),
-        H=CVec3(complex(t_amp * n2 / eta0 * ct), 0j, complex(-t_amp * n2 / eta0 * st)),
-    )
-    waves = (incident, reflected, transmitted)
+    # k, E's y part and H's x and z parts of the incident, reflected and transmitted waves
+    parts = ((RVec3(k0 * n1 * ci, 0.0, k0 * n1 * si), a, a * n1 / eta0 * ci, -a * n1 / eta0 * si),
+             (RVec3(-k0 * n1 * ci, 0.0, k0 * n1 * si), r_amp, -r_amp * n1 / eta0 * ci, -r_amp * n1 / eta0 * si),
+             (RVec3(k0 * n2 * ct, 0.0, k0 * n2 * st), t_amp, t_amp * n2 / eta0 * ct, -t_amp * n2 / eta0 * st))
+    waves = tuple(PlaneWave(k, omega, CVec3(0j, complex(e), 0j), CVec3(complex(hx), 0j, complex(hz)))
+                  for k, e, hx, hz in parts)
     if not all(cmath.isfinite(c) for w in waves for v in (w.k, w.E, w.H) for c in (v.x, v.y, v.z)):
         raise DomainError(f"fields overflow double precision at a = {a!r}, n1 = {n1!r}, n2 = {n2!r}")
     return InterfaceSystem(spec, *waves, consts)
 
 
 def _tangent_basis(normal: RVec3) -> tuple[RVec3, RVec3]:
+    """Unit tangents t1 and normal x t1, of the normal's parts as floats; DomainError unless finite."""
+    normal = RVec3(*(float(_checkable(c)) for c in (normal.x, normal.y, normal.z)))
+    if not all(map(math.isfinite, (normal.x, normal.y, normal.z))):
+        raise DomainError(f"interface normal must be finite, got {normal!r}")
     seed = RVec3(1.0, 0.0, 0.0) if abs(normal.x) < 0.9 else RVec3(0.0, 1.0, 0.0)
     raw = seed - normal.scale(seed.dot(normal))
     t1 = raw.scale(1.0 / raw.norm())
@@ -364,7 +344,7 @@ def _plane_draws(sys_i: InterfaceSystem, samples: int, seed: int) -> Iterator[np
     """
     _check_sampling(samples, seed)
     lam = wavelength_of(sys_i.incident.k)
-    period = 2.0 * math.pi / sys_i.incident.omega
+    period = 2.0 * math.pi / _checkable(sys_i.incident.omega)
     lo, hi = np.array([[-10.0 * lam, -10.0 * lam, 0.0], [10.0 * lam, 10.0 * lam, 10.0 * period]])
     rng = random.Random(seed)
     for start in range(0, samples, _CHUNK):
@@ -503,7 +483,9 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
     spec, consts = sys_i.spec, sys_i.consts
     violations: list[Violation] = []
     warnings: list[Violation] = []
-    norm_err = abs(spec.normal.norm() - 1.0)
+    # an int part beyond the double range reads as a signed infinity
+    normal = RVec3(*map(_checkable, (spec.normal.x, spec.normal.y, spec.normal.z)))
+    norm_err = abs(normal.norm() - 1.0)
     # sampling the boundary needs a real plane, nonzero wavevectors and periods
     sampled = spec.n1 > 0 and spec.n2 > 0 and norm_err <= 1e-12
     if not sampled:
@@ -516,7 +498,8 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
     for name, wave, side, n in (("incident", sys_i.incident, 1.0, spec.n1),
                                 ("reflected", sys_i.reflected, -1.0, spec.n1),
                                 ("transmitted", sys_i.transmitted, 1.0, spec.n2)):
-        norm, along = wave.k.norm(), wave.k.dot(spec.normal)
+        k = RVec3(*map(_checkable, (wave.k.x, wave.k.y, wave.k.z)))
+        norm, along = k.norm(), k.dot(normal)
         if not (wave.omega > 0 and norm > 0):
             sampled = False
             violations.append(Violation(name, "omega, |k| > 0", f"omega = {wave.omega!r}, |k| = {norm!r}"))
@@ -529,7 +512,7 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
             violations.append(Violation(name, clause, f"k . n = {along:.6g}"))
         if not consts_ok:
             continue
-        expect = consts.k0 * n
+        expect = _checkable(consts.k0) * _checkable(n)
         if not abs(norm - expect) / max(abs(expect), 1e-300) <= 1e-9:
             violations.append(Violation(name, "|k| = k0 n", f"|k| = {norm!r}, k0 n = {expect!r}"))
         # advisory: the worked triple's H amplitudes differ from this on purpose
@@ -547,11 +530,12 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
 
 
 def check_plane_of_incidence(sys_i: InterfaceSystem) -> bool:
-    """All wavevectors and the normal lie in one plane through the origin."""
-    zero = RVec3(0.0, 0.0, 0.0)
-    return coplanar(
-        [zero, sys_i.incident.k, sys_i.reflected.k, sys_i.transmitted.k, sys_i.spec.normal]
-    )
+    """All wavevectors and the normal lie in one plane through the origin;
+    DomainError unless each of them is finite."""
+    vectors = [sys_i.incident.k, sys_i.reflected.k, sys_i.transmitted.k, sys_i.spec.normal]
+    if not all(math.isfinite(_checkable(c)) for v in vectors for c in (v.x, v.y, v.z)):
+        raise DomainError("the wavevectors and the normal must be finite")
+    return coplanar([RVec3(0.0, 0.0, 0.0), *vectors])
 
 
 def fresnel_standard(pol: str, n1: float, n2: float, theta_i: float) -> tuple[float, float]:

@@ -93,16 +93,22 @@ class InnerProduct:
 
 
 class Operator:
-    """Linear operator stored as its nonzero diagonals.  Treated as immutable.
+    """Linear operator stored as its nonzero diagonals, of finite entries
+    (DomainError otherwise).  Treated as immutable.
 
     `bands[k]` holds the entries m[r, r + k] in row order (numpy's diagonal k);
     `matrix`, the dense form, is built on first access and kept.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
-        arr = np.asarray(matrix, dtype=complex)
+        try:
+            arr = np.asarray(matrix, dtype=complex)
+        except OverflowError:  # an int entry beyond the double range
+            raise DomainError("operator entries must be finite, got an int beyond the double range") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"operator matrix must be square, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise DomainError("operator entries must be finite")
         rows, cols = np.nonzero(arr)
         self.dim = arr.shape[0]
         self.bands = {int(k): arr.diagonal(k).copy() for k in np.unique(cols - rows)}
@@ -156,9 +162,13 @@ class Operator:
         return Operator._from_bands(self.dim, {k: scalar * band for k, band in self.bands.items()})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite entry is raised below
 def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] = a b - b a."""
-    return a @ b - b @ a
+    """[a, b] = a b - b a; DomainError where an entry overflows double precision."""
+    out = a @ b - b @ a
+    if not np.isfinite(np.concatenate([np.zeros(0), *out.bands.values()])).all():  # one call for every band
+        raise DomainError("commutator entries overflow double precision")
+    return out
 
 
 def annihilator(dim: int) -> Operator:
@@ -220,7 +230,8 @@ def hermitian_eigenvalues(op: Operator) -> np.ndarray:
     """Ascending real spectrum of a Hermitian operator.
 
     Numerically diagonal operators short-circuit to their sorted main band;
-    everything else goes through the Hermitian eigensolver.
+    everything else goes through the Hermitian eigensolver.  DomainError for
+    a non-finite entry or an eigenvalue beyond the double range.
     """
     peaks = {k: np.max(np.abs(band)) for k, band in op.bands.items()}  # a NaN entry keeps its peak NaN
     scale = max(float(np.max(list(peaks.values()), initial=0.0)), 1e-300)
@@ -229,7 +240,10 @@ def hermitian_eigenvalues(op: Operator) -> np.ndarray:
     off = [peak for k, peak in peaks.items() if k != 0]
     if float(np.max(off, initial=0.0)) <= 1e-12 * scale:
         return np.sort(np.real(op.bands.get(0, np.zeros(op.dim))))
-    return np.linalg.eigvalsh(op.matrix)
+    values = np.linalg.eigvalsh(op.matrix)
+    if not np.isfinite(values).all():
+        raise DomainError(f"eigenvalues overflow double precision: {values!r}")
+    return values
 
 
 def ground_energy(sm: SingleMode) -> float:

@@ -23,15 +23,19 @@ component's (or the terminal) free space.
 Cost and exactness: `system_composition` and `trace_ray` are O(n) in the
 number of components, over the (d, C, D) entries of each component in plain
 floats, and bit-identical to the reference form, the `mat2_mul` fold and the
-`mat2_apply` stepping over `element_matrices`.  They share one check with
-`validate_system`: the report and entries of the last system checked are
-kept, one reference in the module, and reused while calls pass that object,
-if its components are a tuple (a list can change between calls).  Clauses
-read a float as it is, with no helper call, and so does the source check; a
-plane interface's (C, D) is written inline, and only a spherical one is
-formed by `_interface_entries`.  Parameters must be finite (an
-int beyond the double range is not) and so must a source ray (DomainError);
-a composed matrix or traced ray that overflows raises InvalidSystem.
+`mat2_apply` stepping over `element_matrices`.  `trace_ray` builds only the
+final `RayState`; its `RayTrace` keeps the entries, source and terminal width
+and builds `states` on their first read (as `quantum.Operator` builds
+`.matrix`) with the same stepping function, so they are bit-identical; ==,
+hash, repr and pickle read them, `final` does not.  Both share one check with
+`validate_system`: the report and entries of the last system checked are kept,
+one reference in the module, and reused while calls pass that object, if its
+components are a tuple (a list can change between calls).  Clauses read a
+float as it is, with no helper call, and so does the source check; a plane
+interface's (C, D) is written inline, and only a spherical one is formed by
+`_interface_entries`.  Parameters must be finite (an int beyond the double
+range is not) and so must a source ray (DomainError); a composed matrix or
+traced ray that overflows raises InvalidSystem.
 """
 
 from __future__ import annotations
@@ -111,13 +115,33 @@ class RayState(Value):
 
 class RayTrace(Value):
     """Ray states at the source, after each component, and after the terminal
-    free space; length = number of components + 2."""
+    free space; length = number of components + 2.  A trace that `trace_ray`
+    returns builds them on the first read of `states` (module docstring)."""
 
     __slots__ = ("states",)
 
     @property
     def final(self) -> RayState:
-        return self.states[-1]
+        return _STATES.__get__(self)[-1]  # a `_Steps` ends on the final state too
+
+    def _built(self) -> tuple[RayState, ...]:
+        """The states; where the slot holds a `_Steps`, they are built from it and replace it."""
+        states = _STATES.__get__(self)
+        if states.__class__ is _Steps:
+            entries, source, d, final = states
+            states = [source]
+            _step(entries, *_source_floats(source), d, states)
+            states = (*states, final)
+            _STATES.__set__(self, states)
+        return states
+
+
+class _Steps(tuple):
+    """(entries, source, terminal width d, final state) of a `trace_ray` call."""
+
+
+# the slot behind `states`, which `RayTrace` reads through `_built`
+_STATES, RayTrace.states = RayTrace.states, property(RayTrace._built)
 
 
 class Violation(Value):
@@ -338,6 +362,18 @@ def _fold(entries: list[tuple[float, float, float]], d: float) -> Mat2:
     return Mat2(a11, a12, a21, a22)
 
 
+def _step(entries: list, y: float, theta: float, d: float, states: list | None = None) -> tuple[float, float]:
+    """(y, theta) stepped through valid component entries and a terminal width d,
+    each step with the operations of `mat2_apply`; given states, the RayState
+    after each component is appended to it."""
+    for w, c, e in entries:
+        y, theta = y + w * theta, 0.0 * y + theta
+        y, theta = y + 0.0 * theta, c * y + e * theta
+        if states is not None:
+            states.append(RayState(y, theta))
+    return y + d * theta, 0.0 * y + theta
+
+
 def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     """Step a ray through the system element by element.
 
@@ -347,18 +383,12 @@ def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     action on the source; `system_composition` and this stepper are
     independent code paths over the same element entries.  Each step repeats
     the operations of `mat2_apply`, so the states equal stepping through
-    `element_matrices` bit for bit.
+    `element_matrices` bit for bit.  The states are built on their first read.
     """
     report, entries = _checked(sys)
     report.require(InvalidSystem)
     y, theta = _source_floats(source)
-    states = [source]
-    for d, c, e in entries:
-        y, theta = y + d * theta, 0.0 * y + theta
-        y, theta = y + 0.0 * theta, c * y + e * theta
-        states.append(RayState(y, theta))
     d = sys.terminal.d
-    y, theta = y + d * theta, 0.0 * y + theta
+    y, theta = _step(entries, y, theta, d)
     _require_finite("traced ray", y, theta)
-    states.append(RayState(y, theta))
-    return RayTrace(tuple(states))
+    return RayTrace(_Steps((entries, source, d, RayState(y, theta))))

@@ -29,16 +29,16 @@ shortest float spelling that re-reads to the same value, 1e999 for inf) and
 past the double range, or an int that no double equals (2**53 + 1) raises
 DomainError.
 
-Cost: `parse` is one pass over the source, O(its length).  After the header,
-a canonical line (as `serialize` writes it, with any ASCII whitespace and
-an optional comment) that holds the directive due next is built from one
-`_FAST` match.  An empty line, and a header line that holds nothing else, are
-read as they are (`_PLAIN`).  Any other line is tokenized (`str.split`, each
-column found with `str.index` after the previous token) and read by
-`_parse_fields`; only this path raises `ParseError`, so every error and
-position has one source.
-The paths agree because ASCII whitespace is split on too and both read
-reals with `_R` and `float`; a differential test pins this.
+Cost: `parse` is one pass over the source, O(its length).  Whenever a free
+space is due it matches `_PAIR` at the current position, which takes exactly
+what `serialize` writes for a free space and, where one follows, its
+interface, and builds the pair from that one match.  `_PLAIN` lines (an empty
+line, a header alone) are read as they are.  Every other line (comments, a
+left mirror, any other spelling) is tokenized (`str.split`, each column found
+with `str.index` after the previous token) and read by `_parse_fields`; only
+this route raises `ParseError`, so every error and position has one source.
+Both routes read reals with `_R` and `float`; a differential test pins that
+they agree.
 `serialize` spells the free spaces and the interfaces with one comprehension
 each, and `document_to_*` return the body as it is.  A hand-built document
 (one that `parse` did not return last, which the module keeps) is checked on
@@ -77,10 +77,12 @@ __all__ = [
 _R = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL = re.compile(_R)
 _KEYVAL = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
-# A canonical directive line, its digits and spaces ASCII; its groups are the indent, n, d, R and kind.
-_FAST = re.compile(
-    rf"(?a)(\s*)(?:freespace\s+n=({_R})\s+d=({_R})"
-    rf"|interface\s+(?:plane|spherical\s+R=({_R}))(?:\s+kind=(transmitted|reflected))?)\s*(?:#.*)?"
+# `serialize`'s free space line and, where one follows, its interface line; groups n, d,
+# shape, R and kind.  Reals of ASCII digits only, which match faster: the tokenizer reads others.
+_R_ASCII = _R.replace(r"\d", "[0-9]")
+_PAIR = re.compile(
+    rf"freespace n=({_R_ASCII}) d=({_R_ASCII})\n"
+    rf"(?:interface (plane|spherical R=({_R_ASCII}))(?: kind=(transmitted|reflected))?\n)?"
 )
 _ORDER = {"system": ("freespace", "interface"), "resonator": ("interface", "freespace")}
 _KINDS = {None: InterfaceKind.TRANSMITTED, **{k.value: k for k in InterfaceKind}}
@@ -125,8 +127,7 @@ def _tokenize(raw_line: str) -> list[tuple[str, int]]:
     their own positions.
     """
     code = raw_line.partition("#")[0]
-    tokens = []
-    pos = 0
+    tokens, pos = [], 0
     for text in code.split():
         pos = code.index(text, pos)
         tokens.append((text, pos + 1))
@@ -134,7 +135,9 @@ def _tokenize(raw_line: str) -> list[tuple[str, int]]:
     return tokens
 
 
-def _parse_real(value: str, line: int, col: int, key: str) -> float:
+def _parse_real(fields: dict[str, tuple[str, int]], key: str, line: int) -> float:
+    """The real of a key in `_parse_fields`' result."""
+    value, col = fields[key]
     if not _REAL.fullmatch(value):
         raise ParseError(line, col, f"invalid real for {key}: {value!r}", f"{key}=<real>")
     return float(value)
@@ -146,12 +149,8 @@ _SPHERICAL_FIELDS = (("R",), frozenset(("R", "kind")))
 _PLANE_FIELDS = ((), frozenset(("kind",)))
 
 
-def _parse_fields(
-    tokens: list[tuple[str, int]],
-    line_no: int,
-    raw_line: str,
-    fields: tuple[tuple[str, ...], frozenset[str]],
-) -> dict[str, tuple[str, int]]:
+def _parse_fields(tokens: list[tuple[str, int]], line_no: int, raw_line: str,
+                  fields: tuple[tuple[str, ...], frozenset[str]]) -> dict[str, tuple[str, int]]:
     """key -> (value, column) of a line's key=value tokens."""
     required, allowed = fields
     seen: dict[str, tuple[str, int]] = {}
@@ -173,15 +172,6 @@ def _parse_fields(
     return seen
 
 
-def _parse_freespace(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> FreeSpace:
-    fields = _parse_fields(tokens[1:], line_no, raw_line, _FREESPACE_FIELDS)
-    n_text, n_col = fields["n"]
-    d_text, d_col = fields["d"]
-    n = _parse_real(n_text, line_no, n_col, "n")
-    d = _parse_real(d_text, line_no, d_col, "d")
-    return FreeSpace(n, d)
-
-
 def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str) -> tuple[object, str | None]:
     """The Plane or Spherical of a line and its kind= token, None where there is none."""
     if len(tokens) < 2:
@@ -189,7 +179,7 @@ def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str)
     shape, shape_col = tokens[1]
     if shape == "spherical":
         fields = _parse_fields(tokens[2:], line_no, raw_line, _SPHERICAL_FIELDS)
-        iface = Spherical(_parse_real(fields["R"][0], line_no, fields["R"][1], "R"))
+        iface = Spherical(_parse_real(fields, "R", line_no))
     elif shape == "plane":
         fields = _parse_fields(tokens[2:], line_no, raw_line, _PLANE_FIELDS)
         iface = _PLANE
@@ -206,62 +196,65 @@ def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str)
 def parse(source: str) -> Document:
     """Parse a document, raising ParseError at the first grammar violation."""
     global _parsed
-    raw_lines = source.split("\n")
-    kind: str | None = None
-    count = 0  # directives read
-    comps: list[OpticalComponent] = []
-    written: list[str | None] = []
+    kind, count, comps, written = None, 0, [], []  # count: the directives read
+    pos, line_no, size = 0, 0, len(source)
 
-    for line_no, raw in enumerate(raw_lines, start=1):
-        fast = kind and _FAST.fullmatch(raw)
-        if fast and (head := "freespace" if fast[2] else "interface") == order[count % 2]:
-            indent, n, d, radius, token = fast.groups()
-            col = len(indent) + 1
-            if n:
+    while pos <= size:
+        if kind and count % 2 == due:  # a free space is due: read what matches `_PAIR`
+            while fast := _PAIR.match(source, pos):
+                n, d, shape, radius, token = fast.groups()
                 space = FreeSpace(float(n), float(d))
-            else:
-                iface = Spherical(float(radius)) if radius else _PLANE
+                pos = fast.end()
+                if not shape:
+                    line_no, count, last = line_no + 1, count + 1, (line_no + 1, 1)
+                    break
+                comps.append(OpticalComponent(space, Spherical(float(radius)) if radius else _PLANE, _KINDS[token]))
+                written.append(token)
+                line_no, count, last = line_no + 2, count + 2, (line_no + 2, 1)
+        end = source.find("\n", pos)
+        if end < 0:
+            end = size
+        raw, pos, line_no = source[pos:end], end + 1, line_no + 1
+        tokens = ([(raw, 1)] if raw else []) if raw in _PLAIN else _tokenize(raw)
+        if not tokens:
+            continue
+        head, col = tokens[0]
+        if kind is None:
+            if head not in ("[system]", "[resonator]"):
+                raise ParseError(line_no, col, f"unexpected token {head!r}", "[system] or [resonator]")
+            if len(tokens) > 1:
+                raise ParseError(line_no, tokens[1][1], f"trailing token {tokens[1][0]!r}", "end of line")
+            kind, last = head[1:-1], (line_no, col)
+            order, due = _ORDER[kind], _ORDER[kind].index("freespace")
+            continue
+        if head != order[count % 2]:
+            raise ParseError(line_no, col, f"unexpected directive {head!r}", order[count % 2])
+        if head == "freespace":
+            fields = _parse_fields(tokens[1:], line_no, raw, _FREESPACE_FIELDS)
+            space = FreeSpace(_parse_real(fields, "n", line_no), _parse_real(fields, "d", line_no))
         else:
-            tokens = ([(raw, 1)] if raw else []) if raw in _PLAIN else _tokenize(raw)
-            if not tokens:
-                continue
-            head, col = tokens[0]
-            if kind is None:
-                if head not in ("[system]", "[resonator]"):
-                    raise ParseError(line_no, col, f"unexpected token {head!r}", "[system] or [resonator]")
-                if len(tokens) > 1:
-                    raise ParseError(line_no, tokens[1][1], f"trailing token {tokens[1][0]!r}", "end of line")
-                kind, last = head[1:-1], (line_no, col)
-                order = _ORDER[kind]
-                continue
-            if head != order[count % 2]:
-                raise ParseError(line_no, col, f"unexpected directive {head!r}", order[count % 2])
-            if head == "freespace":
-                space = _parse_freespace(tokens, line_no, raw)
-            else:
-                iface, token = _parse_interface(tokens, line_no, raw)
-        if head == "interface":  # it completes a (freespace, interface) pair, or it is a left mirror
-            if count:
+            iface, token = _parse_interface(tokens, line_no, raw)
+            if count:  # it completes a (freespace, interface) pair
                 comps.append(OpticalComponent(space, iface, _KINDS[token]))
                 written.append(token)
-            else:
+            else:  # a left mirror
                 left, first = iface, (line_no, col, token)
         count += 1
         last = (line_no, col)  # the last line with a token
 
     if kind is None:
         raise ParseError(1, 1, "empty document", "[system] or [resonator]")
-    end = (last[0], len(raw_lines[last[0] - 1]) + 1)
-    if kind == "system":  # an even count covers the empty body too
-        if count % 2 == 0:
+    if count % 2 == 0 or count < 3 and kind == "resonator":
+        end = (last[0], len(source.split("\n")[last[0] - 1]) + 1)
+        if kind == "system":  # an even count covers the empty body too
             raise ParseError(*end, "system must end with a freespace line", "freespace")
-        body = OpticalSystem(tuple(comps), space)
-    else:
         if count < 3:
             raise ParseError(*end, "resonator needs two mirror interfaces with a freespace between",
                              "freespace/interface lines")
-        if count % 2 == 0:
-            raise ParseError(*end, "resonator must end with an interface line", "interface")
+        raise ParseError(*end, "resonator must end with an interface line", "interface")
+    if kind == "system":
+        body = OpticalSystem(tuple(comps), space)
+    else:
         for line_no, col, token in (first, (*last, written.pop())):
             if token is not None:
                 raise ParseError(line_no, col, "kind is not allowed on a mirror interface",

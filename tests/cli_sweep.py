@@ -2,11 +2,12 @@
 
 Runs `optikit.cli.main` in-process, with the package imported from the
 given source directory, over all six subcommands: every file in `samples/`,
-generated files that put an edge value in each n, d and R position, and edge
-values of every numeric flag.  Writes one JSON line per invocation (argv,
-exit code, stdout, stderr, the exception raised if any, warnings shown), so
-the outputs of two source trees can be compared with `diff`.  The grid is
-fixed, so a run is deterministic.
+generated files that put an edge value in each n, d and R position, edge
+values of every numeric flag, and other spellings of the generated base
+files (CRLF, tabs, comments and the like).  Writes one JSON line per
+invocation (argv, exit code, stdout, stderr, the exception raised if any,
+warnings shown), so the outputs of two source trees can be compared with
+`diff`.  The grid is fixed, so a run is deterministic.
 
 Exits 1 if any invocation raised, exited outside {0, 1, 2}, or exited
 nonzero without an `error: ` line on stderr.
@@ -46,6 +47,22 @@ RESONATOR = "[resonator]\ninterface spherical R={}\nfreespace n={} d={}\ninterfa
 RESONATOR_BASE = ["1.0", "1.0", "0.5", "1.0"]
 
 
+# other spellings of the base files, each read by the tokenizer route of
+# `sysdesc.parse` rather than its match of the canonical spelling
+SPELLINGS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "indented": lambda text: text.replace("\n", "\n  "),
+    "comments": lambda text: text.replace("\n", "  # note\n"),
+    "double_spaces": lambda text: text.replace(" ", "  "),
+    "no_final_newline": lambda text: text.rstrip("\n"),
+    # a mirror takes no kind=, so on a resonator this is an error
+    "kind_everywhere": lambda text: "\n".join(
+        line + " kind=transmitted" if line.startswith("interface") and "kind=" not in line else line
+        for line in text.split("\n")),
+}
+
+
 def _variants(template: str, base: list[str]) -> list[str]:
     """The base file, then one file per (position, edge value)."""
     out = [template.format(*base)]
@@ -54,9 +71,10 @@ def _variants(template: str, base: list[str]) -> list[str]:
     return out
 
 
-def write_files(workdir: Path) -> tuple[list[str], list[str]]:
-    """Copy the samples and write the generated files; return (system, resonator) names."""
-    systems, resonators = [], []
+def write_files(workdir: Path) -> tuple[list[str], list[str], list[str], list[str]]:
+    """Copy the samples and write the generated files; return the (system,
+    resonator) names, then those of the base files' other spellings."""
+    systems, resonators, spelled_systems, spelled_resonators = [], [], [], []
     for path in sorted(SAMPLES.iterdir()):
         shutil.copy(path, workdir / path.name)
         (resonators if path.suffix == ".res" else systems).append(path.name)
@@ -68,23 +86,38 @@ def write_files(workdir: Path) -> tuple[list[str], list[str]]:
             name = f"gen{i:03d}.{suffix}"
             (workdir / name).write_text(text)
             names.append(name)
-    return systems, resonators + ["missing.res"]
+    for names, suffix, base in ((spelled_systems, "osys", SYSTEM.format(*SYSTEM_BASE)),
+                                (spelled_resonators, "res", RESONATOR.format(*RESONATOR_BASE))):
+        for spelling, respell in SPELLINGS.items():
+            name = f"{spelling}.{suffix}"
+            (workdir / name).write_bytes(respell(base).encode())  # bytes: no newline translation
+            names.append(name)
+    return systems, resonators + ["missing.res"], spelled_systems, spelled_resonators
 
 
-def invocations(systems: list[str], resonators: list[str]) -> list[list[str]]:
+def _system_argvs(f: str) -> list[list[str]]:
+    return [
+        ["matrix", f],
+        ["trace", f, "--y0=1e-3", "--theta0=0"],
+        ["trace", f, "--y0=1", "--theta0=0.1", "--format=csv"],
+        ["beam", f, "--lambda=1e-6", "--w=1e-3", "--R=inf"],
+        ["beam", f, "--lambda=1e-6", "--q-re=0", "--q-im=1"],
+        ["beam", f, "--lambda=1e-6", "--q-re=1e308", "--q-im=1e308"],
+    ]
+
+
+def _resonator_argvs(f: str) -> list[list[str]]:
+    return [["stability", f], ["stability", f, "--oracle", "--round-trips=50"]]
+
+
+def invocations(systems: list[str], resonators: list[str], spelled_systems: list[str],
+                spelled_resonators: list[str]) -> list[list[str]]:
     fold, lens = "gen000.osys", "biconvex.osys"
     argvs = []
     for f in systems + ["missing.osys"]:
-        argvs += [
-            ["matrix", f],
-            ["trace", f, "--y0=1e-3", "--theta0=0"],
-            ["trace", f, "--y0=1", "--theta0=0.1", "--format=csv"],
-            ["beam", f, "--lambda=1e-6", "--w=1e-3", "--R=inf"],
-            ["beam", f, "--lambda=1e-6", "--q-re=0", "--q-im=1"],
-            ["beam", f, "--lambda=1e-6", "--q-re=1e308", "--q-im=1e308"],
-        ]
+        argvs += _system_argvs(f)
     for f in resonators:
-        argvs += [["stability", f], ["stability", f, "--oracle", "--round-trips=50"]]
+        argvs += _resonator_argvs(f)
     for y0, theta0 in itertools.product(REAL, REAL):
         argvs.append(["trace", lens, f"--y0={y0}", f"--theta0={theta0}"])
     for q_re, q_im in itertools.product(REAL, REAL):
@@ -122,6 +155,11 @@ def invocations(systems: list[str], resonators: list[str]) -> list[list[str]]:
               ["beam", lens, "--lambda=1e-6"], ["beam", lens, "--lambda=1e-6", "--q-re=0"],
               ["beam", lens, "--lambda=1e-6", "--w=1e-3"], ["stability", lens], ["matrix", "fp_stable.res"],
               ["interface", "--n1=1.5", "--n2=1", "--theta-deg=60"], ["quantum", "--omega=1"]]
+    # last, so that the lines before them stay as they were
+    for f in spelled_systems:
+        argvs += _system_argvs(f)
+    for f in spelled_resonators:
+        argvs += _resonator_argvs(f)
     return argvs
 
 
@@ -159,10 +197,10 @@ def main() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # relative file names keep paths out of the recorded output
-        systems, resonators = write_files(Path(tmp))
+        names = write_files(Path(tmp))
         os.chdir(tmp)
         try:
-            records = [run_one(cli.main, argv) for argv in invocations(systems, resonators)]
+            records = [run_one(cli.main, argv) for argv in invocations(*names)]
         finally:
             os.chdir(here)
     with open(out_path, "w", encoding="utf-8") as fh:

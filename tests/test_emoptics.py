@@ -871,6 +871,55 @@ class TestEdgeValues:
         with pytest.raises(DomainError, match="boundary residual is NaN"):
             max_boundary_residual(with_waves(**part), 5, 0)
 
+    @pytest.mark.parametrize("call", [
+        lambda system: max_boundary_residual(system, 5, 0),
+        lambda system: next(sample_plane_points(system, 5, 0)),
+    ], ids=["max_boundary_residual", "sample_plane_points"])
+    @pytest.mark.parametrize("normal", [RVec3(10**400, 0, 0), RVec3(0, -(2**1024), 0), RVec3(math.nan, 0, 0),
+                                        RVec3(0, 0, math.inf)], ids=["10**400", "-2**1024", "nan", "inf"])
+    def test_non_finite_normal(self, call, normal):
+        # an int part raised a foreign OverflowError in `_tangent_basis`
+        with pytest.raises(DomainError, match="interface normal must be finite"):
+            call(with_waves(normal))
+
+    def test_tangent_basis_of_int_normal_is_that_of_its_floats(self):
+        for parts in ((1, 0, 0), (0, -1, 0), (0, 0, 1), (3, 4, 12), (2**60 + 1, 1, 0)):
+            ints, floats = _tangent_basis(RVec3(*parts)), _tangent_basis(RVec3(*map(float, parts)))
+            assert repr(ints) == repr(floats)
+
+    @pytest.mark.parametrize("system", [
+        with_waves(reflected_k=RVec3(10**400, 0, 1)), with_waves(RVec3(10**400, 0, 0)),
+        with_waves(transmitted_k=RVec3(0, 0, -(10**400))), with_waves(incident_omega=10**400),
+        dataclasses.replace(example_system(), spec=dataclasses.replace(example_system().spec, n1=10**400)),
+        dataclasses.replace(example_system(), consts=EMConstants(10**400)),
+    ], ids=["reflected_k", "normal", "transmitted_k", "incident_omega", "n1", "k0"])
+    def test_validator_int_parts_beyond_double_range(self, system):
+        # norm(), dot(), k0 * n and the period 2 pi / omega of the int raised a foreign OverflowError
+        try:
+            report = validate_interface_system(system, 5, 0)
+        except DomainError:
+            return
+        assert not report.ok
+
+    @pytest.mark.parametrize("part", [{"normal": RVec3(math.nan, 0, 0)}, {"normal": RVec3(10**400, 0, 0)},
+                                      {"incident_k": RVec3(0, math.inf, 1)}, {"reflected_k": RVec3(10**400, 0, 1)},
+                                      {"transmitted_k": RVec3(math.nan, math.nan, math.nan)}],
+                             ids=["nan_normal", "int_normal", "inf_incident_k", "int_reflected_k", "nan_transmitted_k"])
+    def test_plane_of_incidence_of_non_finite_vectors(self, part):
+        # a NaN normal read coplanar
+        with pytest.raises(DomainError, match="must be finite"):
+            check_plane_of_incidence(with_waves(**part))
+
+    @given(x=ANY_NUMBER, y=ANY_NUMBER, z=ANY_NUMBER, which=st.sampled_from(["normal", "incident_k", "reflected_k"]))
+    @settings(max_examples=300, deadline=None)
+    def test_plane_of_incidence(self, x, y, z, which):
+        try:
+            verdict = check_plane_of_incidence(with_waves(**{which: RVec3(x, y, z)}))
+        except OptikitError:
+            assert not all(abs(c) <= sys.float_info.max for c in (x, y, z))  # NaN, inf or an int past the range
+            return
+        assert verdict in (True, False)
+
     def test_vector_entry_point_reproducers(self):
         wave = PlaneWave(RVec3(1.0, 0.0, 0.0), TWO_PI, CVec3(0j, 1 + 0j, 0j), CVec3(0j, 0j, 1 + 0j))
         with pytest.raises(DomainError, match="h_from_e: not finite"):  # returned NaN fields

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -300,3 +301,34 @@ class TestEdgeValues:
         except OptikitError:
             return
         assert all(np.isfinite(band).all() for op in (sm.q, sm.p, sm.H) for band in op.bands.values())
+
+    @given(a=st.lists(ANY_NUMBER, min_size=4, max_size=4), b=st.lists(ANY_NUMBER, min_size=4, max_size=4))
+    @example(a=[10**400, 0.0, 0.0, 1.0], b=[1.0, 0.0, 0.0, 1.0])
+    @example(a=[1e308] * 4, b=[1e308] * 4)
+    @example(a=[1e308, -1e308, 1e308, 1e308], b=[1e308, 1e308, -1e308, 1e308])
+    @settings(max_examples=300, deadline=None)
+    def test_operator_commutator_and_spectrum(self, a, b):
+        ops = []
+        for entries in (a, b):
+            finite = all(abs(x) <= sys.float_info.max for x in entries)  # no NaN, inf or int past the range
+            try:
+                ops.append(Operator(np.array(entries, dtype=object).reshape(2, 2)))
+            except OptikitError:
+                assert not finite
+                return
+            assert finite
+        for call in (commutator, lambda x, y: hermitian_eigenvalues(x)):
+            try:
+                out = call(*ops)
+            except OptikitError:
+                continue
+            bands = out.bands.values() if isinstance(out, Operator) else [out]
+            assert all(np.isfinite(band).all() for band in bands)
+
+    def test_operator_reproducers(self):
+        # np.asarray raised OverflowError
+        with pytest.raises(DomainError, match="finite"):
+            Operator(np.array([[10**400, 0], [0, 1]], dtype=object))
+        # [a, a] of 1e308 entries was inf - inf = NaN, with a RuntimeWarning
+        with pytest.raises(DomainError, match="commutator entries overflow"):
+            commutator(Operator(np.full((3, 3), 1e308)), Operator(np.full((3, 3), 1e308)))

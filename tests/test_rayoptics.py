@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import random
 import struct
 from functools import reduce
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import EDGE_FLOATS, EDGE_INTS, mat_close, outcome, random_system
 from optikit.core import IDENTITY2, Mat2, mat2_apply, mat2_mul
+from optikit import rayoptics
 from optikit.errors import DomainError, InvalidComponent, InvalidSystem
 from optikit.rayoptics import (
     FreeSpace,
@@ -18,6 +20,7 @@ from optikit.rayoptics import (
     OpticalSystem,
     Plane,
     RayState,
+    RayTrace,
     Spherical,
     element_matrices,
     element_violations,
@@ -349,6 +352,62 @@ class TestReferenceForm:
             return
         states = trace_ray(system, RayState(y, theta)).states
         assert _bits(x for s in states for x in s.as_pair()) == _bits(x for v in ref for x in v)
+
+
+def _stepped(system: OpticalSystem, y: float, theta: float) -> list[tuple[float, float]]:
+    """The source and the ray after each component and the terminal free space,
+    by `mat2_apply` over `element_matrices` (reference)."""
+    mats, v = element_matrices(system), (y, theta)
+    out = [v]
+    for i in range(len(system.components)):
+        v = mat2_apply(mats[2 * i + 1], mat2_apply(mats[2 * i], v))
+        out.append(v)
+    return out + [mat2_apply(mats[-1], v)]
+
+
+class TestLazyStates:
+    """`trace_ray` builds only the final state; `states` is built on its first
+    read, and the trace is the value that `RayTrace(states)` built by hand is."""
+
+    @given(system=_systems, y=_coords, theta=_coords, final_first=st.booleans())
+    @example(system=_PLANES, y=1e-3, theta=-0.2, final_first=True)
+    @settings(max_examples=300, deadline=None)
+    def test_final_and_states_are_mat2_apply_stepping(self, system, y, theta, final_first):
+        ref = _stepped(system, y, theta)
+        if not all(map(math.isfinite, ref[-1])):
+            return  # the overflow is `test_trace_is_mat2_apply_stepping`'s
+        trace = trace_ray(system, RayState(y, theta))
+        final = trace.final if final_first else None
+        states = trace.states
+        assert _bits(x for s in states for x in s.as_pair()) == _bits(x for v in ref for x in v)
+        assert trace.final is states[-1] and (final is None or final is states[-1]) and trace.states is states
+
+    @pytest.mark.parametrize("check", [
+        lambda t: t, hash, repr, pickle.dumps, lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy,
+        lambda t: t.final,
+    ], ids=["eq", "hash", "repr", "pickle", "unpickled", "copy", "deepcopy", "final"])
+    def test_traced_is_the_value_built_by_hand(self, check):
+        source = RayState(1e-3, -0.2)
+        by_hand = RayTrace(tuple(RayState(*v) for v in _stepped(_PLANES, 1e-3, -0.2)))
+        assert check(trace_ray(_PLANES, source)) == check(by_hand)  # a fresh trace: its states unread
+        assert trace_ray(_PLANES, source) == by_hand and by_hand == trace_ray(_PLANES, source)
+
+    def test_final_builds_no_state(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(rayoptics, "RayState", lambda y, theta: built.append(y) or RayState(y, theta))
+        trace = trace_ray(_PLANES, RayState(1e-3, -0.2))
+        assert len(built) == 1  # the final state
+        assert trace.final == trace.final and len(built) == 1
+        assert len(trace.states) == len(_PLANES.components) + 2 and len(built) == 1 + len(_PLANES.components)
+        trace.states
+        assert len(built) == 1 + len(_PLANES.components)  # built once
+
+    def test_states_are_those_of_the_system_at_call_time(self):
+        comps = list(_PLANES.components)
+        listed = OpticalSystem(comps, _PLANES.terminal)  # a list is checked on every call
+        trace = trace_ray(listed, RayState(1e-3, -0.2))
+        comps.reverse()
+        assert trace == trace_ray(_PLANES, RayState(1e-3, -0.2))
 
 
 # Systems with edge values, ints beyond the double range among them, in any

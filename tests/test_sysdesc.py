@@ -516,13 +516,54 @@ class TestFastPath:
             source = _decorated(rng)
             sources += [source, _mutated(source, rng), serialize(random_document(rng))]
         both = [_outcome(s) for s in sources]
-        monkeypatch.setattr(sysdesc, "_FAST", re.compile(r"(?!)"))
+        monkeypatch.setattr(sysdesc, "_PAIR", re.compile(r"(?!)"))
         monkeypatch.setattr(sysdesc, "_PLAIN", ())  # the empty line and a header alone
         alone = [_outcome(s) for s in sources]
         for source, fast, slow in zip(sources, both, alone):
             assert fast == slow, source
         parsed = sum(o[0] == "document" for o in both)
         assert 1500 < parsed < len(sources) - 500  # many of each outcome
+
+    @pytest.mark.parametrize("respell", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace(" ", "\t"),
+        lambda text: text.replace("\n", "\n \t"),
+        lambda text: text.replace("\n", " # freespace n=1 d=1\n"),
+        lambda text: text.replace(" ", "  "),
+        lambda text: text.rstrip("\n"),
+        lambda text: re.sub(r"^(interface (?:plane|spherical R=\S+))$", r"\1 kind=transmitted", text, flags=re.M),
+    ], ids=["crlf", "tabs", "indented", "comments", "double_spaces", "no_final_newline", "kind_everywhere"])
+    def test_other_spellings_read_as_the_tokenizer_reads_them(self, respell, monkeypatch):
+        rng = random.Random(2024)
+        docs = [random_document(rng) for _ in range(400)]
+        sources = [respell(serialize(doc)) for doc in docs]
+        both = [_outcome(s) for s in sources]
+        monkeypatch.setattr(sysdesc, "_PAIR", re.compile(r"(?!)"))
+        monkeypatch.setattr(sysdesc, "_PLAIN", ())
+        assert [_outcome(s) for s in sources] == both
+        for doc, out in zip(docs, both):
+            if out[0] == "error":  # only kind= on a mirror
+                assert out[3] == "kind is not allowed on a mirror interface" and doc.kind == "resonator"
+            else:
+                assert out[1].body == doc.body
+                assert out[1].written in (doc.written, tuple(t or "transmitted" for t in doc.written))
+
+    def test_canonical_lines_out_of_place_read_as_the_tokenizer_reads_them(self, monkeypatch):
+        # canonical lines where another directive, or the end, is due: a line
+        # dropped, repeated or swapped with the next, or the text cut after it
+        rng = random.Random(2025)
+        sources = []
+        for _ in range(300):
+            lines = serialize(random_document(rng)).split("\n")[:-1]
+            i = rng.randrange(1, len(lines))
+            for edited in (lines[:i] + lines[i + 1:], lines[:i + 1] + lines[i:], lines[:i + 1],
+                           lines[:i] + lines[i + 1:i + 2] + lines[i:i + 1] + lines[i + 2:]):
+                sources.append("\n".join(edited) + "\n")
+        both = [_outcome(s) for s in sources]
+        monkeypatch.setattr(sysdesc, "_PAIR", re.compile(r"(?!)"))
+        monkeypatch.setattr(sysdesc, "_PLAIN", ())
+        assert [_outcome(s) for s in sources] == both
+        assert 300 < sum(o[0] == "error" for o in both) < len(sources) - 100  # many of each outcome
 
     def test_regex_whitespace_is_split_whitespace(self):
         # The fast pattern separates fields with ASCII \s and the tokenizer

@@ -4,30 +4,31 @@
 unimodular 2x2 matrix, coplanarity, and Moebius transforms.  Everything here
 is an immutable value and every function is pure.
 
-Value types: every type on the ray path (here and in `rayoptics`,
-`gaussian`, `resonator` and `sysdesc`) derives from `Value`, an immutable
-record of the fields its `__slots__` names, in constructor order:
+Value types: every record type of the package derives from `Value`, an
+immutable record of the fields its `__slots__` names, in constructor order:
 
 - `==` and `hash` go by the fields; a value equals only a value of its own
-  class, never a tuple;
+  class, never a tuple.  `quantum`'s array holders keep `object`'s, by
+  identity, as an array has no boolean `==`;
 - `repr` is `Name(field=value, ...)` over every field;
 - assigning or deleting an attribute raises `AttributeError`;
 - `pickle`, `copy.copy` and `copy.deepcopy` rebuild a value through its
-  constructor, so validation runs again and the copy is equal.
+  constructor, so validation runs again and the copy has equal fields.
 
 A type that defines no `__init__` gets one generated from its `__slots__`:
 one parameter per field, in order, the trailing ones defaulting to the
 type's `_defaults` tuple, each field set through its slot's descriptor.  A
-type that must validate (`gaussian.QParameter`) writes its own `__init__` and
-sets its fields with `object.__setattr__`.  No module on the ray path imports
-`dataclasses`: every process would pay for its import, `inspect`'s with it,
-and about a millisecond per class.
+type that must validate or convert (`gaussian.QParameter`,
+`quantum.StateVector`) writes its own `__init__` and sets its fields with
+`object.__setattr__`.  No module imports `dataclasses`: every process would
+pay for its import, `inspect`'s with it, and about a millisecond per class.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from sys import float_info
 from types import CodeType, FunctionType
 from typing import Sequence
 
@@ -266,6 +267,13 @@ def coplanar(points: Sequence[RVec3], tol: float = 1e-12) -> bool:
                 if abs(triple) > tol * scale:
                     return False
     return True
+
+
+def _checkable(x: float) -> float:
+    """x for the range clauses: a Python int beyond the double range reads as a signed infinity."""
+    if isinstance(x, int) and not -float_info.max <= x <= float_info.max:
+        return math.inf if x > 0 else -math.inf
+    return x
 
 
 def _split(z: complex) -> tuple[complex, int]:

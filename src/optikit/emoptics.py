@@ -1,8 +1,9 @@
 """Monochromatic plane waves at a plane interface between two media.
 
-A plane wave is stored as an amplitude record (k, omega, E, H); the field at
-(r, t) is the amplitude scaled by exp(-j(k.r - omega t)).  The tangential
-components of E and H must match across an interface: with n the unit normal,
+A plane wave is stored as an amplitude record (k, omega, E, H), a `core.Value`
+like every record here; the field at (r, t) is the amplitude scaled by
+exp(-j(k.r - omega t)).  The tangential components of E and H must match
+across an interface: with n the unit normal,
 
     n x E_1(r, t) = n x E_2(r, t)   and   n x H_1(r, t) = n x H_2(r, t)
 
@@ -59,14 +60,13 @@ import cmath
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import CVec3, RVec3, ccross, coplanar
+from .core import CVec3, RVec3, Value, _checkable, ccross, coplanar
 from .errors import DomainError, OffPlanePoint, TotalInternalReflection
-from .rayoptics import ValidationReport, Violation, _checkable
+from .rayoptics import ValidationReport, Violation
 
 __all__ = [
     "PlaneWave",
@@ -95,46 +95,32 @@ ETA0 = 376.730313668
 _CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class PlaneWave:
+class PlaneWave(Value):
     """Amplitude record of a monochromatic plane wave.
 
     k: wavevector (rad/m), omega: angular frequency (rad/s),
     E, H: electric and magnetic amplitudes (V/m, A/m).
     """
 
-    k: RVec3
-    omega: float
-    E: CVec3
-    H: CVec3
+    __slots__ = ("k", "omega", "E", "H")
 
 
-@dataclass(frozen=True)
-class InterfaceSpec:
+class InterfaceSpec(Value):
     """Plane interface: indices n1, n2, a point on the plane, and the unit
     normal pointing from medium 1 into medium 2."""
 
-    n1: float
-    n2: float
-    point: RVec3
-    normal: RVec3
+    __slots__ = ("n1", "n2", "point", "normal")
 
 
-@dataclass(frozen=True)
-class EMConstants:
+class EMConstants(Value):
     """Vacuum wavenumber k0 (rad/m) and vacuum impedance eta0 (ohms)."""
 
-    k0: float
-    eta0: float = ETA0
+    __slots__ = ("k0", "eta0")
+    _defaults = (ETA0,)
 
 
-@dataclass(frozen=True)
-class InterfaceSystem:
-    spec: InterfaceSpec
-    incident: PlaneWave
-    reflected: PlaneWave
-    transmitted: PlaneWave
-    consts: EMConstants
+class InterfaceSystem(Value):
+    __slots__ = ("spec", "incident", "reflected", "transmitted", "consts")
 
 
 def _finite_fields(fn):
@@ -239,9 +225,7 @@ def reflect_wavevector(k_i: RVec3, normal: RVec3) -> RVec3:
     scaled back.  DomainError for a non-finite k_i, a normal off unit length,
     or a reflected vector beyond the double range.
     """
-    parts = [_checkable(c) for c in (k_i.x, k_i.y, k_i.z)]
-    if not all(map(math.isfinite, parts)):
-        raise DomainError(f"wavevector must be finite, got {parts!r}")
+    k_i = _finite(k_i, "wavevector")
     norm = RVec3(*(float(_checkable(c)) for c in (normal.x, normal.y, normal.z))).norm()
     if not abs(norm - 1.0) <= 1e-9:
         raise DomainError(f"normal must be unit length, got |n| = {norm!r}")
@@ -316,11 +300,17 @@ def oblique_incidence_fields(theta_i: float, n1: float, n2: float, a: float, ome
     return InterfaceSystem(spec, *waves, consts)
 
 
+def _finite(v: RVec3, name: str) -> RVec3:
+    """v with its parts as floats; DomainError unless each is finite (an int past the double range is not)."""
+    v = RVec3(*(float(_checkable(c)) for c in (v.x, v.y, v.z)))
+    if not all(map(math.isfinite, (v.x, v.y, v.z))):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    return v
+
+
 def _tangent_basis(normal: RVec3) -> tuple[RVec3, RVec3]:
     """Unit tangents t1 and normal x t1, of the normal's parts as floats; DomainError unless finite."""
-    normal = RVec3(*(float(_checkable(c)) for c in (normal.x, normal.y, normal.z)))
-    if not all(map(math.isfinite, (normal.x, normal.y, normal.z))):
-        raise DomainError(f"interface normal must be finite, got {normal!r}")
+    normal = _finite(normal, "interface normal")
     seed = RVec3(1.0, 0.0, 0.0) if abs(normal.x) < 0.9 else RVec3(0.0, 1.0, 0.0)
     raw = seed - normal.scale(seed.dot(normal))
     t1 = raw.scale(1.0 / raw.norm())
@@ -364,9 +354,10 @@ def sample_plane_points(
     """Seeded (point, time) samples on the interface plane.
 
     Tangential offsets span +-10 wavelengths of the incident wave and times
-    span ten periods, so the check covers many phase cycles.
+    span ten periods, so the check covers many phase cycles.  DomainError
+    unless the interface point and normal are finite.
     """
-    point = sys_i.spec.point
+    point = _finite(sys_i.spec.point, "interface point")
     t1, t2 = _tangent_basis(sys_i.spec.normal)
     for block in _plane_draws(sys_i, samples, seed):
         for u, v, t in block.tolist():
@@ -396,16 +387,17 @@ def _side_difference(c, s, ar, ai):
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a NaN residual is raised below
+@np.errstate(over="ignore", invalid="ignore")  # a residual not finite is raised below
 def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> float:
     """Largest tangential-mismatch component over seeded plane samples.
 
     Equal bit for bit to the max over `sample_plane_points` of the
     `boundary_residual` component magnitudes (see the module docstring).
-    Raises `OffPlanePoint` at the first sample off the plane.
+    Raises `OffPlanePoint` at the first sample off the plane, and DomainError
+    where the residual is not finite, as the reference path does.
     """
     spec = sys_i.spec
-    point = _column(spec.point)
+    point = _column(_finite(spec.point, "interface point"))
     t1, t2 = (_column(b) for b in _tangent_basis(spec.normal))
     normal = _column(spec.normal)
     nrm = normal[:, 0].tolist()
@@ -457,8 +449,9 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
             re = (a * p_r - 0.0 * p_i) - (b * q_r - 0.0 * q_i)
             mags = [np.hypot(re, (a * p_i + 0.0 * p_r) - (b * q_i + 0.0 * q_r))]
         peak = float(np.max([0.0, *(np.max(m) for m in mags)]))
-        if math.isnan(peak):  # overflowed fields; the reference's max() would drop it
-            raise DomainError("boundary residual is NaN: the fields overflow double precision")
+        if not math.isfinite(peak):  # overflowed fields; the reference's max() would drop a NaN
+            shown = "NaN" if math.isnan(peak) else peak
+            raise DomainError(f"boundary residual is {shown}: the fields overflow double precision")
         worst = max(worst, peak)
     return worst
 
@@ -531,11 +524,14 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
 
 def check_plane_of_incidence(sys_i: InterfaceSystem) -> bool:
     """All wavevectors and the normal lie in one plane through the origin;
-    DomainError unless each of them is finite."""
-    vectors = [sys_i.incident.k, sys_i.reflected.k, sys_i.transmitted.k, sys_i.spec.normal]
-    if not all(math.isfinite(_checkable(c)) for v in vectors for c in (v.x, v.y, v.z)):
-        raise DomainError("the wavevectors and the normal must be finite")
-    return coplanar([RVec3(0.0, 0.0, 0.0), *vectors])
+    DomainError unless each of them is finite.  Each is scaled by a power of
+    two first: that keeps the plane exactly, and keeps the triple products of
+    `coplanar` from overflowing, or underflowing to 0."""
+    vectors = [_finite(v, "the wavevectors and the normal")
+               for v in (sys_i.incident.k, sys_i.reflected.k, sys_i.transmitted.k, sys_i.spec.normal)]
+    exps = [math.frexp(max(abs(v.x), abs(v.y), abs(v.z)))[1] for v in vectors]
+    scaled = [RVec3(*(math.ldexp(c, -e) for c in (v.x, v.y, v.z))) for v, e in zip(vectors, exps)]
+    return coplanar([RVec3(0.0, 0.0, 0.0), *scaled])
 
 
 def fresnel_standard(pol: str, n1: float, n2: float, theta_i: float) -> tuple[float, float]:

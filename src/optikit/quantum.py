@@ -23,19 +23,19 @@ tridiagonal, so building the mode, the spectrum of its diagonal H and [q, p]
 cost O(D).  Each entry of q @ p, p @ q, q @ q and p @ p sums at most two
 nonzero terms, so the band products round as a dense product summed term by
 term does, whatever the BLAS kernel; the closed form [q, p] above, top level
-included, is their independent check.
+included, is their independent check.  `Operator` is a plain class, for that
+cached `.matrix`; the other records are `core.Value`s equal only to themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partialmethod
 
 import numpy as np
 
+from .core import Value, _checkable
 from .errors import DimensionMismatch, DomainError
-from .rayoptics import _checkable
 
 __all__ = [
     "StateVector",
@@ -50,15 +50,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Value):
     """Complex coefficients over the number basis.  Treated as immutable."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", arr)
+    def __init__(self, amplitudes: np.ndarray) -> None:
+        object.__setattr__(self, "amplitudes", np.asarray(amplitudes, dtype=complex))
 
     @property
     def dim(self) -> int:
@@ -74,15 +73,16 @@ class StateVector:
         return cls(amps)
 
 
-@dataclass(frozen=True, eq=False)
-class InnerProduct:
+class InnerProduct(Value):
     """Sesquilinear pairing <x, y>, conjugate-linear in the first argument.
 
     weight, when given, must be Hermitian positive-definite; the pairing is
     then x^ W y.  The default identity weight is the usual Hermitian dot.
     """
 
-    weight: np.ndarray | None = None
+    __slots__ = ("weight",)
+    _defaults = (None,)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __call__(self, x: StateVector, y: StateVector) -> complex:
         if x.dim != y.dim:
@@ -175,23 +175,15 @@ def annihilator(dim: int) -> Operator:
     """Lowering operator: a |n> = sqrt(n) |n-1>."""
     if not (isinstance(dim, (int, np.integer)) and dim >= 1):
         raise DomainError(f"dimension must be an int >= 1, got {dim!r}")
-    m = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        m[n - 1, n] = np.sqrt(n)
-    return Operator(m)
+    return Operator._from_bands(dim, {1: np.sqrt(np.arange(1, dim)).astype(complex)} if dim > 1 else {})
 
 
-@dataclass(frozen=True, eq=False)
-class SingleMode:
+class SingleMode(Value):
     """Truncated single-mode field: frequency, action scale, and the three
     observables q, p, H."""
 
-    omega: float
-    hbar: float
-    dim: int
-    q: Operator
-    p: Operator
-    H: Operator
+    __slots__ = ("omega", "hbar", "dim", "q", "p", "H")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 def make_single_mode(omega: float, hbar: float = 1.0, dim: int = 32) -> SingleMode:

@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from sys import float_info
 from typing import Union
 
-from .core import Mat2, Value
+from .core import Mat2, Value, _checkable
 from .errors import DomainError, InvalidComponent, InvalidSystem
 
 __all__ = [
@@ -203,13 +202,6 @@ def element_violations(element: FreeSpace | OpticalInterface, index: int | str |
         elif not -math.inf < r < math.inf:
             out.append(Violation(index, "R finite", f"R = {r!r}"))
     return out
-
-
-def _checkable(x: float) -> float:
-    """x for the range clauses: a Python int beyond the double range reads as a signed infinity."""
-    if isinstance(x, int) and not -float_info.max <= x <= float_info.max:
-        return math.inf if x > 0 else -math.inf
-    return x
 
 
 def _labelled_report(components: tuple[OpticalComponent, ...], before=(), after=()) -> ValidationReport:

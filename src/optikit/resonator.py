@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Mat2, Value
+from .core import Mat2, Value, _checkable
 from .errors import DomainError, InvalidResonator, NonUnimodular
 from .rayoptics import (
     FreeSpace,
@@ -39,7 +39,6 @@ from .rayoptics import (
     RayState,
     Spherical,
     ValidationReport,
-    _checkable,
     _fold,
     _labelled_report,
     _pair_entries,

@@ -41,6 +41,12 @@ def bits(x: object) -> object:
     return x
 
 
+def replace(value: Value, **changes: object) -> Value:
+    """value rebuilt through its constructor with the named fields changed, as
+    `dataclasses.replace` does for a dataclass; an unknown name is a TypeError."""
+    return type(value)(**{**{name: getattr(value, name) for name in value.__slots__}, **changes})
+
+
 def outcome(fn, *args) -> object:
     """bits of fn(*args), or the type and text of the OptikitError it raises."""
     try:

@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Every tolerance is fixed here; nothing is calibrated at runtime.
 """
 
-import dataclasses
 import math
 import random
 import string
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import mat_close, mat_pow_iterative, random_system, random_unimodular
+from helpers import mat_close, mat_pow_iterative, random_system, random_unimodular, replace
 from optikit import cli
 from optikit.core import RVec3, mat2_apply, mat2_mul, sylvester_power
 from optikit.emoptics import (
@@ -160,8 +159,8 @@ def test_criterion_6_reflection_and_plane_of_incidence():
         assert check_plane_of_incidence(system)
         k_t = system.transmitted.k
         lifted = RVec3(k_t.x, 1e-3 * k_t.norm(), k_t.z)
-        perturbed = dataclasses.replace(
-            system, transmitted=dataclasses.replace(system.transmitted, k=lifted)
+        perturbed = replace(
+            system, transmitted=replace(system.transmitted, k=lifted)
         )
         assert not check_plane_of_incidence(perturbed)
     report(6, "reflection involution, |k| preservation, and coplanarity checks hold")

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 import sys
@@ -8,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, EDGE_INTS, outcome
-from optikit.core import CVec3, RVec3, cdot
+from helpers import EDGE_FLOATS, EDGE_INTS, outcome, replace
+from optikit.core import CVec3, RVec3, cdot, coplanar
 from optikit.emoptics import (
     _CHUNK,
     EMConstants,
@@ -57,7 +56,7 @@ IMPEDANCE = "H = k x E / (eta0 k0)"
 def s_wave(wave, amplitude, consts):
     """The wave with E = amplitude along y and H = h_from_e(k, E)."""
     e = CVec3(0j, complex(amplitude), 0j)
-    return dataclasses.replace(wave, E=e, H=h_from_e(wave.k, e, consts))
+    return replace(wave, E=e, H=h_from_e(wave.k, e, consts))
 
 
 def maxwell_system(theta_deg=30.0, n1=1.0, n2=1.5, amplitudes=None):
@@ -255,8 +254,8 @@ class TestObliqueIncidenceFields:
 
     def test_flipped_transmitted_direction_fails_clause(self):
         system = example_system()
-        flipped = dataclasses.replace(
-            system, transmitted=dataclasses.replace(system.transmitted, k=system.transmitted.k.scale(-1.0))
+        flipped = replace(
+            system, transmitted=replace(system.transmitted, k=system.transmitted.k.scale(-1.0))
         )
         report = validate_interface_system(flipped, samples=50, seed=0)
         assert ("transmitted", "k . n >= 0") in [(v.index, v.clause) for v in report.violations]
@@ -264,8 +263,8 @@ class TestObliqueIncidenceFields:
 
     def test_zeroed_reflected_field_fails_non_null(self):
         system = example_system()
-        silenced = dataclasses.replace(
-            system, reflected=dataclasses.replace(system.reflected, E=CVec3(0j, 0j, 0j))
+        silenced = replace(
+            system, reflected=replace(system.reflected, E=CVec3(0j, 0j, 0j))
         )
         report = validate_interface_system(silenced, samples=50, seed=0)
         assert ("reflected", "E, H nonzero") in [(v.index, v.clause) for v in report.violations]
@@ -310,7 +309,7 @@ class TestObliqueIncidenceFields:
         # a hand-built system whose residual is NaN; fmax used to drop it
         system = example_system()
         tr = system.transmitted
-        bad = dataclasses.replace(system, transmitted=dataclasses.replace(tr, E=CVec3(0j, complex(amplitude), 0j)))
+        bad = replace(system, transmitted=replace(tr, E=CVec3(0j, complex(amplitude), 0j)))
         with pytest.raises(DomainError, match="NaN"):
             max_boundary_residual(bad, 5, seed=0)
 
@@ -319,13 +318,13 @@ def forward_reflection():
     # index-matched at normal incidence, a "reflected" wave that runs forward
     # with amplitude 1/2 beside a transmitted one of 3/2 meets every other check
     system = maxwell_system(0.0, 1.5, 1.5, amplitudes=(1.0, 0.5, 1.5))
-    forward = dataclasses.replace(system.reflected, k=system.incident.k)
-    return dataclasses.replace(system, reflected=s_wave(forward, 0.5, system.consts))
+    forward = replace(system.reflected, k=system.incident.k)
+    return replace(system, reflected=s_wave(forward, 0.5, system.consts))
 
 
 def with_part(system, name, **fields):
     """The system with the given fields of one part (spec, a wave, consts) replaced."""
-    return dataclasses.replace(system, **{name: dataclasses.replace(getattr(system, name), **fields)})
+    return replace(system, **{name: replace(getattr(system, name), **fields)})
 
 
 # (breaks exactly one check, where the report locates it, the check, advisory)
@@ -454,8 +453,8 @@ def build_case(case):
     z = case["mismatch"]
     if z is not None:
         tr = system.transmitted
-        system = dataclasses.replace(
-            system, transmitted=dataclasses.replace(tr, E=tr.E.scale(z), H=tr.H.scale(z))
+        system = replace(
+            system, transmitted=replace(tr, E=tr.E.scale(z), H=tr.H.scale(z))
         )
     return system
 
@@ -504,10 +503,10 @@ def sparse_systems(draw):
 def with_waves(normal=RVec3(1.0, 0.0, 0.0), **parts):
     """The worked triple at the given normal, with parts given as wave_field=value."""
     system = example_system()
-    system = dataclasses.replace(system, spec=dataclasses.replace(system.spec, normal=normal))
+    system = replace(system, spec=replace(system.spec, normal=normal))
     for name, value in parts.items():
         wave, field = name.split("_")
-        system = dataclasses.replace(system, **{wave: dataclasses.replace(getattr(system, wave), **{field: value})})
+        system = replace(system, **{wave: replace(getattr(system, wave), **{field: value})})
     return system
 
 
@@ -539,9 +538,11 @@ class TestResidualKernel:
     # reference path cannot give: it raises DomainError on fields not finite
     @settings(max_examples=200, deadline=None)
     @given(system=sparse_systems(), samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), pinned=st.none())
-    # two real parts of 1e308 overflow a sum at a general normal: hypot(inf, NaN) is inf
+    # two real parts of 1e308 overflow a sum at a general normal: hypot(inf, NaN) is inf, which
+    # raises as a NaN does
     @example(system=with_waves(RVec3(0.48, 0.6, 0.64), incident_E=CVec3(1e308 + 0j, 0j, 0j),
-                               reflected_E=CVec3(1e308 + 0j, 0j, 0j)), samples=1, seed=1, pinned=(float, "inf"))
+                               reflected_E=CVec3(1e308 + 0j, 0j, 0j)), samples=1, seed=1,
+             pinned=(DomainError, "boundary residual is inf: the fields overflow double precision"))
     @example(system=with_waves(incident_E=CVec3(0j, 1e308 + 0j, 0j), reflected_E=CVec3(0j, 1e308 + 0j, 0j)),
              samples=5, seed=0, pinned=NAN_RESIDUAL)
     @example(system=with_waves(incident_E=CVec3(0j, complex(math.nan), 0j)), samples=5, seed=0, pinned=NAN_RESIDUAL)
@@ -573,8 +574,8 @@ class TestResidualKernel:
 
     def test_non_unit_normal_raises_off_plane(self):
         system = example_system()
-        tilted = dataclasses.replace(
-            system, spec=dataclasses.replace(system.spec, normal=RVec3(1.0, 1.0, 0.0))
+        tilted = replace(
+            system, spec=replace(system.spec, normal=RVec3(1.0, 1.0, 0.0))
         )
         with pytest.raises(OffPlanePoint) as kernel:
             max_boundary_residual(tilted, 100, seed=0)
@@ -597,7 +598,7 @@ class TestPlaneDraws:
     exists, so a Python whose `getrandbits` or `random()` changes fails here."""
 
     # a wavelength and a period that are not powers of two, on a tilted plane
-    SYSTEM = dataclasses.replace(
+    SYSTEM = replace(
         oblique_incidence_fields(0.3, 1.2, 1.7, 1.0, 1.37 * TWO_PI, 0.83 * TWO_PI),
         spec=InterfaceSpec(1.2, 1.7, RVec3(0.5, -2.0, 3.0), RVec3(0.6, 0.0, 0.8)),
     )
@@ -633,8 +634,8 @@ class TestPlaneOfIncidence:
         system = example_system()
         k_t = system.transmitted.k
         lifted = RVec3(k_t.x, 1e-3 * k_t.norm(), k_t.z)
-        perturbed = dataclasses.replace(
-            system, transmitted=dataclasses.replace(system.transmitted, k=lifted)
+        perturbed = replace(
+            system, transmitted=replace(system.transmitted, k=lifted)
         )
         assert not check_plane_of_incidence(perturbed)
 
@@ -725,6 +726,11 @@ _ANGLES = ANY_NUMBER | st.floats(0.0, 1.5707963267948966)
 ANY_RVEC = st.builds(RVec3, ANY_NUMBER, ANY_NUMBER, ANY_NUMBER)
 _ANY_FLOAT = st.sampled_from(EDGE_FLOATS + [math.inf, -math.inf, math.nan]) | st.floats()
 ANY_CVEC = st.builds(CVec3, *[ANY_NUMBER | st.builds(complex, _ANY_FLOAT, _ANY_FLOAT)] * 3)
+
+
+# signed magnitudes from 1e-100 to 1e100, and relative tilts about the tolerance of `coplanar`
+SPANNED = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), st.floats(1e-100, 1e100))
+TILTS = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), st.floats(1e-13, 1e-11))
 
 
 def finite_or_optikit_error(fn, *args):
@@ -860,7 +866,7 @@ class TestEdgeValues:
     def test_boundary_residual(self, y, z, t, e, k):
         system = example_system()
         changes = {name: value for name, value in (("E", e), ("k", k)) if value is not None}
-        transmitted = dataclasses.replace(system.transmitted, **changes)
+        transmitted = replace(system.transmitted, **changes)
         side1 = (system.incident, system.reflected)
         finite_or_optikit_error(boundary_residual, side1, transmitted, system.spec, RVec3(0.0, y, z), t)
 
@@ -890,8 +896,8 @@ class TestEdgeValues:
     @pytest.mark.parametrize("system", [
         with_waves(reflected_k=RVec3(10**400, 0, 1)), with_waves(RVec3(10**400, 0, 0)),
         with_waves(transmitted_k=RVec3(0, 0, -(10**400))), with_waves(incident_omega=10**400),
-        dataclasses.replace(example_system(), spec=dataclasses.replace(example_system().spec, n1=10**400)),
-        dataclasses.replace(example_system(), consts=EMConstants(10**400)),
+        replace(example_system(), spec=replace(example_system().spec, n1=10**400)),
+        replace(example_system(), consts=EMConstants(10**400)),
     ], ids=["reflected_k", "normal", "transmitted_k", "incident_omega", "n1", "k0"])
     def test_validator_int_parts_beyond_double_range(self, system):
         # norm(), dot(), k0 * n and the period 2 pi / omega of the int raised a foreign OverflowError
@@ -919,6 +925,48 @@ class TestEdgeValues:
             assert not all(abs(c) <= sys.float_info.max for c in (x, y, z))  # NaN, inf or an int past the range
             return
         assert verdict in (True, False)
+
+    @pytest.mark.parametrize("call", [
+        lambda system: max_boundary_residual(system, 5, 0),
+        lambda system: next(sample_plane_points(system, 5, 0)),
+    ], ids=["max_boundary_residual", "sample_plane_points"])
+    @pytest.mark.parametrize("point", [RVec3(10**400, 0, 0), RVec3(0, -(2**1024), 0), RVec3(math.nan, 0, 0),
+                                       RVec3(0, 0, math.inf)], ids=["10**400", "-2**1024", "nan", "inf"])
+    def test_non_finite_interface_point(self, call, point):
+        # sample_plane_points yielded NaN points, or raised a foreign OverflowError for an int part
+        system = example_system()
+        with pytest.raises(DomainError, match="interface point must be finite"):
+            call(replace(system, spec=replace(system.spec, point=point)))
+
+    def test_points_of_an_int_interface_point_are_those_of_its_floats(self):
+        system = example_system()
+        ints, floats = (replace(system, spec=replace(system.spec, point=RVec3(*p))) for p in ((3, 2**60 + 1, -7),
+                                                                                               (3.0, 2.0**60, -7.0)))
+        assert repr(list(sample_plane_points(ints, 20, 5))) == repr(list(sample_plane_points(floats, 20, 5)))
+
+    def test_plane_of_incidence_of_vectors_whose_products_overflow(self):
+        # coplanar's triple product and its scale both overflowed to inf, and inf > 1e-12 * inf is false
+        assert not check_plane_of_incidence(with_waves(reflected_k=RVec3(1e300, 1e300, 1e300)))
+        assert check_plane_of_incidence(with_waves(reflected_k=RVec3(-1e300, 0.0, 1e300)))
+        # at parts of 1e-200 the triple products underflowed to 0, which read coplanar
+        tiny = dict(normal=RVec3(1e-200, 0.0, 0.0), incident_k=RVec3(1e-200, 0.0, 1e-200),
+                    transmitted_k=RVec3(1e-200, 0.0, -1e-200))
+        assert not check_plane_of_incidence(with_waves(reflected_k=RVec3(-1e-200, 1e-200, 1e-200), **tiny))
+        assert check_plane_of_incidence(with_waves(reflected_k=RVec3(-1e-200, 0.0, 1e-200), **tiny))
+
+    @given(x=SPANNED, y=st.just(0.0) | SPANNED, z=SPANNED, tilt=st.none() | TILTS,
+           which=st.sampled_from(["normal", "incident_k", "reflected_k", "transmitted_k"]))
+    @example(x=0.0, y=0.0, z=0.0, tilt=None, which="normal")
+    @example(x=0.0, y=0.0, z=0.0, tilt=None, which="reflected_k")
+    @settings(max_examples=300, deadline=None)
+    def test_plane_of_incidence_verdicts_are_those_of_the_unscaled_vectors(self, x, y, z, tilt, which):
+        # parts of magnitude 1e-100 to 1e100, or a zero vector: no triple product of the unscaled
+        # vectors overflows or loses bits below the normal range, so the scaling keeps every verdict
+        if tilt is not None:  # near the x-z plane, where the verdict turns on the tolerance
+            y = x * tilt
+        system = with_waves(**{which: RVec3(x, y, z)})
+        vectors = [system.incident.k, system.reflected.k, system.transmitted.k, system.spec.normal]
+        assert check_plane_of_incidence(system) == coplanar([RVec3(0.0, 0.0, 0.0), *vectors])
 
     def test_vector_entry_point_reproducers(self):
         wave = PlaneWave(RVec3(1.0, 0.0, 0.0), TWO_PI, CVec3(0j, 1 + 0j, 0j), CVec3(0j, 0j, 1 + 0j))

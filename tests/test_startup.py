@@ -1,9 +1,9 @@
 """Start-up contract: the ray-level library and CLI run without numpy, and
-without `dataclasses` or `inspect`.
+no command loads `dataclasses`; the ray commands load no `inspect` either.
 
-`emoptics` and `quantum` (and through them numpy) load on first use.  Each
-check runs in a fresh interpreter, because this test process has long since
-imported numpy.
+`emoptics` and `quantum` (and through them numpy, which imports `inspect`
+itself) load on first use.  Each check runs in a fresh interpreter, because
+this test process has long since imported numpy.
 """
 
 import json
@@ -66,20 +66,26 @@ def test_ray_commands_run_without_numpy(argv, exit_code):
     assert run_fresh(code) == [exit_code]
 
 
+RAY_PATH = ("dataclasses", "inspect")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, modules",
     [
-        [],
-        ["matrix", str(SAMPLES / "biconvex.osys")],
-        ["trace", str(SAMPLES / "single_space.osys"), "--y0", "1e-3", "--theta0", "0"],
-        ["stability", str(SAMPLES / "fp_stable.res"), "--oracle"],
-        ["beam", str(SAMPLES / "single_space.osys"), "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"],
+        ([], RAY_PATH),
+        (["matrix", str(SAMPLES / "biconvex.osys")], RAY_PATH),
+        (["trace", str(SAMPLES / "single_space.osys"), "--y0", "1e-3", "--theta0", "0"], RAY_PATH),
+        (["stability", str(SAMPLES / "fp_stable.res"), "--oracle"], RAY_PATH),
+        (["beam", str(SAMPLES / "single_space.osys"), "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"], RAY_PATH),
+        # default sizes; numpy imports `inspect` itself, so only `dataclasses` is checked
+        (["interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30"], ("dataclasses",)),
+        (["quantum", "--omega", "1"], ("dataclasses",)),
     ],
-    ids=["import", "matrix", "trace", "stability", "beam"],
+    ids=["import", "matrix", "trace", "stability", "beam", "interface", "quantum"],
 )
-def test_ray_path_loads_no_dataclasses(argv):
-    # the ray-path value types are plain slotted classes: `dataclasses`, and
-    # the `inspect` it imports, would cost every process about 11 ms
+def test_ray_path_loads_no_dataclasses(argv, modules):
+    # every record type is a plain slotted class: `dataclasses`, and the
+    # `inspect` it imports, would cost every process about 11 ms
     code = (
         "import contextlib, io, json, sys\n"
         "import optikit.cli\n"
@@ -87,7 +93,7 @@ def test_ray_path_loads_no_dataclasses(argv):
         f"if {argv!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        code = optikit.cli.main({argv!r})\n"
-        "print(json.dumps([code] + [m for m in ('dataclasses', 'inspect') if m in sys.modules]))"
+        f"print(json.dumps([code] + [m for m in {modules!r} if m in sys.modules]))"
     )
     assert run_fresh(code) == [0]
 

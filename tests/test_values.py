@@ -1,8 +1,10 @@
-"""Value semantics shared by every ray-path type.
+"""Value semantics shared by every record type of the package.
 
 Each type is an immutable value: equal and hashed by its fields, never equal
 to a tuple, printed as `Name(field=value, ...)`, frozen against assignment
-and deletion, built by keyword, and restored equal by pickle and copy.
+and deletion, built by keyword, and restored equal by pickle and copy.  The
+array holders of `quantum` differ only in `==` and `hash`, which go by
+identity, and come back from pickle and copy with bit-identical arrays.
 """
 
 import copy
@@ -10,11 +12,14 @@ import inspect
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from optikit.core import CVec3, Mat2, RVec3
+from optikit.emoptics import ETA0, EMConstants, InterfaceSpec, InterfaceSystem, PlaneWave
 from optikit.errors import DomainError, UnphysicalBeam
 from optikit.gaussian import BeamGeometry, QParameter
+from optikit.quantum import InnerProduct, Operator, SingleMode, StateVector, make_single_mode
 from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -38,6 +43,10 @@ COMPONENT_REPR = (
     f"OpticalComponent(space={SPACE_REPR}, iface=Spherical(radius=0.5), "
     "kind=<InterfaceKind.REFLECTED: 'reflected'>)"
 )
+WAVE = PlaneWave(k=RVec3(0.0, 0.0, 2.0), omega=3.0, E=CVec3(1j, 0j, 0j), H=CVec3(0j, 2j, 0j))
+WAVE_REPR = "PlaneWave(k=RVec3(x=0.0, y=0.0, z=2.0), omega=3.0, E=CVec3(x=1j, y=0j, z=0j), H=CVec3(x=0j, y=2j, z=0j))"
+INTERFACE = InterfaceSpec(n1=1.0, n2=1.5, point=RVec3(0.0, 0.0, 0.0), normal=RVec3(0.0, 0.0, 1.0))
+INTERFACE_REPR = "InterfaceSpec(n1=1.0, n2=1.5, point=RVec3(x=0.0, y=0.0, z=0.0), normal=RVec3(x=0.0, y=0.0, z=1.0))"
 
 # (type, keyword fields, one field changed, exact repr)
 CASES = [
@@ -74,22 +83,39 @@ CASES = [
     (Document, dict(body=Resonator(Plane(), (), SPACE, Spherical(2.0)), written=()),
      dict(body=Resonator(Plane(), (), SPACE, Plane())),
      f"Document(body=Resonator(left=Plane(), inner=(), space={SPACE_REPR}, right=Spherical(radius=2.0)), written=())"),
+    (PlaneWave, dict(k=RVec3(0.0, 0.0, 2.0), omega=3.0, E=CVec3(1j, 0j, 0j), H=CVec3(0j, 2j, 0j)), dict(omega=-3.0),
+     WAVE_REPR),
+    (InterfaceSpec, dict(n1=1.0, n2=1.5, point=RVec3(0.0, 0.0, 0.0), normal=RVec3(0.0, 0.0, 1.0)), dict(n2=2.0),
+     INTERFACE_REPR),
+    # eta0 left at its default, then set
+    (EMConstants, dict(k0=2.0), dict(k0=3.0), "EMConstants(k0=2.0, eta0=376.730313668)"),
+    (EMConstants, dict(k0=2.0, eta0=1.0), dict(eta0=ETA0), "EMConstants(k0=2.0, eta0=1.0)"),
+    (InterfaceSystem, dict(spec=INTERFACE, incident=WAVE, reflected=WAVE, transmitted=WAVE, consts=EMConstants(2.0)),
+     dict(reflected=PlaneWave(RVec3(0.0, 0.0, -2.0), 3.0, CVec3(1j, 0j, 0j), CVec3(0j, 2j, 0j))),
+     f"InterfaceSystem(spec={INTERFACE_REPR}, incident={WAVE_REPR}, reflected={WAVE_REPR}, "
+     f"transmitted={WAVE_REPR}, consts=EMConstants(k0=2.0, eta0=376.730313668))"),
 ]
 
 # declared constructor defaults; every other field is required
-DEFAULTS = {ValidationReport: dict(warnings=())}
+DEFAULTS = {ValidationReport: dict(warnings=()), EMConstants: dict(eta0=ETA0)}
 
 by_type = pytest.mark.parametrize(
     "cls, fields, changed, text", CASES, ids=[case[0].__name__ for case in CASES]
 )
 
 
+def every_field(cls, fields):
+    """fields with each field a row leaves out at its declared default, in field order."""
+    return {name: fields[name] if name in fields else DEFAULTS[cls][name] for name in cls.__slots__}
+
+
 @by_type
 def test_equal_and_hashed_by_field(cls, fields, changed, text):
     value = cls(**fields)
-    twin = cls(*fields.values())  # positional and keyword construction agree
+    values = every_field(cls, fields)
+    twin = cls(*values.values())  # positional and keyword construction agree, and so do the defaults
     assert value == twin and not value != twin
-    assert hash(value) == hash(twin) == hash(tuple(fields.values()))
+    assert hash(value) == hash(twin) == hash(tuple(values.values()))
     if changed:
         other = cls(**{**fields, **changed})
         assert value != other and not value == other
@@ -97,7 +123,7 @@ def test_equal_and_hashed_by_field(cls, fields, changed, text):
 
 @by_type
 def test_never_equals_its_tuple(cls, fields, changed, text):
-    value, fields_tuple = cls(**fields), tuple(fields.values())
+    value, fields_tuple = cls(**fields), tuple(every_field(cls, fields).values())
     assert value != fields_tuple and fields_tuple != value
     assert not value == fields_tuple
 
@@ -132,7 +158,10 @@ def test_copies_are_equal(cls, fields, changed, text, round_trip):
 @by_type
 def test_signature_lists_fields_in_order(cls, fields, changed, text):
     params = list(inspect.signature(cls).parameters.values())
-    assert [p.name for p in params] == list(cls.__slots__) == list(fields)
+    assert [p.name for p in params] == list(cls.__slots__)
+    # a row lists the fields in order, leaving out only trailing ones that have defaults
+    assert list(fields) + [name for name in cls.__slots__[len(fields):] if name in DEFAULTS.get(cls, {})] \
+        == list(cls.__slots__)
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     defaults = {p.name: p.default for p in params if p.default is not p.empty}
     assert defaults == DEFAULTS.get(cls, {})
@@ -142,12 +171,51 @@ def test_signature_lists_fields_in_order(cls, fields, changed, text):
 @by_type
 def test_wrong_arguments_raise_type_error(cls, fields, changed, text):
     with pytest.raises(TypeError):
-        cls(*fields.values(), 0.0)  # one positional too many
+        cls(*every_field(cls, fields).values(), 0.0)  # one positional too many
     with pytest.raises(TypeError):
         cls(**fields, extra=0.0)
     if fields:  # the first field is required in every type
         with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing .*'{next(iter(fields))}'$"):
             cls(**dict(list(fields.items())[1:]))
+
+
+def field_bits(value):
+    """Each field of an array holder, with arrays and operator bands as dtype, shape and bytes."""
+    def bits(field):
+        if isinstance(field, Operator):
+            return field.dim, [(k, bits(band)) for k, band in field.bands.items()]
+        if isinstance(field, np.ndarray):
+            return field.dtype.str, field.shape, field.tobytes()
+        return field
+    return [bits(getattr(value, name)) for name in value.__slots__]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StateVector(amplitudes=[1, 0.5j, -2.0, 1e-300]),
+    lambda: InnerProduct(),
+    lambda: InnerProduct(weight=np.array([[2.0, 1j], [-1j, 3.0]])),
+    lambda: make_single_mode(1.5, hbar=0.25, dim=5),
+], ids=["StateVector", "InnerProduct", "InnerProduct-weight", "SingleMode"])
+def test_array_holders_equal_only_themselves(make):
+    value, twin = make(), make()
+    assert value == value and not value != value
+    assert value != twin and not value == twin and field_bits(value) == field_bits(twin)
+    assert hash(value) == hash(value) == object.__hash__(value)
+    name = value.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    for back in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(back) is type(value) and back != value
+        assert field_bits(back) == field_bits(value)
+
+
+def test_state_vector_stores_a_complex_array():
+    state = StateVector([1, 2])
+    assert state.amplitudes.dtype == complex and state.dim == 2
+    assert repr(state) == "StateVector(amplitudes=array([1.+0.j, 2.+0.j]))"
+    assert repr(InnerProduct()) == "InnerProduct(weight=None)"
 
 
 class TestDocument:

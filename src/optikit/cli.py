@@ -8,9 +8,8 @@ stdout line (floats at 12 significant digits) and each failure as one
 "unstable" are data, not errors), 1 domain, validation or self-check
 failure, 2 usage or file-parse error.
 
-Only `interface` and `quantum` need numpy; they import it, and their numpy
-modules, after their argument checks, so the four ray-level commands and
-every usage error start without it.
+Each command loads only the modules it uses; only `quantum`, and `interface`
+past `SCALAR_SAMPLES` samples, load numpy, and no usage error does.
 """
 
 from __future__ import annotations
@@ -20,12 +19,8 @@ import math
 import sys
 from typing import Iterator, Sequence
 
-from . import gaussian, rayoptics, sysdesc
-from .core import mat2_apply
+import optikit
 from .errors import OptikitError
-from .rayoptics import OpticalSystem, RayState
-from .resonator import Resonator, ray_bound_oracle, stability as resonator_stability
-from .sysdesc import ParseError
 
 __all__ = ["main"]
 
@@ -38,10 +33,14 @@ EXIT_USAGE = 2
 _INTERFACE_K0 = 2.0 * math.pi
 _INTERFACE_OMEGA = 2.0 * math.pi
 
-# caps on the size flags, so validated input bounds time and memory
+# caps on the size flags and the input file, so validated input bounds time and memory
 MAX_SAMPLES = 1_000_000
 MAX_DIM = 2048
 MAX_ROUND_TRIPS = 1_000_000
+MAX_FILE_CHARS = 16 * 2**20
+# `interface` takes the scalar residual route up to one kernel block of samples: there,
+# at about 12.5 us a sample, it costs what numpy's import and the kernel do
+SCALAR_SAMPLES = 4096
 
 
 class _UsageError(Exception):
@@ -68,25 +67,27 @@ def _require_finite_source(args: argparse.Namespace) -> None:
         raise _UsageError("source ray must be finite")
 
 
-def _load(path: str, want_kind: str) -> OpticalSystem | Resonator:
+def _load(path: str, want_kind: str) -> optikit.rayoptics.OpticalSystem | optikit.resonator.Resonator:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
+            source = fh.read(MAX_FILE_CHARS + 1)
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    if len(source) > MAX_FILE_CHARS:
+        raise _UsageError(f"{path}: larger than {MAX_FILE_CHARS} characters")
     try:
-        doc = sysdesc.parse(source)
-    except ParseError as exc:
+        doc = optikit.sysdesc.parse(source)
+    except optikit.sysdesc.ParseError as exc:
         raise _UsageError(f"{path}:{exc}") from exc
     if doc.kind != want_kind:
         raise _UsageError(f"{path}: expected a [{want_kind}] document, got [{doc.kind}]")
     if want_kind == "system":
-        return sysdesc.document_to_system(doc)
-    return sysdesc.document_to_resonator(doc)
+        return optikit.sysdesc.document_to_system(doc)
+    return optikit.sysdesc.document_to_resonator(doc)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> Iterator[tuple]:
-    m = rayoptics.system_composition(_load(args.file, "system"))
+    m = optikit.rayoptics.system_composition(_load(args.file, "system"))
     yield m.a11, m.a12
     yield m.a21, m.a22
     yield "det", m.det()
@@ -95,9 +96,9 @@ def _cmd_matrix(args: argparse.Namespace) -> Iterator[tuple]:
 def _cmd_trace(args: argparse.Namespace) -> Iterator[tuple]:
     _require_finite_source(args)
     system = _load(args.file, "system")
-    source = RayState(args.y0, args.theta0)
-    trace = rayoptics.trace_ray(system, source)
-    composed = mat2_apply(rayoptics.system_composition(system), source.as_pair())
+    source = optikit.rayoptics.RayState(args.y0, args.theta0)
+    trace = optikit.rayoptics.trace_ray(system, source)
+    composed = optikit.core.mat2_apply(optikit.rayoptics.system_composition(system), source.as_pair())
     final = trace.final
     scale = max(abs(composed[0]), abs(composed[1]), 1.0)
     if max(abs(final.y - composed[0]), abs(final.theta - composed[1])) > 1e-12 * scale:
@@ -112,12 +113,13 @@ def _cmd_stability(args: argparse.Namespace) -> Iterator[tuple]:
     _require_at_most("--round-trips", args.round_trips, MAX_ROUND_TRIPS)
     _require_finite_source(args)
     res = _load(args.file, "resonator")
-    verdict = resonator_stability(res)
+    verdict = optikit.resonator.stability(res)
     yield "det", verdict.det
     yield "half_trace", verdict.half_trace
     yield "verdict", verdict.verdict
     if args.oracle:
-        result = ray_bound_oracle(res, RayState(args.y0, args.theta0), args.round_trips)
+        source = optikit.rayoptics.RayState(args.y0, args.theta0)
+        result = optikit.resonator.ray_bound_oracle(res, source, args.round_trips)
         yield "oracle_max_y", result.max_y
         yield "oracle_max_theta", result.max_theta
         yield "oracle_diverged", result.diverged
@@ -133,7 +135,8 @@ def _cmd_beam(args: argparse.Namespace) -> Iterator[tuple]:
         raise _UsageError("--q-re and --q-im must be given together")
     if rw_given and (args.R is None or args.w is None):
         raise _UsageError("--R and --w must be given together")
-    m = rayoptics.system_composition(_load(args.file, "system"))
+    m = optikit.rayoptics.system_composition(_load(args.file, "system"))
+    gaussian = optikit.gaussian
     if q_given:
         qp = gaussian.QParameter(complex(args.q_re, args.q_im), args.lam)
     else:
@@ -151,8 +154,7 @@ def _cmd_interface(args: argparse.Namespace) -> Iterator[tuple]:
     if not 0 <= args.theta_deg < 90:
         raise _UsageError(f"theta-deg must be in [0, 90), got {args.theta_deg}")
     _require_at_most("--samples", args.samples, MAX_SAMPLES)
-    from . import emoptics
-
+    emoptics = optikit.emoptics
     theta_i = math.radians(args.theta_deg)
     theta_t = emoptics.snell_angle(args.n1, args.n2, theta_i)
     rs, ts = emoptics.fresnel_standard("s", args.n1, args.n2, theta_i)
@@ -160,7 +162,8 @@ def _cmd_interface(args: argparse.Namespace) -> Iterator[tuple]:
     system = emoptics.oblique_incidence_fields(
         theta_i, args.n1, args.n2, args.a, _INTERFACE_OMEGA, _INTERFACE_K0
     )
-    residual = emoptics.max_boundary_residual(system, args.samples, args.seed)
+    route = emoptics.reference_max_residual if args.samples <= SCALAR_SAMPLES else emoptics.max_boundary_residual
+    residual = route(system, args.samples, args.seed)
     in_plane = emoptics.check_plane_of_incidence(system)
     mirrored = emoptics.reflect_wavevector(system.incident.k, system.spec.normal)
     k_r = system.reflected.k
@@ -189,7 +192,7 @@ def _cmd_quantum(args: argparse.Namespace) -> Iterator[tuple]:
         raise _UsageError(f"hbar must be positive, got {args.hbar}")
     import numpy as np
 
-    from . import quantum
+    quantum = optikit.quantum
 
     def peak(bands) -> float:  # largest |entry| of the stored bands; the others are 0
         return np.max(np.abs(np.concatenate(list(bands))), initial=0.0)

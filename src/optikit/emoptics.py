@@ -22,20 +22,20 @@ report's `warnings`, which leave it ok (see `rayoptics.ValidationReport`).
 `fresnel_standard` gives the standard-convention s/p coefficients for
 comparison.
 
-Cost and exactness of `max_boundary_residual`: one private generator owns the
-seeded (u, v, t) draws of the kernel and of `sample_plane_points`.  It forms
-them from one `random.Random(seed)` in blocks of at most `_CHUNK` samples, each
-equal bit for bit to the per-sample `uniform` calls: one `getrandbits` call
-returns the block's 32-bit generator outputs in order, least significant word
-first; `random()` is ((a >> 5) * 2**26 + (b >> 6)) * 2**-53 of two of them; and
-`uniform(lo, hi)` is lo + (hi - lo) * random(), rounded once per operation in
-numpy as in Python.  The rest is float64 array work over the same blocks:
-memory O(_CHUNK), time about 0.1 ms + 0.25 us a sample on an x86-64 Xeon.
+Cost and exactness: `reference_max_residual`, the scalar route, takes the
+per-sample `uniform` draws of `sample_plane_points` through `boundary_residual`,
+about 12 us a sample with no numpy; the CLI takes it up to one block of samples.
+The kernel, `max_boundary_residual`, imports numpy and forms the same draws from
+one `random.Random(seed)` in blocks of at most `_CHUNK` samples: one
+`getrandbits` call returns the block's 32-bit generator outputs in order, least
+significant word first; `random()` is ((a >> 5) * 2**26 + (b >> 6)) * 2**-53 of
+two of them; and `uniform(lo, hi)` is lo + (hi - lo) * random(), rounded once
+per operation in numpy as in Python.  The rest is float64 array work over the
+same blocks: memory O(_CHUNK), about 0.1 ms + 0.25 us a sample on an x86-64 Xeon.
 
-The kernel returns exactly (bit for bit) the max over `sample_plane_points`
-of the component magnitudes of `boundary_residual`, the scalar reference
-path, whenever the fields involved are finite.  It repeats CPython's complex
-arithmetic on split real/imaginary arrays:
+The kernel returns the scalar route's residual bit for bit whenever the fields
+involved are finite.  It repeats CPython's complex arithmetic on split
+real/imaginary arrays:
 
 - products are (ar*br - ai*bi, ar*bi + ai*br);
 - the phase exp(-j x) is (cos(-x), sin(-x)), which is what `cmath.exp`
@@ -50,8 +50,8 @@ that.  Other blocks form every product, as there 0 * inf is NaN.
 numpy's complex128 multiply and `np.abs` may take fused multiply-add or SIMD
 paths that differ from CPython in the last bit, so the kernel avoids them.
 The contract also needs `np.cos`, `np.sin` and `np.hypot` to round as the C
-library does.  The test suite checks the draws against per-sample `uniform`
-calls and the kernel against the reference path; there is no fallback route.
+library does.  The test suite checks the bulk draws against per-sample
+`uniform` calls and the kernel against the scalar route.
 """
 
 from __future__ import annotations
@@ -62,11 +62,8 @@ import math
 import random
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .core import CVec3, RVec3, Value, _checkable, ccross, coplanar
 from .errors import DomainError, OffPlanePoint, TotalInternalReflection
-from .rayoptics import ValidationReport, Violation
 
 __all__ = [
     "PlaneWave",
@@ -83,6 +80,7 @@ __all__ = [
     "oblique_incidence_fields",
     "sample_plane_points",
     "max_boundary_residual",
+    "reference_max_residual",
     "validate_interface_system",
     "check_plane_of_incidence",
     "fresnel_standard",
@@ -145,15 +143,12 @@ def eval_plane_wave(wave: PlaneWave, r: RVec3, t: float) -> tuple[CVec3, CVec3]:
 
 
 def wavelength_of(k: RVec3) -> float:
-    """Wavelength 2*pi/|k| of a wavevector."""
-    try:
-        norm = k.norm()
-    except OverflowError:  # an int component squares past the double range
-        norm = math.inf
+    """Wavelength 2*pi/|k| of a wavevector; DomainError unless its parts are finite."""
+    k = _finite(k, "wavevector")
+    norm = k.norm()
     if norm == math.inf or norm == 0:  # the squares overflow or underflow: scale by the largest component
-        x, y, z = (float(_checkable(c)) for c in (k.x, k.y, k.z))
-        top = max(abs(x), abs(y), abs(z))
-        norm = top * RVec3(x / top, y / top, z / top).norm() if 0 < top < math.inf else top
+        top = max(abs(k.x), abs(k.y), abs(k.z))
+        norm = top * RVec3(k.x / top, k.y / top, k.z / top).norm() if top else top
     if norm == 0:
         raise DomainError("zero wavevector has no wavelength")
     if not norm < math.inf:
@@ -326,16 +321,17 @@ def _check_sampling(samples: int, seed: int) -> None:
         raise DomainError(f"need at least one sample, got {samples}")
 
 
-def _plane_draws(sys_i: InterfaceSystem, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """Seeded offsets u, v and times t, in blocks of at most `_CHUNK` rows (u, v, t).
-
-    The single owner of the draw order: exactly the per-sample `uniform` draws
-    of one `random.Random(seed)` (module docstring), so seeded outputs never change.
-    """
+def _spans(sys_i: InterfaceSystem, samples: int, seed: int) -> tuple[float, float]:
     _check_sampling(samples, seed)
-    lam = wavelength_of(sys_i.incident.k)
-    period = 2.0 * math.pi / _checkable(sys_i.incident.omega)
-    lo, hi = np.array([[-10.0 * lam, -10.0 * lam, 0.0], [10.0 * lam, 10.0 * lam, 10.0 * period]])
+    return 10.0 * wavelength_of(sys_i.incident.k), 10.0 * (2.0 * math.pi / _checkable(sys_i.incident.omega))
+
+
+def _plane_draws(sys_i: InterfaceSystem, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Seeded offsets u, v and times t, in blocks of at most `_CHUNK` rows (u, v, t):
+    exactly the per-sample `uniform` draws of `sample_plane_points` (module docstring)."""
+    import numpy as np
+    width, duration = _spans(sys_i, samples, seed)
+    lo, hi = np.array([[-width, -width, 0.0], [width, width, duration]])
     rng = random.Random(seed)
     for start in range(0, samples, _CHUNK):
         n = min(_CHUNK, samples - start)
@@ -359,13 +355,23 @@ def sample_plane_points(
     """
     point = _finite(sys_i.spec.point, "interface point")
     t1, t2 = _tangent_basis(sys_i.spec.normal)
-    for block in _plane_draws(sys_i, samples, seed):
-        for u, v, t in block.tolist():
-            yield (point + t1.scale(u) + t2.scale(v), t)
+    width, duration = _spans(sys_i, samples, seed)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        u, v, t = rng.uniform(-width, width), rng.uniform(-width, width), rng.uniform(0.0, duration)
+        yield (point + t1.scale(u) + t2.scale(v), t)
 
 
-def _column(v: RVec3) -> np.ndarray:
-    return np.array([[float(_checkable(c))] for c in (v.x, v.y, v.z)])
+def reference_max_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> float:
+    """The scalar route to `max_boundary_residual` (module docstring): the max over
+    `sample_plane_points` of the component magnitudes of `boundary_residual`.  Where
+    that raises DomainError, as for a field not finite, the outcome is the kernel's."""
+    try:
+        residuals = (boundary_residual((sys_i.incident, sys_i.reflected), sys_i.transmitted, sys_i.spec, r, t)
+                     for r, t in sample_plane_points(sys_i, samples, seed))
+        return max(_peak(field) for pair in residuals for field in pair)
+    except DomainError:
+        return max_boundary_residual(sys_i, samples, seed)
 
 
 def _dot3(a, b):
@@ -387,15 +393,19 @@ def _side_difference(c, s, ar, ai):
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a residual not finite is raised below
 def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> float:
     """Largest tangential-mismatch component over seeded plane samples.
 
-    Equal bit for bit to the max over `sample_plane_points` of the
-    `boundary_residual` component magnitudes (see the module docstring).
-    Raises `OffPlanePoint` at the first sample off the plane, and DomainError
-    where the residual is not finite, as the reference path does.
+    Equal bit for bit to `reference_max_residual`, the scalar route, wherever
+    the fields are finite (see the module docstring).  Raises `OffPlanePoint`
+    at the first sample off the plane, and DomainError where the residual is
+    not finite.
     """
+    import numpy as np
+
+    def _column(v: RVec3) -> np.ndarray:
+        return np.array([[float(_checkable(c))] for c in (v.x, v.y, v.z)])
+
     spec = sys_i.spec
     point = _column(_finite(spec.point, "interface point"))
     t1, t2 = (_column(b) for b in _tangent_basis(spec.normal))
@@ -419,40 +429,41 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
     # with |cos|, |sin| <= 1, amplitudes this small keep every sum finite
     bounded = sum(abs(z.real) + abs(z.imag) for zs in amps for z in zs) < 2.0**1020
     worst = 0.0
-    for block in _plane_draws(sys_i, samples, seed):
-        u, v, t = block.T
-        r = point + t1 * u + t2 * v
-        # the inequality of `_require_on_plane`, which then raises for the first hit
-        offset = r - point
-        off_plane = np.abs(_dot3(offset, normal)) > 1e-12 * (1.0 + np.sqrt(_dot3(offset, offset)))
-        if off_plane.any():
-            i = int(np.argmax(off_plane))
-            _require_on_plane(spec, RVec3(*r[:, i].tolist()))
-        # -1j * x is (0.0, -x) and cmath.exp of it is (cos(-x), sin(-x))
-        arg = -(_dot3(k, r) - omega * t)
-        c, s = np.cos(arg), np.sin(arg)
-        if bounded and np.isfinite(arg).all():
-            # a zero factor times a finite array is an exact +-0, which changes a
-            # sum only in the sign of a zero: those products are left out
-            d = dict(zip(live, zip(*_side_difference(c, s, ar, ai)))) if live else {}
-            mags = []
-            for terms in plan:
-                parts = [d[row] if a == 1 else (a * d[row][0], a * d[row][1]) for a, row in terms]
-                re, im = (sum(p[1:], p[0]) for p in zip(*parts))  # the terms added in order
-                mags.append(np.hypot(re, im))
-        else:
-            # non-finite phases or sums: every product, as `boundary_residual`
-            # forms them, with n a complex vector of zero imaginary parts
-            d_r, d_i = (x.reshape(2, 3, -1) for x in _side_difference(c, s, amp.real, amp.imag))
-            (p_r, p_i), (q_r, q_i) = ((d_r[:, rows], d_i[:, rows]) for rows in ([2, 0, 1], [1, 2, 0]))
-            a, b = normal[[1, 2, 0]], normal[[2, 0, 1]]  # n[i + 1] and n[i + 2]
-            re = (a * p_r - 0.0 * p_i) - (b * q_r - 0.0 * q_i)
-            mags = [np.hypot(re, (a * p_i + 0.0 * p_r) - (b * q_i + 0.0 * q_r))]
-        peak = float(np.max([0.0, *(np.max(m) for m in mags)]))
-        if not math.isfinite(peak):  # overflowed fields; the reference's max() would drop a NaN
-            shown = "NaN" if math.isnan(peak) else peak
-            raise DomainError(f"boundary residual is {shown}: the fields overflow double precision")
-        worst = max(worst, peak)
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual not finite is raised below
+        for block in _plane_draws(sys_i, samples, seed):
+            u, v, t = block.T
+            r = point + t1 * u + t2 * v
+            # the inequality of `_require_on_plane`, which then raises for the first hit
+            offset = r - point
+            off_plane = np.abs(_dot3(offset, normal)) > 1e-12 * (1.0 + np.sqrt(_dot3(offset, offset)))
+            if off_plane.any():
+                i = int(np.argmax(off_plane))
+                _require_on_plane(spec, RVec3(*r[:, i].tolist()))
+            # -1j * x is (0.0, -x) and cmath.exp of it is (cos(-x), sin(-x))
+            arg = -(_dot3(k, r) - omega * t)
+            c, s = np.cos(arg), np.sin(arg)
+            if bounded and np.isfinite(arg).all():
+                # a zero factor times a finite array is an exact +-0, which changes a
+                # sum only in the sign of a zero: those products are left out
+                d = dict(zip(live, zip(*_side_difference(c, s, ar, ai)))) if live else {}
+                mags = []
+                for terms in plan:
+                    parts = [d[row] if a == 1 else (a * d[row][0], a * d[row][1]) for a, row in terms]
+                    re, im = (sum(p[1:], p[0]) for p in zip(*parts))  # the terms added in order
+                    mags.append(np.hypot(re, im))
+            else:
+                # non-finite phases or sums: every product, as `boundary_residual`
+                # forms them, with n a complex vector of zero imaginary parts
+                d_r, d_i = (x.reshape(2, 3, -1) for x in _side_difference(c, s, amp.real, amp.imag))
+                (p_r, p_i), (q_r, q_i) = ((d_r[:, rows], d_i[:, rows]) for rows in ([2, 0, 1], [1, 2, 0]))
+                a, b = normal[[1, 2, 0]], normal[[2, 0, 1]]  # n[i + 1] and n[i + 2]
+                re = (a * p_r - 0.0 * p_i) - (b * q_r - 0.0 * q_i)
+                mags = [np.hypot(re, (a * p_i + 0.0 * p_r) - (b * q_i + 0.0 * q_r))]
+            peak = float(np.max([0.0, *(np.max(m) for m in mags)]))
+            if not math.isfinite(peak):  # overflowed fields; the reference's max() would drop a NaN
+                shown = "NaN" if math.isnan(peak) else peak
+                raise DomainError(f"boundary residual is {shown}: the fields overflow double precision")
+            worst = max(worst, peak)
     return worst
 
 
@@ -472,6 +483,8 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
     check whose prerequisites failed is skipped: the failed prerequisite
     already fails the report.  Raises DomainError where a field overflows.
     """
+    from .rayoptics import ValidationReport, Violation
+
     _check_sampling(samples, seed)
     spec, consts = sys_i.spec, sys_i.consts
     violations: list[Violation] = []

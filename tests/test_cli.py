@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from optikit import cli, emoptics, quantum, rayoptics, sysdesc
+from optikit import cli, emoptics, quantum, rayoptics, resonator, sysdesc
 from optikit.core import Mat2, mat2_mul
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -346,8 +346,10 @@ class TestResourceCaps:
             raise AssertionError("an over-cap input reached the library")
 
         monkeypatch.setattr(emoptics, "max_boundary_residual", forbidden)
+        monkeypatch.setattr(emoptics, "reference_max_residual", forbidden)
         monkeypatch.setattr(quantum, "make_single_mode", forbidden)
-        monkeypatch.setattr(cli, "ray_bound_oracle", forbidden)
+        # the CLI reads the oracle from its module when the command runs
+        monkeypatch.setattr(resonator, "ray_bound_oracle", forbidden)
 
     @pytest.mark.parametrize(
         "argv",
@@ -363,6 +365,39 @@ class TestResourceCaps:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "must be <=" in err
+
+
+class TestFileCap:
+    """`_load` reads at most `MAX_FILE_CHARS` characters of a file, so that parse's memory stays bounded."""
+
+    def test_over_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        text = (SAMPLES / "single_space.osys").read_text()
+        path = tmp_path / "big.osys"
+        path.write_text(text)
+        monkeypatch.setattr(cli, "MAX_FILE_CHARS", len(text))
+        code, out, _ = run(capsys, "matrix", path)  # a file at the cap is read whole
+        assert code == 0 and out
+        monkeypatch.setattr(cli, "MAX_FILE_CHARS", len(text) - 1)
+        assert run(capsys, "matrix", path) == (2, "", f"error: {path}: larger than {len(text) - 1} characters\n")
+
+    def test_cap_counts_characters_not_bytes(self, capsys, tmp_path, monkeypatch):
+        # each comment character is two bytes in UTF-8: a cap that falls inside one is
+        # still the cap's error, not a decoding error
+        text = "[system]\n# " + "\u00e9" * 40 + "\nfreespace n=1 d=1\n"
+        path = tmp_path / "accents.osys"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cli, "MAX_FILE_CHARS", len(text))
+        assert run(capsys, "matrix", path)[0] == 0  # more bytes than the cap, as many characters
+        monkeypatch.setattr(cli, "MAX_FILE_CHARS", 20)
+        assert run(capsys, "matrix", path) == (2, "", f"error: {path}: larger than 20 characters\n")
+
+    def test_text_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        # the decoder's UnicodeDecodeError escaped as a traceback
+        path = tmp_path / "latin1.osys"
+        path.write_bytes("[system]\n# caf\xe9\nfreespace n=1 d=1\n".encode("latin-1"))
+        code, out, err = run(capsys, "matrix", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
 
 
 _REAL = ["0", "-0", "inf", "-inf", "nan", "5e-324", "-5e-324", "1e-300", "1e308", "-1e308", "-1", "1", "1e-6"]

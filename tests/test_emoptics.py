@@ -23,6 +23,7 @@ from optikit.emoptics import (
     h_from_e,
     max_boundary_residual,
     oblique_incidence_fields,
+    reference_max_residual,
     reflect_wavevector,
     sample_plane_points,
     snell_angle,
@@ -424,16 +425,6 @@ class TestValidateInterfaceSystem:
         assert {v.index for v in report.violations + report.warnings} <= names
 
 
-def reference_max_residual(system, samples, seed):
-    """Scalar reference: max component magnitude of `boundary_residual`."""
-    side1 = (system.incident, system.reflected)
-    worst = 0.0
-    for r, t in sample_plane_points(system, samples, seed):
-        d_e, d_h = boundary_residual(side1, system.transmitted, system.spec, r, t)
-        worst = max(worst, d_e.max_abs(), d_h.max_abs())
-    return worst
-
-
 interface_cases = st.fixed_dictionaries(
     {
         "theta_deg": st.floats(min_value=0.0, max_value=80.0, exclude_max=True),
@@ -514,7 +505,7 @@ NAN_RESIDUAL = (DomainError, "boundary residual is NaN: the fields overflow doub
 
 
 class TestResidualKernel:
-    """`max_boundary_residual` against the scalar `boundary_residual` path."""
+    """`max_boundary_residual`, the kernel, against `reference_max_residual`, the scalar route."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=interface_cases, samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
@@ -535,7 +526,8 @@ class TestResidualKernel:
         assert max_boundary_residual(system, samples, seed) == reference_max_residual(system, samples, seed)
 
     # a pinned outcome is that of forming every product in full, which the
-    # reference path cannot give: it raises DomainError on fields not finite
+    # scalar route gives only by handing the call to the kernel, as
+    # `boundary_residual` raises DomainError on fields not finite
     @settings(max_examples=200, deadline=None)
     @given(system=sparse_systems(), samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), pinned=st.none())
     # two real parts of 1e308 overflow a sum at a general normal: hypot(inf, NaN) is inf, which
@@ -594,8 +586,9 @@ def scalar_draws(system, samples, seed):
 
 
 class TestPlaneDraws:
-    """The bulk draws against per-sample `uniform` calls.  No other draw route
-    exists, so a Python whose `getrandbits` or `random()` changes fails here."""
+    """The kernel's bulk draws, and the points of `sample_plane_points`, against
+    per-sample `uniform` calls, so that a Python whose `getrandbits` or `random()`
+    changes fails here."""
 
     # a wavelength and a period that are not powers of two, on a tilted plane
     SYSTEM = replace(
@@ -980,3 +973,27 @@ class TestEdgeValues:
         with pytest.raises(DomainError, match="eval_plane_wave: not finite"):  # returned NaN vectors
             boundary_residual((system.incident, system.reflected), system.transmitted, system.spec,
                               RVec3(0.0, 0.1, 0.2), math.nan)
+
+
+class TestResidualRoutes:
+    """The scalar route against the kernel on worked triples at IEEE edge values, the
+    systems the CLI's `interface` builds: the same bits, or the same exception type
+    and message."""
+
+    @given(theta=st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1.5), n1=ANY_NUMBER, n2=ANY_NUMBER, a=ANY_NUMBER,
+           samples=st.sampled_from([1, 5, 17, 1000]), seed=st.integers(-2**70, 2**70))
+    @example(theta=0.0, n1=1.0, n2=1.0, a=sys.float_info.max, samples=5, seed=0)
+    @example(theta=0.5, n1=1e308, n2=1.5e308, a=1e300, samples=5, seed=0)
+    # amplitudes whose sum passes 2**1020, where the kernel forms every product
+    @example(theta=0.3, n1=1.0, n2=1.5, a=6e306, samples=5, seed=0)
+    # a wavelength near the double range: phases and fields that are not finite, where the
+    # scalar route hands the call to the kernel for its NaN-residual DomainError
+    @example(theta=0.0, n1=sys.float_info.min, n2=1.0, a=1.0, samples=1, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_worked_triples(self, theta, n1, n2, a, samples, seed):
+        try:
+            system = oblique_incidence_fields(theta, n1, n2, a, TWO_PI, TWO_PI)
+        except OptikitError:
+            return
+        want = outcome(max_boundary_residual, system, samples, seed)
+        assert outcome(reference_max_residual, system, samples, seed) == want

@@ -1,9 +1,12 @@
-"""Start-up contract: the ray-level library and CLI run without numpy, and
-no command loads `dataclasses`; the ray commands load no `inspect` either.
+"""Start-up contract: `import optikit` loads no submodule, each command loads
+only the modules it uses, every command but `quantum` runs without numpy at
+its default sizes, and no command loads `dataclasses`; the commands that run
+without numpy load no `inspect` either.
 
-`emoptics` and `quantum` (and through them numpy, which imports `inspect`
-itself) load on first use.  Each check runs in a fresh interpreter, because
-this test process has long since imported numpy.
+numpy, which imports `inspect` itself, loads with `quantum` and with the
+`emoptics` kernel, which `interface` takes past `cli.SCALAR_SAMPLES` samples.
+Each check runs in a fresh interpreter, because this test process has long
+since imported numpy.
 """
 
 import json
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import optikit
+import optikit.cli
 
 SRC = Path(optikit.__file__).resolve().parent.parent
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -66,6 +70,48 @@ def test_ray_commands_run_without_numpy(argv, exit_code):
     assert run_fresh(code) == [exit_code]
 
 
+@pytest.mark.parametrize("samples, numpy", [(1000, False), (optikit.cli.SCALAR_SAMPLES, False),
+                                            (optikit.cli.SCALAR_SAMPLES + 1, True)])
+def test_interface_loads_numpy_only_past_the_scalar_route(samples, numpy, capsys):
+    argv = ["interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30", "--samples", str(samples)]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import optikit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = optikit.cli.main({argv!r})\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, out.getvalue()]))"
+    )
+    # the same bytes as in this process
+    assert optikit.cli.main(argv) == 0
+    assert run_fresh(code) == [0, numpy, capsys.readouterr().out]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30"], ["cli", "core", "emoptics", "errors"]),
+        (["quantum", "--omega", "1"], ["cli", "core", "errors", "quantum"]),
+        (["matrix", str(SAMPLES / "biconvex.osys")], ["cli", "core", "errors", "rayoptics", "resonator", "sysdesc"]),
+        (["beam", str(SAMPLES / "single_space.osys"), "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"],
+         ["cli", "core", "errors", "gaussian", "rayoptics", "resonator", "sysdesc"]),
+    ],
+    ids=["import", "interface", "quantum", "matrix", "beam"],
+)
+def test_commands_load_only_their_modules(argv, loaded):
+    # `interface` and `quantum` compile none of the ray modules' source
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import optikit\n"
+        f"if {argv!r}:\n"
+        "    import optikit.cli\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        optikit.cli.main({argv!r})\n"
+        "print(json.dumps(sorted(m.split('.')[1] for m in sys.modules if m.startswith('optikit.'))))"
+    )
+    assert run_fresh(code) == loaded
+
+
 RAY_PATH = ("dataclasses", "inspect")
 
 
@@ -77,8 +123,8 @@ RAY_PATH = ("dataclasses", "inspect")
         (["trace", str(SAMPLES / "single_space.osys"), "--y0", "1e-3", "--theta0", "0"], RAY_PATH),
         (["stability", str(SAMPLES / "fp_stable.res"), "--oracle"], RAY_PATH),
         (["beam", str(SAMPLES / "single_space.osys"), "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"], RAY_PATH),
-        # default sizes; numpy imports `inspect` itself, so only `dataclasses` is checked
-        (["interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30"], ("dataclasses",)),
+        (["interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30"], RAY_PATH),
+        # numpy imports `inspect` itself, so only `dataclasses` is checked
         (["quantum", "--omega", "1"], ("dataclasses",)),
     ],
     ids=["import", "matrix", "trace", "stability", "beam", "interface", "quantum"],

@@ -2,7 +2,10 @@
 
 2x2 real matrices, real and complex 3-vectors, the closed-form power of a
 unimodular 2x2 matrix, coplanarity, and Moebius transforms.  Everything here
-is an immutable value and every function is pure.
+is an immutable value and every function is pure.  Reals from outside are
+read by `_floats` and `_positive`: as floats, with a Python int past the double
+range as a signed infinity, which a range clause then rejects, so that no
+`OverflowError` escapes; `_checkable` reads one that passes on unconverted.
 
 Value types: every record type of the package derives from `Value`, an
 immutable record of the fields its `__slots__` names, in constructor order:
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import combinations
 from sys import float_info
 from types import CodeType, FunctionType
 from typing import Sequence
@@ -63,12 +67,11 @@ class Value:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            names = self.__slots__
-            return tuple(getattr(self, name) for name in names) == tuple(getattr(other, name) for name in names)
+            return self.__reduce__() == other.__reduce__()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name in self.__slots__))
+        return hash(self.__reduce__()[1])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -162,10 +165,11 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
     """
     if n < 0:
         raise DomainError("power must be non-negative")
-    det = m.det()
+    a11, a12, a21, a22 = _floats(m.a11, m.a12, m.a21, m.a22)
+    det = a11 * a22 - a12 * a21
     if not abs(det - 1.0) <= 1e-9:  # fails closed on a NaN det
         raise DomainError(f"matrix is not unimodular: det = {det!r}")
-    ht = m.half_trace()
+    ht = 0.5 * (a11 + a22)
     if not (abs(ht) < 1.0 and ht * ht < det):
         raise DomainError(f"|half-trace| must be < min(1, sqrt(det)), got {ht!r}")
     r = math.sqrt(det)
@@ -173,7 +177,7 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
     scale = r ** (n - 1) / math.sin(theta)
     sn = scale * math.sin(n * theta)
     snm1 = scale * r * math.sin((n - 1) * theta)
-    return Mat2(m.a11 * sn - snm1, m.a12 * sn, m.a21 * sn, m.a22 * sn - snm1)
+    return Mat2(a11 * sn - snm1, a12 * sn, a21 * sn, a22 * sn - snm1)
 
 
 class RVec3(Value):
@@ -254,18 +258,13 @@ def coplanar(points: Sequence[RVec3], tol: float = 1e-12) -> bool:
     """
     if len(points) == 0:
         raise DomainError("coplanar needs at least one point")
-    if len(points) <= 3:
-        return True
     origin = points[0]
     diffs = [p - origin for p in points[1:]]
-    m = len(diffs)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                triple = diffs[i].dot(diffs[j].cross(diffs[k]))
-                scale = diffs[i].norm() * diffs[j].norm() * diffs[k].norm()
-                if abs(triple) > tol * scale:
-                    return False
+    for a, b, c in combinations(diffs, 3):
+        triple = a.dot(b.cross(c))
+        scale = a.norm() * b.norm() * c.norm()
+        if abs(triple) > tol * scale:
+            return False
     return True
 
 
@@ -274,6 +273,25 @@ def _checkable(x: float) -> float:
     if isinstance(x, int) and not -float_info.max <= x <= float_info.max:
         return math.inf if x > 0 else -math.inf
     return x
+
+
+def _floats(*xs: float) -> tuple[float, ...]:
+    """xs as floats, read as `_checkable` reads them; xs itself when each is a float."""
+    for x in xs:
+        if x.__class__ is not float:
+            return tuple(float(_checkable(x)) for x in xs)
+    return xs
+
+
+def _positive(what: str, *xs: float) -> tuple[float, ...]:
+    """`_floats(*xs)`; DomainError, naming what, unless each is positive and finite."""
+    for x in xs:
+        if x.__class__ is not float or not 0 < x < math.inf:
+            xs = _floats(*xs)
+            if not all(0 < x < math.inf for x in xs):
+                raise DomainError(f"{what} must be positive and finite, got {', '.join(map(repr, xs))}")
+            break
+    return xs
 
 
 def _split(z: complex) -> tuple[complex, int]:
@@ -294,16 +312,18 @@ def mobius(m: Mat2, q: complex) -> complex:
     """Moebius action (a11*q + a12) / (a21*q + a22) of a 2x2 matrix: finite, or an OptikitError.
     num / den as formed where both rows are finite; an overflowing row is formed again, scaled down,
     by `_scaled_row`, and the quotient scaled back; a den part >= 2**1022 divides both rows by 4."""
-    num, den = m.a11 * q + m.a12, m.a21 * q + m.a22
+    a11, a12, a21, a22 = _floats(m.a11, m.a12, m.a21, m.a22)
+    q = _checkable(q)
+    num, den = a11 * q + a12, a21 * q + a22
     # abs() of a finite complex can overflow, so it sees only tiny components
     if abs(den.real) < 1e-300 and abs(den.imag) < 1e-300 and abs(den) < 1e-300:
         raise SingularTransform(f"denominator {den!r} vanishes for q = {q!r}")
     shift = 0
     if (not (cmath.isfinite(num) and cmath.isfinite(den)) and cmath.isfinite(q)
-            and all(map(math.isfinite, (m.a11, m.a12, m.a21, m.a22)))):
-        num, shift = _scaled_row(m.a11, m.a12, q)
+            and all(map(math.isfinite, (a11, a12, a21, a22)))):
+        num, shift = _scaled_row(a11, a12, q)
         if not cmath.isfinite(den):
-            den, den_shift = _scaled_row(m.a21, m.a22, q)
+            den, den_shift = _scaled_row(a21, a22, q)
             shift -= den_shift
     if max(abs(den.real), abs(den.imag)) >= 2.0**1022:  # division overflows inside; 1/4 is exact
         num, den = complex(num.real / 4, num.imag / 4), complex(den.real / 4, den.imag / 4)
@@ -311,10 +331,11 @@ def mobius(m: Mat2, q: complex) -> complex:
     if not cmath.isfinite(out) and cmath.isfinite(num) and cmath.isfinite(den):
         # Smith's method overflowed inside, in num.real + num.imag * ratio; 1/4 of num cannot
         out, shift = complex(num.real / 4, num.imag / 4) / den, shift + 2
-    try:
-        out = complex(math.ldexp(out.real, shift), math.ldexp(out.imag, shift))
-    except OverflowError:
-        raise DomainError(f"the quotient leaves the float range for q = {q!r}") from None
+    if shift:
+        try:
+            out = complex(math.ldexp(out.real, shift), math.ldexp(out.imag, shift))
+        except OverflowError:
+            raise DomainError(f"the quotient leaves the float range for q = {q!r}") from None
     if not cmath.isfinite(out):
         raise DomainError(f"q must be finite, got {out!r}")
     return out

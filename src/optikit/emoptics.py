@@ -62,7 +62,7 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from .core import CVec3, RVec3, Value, _checkable, ccross, coplanar
+from .core import CVec3, RVec3, Value, _checkable, _floats, _positive, ccross, coplanar
 from .errors import DomainError, OffPlanePoint, TotalInternalReflection
 
 __all__ = [
@@ -200,9 +200,7 @@ def boundary_residual(
 
 def snell_angle(n1: float, n2: float, theta_i: float) -> float:
     """Transmitted angle arcsin(n1 sin(theta_i) / n2), radians."""
-    n1, n2 = _checkable(n1), _checkable(n2)
-    if not (0 < n1 < math.inf and 0 < n2 < math.inf):
-        raise DomainError(f"indices must be positive and finite, got {n1!r}, {n2!r}")
+    n1, n2 = _positive("indices", n1, n2)
     if not 0 <= theta_i < math.pi / 2:
         raise DomainError(f"incidence angle must be in [0, pi/2), got {theta_i!r}")
     s = n1 * math.sin(theta_i) / n2
@@ -221,7 +219,7 @@ def reflect_wavevector(k_i: RVec3, normal: RVec3) -> RVec3:
     or a reflected vector beyond the double range.
     """
     k_i = _finite(k_i, "wavevector")
-    norm = RVec3(*(float(_checkable(c)) for c in (normal.x, normal.y, normal.z))).norm()
+    norm = RVec3(*_floats(normal.x, normal.y, normal.z)).norm()
     if not abs(norm - 1.0) <= 1e-9:
         raise DomainError(f"normal must be unit length, got |n| = {norm!r}")
     k_r = k_i - normal.scale(2.0 * k_i.dot(normal))
@@ -270,47 +268,43 @@ def oblique_incidence_fields(theta_i: float, n1: float, n2: float, a: float, ome
     (+-cos, 0, -sin) scaled by n/eta0 -- deliberately not recomputed through
     `h_from_e` (see module docstring).
     """
-    a, n1, n2 = float(_checkable(a)), float(_checkable(n1)), float(_checkable(n2))
-    omega, k0 = _checkable(omega), _checkable(k0)
-    if not 0 < a < math.inf:
-        raise DomainError(f"amplitude must be positive and finite, got {a!r}")
-    if not (0 < omega < math.inf and 0 < k0 < math.inf):
-        raise DomainError(f"omega and k0 must be positive and finite, got {omega!r}, {k0!r}")
+    (a,) = _positive("amplitude", a)
+    omega, k0 = _positive("omega and k0", omega, k0)
+    n1, n2 = _floats(n1, n2)
     theta_t = snell_angle(n1, n2, theta_i)
     ci, si = math.cos(theta_i), math.sin(theta_i)
     ct, st = math.cos(theta_t), math.sin(theta_t)
     r_amp, t_amp = _continuity(n1, n2, ci, ct, a)
 
     spec = InterfaceSpec(n1=n1, n2=n2, point=RVec3(0.0, 0.0, 0.0), normal=RVec3(1.0, 0.0, 0.0))
-    consts = EMConstants(k0=k0)
-    eta0 = consts.eta0
     # k, E's y part and H's x and z parts of the incident, reflected and transmitted waves
-    parts = ((RVec3(k0 * n1 * ci, 0.0, k0 * n1 * si), a, a * n1 / eta0 * ci, -a * n1 / eta0 * si),
-             (RVec3(-k0 * n1 * ci, 0.0, k0 * n1 * si), r_amp, -r_amp * n1 / eta0 * ci, -r_amp * n1 / eta0 * si),
-             (RVec3(k0 * n2 * ct, 0.0, k0 * n2 * st), t_amp, t_amp * n2 / eta0 * ct, -t_amp * n2 / eta0 * st))
+    parts = ((RVec3(k0 * n1 * ci, 0.0, k0 * n1 * si), a, a * n1 / ETA0 * ci, -a * n1 / ETA0 * si),
+             (RVec3(-k0 * n1 * ci, 0.0, k0 * n1 * si), r_amp, -r_amp * n1 / ETA0 * ci, -r_amp * n1 / ETA0 * si),
+             (RVec3(k0 * n2 * ct, 0.0, k0 * n2 * st), t_amp, t_amp * n2 / ETA0 * ct, -t_amp * n2 / ETA0 * st))
     waves = tuple(PlaneWave(k, omega, CVec3(0j, complex(e), 0j), CVec3(complex(hx), 0j, complex(hz)))
                   for k, e, hx, hz in parts)
     if not all(cmath.isfinite(c) for w in waves for v in (w.k, w.E, w.H) for c in (v.x, v.y, v.z)):
         raise DomainError(f"fields overflow double precision at a = {a!r}, n1 = {n1!r}, n2 = {n2!r}")
-    return InterfaceSystem(spec, *waves, consts)
+    return InterfaceSystem(spec, *waves, EMConstants(k0))
 
 
 def _finite(v: RVec3, name: str) -> RVec3:
-    """v with its parts as floats; DomainError unless each is finite (an int past the double range is not)."""
-    v = RVec3(*(float(_checkable(c)) for c in (v.x, v.y, v.z)))
+    """v with its parts as floats; DomainError unless each is finite."""
+    v = RVec3(*_floats(v.x, v.y, v.z))
     if not all(map(math.isfinite, (v.x, v.y, v.z))):
         raise DomainError(f"{name} must be finite, got {v!r}")
     return v
 
 
-def _tangent_basis(normal: RVec3) -> tuple[RVec3, RVec3]:
-    """Unit tangents t1 and normal x t1, of the normal's parts as floats; DomainError unless finite."""
-    normal = _finite(normal, "interface normal")
+def _plane(spec: InterfaceSpec) -> tuple[RVec3, RVec3, RVec3, RVec3]:
+    """The point and the normal of an interface, with their parts as floats, a unit tangent t1
+    and normal x t1; DomainError unless the point and the normal are finite."""
+    point = _finite(spec.point, "interface point")
+    normal = _finite(spec.normal, "interface normal")
     seed = RVec3(1.0, 0.0, 0.0) if abs(normal.x) < 0.9 else RVec3(0.0, 1.0, 0.0)
     raw = seed - normal.scale(seed.dot(normal))
     t1 = raw.scale(1.0 / raw.norm())
-    t2 = normal.cross(t1)
-    return (t1, t2)
+    return (point, normal, t1, normal.cross(t1))
 
 
 def _check_sampling(samples: int, seed: int) -> None:
@@ -323,7 +317,8 @@ def _check_sampling(samples: int, seed: int) -> None:
 
 def _spans(sys_i: InterfaceSystem, samples: int, seed: int) -> tuple[float, float]:
     _check_sampling(samples, seed)
-    return 10.0 * wavelength_of(sys_i.incident.k), 10.0 * (2.0 * math.pi / _checkable(sys_i.incident.omega))
+    (omega,) = _positive("omega", sys_i.incident.omega)
+    return 10.0 * wavelength_of(sys_i.incident.k), 10.0 * (2.0 * math.pi / omega)
 
 
 def _plane_draws(sys_i: InterfaceSystem, samples: int, seed: int) -> Iterator[np.ndarray]:
@@ -353,8 +348,7 @@ def sample_plane_points(
     span ten periods, so the check covers many phase cycles.  DomainError
     unless the interface point and normal are finite.
     """
-    point = _finite(sys_i.spec.point, "interface point")
-    t1, t2 = _tangent_basis(sys_i.spec.normal)
+    point, _, t1, t2 = _plane(sys_i.spec)
     width, duration = _spans(sys_i, samples, seed)
     rng = random.Random(seed)
     for _ in range(samples):
@@ -403,17 +397,12 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
     """
     import numpy as np
 
-    def _column(v: RVec3) -> np.ndarray:
-        return np.array([[float(_checkable(c))] for c in (v.x, v.y, v.z)])
-
     spec = sys_i.spec
-    point = _column(_finite(spec.point, "interface point"))
-    t1, t2 = (_column(b) for b in _tangent_basis(spec.normal))
-    normal = _column(spec.normal)
+    point, normal, t1, t2 = (np.array([[v.x], [v.y], [v.z]]) for v in _plane(spec))
     nrm = normal[:, 0].tolist()
     waves = (sys_i.incident, sys_i.reflected, sys_i.transmitted)
-    k = np.stack([_column(w.k) for w in waves], axis=1)  # (component, wave, 1)
-    omega = np.array([[float(_checkable(w.omega))] for w in waves])
+    k = np.array([_floats(w.k.x, w.k.y, w.k.z) for w in waves]).T[..., None]  # (component, wave, 1)
+    omega = np.array(_floats(*(w.omega for w in waves)))[:, None]
     # amplitudes by wave and row (E x, y, z, then H); the transmitted wave's are
     # negated, so that side 1 minus side 2 is a sum: -(x - y) is -x + y exactly
     amps = [[complex(_checkable(c)) for f in (w.E, w.H) for c in (f.x, f.y, f.z)] for w in waves]
@@ -489,8 +478,7 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
     spec, consts = sys_i.spec, sys_i.consts
     violations: list[Violation] = []
     warnings: list[Violation] = []
-    # an int part beyond the double range reads as a signed infinity
-    normal = RVec3(*map(_checkable, (spec.normal.x, spec.normal.y, spec.normal.z)))
+    normal = RVec3(*_floats(spec.normal.x, spec.normal.y, spec.normal.z))
     norm_err = abs(normal.norm() - 1.0)
     # sampling the boundary needs a real plane, nonzero wavevectors and periods
     sampled = spec.n1 > 0 and spec.n2 > 0 and norm_err <= 1e-12
@@ -504,7 +492,7 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
     for name, wave, side, n in (("incident", sys_i.incident, 1.0, spec.n1),
                                 ("reflected", sys_i.reflected, -1.0, spec.n1),
                                 ("transmitted", sys_i.transmitted, 1.0, spec.n2)):
-        k = RVec3(*map(_checkable, (wave.k.x, wave.k.y, wave.k.z)))
+        k = RVec3(*_floats(wave.k.x, wave.k.y, wave.k.z))
         norm, along = k.norm(), k.dot(normal)
         if not (wave.omega > 0 and norm > 0):
             sampled = False
@@ -518,7 +506,7 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
             violations.append(Violation(name, clause, f"k . n = {along:.6g}"))
         if not consts_ok:
             continue
-        expect = _checkable(consts.k0) * _checkable(n)
+        expect = math.prod(_floats(consts.k0, n))
         if not abs(norm - expect) / max(abs(expect), 1e-300) <= 1e-9:
             violations.append(Violation(name, "|k| = k0 n", f"|k| = {norm!r}, k0 n = {expect!r}"))
         # advisory: the worked triple's H amplitudes differ from this on purpose

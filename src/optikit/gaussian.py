@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import Mat2, Value, _split, mobius
+from .core import Mat2, Value, _checkable, _floats, _positive, _split, mobius
 from .errors import DomainError, UnphysicalBeam
 
 __all__ = [
@@ -48,8 +48,8 @@ class QParameter(Value):
     __slots__ = ("q", "wavelength")
 
     def __init__(self, q: complex, wavelength: float) -> None:
-        if not 0 < wavelength < math.inf:
-            raise DomainError(f"wavelength must be positive and finite, got {wavelength!r}")
+        (wavelength,) = _positive("wavelength", wavelength)
+        q = _checkable(q)
         if not cmath.isfinite(q):
             raise DomainError(f"q must be finite, got {q!r}")
         if not q.imag > 0:
@@ -70,10 +70,10 @@ class BeamGeometry(Value):
 
 def q_from_geometry(R: float, w: float, wavelength: float) -> QParameter:
     """Build q from wavefront radius R (may be FLAT/inf) and spot radius w."""
+    R, w = _floats(R, w)
     if not w > 0:
         raise DomainError(f"spot radius must be positive, got {w!r}")
-    if not 0 < wavelength < math.inf:
-        raise DomainError(f"wavelength must be positive and finite, got {wavelength!r}")
+    (wavelength,) = _positive("wavelength", wavelength)
     if R == 0:
         raise DomainError("wavefront radius must be nonzero (use FLAT for a flat front)")
     inv_r = 0.0 if math.isinf(R) else 1.0 / R
@@ -129,10 +129,9 @@ def beam_at(w0: float, wavelength: float, z: float) -> BeamGeometry:
     |Re(1/q)| < 1e-15 |1/q| and `geometry_from_q` reads the front as flat
     too.  Raises DomainError when zR or w leaves the float range.
     """
-    if not 0 < w0 < math.inf:
-        raise DomainError(f"waist radius must be positive and finite, got {w0!r}")
-    if not 0 < wavelength < math.inf:
-        raise DomainError(f"wavelength must be positive and finite, got {wavelength!r}")
+    (w0,) = _positive("waist radius", w0)
+    (wavelength,) = _positive("wavelength", wavelength)
+    (z,) = _floats(z)
     if not math.isfinite(z):
         raise DomainError(f"axial distance must be finite, got {z!r}")
     z_r = math.pi * w0 * w0 / wavelength

@@ -34,7 +34,7 @@ from functools import cached_property, partialmethod
 
 import numpy as np
 
-from .core import Value, _checkable
+from .core import Value, _positive
 from .errors import DimensionMismatch, DomainError
 
 __all__ = [
@@ -192,11 +192,8 @@ def make_single_mode(omega: float, hbar: float = 1.0, dim: int = 32) -> SingleMo
     O(D) arithmetic from the ladder band; see the module docstring.  Raises
     DomainError when omega**2 or an entry of H leaves the double range.
     """
-    omega, hbar = float(_checkable(omega)), float(_checkable(hbar))
-    if not 0 < omega < math.inf:
-        raise DomainError(f"omega must be positive and finite, got {omega!r}")
-    if not 0 < hbar < math.inf:
-        raise DomainError(f"hbar must be positive and finite, got {hbar!r}")
+    (omega,) = _positive("omega", omega)
+    (hbar,) = _positive("hbar", hbar)
     if not (isinstance(dim, (int, np.integer)) and dim >= 2):
         raise DomainError(f"dimension must be an int >= 2, got {dim!r}")
     ladder = np.sqrt(np.arange(1, dim))  # a[n-1, n] = sqrt(n)

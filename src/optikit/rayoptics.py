@@ -31,11 +31,10 @@ hash, repr and pickle read them, `final` does not.  Both share one check with
 `validate_system`: the report and entries of the last system checked are kept,
 one reference in the module, and reused while calls pass that object, if its
 components are a tuple (a list can change between calls).  Clauses read a
-float as it is, with no helper call, and so does the source check; a plane
-interface's (C, D) is written inline, and only a spherical one is formed by
-`_interface_entries`.  Parameters must be finite (an int beyond the double
-range is not) and so must a source ray (DomainError); a composed matrix or
-traced ray that overflows raises InvalidSystem.
+float as it is, with no helper call; a plane interface's (C, D) is written
+inline, and only a spherical one is formed by `_interface_entries`.
+Parameters must be finite, and so must a source ray (DomainError); a composed
+matrix or traced ray that overflows raises InvalidSystem.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import math
 from enum import Enum
 from typing import Union
 
-from .core import Mat2, Value, _checkable
+from .core import Mat2, Value, _checkable, _floats
 from .errors import DomainError, InvalidComponent, InvalidSystem
 
 __all__ = [
@@ -314,9 +313,7 @@ def _pair_entries(sys: OpticalSystem) -> list[tuple[float, float, float]]:
 
 def _source_floats(source: RayState) -> tuple[float, float]:
     """(y, theta) of a source ray as floats, or DomainError unless both are finite."""
-    y, theta = source.y, source.theta
-    if y.__class__ is not float or theta.__class__ is not float:
-        y, theta = float(_checkable(y)), float(_checkable(theta))
+    y, theta = _floats(source.y, source.theta)
     if not (math.isfinite(y) and math.isfinite(theta)):
         raise DomainError(f"source ray must be finite, got y={y!r}, theta={theta!r}")
     return y, theta

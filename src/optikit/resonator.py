@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Mat2, Value, _checkable
+from .core import Mat2, Value, _floats, _positive
 from .errors import DomainError, InvalidResonator, NonUnimodular
 from .rayoptics import (
     FreeSpace,
@@ -140,14 +140,13 @@ def stability_from_matrix(m: Mat2) -> StabilityVerdict:
     UNIMODULAR_TOL raises NonUnimodular instead of guessing.  Half-trace
     exactly on the +-1 boundary (within MARGINAL_TOL) is reported as
     marginal, not stable: boundedness genuinely fails there for defective
-    round-trip matrices.  An int entry beyond the double range reads as an infinity.
+    round-trip matrices.
     """
-    if not (m.a11.__class__ is m.a12.__class__ is m.a21.__class__ is m.a22.__class__ is float):
-        m = Mat2(*(float(_checkable(x)) for x in (m.a11, m.a12, m.a21, m.a22)))
-    det = m.det()
+    a11, a12, a21, a22 = _floats(m.a11, m.a12, m.a21, m.a22)
+    det = a11 * a22 - a12 * a21
     if not abs(det - 1.0) <= UNIMODULAR_TOL:  # fails closed on a NaN det
         raise NonUnimodular(f"round-trip det = {det!r}; criterion needs det = 1")
-    ht = m.half_trace()
+    ht = 0.5 * (a11 + a22)
     marginal = abs(abs(ht) - 1.0) <= MARGINAL_TOL
     stable = (-1.0 < ht < 1.0) and not marginal
     return StabilityVerdict(det=det, half_trace=ht, stable=stable, marginal=marginal)
@@ -173,9 +172,8 @@ def ray_bound_oracle(
     if n_max < 1:
         raise InvalidResonator(f"need at least one round trip, got {n_max}")
     y, theta = _source_floats(source)
-    limit = _checkable(divergence_factor) * (max(abs(y), abs(theta)) + 1.0)
-    if not 0.0 < limit < math.inf:
-        raise DomainError(f"divergence limit must be positive and finite, got {limit!r}")
+    (factor,) = _floats(divergence_factor)
+    (limit,) = _positive("divergence limit", factor * (max(abs(y), abs(theta)) + 1.0))
     m = round_trip_matrix(res)
     a11, a12, a21, a22 = m.a11, m.a12, m.a21, m.a22
     y_hi, t_hi = abs(y), abs(theta)

@@ -29,6 +29,14 @@ EDGE_FLOATS = [
 EDGE_INTS = [2**1023, 2**1024, -(2**1024), 10**400, -(10**400)]
 
 
+def read_real(x: object) -> float:
+    """x as the library reads a real from outside: a float, with an int beyond
+    the double range as a signed infinity (reference, independent of `core`)."""
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        return math.inf if x > 0 else -math.inf
+    return float(x)
+
+
 def bits(x: object) -> object:
     """x with every float, inside values and tuples too, as its type and hex form,
     so that == compares bit for bit."""

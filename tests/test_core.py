@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from helpers import (
     EDGE_FLOATS,
+    EDGE_INTS,
     exact_mobius,
     exact_power,
     mat_close,
     mat_pow_iterative,
+    outcome,
     quotient_close,
     random_unimodular,
+    read_real,
 )
 from optikit.core import (
     CVec3,
@@ -140,6 +143,20 @@ class TestSylvesterPower:
         bound = 8 * max(n, 1) * 2.0**-53 * size**2 / sin_theta * max(1, *map(abs, exact))
         for value, reference in zip((got.a11, got.a12, got.a21, got.a22), exact):
             assert abs(value - reference) <= bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.sampled_from(EDGE_FLOATS + EDGE_INTS) | st.integers(-2, 2) | st.floats(-2, 2),
+                         min_size=4, max_size=4),
+        n=st.integers(0, 50),
+    )
+    @example(entries=[10**400, 0, 0, 1], n=3)  # raised OverflowError
+    @example(entries=[0, 1, -1, 0], n=5)  # a quarter turn of ints
+    def test_int_entries_read_as_their_floats(self, entries, n):
+        # an int entry, one beyond the double range too, gives what its float
+        # (a signed infinity there) gives: the same bits or the same error
+        floats = Mat2(*map(read_real, entries))
+        assert outcome(sylvester_power, Mat2(*entries), n) == outcome(sylvester_power, floats, n)
 
 
 class TestComplexCross:
@@ -283,20 +300,26 @@ class TestMobius:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        entries=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+        entries=st.lists(st.sampled_from(EDGE_FLOATS + EDGE_INTS) | st.floats(allow_nan=False, allow_infinity=False),
                          min_size=6, max_size=6)
     )
+    @example(entries=[10**400, 0, 0, 1, 0.0, 1.0])  # raised OverflowError
+    @example(entries=[1.0, 0.0, 0.0, 1.0, 10**400, 1.0])  # an int q, beyond the double range
     @example(entries=[0.5, 0.2, -1.0, 1.0, 1e308, 1e308])
     @example(entries=[1.0, 1e308, 0.0, 2.0, 1e308, 1.0])
     @example(entries=[1.0, 1.0, 1e308, 1e308, 10.0, 1.0])
     @example(entries=[1.0, 0.0, 1e308, 0.0, 1e308, 1e308])
     def test_finite_or_optikit_error(self, entries):
         *m, q_re, q_im = entries
-        m, q = Mat2(*m), complex(q_re, q_im)
+        q = q_re if isinstance(q_re, int) else complex(q_re, read_real(q_im))  # an int q is a real q
+        # int entries give what their floats give: the same bits or the same error
+        assert outcome(mobius, Mat2(*m), q) == outcome(mobius, Mat2(*map(read_real, m)), q)
+        m = Mat2(*map(read_real, m))
         try:
             out = mobius(m, q)
         except OptikitError:
             return
+        q = read_real(q) if isinstance(q, int) else q
         assert cmath.isfinite(out)
         # the division matches the exact quotient of num and den, rounded as
         # mobius forms them; a row that overflows is formed from its entries

@@ -30,7 +30,7 @@ from optikit.emoptics import (
     validate_interface_system,
     wavelength_of,
     _plane_draws,
-    _tangent_basis,
+    _plane,
 )
 from optikit.errors import DomainError, OffPlanePoint, OptikitError, TotalInternalReflection
 from optikit.rayoptics import ValidationReport
@@ -604,7 +604,7 @@ class TestPlaneDraws:
         assert [len(b) for b in blocks] == [min(_CHUNK, samples - i) for i in range(0, samples, _CHUNK)]
         assert [tuple(row) for b in blocks for row in b.tolist()] == expected
         point = self.SYSTEM.spec.point
-        t1, t2 = _tangent_basis(self.SYSTEM.spec.normal)
+        _, _, t1, t2 = _plane(self.SYSTEM.spec)
         points = [(point + t1.scale(u) + t2.scale(v), t) for u, v, t in expected]
         assert list(sample_plane_points(self.SYSTEM, samples, seed)) == points
 
@@ -877,13 +877,28 @@ class TestEdgeValues:
     @pytest.mark.parametrize("normal", [RVec3(10**400, 0, 0), RVec3(0, -(2**1024), 0), RVec3(math.nan, 0, 0),
                                         RVec3(0, 0, math.inf)], ids=["10**400", "-2**1024", "nan", "inf"])
     def test_non_finite_normal(self, call, normal):
-        # an int part raised a foreign OverflowError in `_tangent_basis`
+        # an int part raised a foreign OverflowError in the tangent basis
         with pytest.raises(DomainError, match="interface normal must be finite"):
             call(with_waves(normal))
 
+    @pytest.mark.parametrize("call", [
+        lambda system: max_boundary_residual(system, 5, 0),
+        lambda system: reference_max_residual(system, 5, 0),
+        lambda system: next(sample_plane_points(system, 5, 0)),
+    ], ids=["max_boundary_residual", "reference_max_residual", "sample_plane_points"])
+    @pytest.mark.parametrize("omega", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 10**400],
+                             ids=["0", "-0", "-1", "nan", "inf", "-inf", "10**400"])
+    def test_incident_omega_not_positive_and_finite(self, call, omega):
+        # an omega of 0 raised a foreign ZeroDivisionError in the period 2 pi / omega,
+        # and a negative one drew its times over a negative duration
+        with pytest.raises(DomainError, match="omega must be positive and finite"):
+            call(with_waves(incident_omega=omega))
+
     def test_tangent_basis_of_int_normal_is_that_of_its_floats(self):
         for parts in ((1, 0, 0), (0, -1, 0), (0, 0, 1), (3, 4, 12), (2**60 + 1, 1, 0)):
-            ints, floats = _tangent_basis(RVec3(*parts)), _tangent_basis(RVec3(*map(float, parts)))
+            spec = example_system().spec
+            ints = _plane(replace(spec, normal=RVec3(*parts)))
+            floats = _plane(replace(spec, normal=RVec3(*map(float, parts))))
             assert repr(ints) == repr(floats)
 
     @pytest.mark.parametrize("system", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS
+from helpers import EDGE_FLOATS, EDGE_INTS, outcome, read_real
 from optikit.core import Mat2, mat2_mul
 from optikit.errors import DomainError, OptikitError, UnphysicalBeam
 from optikit.gaussian import (
@@ -89,7 +89,9 @@ class TestGeometryFromQ:
 
     @pytest.mark.parametrize(
         "q, wavelength",
-        [(1j, math.inf), (1j, math.nan), (complex(math.inf, 1.0), 1e-6), (complex(0.0, math.inf), 1e-6)],
+        [(1j, math.inf), (1j, math.nan), (complex(math.inf, 1.0), 1e-6), (complex(0.0, math.inf), 1e-6),
+         # ints beyond the double range, which raised OverflowError
+         pytest.param(10**400, 1e-6, id="int_q"), pytest.param(1j, -(10**400), id="int_wavelength")],
     )
     def test_nonfinite_rejected(self, q, wavelength):
         with pytest.raises(DomainError, match="finite"):
@@ -224,14 +226,18 @@ class TestPropagation:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        entries=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
-                         min_size=5, max_size=5),
+        m=st.lists(st.sampled_from(EDGE_FLOATS + EDGE_INTS) | st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=4, max_size=4),
+        q_re=st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
         q_im=st.sampled_from([x for x in EDGE_FLOATS if x > 0]) | st.floats(min_value=5e-324, allow_infinity=False),
     )
-    def test_finite_or_optikit_error(self, entries, q_im):
-        *m, q_re = entries
+    @example(m=[1, 10**400, 0, 1], q_re=0.0, q_im=1.0)  # raised OverflowError
+    def test_finite_or_optikit_error(self, m, q_re, q_im):
+        qp = QParameter(complex(q_re, q_im), 1e-6)
+        # int entries give what their floats give: the same bits or the same error
+        assert outcome(propagate_q, qp, Mat2(*m)) == outcome(propagate_q, qp, Mat2(*map(read_real, m)))
         try:
-            out = propagate_q(QParameter(complex(q_re, q_im), 1e-6), Mat2(*m))
+            out = propagate_q(qp, Mat2(*m))
         except OptikitError:
             return
         assert cmath.isfinite(out.q) and out.q.imag > 0
@@ -305,6 +311,8 @@ class TestBeamAt:
 
 
 EDGE_OR_FINITE = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+# ints at and beyond the double range too, which read as their floats (signed infinities beyond)
+EDGE_REAL = EDGE_OR_FINITE | st.sampled_from(EDGE_INTS)
 
 
 def plain_beam_at(w0: float, wavelength: float, z: float) -> BeamGeometry | None:
@@ -325,22 +333,30 @@ class TestEdgeValues:
     """Every entry point returns finite fields (R may be FLAT) or raises an OptikitError."""
 
     @settings(max_examples=300, deadline=None)
-    @given(w0=EDGE_OR_FINITE, wavelength=EDGE_OR_FINITE, z=EDGE_OR_FINITE)
+    @given(w0=EDGE_REAL, wavelength=EDGE_REAL, z=EDGE_REAL)
+    @example(w0=10**400, wavelength=1e-6, z=0.0)  # raised OverflowError
+    @example(w0=1e-3, wavelength=1e-6, z=-(10**400))  # raised OverflowError
     def test_beam_at(self, w0, wavelength, z):
+        reads = tuple(map(read_real, (w0, wavelength, z)))
+        assert outcome(beam_at, w0, wavelength, z) == outcome(beam_at, *reads)
         try:
             geo = beam_at(w0, wavelength, z)
         except DomainError:
-            assert plain_beam_at(w0, wavelength, z) is None
+            assert plain_beam_at(*reads) is None
             return
         assert all(map(math.isfinite, (geo.w, geo.w0, geo.zR, geo.z))) and geo.w > 0 and geo.zR > 0
         assert geo.R == FLAT or math.isfinite(geo.R)
-        reference = plain_beam_at(w0, wavelength, z)
+        reference = plain_beam_at(*reads)
         if reference is not None:  # representable results are the closed forms bit for bit
             assert repr(geo) == repr(reference)
 
     @settings(max_examples=300, deadline=None)
-    @given(r=st.just(FLAT) | EDGE_OR_FINITE, w=EDGE_OR_FINITE, wavelength=EDGE_OR_FINITE)
+    @given(r=st.just(FLAT) | EDGE_REAL, w=EDGE_REAL, wavelength=EDGE_REAL)
+    @example(r=10**400, w=1e-3, wavelength=1e-6)  # raised OverflowError; reads as a flat front
+    @example(r=1.0, w=-(10**400), wavelength=1e-6)  # raised OverflowError
     def test_q_from_geometry(self, r, w, wavelength):
+        reads = tuple(map(read_real, (r, w, wavelength)))
+        assert outcome(q_from_geometry, r, w, wavelength) == outcome(q_from_geometry, *reads)
         try:
             qp = q_from_geometry(r, w, wavelength)
         except OptikitError:
@@ -348,13 +364,17 @@ class TestEdgeValues:
         assert cmath.isfinite(qp.q) and qp.q.imag > 0 and qp.wavelength == wavelength
 
     @settings(max_examples=300, deadline=None)
-    @given(q_re=EDGE_OR_FINITE, q_im=EDGE_OR_FINITE, wavelength=EDGE_OR_FINITE)
+    @given(q_re=EDGE_OR_FINITE, q_im=EDGE_OR_FINITE, wavelength=EDGE_REAL)
     @example(q_re=1e-323, q_im=1e-310, wavelength=1e-6)  # pi |1/q| overflows; |Re q| / |q| is 1e-13
+    @example(q_re=0.0, q_im=1.0, wavelength=10**400)  # raised OverflowError in geometry_from_q
     def test_geometry_from_q(self, q_re, q_im, wavelength):
+        q = complex(q_re, q_im)
+        assert outcome(QParameter, q, wavelength) == outcome(QParameter, q, read_real(wavelength))
         try:
-            r, w = geometry_from_q(QParameter(complex(q_re, q_im), wavelength))
+            r, w = geometry_from_q(QParameter(q, wavelength))
         except OptikitError:
             return
+        wavelength = read_real(wavelength)
         assert r == FLAT or math.isfinite(r)
         assert 0 < w < math.inf
         inv_q = 1 / complex(q_re, q_im)

@@ -2,10 +2,11 @@
 
 2x2 real matrices, real and complex 3-vectors, the closed-form power of a
 unimodular 2x2 matrix, coplanarity, and Moebius transforms.  Everything here
-is an immutable value and every function is pure.  Reals from outside are
-read by `_floats` and `_positive`: as floats, with a Python int past the double
-range as a signed infinity, which a range clause then rejects, so that no
-`OverflowError` escapes; `_checkable` reads one that passes on unconverted.
+is an immutable value and every function is pure.  `RVec3` and `CVec3` share
+one `dot` and one `cross`.  Reals from outside are read by `_floats`,
+`_positive` and, for a vector, `_finite`: as floats, with a Python int past the
+double range as a signed infinity, which a range clause then rejects, so that
+no `OverflowError` escapes; `_checkable` reads one that passes on unconverted.
 
 Value types: every record type of the package derives from `Value`, an
 immutable record of the fields its `__slots__` names, in constructor order:
@@ -47,8 +48,6 @@ __all__ = [
     "mat2_mul",
     "mat2_apply",
     "sylvester_power",
-    "ccross",
-    "cdot",
     "coplanar",
     "mobius",
 ]
@@ -128,17 +127,21 @@ IDENTITY2 = Mat2(1.0, 0.0, 0.0, 1.0)
 
 def mat2_mul(a: Mat2, b: Mat2) -> Mat2:
     """Matrix product a . b."""
+    a11, a12, a21, a22 = _floats(a.a11, a.a12, a.a21, a.a22)
+    b11, b12, b21, b22 = _floats(b.a11, b.a12, b.a21, b.a22)
     return Mat2(
-        a.a11 * b.a11 + a.a12 * b.a21,
-        a.a11 * b.a12 + a.a12 * b.a22,
-        a.a21 * b.a11 + a.a22 * b.a21,
-        a.a21 * b.a12 + a.a22 * b.a22,
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
     )
 
 
 def mat2_apply(m: Mat2, v: tuple[float, float]) -> tuple[float, float]:
     """Matrix-vector product m . v for a column pair v."""
-    return (m.a11 * v[0] + m.a12 * v[1], m.a21 * v[0] + m.a22 * v[1])
+    a11, a12, a21, a22 = _floats(m.a11, m.a12, m.a21, m.a22)
+    y, theta = _floats(*v)
+    return (a11 * y + a12 * theta, a21 * y + a22 * theta)
 
 
 def sylvester_power(m: Mat2, n: int) -> Mat2:
@@ -180,7 +183,23 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
     return Mat2(a11 * sn - snm1, a12 * sn, a21 * sn, a22 * sn - snm1)
 
 
-class RVec3(Value):
+class _Vec3(Value):
+    """Parts x, y, z: the bilinear dot (no conjugation, so u . (u x v) = 0) and the cross, of self's class."""
+
+    __slots__ = ()
+
+    def dot(self, other: _Vec3) -> complex:
+        return self.x * other.x + self.y * other.y + self.z * other.z
+
+    def cross(self, other: _Vec3) -> _Vec3:
+        return self.__class__(
+            self.y * other.z - self.z * other.y,
+            self.z * other.x - self.x * other.z,
+            self.x * other.y - self.y * other.x,
+        )
+
+
+class RVec3(_Vec3):
     """Real 3-vector."""
 
     __slots__ = ("x", "y", "z")
@@ -194,16 +213,6 @@ class RVec3(Value):
     def scale(self, s: float) -> "RVec3":
         return RVec3(s * self.x, s * self.y, s * self.z)
 
-    def dot(self, other: "RVec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "RVec3") -> "RVec3":
-        return RVec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
 
@@ -211,7 +220,7 @@ class RVec3(Value):
         return CVec3(complex(self.x), complex(self.y), complex(self.z))
 
 
-class CVec3(Value):
+class CVec3(_Vec3):
     """Complex 3-vector."""
 
     __slots__ = ("x", "y", "z")
@@ -232,38 +241,22 @@ class CVec3(Value):
         return max(abs(self.x), abs(self.y), abs(self.z))
 
 
-def ccross(u: CVec3, v: CVec3) -> CVec3:
-    """Component-wise complex cross product u x v."""
-    return CVec3(
-        u.y * v.z - u.z * v.y,
-        u.z * v.x - u.x * v.z,
-        u.x * v.y - u.y * v.x,
-    )
-
-
-def cdot(u: CVec3, v: CVec3) -> complex:
-    """Bilinear complex dot product (no conjugation).
-
-    This is the geometric product for which u . (u x v) = 0 holds identically;
-    Hermitian pairings belong to the quantum module.
-    """
-    return u.x * v.x + u.y * v.y + u.z * v.z
-
-
-def coplanar(points: Sequence[RVec3], tol: float = 1e-12) -> bool:
+def coplanar(points: Sequence[RVec3]) -> bool:
     """True iff all points lie in one plane.
 
     Checks every scalar triple product of difference vectors from the first
-    point against tol scaled by the magnitudes of the three factors.
+    point against 1e-12 scaled by the magnitudes of the three factors.
+    DomainError, naming the point, unless each part of each point is finite.
     """
     if len(points) == 0:
         raise DomainError("coplanar needs at least one point")
+    points = [_finite(p, f"point {i}") for i, p in enumerate(points)]
     origin = points[0]
     diffs = [p - origin for p in points[1:]]
     for a, b, c in combinations(diffs, 3):
         triple = a.dot(b.cross(c))
         scale = a.norm() * b.norm() * c.norm()
-        if abs(triple) > tol * scale:
+        if abs(triple) > 1e-12 * scale:
             return False
     return True
 
@@ -292,6 +285,14 @@ def _positive(what: str, *xs: float) -> tuple[float, ...]:
                 raise DomainError(f"{what} must be positive and finite, got {', '.join(map(repr, xs))}")
             break
     return xs
+
+
+def _finite(v: RVec3, name: str) -> RVec3:
+    """v with its parts as floats; DomainError, naming v, unless each is finite."""
+    v = RVec3(*_floats(v.x, v.y, v.z))
+    if not all(map(math.isfinite, (v.x, v.y, v.z))):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    return v
 
 
 def _split(z: complex) -> tuple[complex, int]:

@@ -62,7 +62,7 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from .core import CVec3, RVec3, Value, _checkable, _floats, _positive, ccross, coplanar
+from .core import CVec3, RVec3, Value, _checkable, _finite, _floats, _positive, coplanar
 from .errors import DomainError, OffPlanePoint, TotalInternalReflection
 
 __all__ = [
@@ -164,7 +164,7 @@ def h_from_e(k: RVec3, E: CVec3, consts: EMConstants) -> CVec3:
     product = consts.eta0 * consts.k0
     if not (consts.eta0 > 0 and consts.k0 > 0 and product > 0):
         raise DomainError(f"eta0, k0 and their product must be positive, got {consts.eta0!r}, {consts.k0!r}")
-    return ccross(k.as_complex(), E).scale(1.0 / product)
+    return k.as_complex().cross(E).scale(1.0 / product)
 
 
 def _require_on_plane(spec: InterfaceSpec, r: RVec3) -> None:
@@ -195,7 +195,7 @@ def boundary_residual(
         e1 = e1 + e
         h1 = h1 + h
     e2, h2 = eval_plane_wave(side2, r, t)
-    return (ccross(n, e1 - e2), ccross(n, h1 - h2))
+    return (n.cross(e1 - e2), n.cross(h1 - h2))
 
 
 def snell_angle(n1: float, n2: float, theta_i: float) -> float:
@@ -222,13 +222,12 @@ def reflect_wavevector(k_i: RVec3, normal: RVec3) -> RVec3:
     norm = RVec3(*_floats(normal.x, normal.y, normal.z)).norm()
     if not abs(norm - 1.0) <= 1e-9:
         raise DomainError(f"normal must be unit length, got |n| = {norm!r}")
-    k_r = k_i - normal.scale(2.0 * k_i.dot(normal))
-    if not all(map(math.isfinite, (k_r.x, k_r.y, k_r.z))):
-        quarter = k_i.scale(0.25)
-        k_r = (quarter - normal.scale(2.0 * quarter.dot(normal))).scale(4.0)
-        if not all(map(math.isfinite, (k_r.x, k_r.y, k_r.z))):
-            raise DomainError(f"reflected wavevector overflows double precision: {k_r!r}")
-    return k_r
+    for s in (1.0, 0.25):  # x * 1.0 is x: the first pass is the unscaled form
+        k = k_i.scale(s)
+        k_r = (k - normal.scale(2.0 * k.dot(normal))).scale(1.0 / s)
+        if all(map(math.isfinite, (k_r.x, k_r.y, k_r.z))):
+            return k_r
+    raise DomainError(f"reflected wavevector overflows double precision: {k_r!r}")
 
 
 def continuity_coefficients(n1: float, n2: float, theta_i: float, a: float = 1.0) -> tuple[float, float]:
@@ -237,6 +236,7 @@ def continuity_coefficients(n1: float, n2: float, theta_i: float, a: float = 1.0
     r = a (n2 cos(theta_i) - n1 cos(theta_t)) / (n2 cos(theta_i) + n1 cos(theta_t))
     t = a (2 n2 cos(theta_i)) / (n2 cos(theta_i) + n1 cos(theta_t))
     """
+    (a,) = _positive("amplitude", a)
     theta_t = snell_angle(n1, n2, theta_i)
     return _continuity(n1, n2, math.cos(theta_i), math.cos(theta_t), a)
 
@@ -286,14 +286,6 @@ def oblique_incidence_fields(theta_i: float, n1: float, n2: float, a: float, ome
     if not all(cmath.isfinite(c) for w in waves for v in (w.k, w.E, w.H) for c in (v.x, v.y, v.z)):
         raise DomainError(f"fields overflow double precision at a = {a!r}, n1 = {n1!r}, n2 = {n2!r}")
     return InterfaceSystem(spec, *waves, EMConstants(k0))
-
-
-def _finite(v: RVec3, name: str) -> RVec3:
-    """v with its parts as floats; DomainError unless each is finite."""
-    v = RVec3(*_floats(v.x, v.y, v.z))
-    if not all(map(math.isfinite, (v.x, v.y, v.z))):
-        raise DomainError(f"{name} must be finite, got {v!r}")
-    return v
 
 
 def _plane(spec: InterfaceSpec) -> tuple[RVec3, RVec3, RVec3, RVec3]:

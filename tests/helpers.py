@@ -63,6 +63,18 @@ def outcome(fn, *args) -> object:
         return type(exc), str(exc)
 
 
+def vec3_dot(u, v) -> complex:
+    """u . v with no conjugation: the x, y and z products summed left to
+    right (reference, written apart from `core`)."""
+    return u.x * v.x + u.y * v.y + u.z * v.z
+
+
+def vec3_cross(u, v) -> tuple:
+    """The parts (x, y, z) of u x v, each a difference of two products
+    (reference, written apart from `core`)."""
+    return (u.y * v.z - u.z * v.y, u.z * v.x - u.x * v.z, u.x * v.y - u.y * v.x)
+
+
 def mat_close(a: Mat2, b: Mat2, rtol: float) -> bool:
     """Entrywise comparison relative to the larger matrix magnitude."""
     scale = max(
@@ -171,3 +183,48 @@ def random_system(rng: random.Random, max_components: int = 8) -> OpticalSystem:
         )
     terminal = FreeSpace(rng.uniform(1.0, 2.0), rng.uniform(0.0, 1.0))
     return OpticalSystem(tuple(comps), terminal)
+
+
+def exact_meridional_trace(system: OpticalSystem, y: float, theta: float) -> tuple[float, float]:
+    """(y, theta) after a valid system, traced exactly in the meridional plane
+    by Snell's law and the law of reflection at each true surface (oracle,
+    independent of `rayoptics`' matrix entries, whose paraxial limit it has).
+
+    The ray's direction is carried as a unit vector (dz, dy), theta being
+    atan2(dy, dz).  A free space of width d steps y += d tan(theta).  At an
+    interface the ray leaves the vertex plane for the circle of radius |R| (a
+    plane is its own vertex plane), is refracted by vector Snell or reflected
+    there, and goes back to the vertex plane along its new direction.  A
+    reflection is unfolded by mirroring z, so that every direction is taken
+    along the travel.  Sign senses, those of the `rayoptics` matrices: a
+    transmitted R > 0 has its centre R after the vertex, and a mirror with
+    R > 0 is concave toward the incoming ray, its centre R before the vertex.
+    """
+    comps = system.components
+    next_n = [comp.space.n for comp in comps[1:]] + [system.terminal.n]
+    dz, dy = math.cos(theta), math.sin(theta)
+    for comp, n1 in zip(comps, next_n):
+        y += comp.space.d * dy / dz
+        reflected = comp.kind is InterfaceKind.REFLECTED
+        pz, py, nz, ny = 0.0, y, 1.0, 0.0  # the hit point and the unit normal, (z, y)
+        if isinstance(comp.iface, Spherical):
+            c = -comp.iface.radius if reflected else comp.iface.radius  # the centre is (c, 0)
+            # the nearer root of t^2 - 2 b t + y^2 = 0, the ray (t dz, y + t dy) on the circle
+            b = c * dz - y * dy
+            t = y * y / (b + math.copysign(math.sqrt(b * b - y * y), b))
+            pz, py = t * dz, y + t * dy
+            nz, ny = (c - pz) / c, -py / c
+            length = math.hypot(nz, ny)
+            nz, ny = nz / length, ny / length
+        # the direction along the normal and across it, (nz, ny) turned by +90 degrees
+        along, across = dz * nz + dy * ny, dy * nz - dz * ny
+        if reflected:
+            along = -along
+        else:  # Snell: n0 sin(i) = n1 sin(t), the sine being the part across
+            across *= comp.space.n / n1
+            along = math.sqrt(1.0 - across * across)
+        dz, dy = along * nz - across * ny, along * ny + across * nz
+        if reflected:
+            dz, pz = -dz, -pz
+        y = py - pz * dy / dz
+    return y + system.terminal.d * dy / dz, math.atan2(dy, dz)

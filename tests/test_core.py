@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     EDGE_FLOATS,
     EDGE_INTS,
+    bits,
     exact_mobius,
     exact_power,
     mat_close,
@@ -18,14 +19,14 @@ from helpers import (
     quotient_close,
     random_unimodular,
     read_real,
+    vec3_cross,
+    vec3_dot,
 )
 from optikit.core import (
     CVec3,
     IDENTITY2,
     Mat2,
     RVec3,
-    ccross,
-    cdot,
     coplanar,
     mat2_apply,
     mat2_mul,
@@ -36,6 +37,8 @@ from optikit.errors import DomainError, OptikitError, SingularTransform
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 matrices = st.builds(Mat2, finite, finite, finite, finite)
+# every real a caller can pass: edge floats, ints past the double range, inf and NaN
+EDGE_REALS = st.sampled_from(EDGE_FLOATS + EDGE_INTS + [math.inf, -math.inf, math.nan]) | st.floats() | st.integers(-3, 3)
 
 
 class TestMat2:
@@ -75,6 +78,23 @@ class TestMat2:
         p = mat2_mul(a, b)
         scale = max(1.0, abs(p.a11 * p.a22) + abs(p.a12 * p.a21))
         assert abs(p.det() - a.det() * b.det()) <= 1e-12 * scale
+
+    def test_int_past_the_double_range_reads_as_infinity(self):
+        # each raised OverflowError; an entry of 10**400 now gives what inf gives
+        big, inf = Mat2(10**400, 0, 0, 1), Mat2(math.inf, 0, 0, 1)
+        assert bits(mat2_mul(big, IDENTITY2)) == bits(mat2_mul(inf, IDENTITY2)) == bits(Mat2(math.inf, math.nan, 0.0, 1.0))
+        assert bits(mat2_apply(big, (1.0, 0.0))) == bits(mat2_apply(inf, (1.0, 0.0))) == bits((math.inf, 0.0))
+        assert bits(mat2_apply(IDENTITY2, (-(10**400), 0))) == bits(mat2_apply(IDENTITY2, (-math.inf, 0.0)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(EDGE_REALS, min_size=4, max_size=4), b=st.lists(EDGE_REALS, min_size=4, max_size=4))
+    def test_edge_entries_read_as_their_floats(self, a, b):
+        # a result, never an OverflowError: the products of the entries read
+        # as floats, so that float entries keep their bits
+        (a11, a12, a21, a22), (b11, b12, b21, b22) = map(read_real, a), map(read_real, b)
+        assert bits(mat2_mul(Mat2(*a), Mat2(*b))) == bits(
+            Mat2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22, a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
+        assert bits(mat2_apply(Mat2(*a), b[:2])) == bits((a11 * b11 + a12 * b12, a21 * b11 + a22 * b12))
 
 
 class TestSylvesterPower:
@@ -162,17 +182,17 @@ class TestSylvesterPower:
 class TestComplexCross:
     def test_parallel_vanishes(self):
         u = CVec3(1 + 2j, -0.5j, 3.0)
-        z = ccross(u, u)
+        z = u.cross(u)
         assert z.x == 0 and z.y == 0 and z.z == 0
 
     def test_basis_orientation(self):
         ex = CVec3(1, 0, 0)
         ey = CVec3(0, 1, 0)
-        assert ccross(ex, ey) == CVec3(0, 0, 1)
+        assert ex.cross(ey) == CVec3(0, 0, 1)
 
     def test_axial_cross(self):
         k0, amp = 7.0, 2.5 + 1j
-        out = ccross(CVec3(0, 0, k0), CVec3(amp, 0, 0))
+        out = CVec3(0, 0, k0).cross(CVec3(amp, 0, 0))
         assert out == CVec3(0, k0 * amp, 0)
 
     def test_antisymmetry_and_orthogonality(self):
@@ -187,10 +207,32 @@ class TestComplexCross:
 
         for _ in range(500):
             u, v = rand_cvec(), rand_cvec()
-            w = ccross(u, v)
-            flipped = ccross(v, u)
+            w = u.cross(v)
+            flipped = v.cross(u)
             assert (w + flipped).max_abs() <= 1e-12 * max(w.max_abs(), 1.0)
-            assert abs(cdot(u, w)) <= 1e-12 * max(u.norm() * w.norm(), 1.0)
+            assert abs(u.dot(w)) <= 1e-12 * max(u.norm() * w.norm(), 1.0)
+
+
+class TestSharedProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.sampled_from(EDGE_FLOATS + [math.inf, -math.inf, math.nan]) | st.floats(),
+                          min_size=12, max_size=12),
+           complex_=st.booleans())
+    def test_dot_and_cross_are_the_former_formulas(self, parts, complex_):
+        # the one dot and cross of RVec3 and CVec3 are bit for bit the
+        # formulas written out, at edge values too
+        if complex_:
+            u, v = (CVec3(*(complex(parts[i], parts[i + 1]) for i in range(k, k + 6, 2))) for k in (0, 6))
+        else:
+            u, v = RVec3(*parts[:3]), RVec3(*parts[3:6])
+
+        def complex_bits(x):
+            return complex(x).real.hex(), complex(x).imag.hex()
+
+        assert complex_bits(u.dot(v)) == complex_bits(vec3_dot(u, v))
+        w = u.cross(v)
+        assert type(w) is type(u)
+        assert [complex_bits(c) for c in (w.x, w.y, w.z)] == [complex_bits(c) for c in vec3_cross(u, v)]
 
 
 class TestCoplanar:
@@ -219,6 +261,22 @@ class TestCoplanar:
     def test_small_out_of_plane_lift_detected(self):
         pts = [RVec3(0, 0, 0), RVec3(1, 0, 0), RVec3(0, 0, 1), RVec3(1, 1e-3, 1)]
         assert not coplanar(pts)
+
+    @pytest.mark.parametrize("part", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
+    def test_part_not_finite_is_domain_error_naming_the_point(self, part):
+        # NaN read coplanar, and 10**400 raised OverflowError
+        with pytest.raises(DomainError, match="point 1 must be finite"):
+            coplanar([RVec3(0, 0, 0), RVec3(part, 0, 0), RVec3(0, 1, 0), RVec3(0, 0, 1)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.tuples(EDGE_REALS, EDGE_REALS, EDGE_REALS), min_size=1, max_size=5))
+    def test_edge_parts_give_a_verdict_or_a_domain_error(self, parts):
+        points = [RVec3(*p) for p in parts]
+        if all(math.isfinite(read_real(x)) for p in parts for x in p):
+            assert coplanar(points) in (True, False)
+        else:
+            with pytest.raises(DomainError):
+                coplanar(points)
 
 
 class TestMobius:

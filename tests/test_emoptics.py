@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, EDGE_INTS, outcome, replace
-from optikit.core import CVec3, RVec3, cdot, coplanar
+from helpers import EDGE_FLOATS, EDGE_INTS, outcome, read_real, replace
+from optikit.core import CVec3, RVec3, coplanar
 from optikit.emoptics import (
     _CHUNK,
     EMConstants,
@@ -134,8 +134,8 @@ class TestHFromE:
             )
             h = h_from_e(k, e, consts)
             scale = max(1.0, h.norm())
-            assert abs(cdot(k.as_complex(), h)) <= 1e-12 * scale * max(1.0, k.norm())
-            assert abs(cdot(e, h)) <= 1e-12 * scale * max(1.0, e.norm())
+            assert abs(k.as_complex().dot(h)) <= 1e-12 * scale * max(1.0, k.norm())
+            assert abs(e.dot(h)) <= 1e-12 * scale * max(1.0, e.norm())
 
 
 class TestBoundaryResidual:
@@ -228,6 +228,12 @@ class TestContinuityCoefficients:
             a = rng.uniform(0.1, 3.0)
             r, t = continuity_coefficients(n1, n2, theta, a)
             assert abs((a + r) - t) <= 1e-15 * max(abs(t), 1.0)
+
+    @pytest.mark.parametrize("a", [pytest.param(10**400, id="10**400"), math.inf])
+    def test_amplitude_not_finite_is_domain_error(self, a):
+        # 10**400 raised OverflowError, and inf returned (inf, inf)
+        with pytest.raises(DomainError, match="amplitude must be positive and finite, got inf"):
+            continuity_coefficients(1.0, 1.5, 0.3, a)
 
 
 class TestObliqueIncidenceFields:
@@ -773,6 +779,15 @@ class TestEdgeValues:
         except OptikitError:
             return
         assert all(map(math.isfinite, out))
+
+    @given(n1=ANY_NUMBER, n2=ANY_NUMBER, theta=_ANGLES, a=ANY_NUMBER)
+    @settings(max_examples=300, deadline=None)
+    def test_continuity_amplitude(self, n1, n2, theta, a):
+        # a result or an OptikitError, never an OverflowError; the amplitude is
+        # read first, as `oblique_incidence_fields` reads it
+        out = outcome(continuity_coefficients, n1, n2, theta, a)
+        if not 0 < read_real(a) < math.inf:
+            assert out == (DomainError, f"amplitude must be positive and finite, got {read_real(a)!r}")
 
     @given(x=ANY_NUMBER, y=ANY_NUMBER, z=ANY_NUMBER)
     @example(x=math.nan, y=0.0, z=0.0)

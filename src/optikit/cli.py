@@ -9,29 +9,30 @@ stdout line (floats at 12 significant digits) and each failure as one
 failure, 2 usage or file-parse error.
 
 Each command loads only the modules it uses; only `quantum`, and `interface`
-past `SCALAR_SAMPLES` samples, load numpy, and no usage error does.
+past `SCALAR_SAMPLES` samples, load numpy, and no usage error does.  `run`, the
+process entry, runs the `atexit` handlers and flushes stdout and stderr after
+`main`, then ends by `os._exit`, skipping the interpreter's teardown; it ends by
+`sys.exit` under a tracer or profiler (coverage, cProfile) or if a flush raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import math
+import os
 import sys
+from contextlib import suppress
 from typing import Iterator, Sequence
 
 import optikit
 from .errors import OptikitError
 
-__all__ = ["main"]
-
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_USAGE = 2
+__all__ = ["main", "run"]
 
 # wave scale used by the interface command; residual verdicts are
 # independent of the physical units chosen here
-_INTERFACE_K0 = 2.0 * math.pi
-_INTERFACE_OMEGA = 2.0 * math.pi
+_INTERFACE_K0 = _INTERFACE_OMEGA = 2.0 * math.pi
 
 # caps on the size flags and the input file, so validated input bounds time and memory
 MAX_SAMPLES = 1_000_000
@@ -81,9 +82,7 @@ def _load(path: str, want_kind: str) -> optikit.rayoptics.OpticalSystem | optiki
         raise _UsageError(f"{path}:{exc}") from exc
     if doc.kind != want_kind:
         raise _UsageError(f"{path}: expected a [{want_kind}] document, got [{doc.kind}]")
-    if want_kind == "system":
-        return optikit.sysdesc.document_to_system(doc)
-    return optikit.sysdesc.document_to_resonator(doc)
+    return doc.body
 
 
 def _cmd_matrix(args: argparse.Namespace) -> Iterator[tuple]:
@@ -190,12 +189,10 @@ def _cmd_quantum(args: argparse.Namespace) -> Iterator[tuple]:
         raise _UsageError(f"omega must be positive, got {args.omega}")
     if not args.hbar > 0:
         raise _UsageError(f"hbar must be positive, got {args.hbar}")
-    import numpy as np
-
     quantum = optikit.quantum
 
     def peak(bands) -> float:  # largest |entry| of the stored bands; the others are 0
-        return np.max(np.abs(np.concatenate(list(bands))), initial=0.0)
+        return max((abs(z) for band in bands for z in band), default=0.0)
 
     sm = quantum.make_single_mode(args.omega, args.hbar, args.dim)
     evals = quantum.hermitian_eigenvalues(sm.H)
@@ -269,20 +266,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code if isinstance(exc.code, int) else 2
     sep = "," if getattr(args, "format", None) == "csv" else " "
     try:
         for record in args.func(args):
             print(sep.join(map(_fmt, record)))
     except (_UsageError, OptikitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_FAILURE
-    return EXIT_OK
+        return 2 if isinstance(exc, _UsageError) else 1
+    return 0
+
+
+def run() -> None:
+    code = main()
+    tools = getattr(sys, "monitoring", None)  # tools 0-5: cProfile and coverage hook in here from Python 3.12
+    if not (sys.gettrace() or sys.getprofile() or tools and any(map(tools.get_tool, range(6)))):
+        atexit._run_exitfuncs()
+        with suppress(Exception):  # a stream that cannot flush: `sys.exit` below reports it
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

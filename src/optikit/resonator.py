@@ -12,7 +12,7 @@ One round trip runs: forward through the inner components, across the cavity
 space, reflect on the right interface, back through the inner components in
 reverse, reflect on the left interface.  On the way back each transmitted
 interface is crossed with its index ratio inverted (n1/n0 instead of n0/n1),
-which keeps the round-trip determinant at 1.
+so det M = 1, and a spherical one, now seen from behind, with radius -R.
 
 Cost: `round_trip_matrix` validates the resonator and folds its round trip
 unchecked.  It keeps the matrix of the last resonator, one reference in the
@@ -99,14 +99,14 @@ def _round_trip(res: Resonator) -> OpticalSystem:
     reflected = InterfaceKind.REFLECTED
     trip = list(res.inner)
     trip.append(OpticalComponent(res.space, res.right, reflected))
-    # Return leg: the cavity space now precedes the last inner interface,
-    # each earlier interface is preceded by the space that followed it on
-    # the way in, and the first inner space (the cavity space when there is
-    # none) leads back to the left mirror.  With the n0/n1 pairing rule this
-    # inverts every transmitted index ratio on the way back.
+    # Return leg: the cavity space now precedes the last inner interface, each
+    # earlier one the space that followed it on the way in (so the n0/n1 pairing
+    # rule inverts each transmitted index ratio), and the first inner space (the
+    # cavity space when there is none) leads back to the left mirror.
     spaces = [res.space] + [c.space for c in reversed(res.inner)]
     for space, comp in zip(spaces, reversed(res.inner)):
-        trip.append(OpticalComponent(space, comp.iface, comp.kind))
+        iface, behind = comp.iface, comp.kind is InterfaceKind.TRANSMITTED and isinstance(comp.iface, Spherical)
+        trip.append(OpticalComponent(space, Spherical(-iface.radius) if behind else iface, comp.kind))
     trip.append(OpticalComponent(spaces[-1], res.left, reflected))
     return OpticalSystem(tuple(trip), FreeSpace(res.space.n, 0.0))
 

@@ -76,7 +76,6 @@ __all__ = [
 
 _R = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL = re.compile(_R)
-_KEYVAL = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
 # `serialize`'s free space line and, where one follows, its interface line; groups n, d,
 # shape, R and kind.  Reals of ASCII digits only, which match faster: the tokenizer reads others.
 _R_ASCII = _R.replace(r"\d", "[0-9]")
@@ -158,7 +157,7 @@ def _parse_fields(tokens: list[tuple[str, int]], line_no: int, raw_line: str,
         key, eq, value = text.partition("=")
         if not eq or key not in allowed:
             # only here does it matter whether the token is key=value at all
-            if not _KEYVAL.match(text):
+            if not (eq and key.isascii() and key.isidentifier()):
                 raise ParseError(line_no, col, f"trailing token {text!r}", "key=value")
             raise ParseError(line_no, col, f"unknown key {key!r}", " or ".join(sorted(allowed)))
         if key in seen:

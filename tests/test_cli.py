@@ -4,6 +4,7 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -335,6 +336,23 @@ def test_quantum_runs_one_eigen_pass(capsys, monkeypatch):
     code, out, _ = run(capsys, "quantum", "--omega", "1")
     assert code == 0 and out.startswith("ground_energy 0.5\n")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("omega, hbar, dim", [(1.0, 1.0, 2), (1.0, 1.0, 32), (2.5, 0.3, 17), (1e-3, 7.0, 512),
+                                              (3.0, 1e-5, cli.MAX_DIM)])
+def test_quantum_peaks_are_numpys(capsys, omega, hbar, dim):
+    # the peaks are taken in plain Python; numpy's max of abs over the same bands gives the same floats
+    def peak(bands):
+        return np.max(np.abs(np.concatenate(list(bands))), initial=0.0)
+
+    sm = quantum.make_single_mode(omega, hbar, dim)
+    block = {k: band[:-1] for k, band in quantum.commutator(sm.q, sm.p).bands.items()}
+    block[0] = block[0] - 1j * hbar
+    peaks = [peak(block.values())] + [peak((op - op.adjoint()).bands.values()) for op in (sm.q, sm.p, sm.H)]
+    code, out, _ = run(capsys, "quantum", "--omega", omega, "--hbar", hbar, "--dim", dim)
+    assert code == 0
+    labels = ["commutator_max_dev", "self_adjoint_q", "self_adjoint_p", "self_adjoint_H"]
+    assert out.splitlines()[2:] == [f"{label} {cli._fmt(x)}" for label, x in zip(labels, peaks)]
 
 
 class TestResourceCaps:

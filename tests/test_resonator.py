@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import EDGE_FLOATS, EDGE_INTS, mat_close, mat_pow_iterative, outcome, random_system
-from optikit.core import Mat2, mat2_apply, sylvester_power
+from optikit.core import Mat2, mat2_apply, mat2_mul, sylvester_power
 from optikit.errors import DomainError, InvalidResonator, NonUnimodular, OptikitError
 from optikit.rayoptics import (
     FreeSpace,
@@ -92,6 +92,45 @@ class TestUnfold:
         res = Resonator(Spherical(1.0), inner, FreeSpace(1.4, 0.2), Spherical(1.0))
         m = round_trip_matrix(res)
         assert math.isclose(m.det(), 1.0, rel_tol=1e-12)
+
+
+class TestReturnLeg:
+    """On the way back a transmitted spherical inner interface is seen from behind,
+    so the return leg crosses it with radius -R; reflecting ones keep their R."""
+
+    @pytest.mark.parametrize("n", [1.5, 2.4])
+    @pytest.mark.parametrize("f", [0.1, 0.35, -0.1, -0.4])
+    @pytest.mark.parametrize("d", [0.02, 0.05, 0.15, 0.3, 1.0])
+    def test_thin_lens_between_plane_mirrors(self, d, f, n):
+        # a thin lens of focal length f, from (n - 1)(1/r + 1/r) = 1/f, a distance d from
+        # each plane mirror: the round trip is [[1 - d/f, 2d - d^2/f], [-1/f, 1 - d/f]]^2
+        r, t = 2.0 * (n - 1.0) * f, InterfaceKind.TRANSMITTED
+        lens = (OpticalComponent(FreeSpace(1.0, d), Spherical(r), t),
+                OpticalComponent(FreeSpace(n, 0.0), Spherical(-r), t))
+        res = Resonator(Plane(), lens, FreeSpace(1.0, d), Plane())
+        half = Mat2(1.0 - d / f, 2.0 * d - d * d / f, -1.0 / f, 1.0 - d / f)
+        assert mat_close(round_trip_matrix(res), mat2_mul(half, half), 1e-12)
+        assert math.isclose(stability(res).half_trace, 2.0 * (1.0 - d / f) ** 2 - 1.0, abs_tol=1e-12)
+
+    def test_biconvex_lens_cavity_is_stable(self):
+        t = InterfaceKind.TRANSMITTED
+        lens = (OpticalComponent(FreeSpace(1.0, 0.15), Spherical(0.1), t),
+                OpticalComponent(FreeSpace(1.5, 0.0), Spherical(-0.1), t))
+        verdict = stability(Resonator(Plane(), lens, FreeSpace(1.0, 0.15), Plane()))
+        assert math.isclose(verdict.half_trace, -0.5, abs_tol=1e-12) and verdict.verdict == "stable"
+
+    def test_return_leg_interfaces(self):
+        t, r = InterfaceKind.TRANSMITTED, InterfaceKind.REFLECTED
+        inner = (OpticalComponent(FreeSpace(1.0, 0.1), Spherical(0.3), t),
+                 OpticalComponent(FreeSpace(1.7, 0.05), Spherical(-0.8), r),
+                 OpticalComponent(FreeSpace(1.2, 0.05), Plane(), t))
+        res = Resonator(Spherical(1.0), inner, FreeSpace(1.4, 0.2), Spherical(2.0))
+        trip = unfold_resonator(res, 1).components
+        assert [(c.iface, c.kind) for c in trip] == [
+            (Spherical(0.3), t), (Spherical(-0.8), r), (Plane(), t), (Spherical(2.0), r),
+            (Plane(), t), (Spherical(-0.8), r), (Spherical(-0.3), t), (Spherical(1.0), r),
+        ]
+        assert math.isclose(round_trip_matrix(res).det(), 1.0, rel_tol=1e-12)
 
 
 class TestViolationLabels:

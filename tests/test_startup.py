@@ -1,7 +1,10 @@
-"""Start-up contract: `import optikit` loads no submodule, each command loads
-only the modules it uses, every command but `quantum` runs without numpy at
-its default sizes, and no command loads `dataclasses`; the commands that run
-without numpy load no `inspect` either.
+"""Start-up and exit contract: `import optikit` loads no submodule, each command
+loads only the modules it uses, every command but `quantum` runs without numpy
+at its default sizes, and no command loads `dataclasses`; the commands that run
+without numpy load no `inspect` either.  A `python -m optikit.cli` process
+prints what `main` prints in-process and ends as `cli.run` says: the `atexit`
+handlers run and the output is flushed before `os._exit`, and a traced or
+profiled process, or one whose stdout cannot flush, ends by `sys.exit`.
 
 numpy, which imports `inspect` itself, loads with `quantum` and with the
 `emoptics` kernel, which `interface` takes past `cli.SCALAR_SAMPLES` samples.
@@ -9,8 +12,12 @@ Each check runs in a fresh interpreter, because this test process has long
 since imported numpy.
 """
 
+import contextlib
+import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +28,8 @@ import optikit
 import optikit.cli
 
 SRC = Path(optikit.__file__).resolve().parent.parent
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 NUMPY_MODULES = ("numpy", "optikit.emoptics", "optikit.quantum")
 
 
@@ -180,3 +188,114 @@ def test_misspelled_attribute_raises():
         "module 'optikit' has no attribute '_LAZY'",
         "import",
     ]
+
+
+def buffered_env() -> dict[str, str]:
+    """The environment of a process importing optikit from this tree, with stdout
+    block-buffered (PYTHONUNBUFFERED unset), so that output left unflushed at exit is lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env["COLUMNS"] = "80"  # argparse's help width
+    return env
+
+
+def run_process(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """`python <args>` in `buffered_env()`."""
+    return subprocess.run([sys.executable, *args], env=buffered_env(), text=True, timeout=60, **kwargs)
+
+
+def cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    return run_process(["-m", "optikit.cli", *argv], capture_output=True)
+
+
+MATRIX = ["matrix", str(SAMPLES / "biconvex.osys")]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (MATRIX, 0),
+        (["trace", str(SAMPLES / "biconvex.osys"), "--y0", "1e-3", "--theta0", "0.01", "--format", "csv"], 0),
+        (["stability", str(SAMPLES / "fp_unstable.res"), "--oracle"], 0),
+        (["beam", str(SAMPLES / "single_space.osys"), "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"], 0),
+        (["interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30"], 0),
+        (["quantum", "--omega", "1"], 0),
+        (["matrix", str(SAMPLES / "malformed.osys")], 2),
+        (["matrix", str(SAMPLES / "invalid_index.osys")], 1),
+        (["--help"], 0),
+    ],
+    ids=["matrix", "trace", "stability", "beam", "interface", "quantum", "usage", "failure", "help"],
+)
+def test_process_prints_what_main_prints(argv, exit_code, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = optikit.cli.main(argv)
+    assert code == exit_code and out.getvalue() + err.getvalue()
+    proc = cli_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.getvalue(), err.getvalue())
+
+
+def test_atexit_handlers_run_before_the_exit():
+    code = (
+        "import atexit, sys\n"
+        "import optikit.cli\n"
+        "atexit.register(print, 'handler ran')\n"
+        f"sys.argv = ['optikit', *{MATRIX!r}]\n"
+        "optikit.cli.run()\n"
+    )
+    proc = run_process(["-c", code], capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == cli_process(MATRIX).stdout + "handler ran\n"
+
+
+# a value whose finalizer writes to stderr when the interpreter's teardown clears
+# the module it lives in; `os._exit` skips that teardown
+_FINALIZED = (
+    "import os, sys\n"
+    "import optikit.cli\n"
+    "class Finalized:\n"
+    "    def __del__(self, write=os.write):  # bound now: teardown clears module globals\n"
+    "        write(2, b'teardown ran\\n')\n"
+    "value = Finalized()\n"
+    f"sys.argv = ['optikit', *{MATRIX!r}]\n"
+)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_teardown_is_skipped_unless_traced(traced):
+    # a tracer (as coverage sets) keeps the interpreter's own exit
+    tracer = "sys.settrace(lambda frame, event, arg: None)\n" if traced else ""
+    proc = run_process(["-c", _FINALIZED + tracer + "optikit.cli.run()\n"], capture_output=True)
+    assert proc.returncode == 0 and proc.stdout == cli_process(MATRIX).stdout
+    assert proc.stderr == ("teardown ran\n" if traced else "")
+
+
+def test_cprofile_prints_its_table():
+    proc = run_process(["-m", "cProfile", "-m", "optikit.cli", *MATRIX], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(cli_process(MATRIX).stdout)
+    assert "function calls" in proc.stdout and "Ordered by:" in proc.stdout
+
+
+def test_stdout_that_cannot_flush_ends_as_the_interpreter_ends_it():
+    # the reader is gone before the process writes: the flush fails, and the
+    # interpreter's own exit reports it and exits 120, as `sys.exit` always did
+    proc = subprocess.Popen([sys.executable, "-m", "optikit.cli", *MATRIX], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=buffered_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 120
+    # "Exception ignored in: <_io.TextIOWrapper name='<stdout>' ...>" before Python 3.13
+    assert err.startswith("Exception ignored ") and err.endswith("\nBrokenPipeError: [Errno 32] Broken pipe\n")
+    assert "Traceback" not in err
+
+
+def test_console_script_is_run():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = re.findall(r'^(\S+) = "(\S+)"$', section, re.M)
+    assert scripts == [("optikit", "optikit.cli:run")]
+    module, name = scripts[0][1].split(":")
+    assert getattr(importlib.import_module(module), name) is optikit.cli.run

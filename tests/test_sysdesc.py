@@ -263,6 +263,27 @@ class TestErrorPositions:
         err = error_of(f"[system]\n{line}\n")
         assert (err.line, err.column, err.message, err.expected) == (2, column, message, expected)
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            # a key is an ASCII identifier; any other token before an "=" is not key=value
+            ("q=2", "unknown key 'q'"),
+            ("_Q9=2", "unknown key '_Q9'"),
+            ("q==2", "unknown key 'q'"),
+            ("q=", "unknown key 'q'"),
+            ("=2", "trailing token '=2'"),
+            ("9q=2", "trailing token '9q=2'"),
+            ("q-r=2", "trailing token 'q-r=2'"),
+            ("\u00e9=2", "trailing token '\u00e9=2'"),
+            ("\uff4e=2", "trailing token '\uff4e=2'"),
+            ("q\u0301=2", "trailing token 'q\u0301=2'"),
+            ("q2", "trailing token 'q2'"),
+        ],
+    )
+    def test_key_value_tokens(self, token, message):
+        err = error_of(f"[system]\nfreespace n=1 d=1 {token}\n")
+        assert (err.line, err.column, err.message) == (2, 19, message)
+
     def test_token_touching_comment_keeps_its_value(self):
         doc = parse("[system]\n  freespace n=1.0 d=2.0#note\n")
         assert doc.body.terminal == FreeSpace(n=1.0, d=2.0)

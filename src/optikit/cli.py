@@ -6,13 +6,13 @@ a fixed column order; `main` is the one emitter, printing each record as a
 stdout line (floats at 12 significant digits) and each failure as one
 `error:` line on stderr.  Exit codes: 0 computation done (verdicts such as
 "unstable" are data, not errors), 1 domain, validation or self-check
-failure, 2 usage or file-parse error.
+failure, or stdout that fails, 2 usage or file-parse error.
 
 Each command loads only the modules it uses; only `quantum`, and `interface`
 past `SCALAR_SAMPLES` samples, load numpy, and no usage error does.  `run`, the
 process entry, runs the `atexit` handlers and flushes stdout and stderr after
-`main`, then ends by `os._exit`, skipping the interpreter's teardown; it ends by
-`sys.exit` under a tracer or profiler (coverage, cProfile) or if a flush raises.
+`main`, then ends by `os._exit`, skipping the interpreter's teardown, or by
+`sys.exit` under a tracer or profiler (coverage, cProfile) or where stdout fails.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import atexit
 import math
 import os
 import sys
-from contextlib import suppress
 from typing import Iterator, Sequence
 
 import optikit
@@ -281,14 +280,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    code = main()
-    tools = getattr(sys, "monitoring", None)  # tools 0-5: cProfile and coverage hook in here from Python 3.12
-    if not (sys.gettrace() or sys.getprofile() or tools and any(map(tools.get_tool, range(6)))):
-        atexit._run_exitfuncs()
-        with suppress(Exception):  # a stream that cannot flush: `sys.exit` below reports it
+    try:
+        if sys.stdout is None:  # fd 1 closed
+            raise OSError("stdout is closed")
+        code = main()
+        tools = getattr(sys, "monitoring", None)  # tools 0-5: cProfile and coverage hook in here from Python 3.12
+        if not (sys.gettrace() or sys.getprofile() or tools and any(map(tools.get_tool, range(6)))):
+            atexit._run_exitfuncs()
             sys.stdout.flush()
             sys.stderr.flush()
             os._exit(code)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout cannot take the output: None, so that `sys.exit` does not flush it again
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        sys.stdout, code = None, 1
     sys.exit(code)
 
 

@@ -3,7 +3,7 @@
 2x2 real matrices, real and complex 3-vectors, the closed-form power of a
 unimodular 2x2 matrix, coplanarity, and Moebius transforms.  Everything here
 is an immutable value and every function is pure.  `RVec3` and `CVec3` share
-one `dot` and one `cross`.  Reals from outside are read by `_floats`,
+one `+`, `-`, `scale`, `dot` and `cross`.  Outside reals are read by `_floats`,
 `_positive` and, for a vector, `_finite`: as floats, with a Python int past the
 double range as a signed infinity, which a range clause then rejects, so that
 no `OverflowError` escapes; `_checkable` reads one that passes on unconverted.
@@ -184,9 +184,18 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
 
 
 class _Vec3(Value):
-    """Parts x, y, z: the bilinear dot (no conjugation, so u . (u x v) = 0) and the cross, of self's class."""
+    """Parts x, y, z: +, -, scale, the bilinear dot (no conjugation, so u . (u x v) = 0) and cross, of self's class."""
 
     __slots__ = ()
+
+    def __add__(self, other: _Vec3) -> _Vec3:
+        return self.__class__(self.x + other.x, self.y + other.y, self.z + other.z)
+
+    def __sub__(self, other: _Vec3) -> _Vec3:
+        return self.__class__(self.x - other.x, self.y - other.y, self.z - other.z)
+
+    def scale(self, s: complex) -> _Vec3:
+        return self.__class__(s * self.x, s * self.y, s * self.z)
 
     def dot(self, other: _Vec3) -> complex:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -204,15 +213,6 @@ class RVec3(_Vec3):
 
     __slots__ = ("x", "y", "z")
 
-    def __add__(self, other: "RVec3") -> "RVec3":
-        return RVec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "RVec3") -> "RVec3":
-        return RVec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def scale(self, s: float) -> "RVec3":
-        return RVec3(s * self.x, s * self.y, s * self.z)
-
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
 
@@ -224,15 +224,6 @@ class CVec3(_Vec3):
     """Complex 3-vector."""
 
     __slots__ = ("x", "y", "z")
-
-    def __add__(self, other: "CVec3") -> "CVec3":
-        return CVec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "CVec3") -> "CVec3":
-        return CVec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def scale(self, s: complex) -> "CVec3":
-        return CVec3(s * self.x, s * self.y, s * self.z)
 
     def norm(self) -> float:
         return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2 + abs(self.z) ** 2)

@@ -24,7 +24,7 @@ comparison.
 
 Cost and exactness: `reference_max_residual`, the scalar route, takes the
 per-sample `uniform` draws of `sample_plane_points` through `boundary_residual`,
-about 12 us a sample with no numpy; the CLI takes it up to one block of samples.
+one check a sample, about 12 us with no numpy, up to one block in the CLI.
 The kernel, `max_boundary_residual`, imports numpy and forms the same draws from
 one `random.Random(seed)` in blocks of at most `_CHUNK` samples: one
 `getrandbits` call returns the block's 32-bit generator outputs in order, least
@@ -187,14 +187,15 @@ def boundary_residual(
     zero exactly when the boundary conditions hold at (r, t).
     """
     _require_on_plane(spec, r)
+    evaluate = eval_plane_wave.__wrapped__  # unchecked: a part not finite stays so through +, - and n x
     n = spec.normal.as_complex()
     e1 = CVec3(0j, 0j, 0j)
     h1 = CVec3(0j, 0j, 0j)
     for wave in side1:
-        e, h = eval_plane_wave(wave, r, t)
+        e, h = evaluate(wave, r, t)
         e1 = e1 + e
         h1 = h1 + h
-    e2, h2 = eval_plane_wave(side2, r, t)
+    e2, h2 = evaluate(side2, r, t)
     return (n.cross(e1 - e2), n.cross(h1 - h2))
 
 
@@ -238,7 +239,10 @@ def continuity_coefficients(n1: float, n2: float, theta_i: float, a: float = 1.0
     """
     (a,) = _positive("amplitude", a)
     theta_t = snell_angle(n1, n2, theta_i)
-    return _continuity(n1, n2, math.cos(theta_i), math.cos(theta_t), a)
+    r, t = _continuity(n1, n2, math.cos(theta_i), math.cos(theta_t), a)
+    if not (math.isfinite(r) and math.isfinite(t)):
+        raise DomainError(f"amplitudes overflow double precision at a = {a!r}, n1 = {n1!r}, n2 = {n2!r}")
+    return r, t
 
 
 def _continuity(n1: float, n2: float, ci: float, ct: float, a: float) -> tuple[float, float]:

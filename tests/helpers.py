@@ -75,6 +75,21 @@ def vec3_cross(u, v) -> tuple:
     return (u.y * v.z - u.z * v.y, u.z * v.x - u.x * v.z, u.x * v.y - u.y * v.x)
 
 
+def vec3_add(u, v) -> tuple:
+    """The parts of u + v, each a sum of two parts (reference, written apart from `core`)."""
+    return (u.x + v.x, u.y + v.y, u.z + v.z)
+
+
+def vec3_sub(u, v) -> tuple:
+    """The parts of u - v, each a difference of two parts (reference, written apart from `core`)."""
+    return (u.x - v.x, u.y - v.y, u.z - v.z)
+
+
+def vec3_scale(u, s) -> tuple:
+    """The parts of u scaled by s, each s times a part, s on the left (reference, written apart from `core`)."""
+    return (s * u.x, s * u.y, s * u.z)
+
+
 def mat_close(a: Mat2, b: Mat2, rtol: float) -> bool:
     """Entrywise comparison relative to the larger matrix magnitude."""
     scale = max(

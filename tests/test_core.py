@@ -19,8 +19,11 @@ from helpers import (
     quotient_close,
     random_unimodular,
     read_real,
+    vec3_add,
     vec3_cross,
     vec3_dot,
+    vec3_scale,
+    vec3_sub,
 )
 from optikit.core import (
     CVec3,
@@ -233,6 +236,44 @@ class TestSharedProducts:
         w = u.cross(v)
         assert type(w) is type(u)
         assert [complex_bits(c) for c in (w.x, w.y, w.z)] == [complex_bits(c) for c in vec3_cross(u, v)]
+
+
+_FLOAT_PARTS = st.sampled_from(EDGE_FLOATS + [math.inf, -math.inf, math.nan]) | st.floats()
+_REAL_PARTS = st.sampled_from(EDGE_INTS) | _FLOAT_PARTS
+_COMPLEX_PARTS = st.sampled_from(EDGE_INTS) | st.builds(complex, _FLOAT_PARTS, _FLOAT_PARTS)
+# two vectors of one class and a scalar for it, each part an IEEE edge value,
+# +-inf, NaN, any float (complex: a pair of them) or an int past the double range
+_OPERANDS = (st.tuples(*[st.builds(RVec3, *[_REAL_PARTS] * 3)] * 2, _REAL_PARTS)
+             | st.tuples(*[st.builds(CVec3, *[_COMPLEX_PARTS] * 3)] * 2, _COMPLEX_PARTS))
+
+
+def _parts_or_error(fn, *args) -> object:
+    """The class and the parts' bits of fn(*args) (a vector or a tuple of parts), or the type it raises."""
+    try:
+        out = fn(*args)
+    except OverflowError as exc:  # an int part past the double range meets a float or complex
+        return type(exc)
+    parts = (out.x, out.y, out.z) if isinstance(out, (RVec3, CVec3)) else out
+    return type(out), tuple((c.real.hex(), c.imag.hex()) if isinstance(c, complex) else bits(c) for c in parts)
+
+
+class TestSharedArithmetic:
+    @settings(max_examples=500, deadline=None)
+    @given(operands=_OPERANDS)
+    @example(operands=(RVec3(10**400, 0.0, 0.0), RVec3(1.0, 0.0, 0.0), 2.0))
+    @example(operands=(RVec3(10**400, 0, 0), RVec3(-(10**400), 0, 0), 10**400))
+    @example(operands=(CVec3(math.inf + 0j, 0j, 0j), CVec3(math.inf + 0j, 0j, 0j), complex(0.0, math.inf)))
+    def test_add_sub_and_scale_are_the_former_formulas(self, operands):
+        # the one +, - and scale of RVec3 and CVec3 are bit for bit the
+        # per-class formulas written out, with a result of the operands' class,
+        # or raise what those formulas raise
+        u, v, s = operands
+        for method, formula, args in ((u.__add__, vec3_add, (v,)), (u.__sub__, vec3_sub, (v,)),
+                                      (u.scale, vec3_scale, (s,))):
+            out, expected = _parts_or_error(method, *args), _parts_or_error(formula, u, *args)
+            if isinstance(expected, tuple):
+                expected = (type(u), expected[1])
+            assert out == expected
 
 
 class TestCoplanar:

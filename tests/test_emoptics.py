@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -29,11 +30,14 @@ from optikit.emoptics import (
     snell_angle,
     validate_interface_system,
     wavelength_of,
+    _finite_fields,
     _plane_draws,
     _plane,
+    _require_on_plane,
 )
 from optikit.errors import DomainError, OffPlanePoint, OptikitError, TotalInternalReflection
 from optikit.rayoptics import ValidationReport
+from test_outcome_digest import perturbed, real
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,6 +238,29 @@ class TestContinuityCoefficients:
         # 10**400 raised OverflowError, and inf returned (inf, inf)
         with pytest.raises(DomainError, match="amplitude must be positive and finite, got inf"):
             continuity_coefficients(1.0, 1.5, 0.3, a)
+
+    @pytest.mark.parametrize("a", [1e308, 1.7e308])
+    def test_amplitude_near_the_top_of_the_range_is_domain_error(self, a):
+        # t = 1.2 a overflows: these returned (2e+307, inf) and (3.4e+307, inf),
+        # where `oblique_incidence_fields` raised DomainError for the same input
+        with pytest.raises(DomainError, match=re.escape(f"amplitudes overflow double precision at a = {a!r},")):
+            continuity_coefficients(1.0, 1.5, 0.0, a)
+        with pytest.raises(DomainError):
+            oblique_incidence_fields(0.0, 1.0, 1.5, a, TWO_PI, TWO_PI)
+
+    @given(n1=st.floats(1e-3, 1e3), n2=st.floats(1e-3, 1e3), theta=st.floats(0.0, 1.5),
+           a=st.sampled_from([1.0, 1e300, 1e307, 1e308, sys.float_info.max]) | st.floats(0.0, sys.float_info.max))
+    @example(n1=1.0, n2=1.5, theta=0.0, a=sys.float_info.max)
+    @example(n1=1e3, n2=1e-3, theta=0.0, a=1e300)
+    @settings(max_examples=300, deadline=None)
+    def test_amplitudes_are_finite_or_domain_error(self, n1, n2, theta, a):
+        # amplitudes up to the largest double: finite r and t, or DomainError
+        # (or total internal reflection, which is no amplitude's doing)
+        try:
+            r, t = continuity_coefficients(n1, n2, theta, a)
+        except (DomainError, TotalInternalReflection):
+            return
+        assert math.isfinite(r) and math.isfinite(t)
 
 
 class TestObliqueIncidenceFields:
@@ -1000,9 +1027,51 @@ class TestEdgeValues:
         with pytest.raises(DomainError, match="beyond the double range"):  # raised OverflowError
             eval_plane_wave(wave, RVec3(2**1100, 0, 0), 0.0)
         system = example_system()
-        with pytest.raises(DomainError, match="eval_plane_wave: not finite"):  # returned NaN vectors
+        # returned NaN vectors; the waves are evaluated unchecked, so the one check names boundary_residual
+        with pytest.raises(DomainError, match="boundary_residual: not finite"):
             boundary_residual((system.incident, system.reflected), system.transmitted, system.spec,
                               RVec3(0.0, 0.1, 0.2), math.nan)
+
+
+@_finite_fields
+def checked_waves_residual(side1, side2, spec, r, t):
+    """`boundary_residual` with each wave evaluated through the checked `eval_plane_wave`, the
+    former route: a wave not finite raised there, before the sums and the cross with n."""
+    _require_on_plane(spec, r)
+    n = spec.normal.as_complex()
+    e1 = h1 = CVec3(0j, 0j, 0j)
+    for wave in side1:
+        e, h = eval_plane_wave(wave, r, t)
+        e1, h1 = e1 + e, h1 + h
+    e2, h2 = eval_plane_wave(side2, r, t)
+    return (n.cross(e1 - e2), n.cross(h1 - h2))
+
+
+def _residual_or_error(fn, *args) -> object:
+    """The parts' bits of the residual pair fn(*args), or the type of the OptikitError it raises."""
+    try:
+        pair = fn(*args)
+    except OptikitError as exc:
+        return type(exc)
+    return [(c.real.hex(), c.imag.hex()) for v in pair for c in (v.x, v.y, v.z)]
+
+
+class TestOneCheckPerSample:
+    @given(seed=st.integers(0, 2**64))
+    @settings(max_examples=500, deadline=None)
+    def test_unchecked_waves_give_the_checked_outcome(self, seed):
+        # worked triples with one part redrawn as the outcome digest redraws it (an edge
+        # value, +-inf, NaN or an int past the double range), at plane points and times
+        # that are edge values too: the one check of the result gives the bits, or the
+        # exception type, of checking each wave first
+        rng = random.Random(seed)
+        system = oblique_incidence_fields(rng.uniform(0.0, 1.2), 1.0, rng.uniform(1.0, 2.0),
+                                          rng.choice((1.0, 1e300, 6e306)), 1.0, 1.0)
+        for _ in range(rng.randint(1, 2)):
+            system = perturbed(rng, system)
+        y, z, t = (rng.uniform(-5.0, 5.0) if rng.random() < 0.8 else real(rng) for _ in range(3))
+        args = ((system.incident, system.reflected), system.transmitted, system.spec, RVec3(0.0, y, z), t)
+        assert _residual_or_error(boundary_residual, *args) == _residual_or_error(checked_waves_residual, *args)
 
 
 class TestResidualRoutes:

@@ -3,8 +3,9 @@ loads only the modules it uses, every command but `quantum` runs without numpy
 at its default sizes, and no command loads `dataclasses`; the commands that run
 without numpy load no `inspect` either.  A `python -m optikit.cli` process
 prints what `main` prints in-process and ends as `cli.run` says: the `atexit`
-handlers run and the output is flushed before `os._exit`, and a traced or
-profiled process, or one whose stdout cannot flush, ends by `sys.exit`.
+handlers run and the output is flushed before `os._exit`, a traced or profiled
+process ends by `sys.exit`, and one whose stdout fails (a closed pipe, a full
+device, fd 1 closed) prints one `error:` line and exits 1.
 
 numpy, which imports `inspect` itself, loads with `quantum` and with the
 `emoptics` kernel, which `interface` takes past `cli.SCALAR_SAMPLES` samples.
@@ -278,18 +279,48 @@ def test_cprofile_prints_its_table():
     assert "function calls" in proc.stdout and "Ordered by:" in proc.stdout
 
 
+def assert_one_error_line(code: int, err: str) -> None:
+    """Exit 1 with one `error:` line naming stdout on stderr, and no traceback."""
+    assert code == 1, err
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_stdout_that_cannot_flush_ends_as_the_interpreter_ends_it():
-    # the reader is gone before the process writes: the flush fails, and the
-    # interpreter's own exit reports it and exits 120, as `sys.exit` always did
+    # the reader is gone before the process writes (`| head -c0`): the flush
+    # fails, and `run` reports it as one error line and exits 1, where the
+    # interpreter's own exit printed "Exception ignored ... BrokenPipeError"
+    # and exited 120
     proc = subprocess.Popen([sys.executable, "-m", "optikit.cli", *MATRIX], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=buffered_env())
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 120
-    # "Exception ignored in: <_io.TextIOWrapper name='<stdout>' ...>" before Python 3.13
-    assert err.startswith("Exception ignored ") and err.endswith("\nBrokenPipeError: [Errno 32] Broken pipe\n")
-    assert "Traceback" not in err
+    assert_one_error_line(proc.wait(timeout=60), err)
+    assert "Broken pipe" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_full_device_is_one_error_line(unbuffered):
+    # buffered, the flush in `run` fails; unbuffered, `main`'s first print does
+    # (a traceback from `print` before)
+    env = dict(buffered_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "optikit.cli", *MATRIX], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert_one_error_line(proc.returncode, proc.stderr)
+    assert "No space left on device" in proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 between fork and exec")
+def test_closed_stdout_is_one_error_line():
+    # with fd 1 closed `sys.stdout` is None, and print() writes nothing: the
+    # command exited 0 having printed nothing
+    proc = subprocess.run([sys.executable, "-m", "optikit.cli", *MATRIX], stderr=subprocess.PIPE, text=True,
+                          env=buffered_env(), timeout=60, preexec_fn=lambda: os.close(1))
+    assert_one_error_line(proc.returncode, proc.stderr)
+    assert proc.stderr == "error: cannot write to stdout: stdout is closed\n"
 
 
 def test_console_script_is_run():

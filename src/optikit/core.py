@@ -236,14 +236,22 @@ def coplanar(points: Sequence[RVec3]) -> bool:
     """True iff all points lie in one plane.
 
     Checks every scalar triple product of difference vectors from the first
-    point against 1e-12 scaled by the magnitudes of the three factors.
+    point against 1e-12 scaled by the magnitudes of the three factors.  Each
+    difference is scaled by a power of two first: that keeps its direction
+    exactly, and keeps the triple products from overflowing, or underflowing
+    to 0; one that overflows is taken from the halved points, where it is finite.
     DomainError, naming the point, unless each part of each point is finite.
     """
     if len(points) == 0:
         raise DomainError("coplanar needs at least one point")
     points = [_finite(p, f"point {i}") for i, p in enumerate(points)]
-    origin = points[0]
-    diffs = [p - origin for p in points[1:]]
+    origin, diffs = points[0], []
+    for p in points[1:]:
+        d = p - origin
+        if not math.isfinite(max(abs(d.x), abs(d.y), abs(d.z))):
+            d = p.scale(0.5) - origin.scale(0.5)
+        e = math.frexp(max(abs(d.x), abs(d.y), abs(d.z)))[1]
+        diffs.append(RVec3(math.ldexp(d.x, -e), math.ldexp(d.y, -e), math.ldexp(d.z, -e)))
     for a, b, c in combinations(diffs, 3):
         triple = a.dot(b.cross(c))
         scale = a.norm() * b.norm() * c.norm()

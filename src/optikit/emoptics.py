@@ -520,15 +520,11 @@ def validate_interface_system(sys_i: InterfaceSystem, samples: int, seed: int) -
 
 
 def check_plane_of_incidence(sys_i: InterfaceSystem) -> bool:
-    """All wavevectors and the normal lie in one plane through the origin;
-    DomainError unless each of them is finite.  Each is scaled by a power of
-    two first: that keeps the plane exactly, and keeps the triple products of
-    `coplanar` from overflowing, or underflowing to 0."""
+    """All wavevectors and the normal lie in one plane through the origin
+    (`coplanar` with the origin); DomainError unless each of them is finite."""
     vectors = [_finite(v, "the wavevectors and the normal")
                for v in (sys_i.incident.k, sys_i.reflected.k, sys_i.transmitted.k, sys_i.spec.normal)]
-    exps = [math.frexp(max(abs(v.x), abs(v.y), abs(v.z)))[1] for v in vectors]
-    scaled = [RVec3(*(math.ldexp(c, -e) for c in (v.x, v.y, v.z))) for v, e in zip(vectors, exps)]
-    return coplanar([RVec3(0.0, 0.0, 0.0), *scaled])
+    return coplanar([RVec3(0.0, 0.0, 0.0), *vectors])
 
 
 def fresnel_standard(pol: str, n1: float, n2: float, theta_i: float) -> tuple[float, float]:

@@ -13,10 +13,6 @@ class SingularTransform(OptikitError):
     """Moebius denominator C*q + D vanished."""
 
 
-class InvalidComponent(OptikitError):
-    """An optical element violates its validity constraints."""
-
-
 class InvalidSystem(OptikitError):
     """An optical system contains at least one invalid element."""
 

@@ -43,7 +43,6 @@ __all__ = [
     "Operator",
     "SingleMode",
     "commutator",
-    "annihilator",
     "make_single_mode",
     "hermitian_eigenvalues",
     "ground_energy",
@@ -62,15 +61,6 @@ class StateVector(Value):
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    @classmethod
-    def basis(cls, dim: int, n: int) -> "StateVector":
-        """Number state |n> in a dim-dimensional truncation."""
-        if not 0 <= n < dim:
-            raise DomainError(f"basis index {n} outside 0..{dim - 1}")
-        amps = np.zeros(dim, dtype=complex)
-        amps[n] = 1.0
-        return cls(amps)
 
 
 class InnerProduct(Value):
@@ -169,13 +159,6 @@ def commutator(a: Operator, b: Operator) -> Operator:
     if not np.isfinite(np.concatenate([np.zeros(0), *out.bands.values()])).all():  # one call for every band
         raise DomainError("commutator entries overflow double precision")
     return out
-
-
-def annihilator(dim: int) -> Operator:
-    """Lowering operator: a |n> = sqrt(n) |n-1>."""
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise DomainError(f"dimension must be an int >= 1, got {dim!r}")
-    return Operator._from_bands(dim, {1: np.sqrt(np.arange(1, dim)).astype(complex)} if dim > 1 else {})
 
 
 class SingleMode(Value):

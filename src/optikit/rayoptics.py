@@ -20,21 +20,22 @@ stability window 0 < d < 2R for a two-mirror cavity.  The index pair (n0, n1)
 of an interface comes from the component's own free space and the following
 component's (or the terminal) free space.
 
-Cost and exactness: `system_composition` and `trace_ray` are O(n) in the
-number of components, over the (d, C, D) entries of each component in plain
-floats, and bit-identical to the reference form, the `mat2_mul` fold and the
-`mat2_apply` stepping over `element_matrices`.  `trace_ray` builds only the
-final `RayState`; its `RayTrace` keeps the entries, source and terminal width
-and builds `states` on their first read (as `quantum.Operator` builds
-`.matrix`) with the same stepping function, so they are bit-identical; ==,
-hash, repr and pickle read them, `final` does not.  Both share one check with
-`validate_system`: the report and entries of the last system checked are kept,
-one reference in the module, and reused while calls pass that object, if its
-components are a tuple (a list can change between calls).  Clauses read a
-float as it is, with no helper call; a plane interface's (C, D) is written
-inline, and only a spherical one is formed by `_interface_entries`.
-Parameters must be finite, and so must a source ray (DomainError); a composed
-matrix or traced ray that overflows raises InvalidSystem.
+Cost and exactness: `system_composition` and `trace_ray` are O(n) in the number
+of components, over the (d, C, D) entries of each component in plain floats,
+and bit-identical to the `mat2_mul` fold and the `mat2_apply` stepping over the
+table's matrices, which `tests/helpers.py` writes out as the reference.
+`trace_ray` builds only the final `RayState`; its `RayTrace` keeps the entries,
+source and terminal width and builds `states` on their first read (as
+`quantum.Operator` builds `.matrix`) with the same stepping function, so they
+are bit-identical; ==, hash, repr and pickle read them, `final` does not.  Both
+share one check with `validate_system`: the report and entries of the last
+system checked are kept, one reference in the module, and reused while calls
+pass that object, if its components are a tuple (a list can change between
+calls).  Clauses read a float as it is, with no helper call; a plane
+interface's (C, D) is written inline, and only a spherical one is formed by
+`_interface_entries`.  Parameters must be finite, and so must a source ray
+(DomainError); a composed matrix or traced ray that overflows raises
+InvalidSystem.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from enum import Enum
 from typing import Union
 
 from .core import Mat2, Value, _checkable, _floats
-from .errors import DomainError, InvalidComponent, InvalidSystem
+from .errors import DomainError, InvalidSystem
 
 __all__ = [
     "FreeSpace",
@@ -60,10 +61,7 @@ __all__ = [
     "ValidationReport",
     "element_violations",
     "validate_system",
-    "free_space_matrix",
-    "interface_matrix",
     "system_composition",
-    "element_matrices",
     "trace_ray",
 ]
 
@@ -256,46 +254,6 @@ def _interface_entries(
     return 0.0, 1.0
 
 
-def free_space_matrix(fs: FreeSpace) -> Mat2:
-    """Translation matrix [[1, d], [0, 1]] of a valid free space."""
-    bad = element_violations(fs, "free space")
-    if bad:
-        raise InvalidComponent(str(bad[0]))
-    return Mat2(1.0, fs.d, 0.0, 1.0)
-
-
-def interface_matrix(
-    iface: OpticalInterface, kind: InterfaceKind, n0: float, n1: float
-) -> Mat2:
-    """Refraction or reflection matrix of an interface between indices n0, n1."""
-    n0, n1 = _checkable(n0), _checkable(n1)
-    if not (0 < n0 < math.inf and 0 < n1 < math.inf):
-        raise InvalidComponent(f"indices must be positive and finite, got n0 = {n0!r}, n1 = {n1!r}")
-    bad = element_violations(iface, None)
-    if bad:
-        raise InvalidComponent(bad[0].detail)
-    c, e = _interface_entries(iface, kind, n0, n1)
-    return Mat2(1.0, 0.0, c, e)
-
-
-def element_matrices(sys: OpticalSystem) -> list[Mat2]:
-    """Per-element matrices in traversal order.
-
-    Each component yields its free-space matrix then its interface matrix;
-    the terminal free space yields one final translation matrix.  This is the
-    reference form of the system: `system_composition` and `trace_ray` give
-    bit for bit what folding and stepping through these matrices gives.
-    """
-    validate_system(sys).require(InvalidSystem)
-    next_n = [comp.space.n for comp in sys.components[1:]] + [sys.terminal.n]
-    mats: list[Mat2] = []
-    for comp, n1 in zip(sys.components, next_n):
-        mats.append(free_space_matrix(comp.space))
-        mats.append(interface_matrix(comp.iface, comp.kind, comp.space.n, n1))
-    mats.append(free_space_matrix(sys.terminal))
-    return mats
-
-
 def _pair_entries(sys: OpticalSystem) -> list[tuple[float, float, float]]:
     """(d, C, D) of each component of a valid system: its free space
     [[1, d], [0, 1]] followed by its interface [[1, 0], [C, D]]."""
@@ -331,7 +289,7 @@ def system_composition(sys: OpticalSystem) -> Mat2:
     last element sits leftmost and the matrix acts on input (y, theta).  The
     product is folded in four local floats with the operations of `mat2_mul`
     in its order (only the exact products 1.0 * x are left out), so it equals
-    the `mat2_mul` fold of `element_matrices` bit for bit.
+    the `mat2_mul` fold of the element matrices (`tests/helpers.py`) bit for bit.
     """
     report, entries = _checked(sys)
     report.require(InvalidSystem)
@@ -371,8 +329,8 @@ def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     terminal free space.  The final state always equals the composed-matrix
     action on the source; `system_composition` and this stepper are
     independent code paths over the same element entries.  Each step repeats
-    the operations of `mat2_apply`, so the states equal stepping through
-    `element_matrices` bit for bit.  The states are built on their first read.
+    the operations of `mat2_apply`, so the states equal stepping through the
+    element matrices (`tests/helpers.py`) bit for bit.  They are built on their first read.
     """
     report, entries = _checked(sys)
     report.require(InvalidSystem)

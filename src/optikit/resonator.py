@@ -1,12 +1,12 @@
-"""Optical resonators: unfolding, the half-trace stability criterion, and a
-brute-force ray-bound oracle.
+"""Optical resonators: the round-trip matrix, the half-trace stability
+criterion, and a brute-force ray-bound oracle.
 
 A resonator is two reflecting end interfaces with optional components in
-between.  Stability analysis unfolds N cavity round trips into an ordinary
-sequential system; with M the one-round-trip matrix, the resonator is stable
-when det M = 1 and -1 < (M11 + M22)/2 < 1 (strictly).  Rays in a stable
-cavity stay bounded for any number of round trips; the `ray_bound_oracle`
-checks this directly by iteration.
+between.  One cavity round trip is composed as an ordinary sequential system
+into M; the resonator is stable when det M = 1 and -1 < (M11 + M22)/2 < 1
+(strictly).  Rays in a stable cavity stay bounded for any number of round
+trips; the `ray_bound_oracle` checks this directly by iteration.  The
+reference, N round trips unfolded by the rule below, is in `tests/helpers.py`.
 
 One round trip runs: forward through the inner components, across the cavity
 space, reflect on the right interface, back through the inner components in
@@ -50,7 +50,6 @@ __all__ = [
     "StabilityVerdict",
     "OracleResult",
     "validate_resonator",
-    "unfold_resonator",
     "round_trip_matrix",
     "stability",
     "stability_from_matrix",
@@ -109,15 +108,6 @@ def _round_trip(res: Resonator) -> OpticalSystem:
         trip.append(OpticalComponent(space, Spherical(-iface.radius) if behind else iface, comp.kind))
     trip.append(OpticalComponent(spaces[-1], res.left, reflected))
     return OpticalSystem(tuple(trip), FreeSpace(res.space.n, 0.0))
-
-
-def unfold_resonator(res: Resonator, n_round_trips: int) -> OpticalSystem:
-    """Sequential optical system equivalent to N cavity round trips."""
-    validate_resonator(res).require(InvalidResonator)
-    if n_round_trips < 1:
-        raise InvalidResonator(f"need at least one round trip, got {n_round_trips}")
-    trip = _round_trip(res)
-    return OpticalSystem(trip.components * n_round_trips, trip.terminal)
 
 
 def round_trip_matrix(res: Resonator) -> Mat2:

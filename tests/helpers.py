@@ -1,4 +1,10 @@
-"""Shared generators and comparison helpers for the test suite."""
+"""Shared generators, comparison helpers and references for the test suite.
+
+The references (`free_space_matrix`, `interface_matrix`, `element_matrices`,
+`unfold_resonator`, `annihilator`, `basis`) are written from the formulas in
+the library's docstrings and use only its public names, so that a wrong
+formula in the library shows as a difference from them.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,11 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from optikit.core import Mat2, Value, mat2_mul
 from optikit.errors import OptikitError
+from optikit.quantum import Operator, StateVector
 from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -17,6 +26,7 @@ from optikit.rayoptics import (
     Plane,
     Spherical,
 )
+from optikit.resonator import Resonator
 
 # IEEE edge values for float-range properties: signed zeros, subnormals, the
 # smallest normal, and magnitudes up to the largest double
@@ -175,6 +185,88 @@ def random_unimodular(rng: random.Random, ht_limit: float = 0.99) -> Mat2:
     det = s.det()
     s_inv = Mat2(s.a22 / det, -s.a12 / det, -s.a21 / det, s.a11 / det)
     return mat2_mul(s, mat2_mul(rot, s_inv))
+
+
+def free_space_matrix(space: FreeSpace) -> Mat2:
+    """[[1, d], [0, 1]] of a free space of width d (reference)."""
+    return Mat2(1.0, space.d, 0.0, 1.0)
+
+
+def interface_matrix(iface, kind: InterfaceKind, n0: float, n1: float) -> Mat2:
+    """[[1, 0], [C, D]] of an interface from index n0 to index n1, from the
+    table in `rayoptics`' docstring (reference, for float parameters):
+
+        spherical transmission   C = (n0 - n1) / (n1 R)   D = n0 / n1
+        plane transmission       C = 0                    D = n0 / n1
+        spherical mirror         C = -2 / R               D = 1
+        plane mirror             C = 0                    D = 1
+
+    Where n1 R underflows to 0, C is (n0 - n1) / n1 / R: 0 for matched
+    indices, else the power, which then overflows to an infinity.
+    """
+    spherical = isinstance(iface, Spherical)
+    if kind is InterfaceKind.REFLECTED:
+        return Mat2(1.0, 0.0, -2.0 / iface.radius if spherical else 0.0, 1.0)
+    power = 0.0
+    if spherical:
+        n1_r = n1 * iface.radius
+        power = (n0 - n1) / n1_r if n1_r != 0 else (n0 - n1) / n1 / iface.radius
+    return Mat2(1.0, 0.0, power, n0 / n1)
+
+
+def element_matrices(system: OpticalSystem) -> list[Mat2]:
+    """The matrices of a valid system's elements in traversal order (reference):
+    each component's free space, then its interface from that space's index
+    to the next one's, the terminal's after the last; then the terminal."""
+    spaces = [comp.space for comp in system.components] + [system.terminal]
+    mats = []
+    for comp, after in zip(system.components, spaces[1:]):
+        mats += [free_space_matrix(comp.space), interface_matrix(comp.iface, comp.kind, comp.space.n, after.n)]
+    return mats + [free_space_matrix(system.terminal)]
+
+
+def unfold_resonator(res: Resonator, n_round_trips: int) -> OpticalSystem:
+    """N round trips of a resonator as one sequential system, by the rule in
+    `resonator`'s docstring (reference).
+
+    A round trip walks the inner spaces and the cavity space, then the same
+    spaces back; after each space it meets an interface: on the way in the
+    inner ones and the right mirror, on the way back the inner ones in
+    reverse and the left mirror.  A component pairs a space with the
+    interface met after it, so each interface on the way back lies between
+    the space behind it and the one it leads into, which inverts its index
+    ratio; a transmitted spherical one is seen from behind there, radius -R.
+    """
+    reflected = InterfaceKind.REFLECTED
+    spaces = [comp.space for comp in res.inner] + [res.space]
+    way_in = [(comp.iface, comp.kind) for comp in res.inner] + [(res.right, reflected)]
+    way_back = [_from_behind(comp) for comp in reversed(res.inner)] + [(res.left, reflected)]
+    trip = tuple(OpticalComponent(space, iface, kind)
+                 for space, (iface, kind) in zip(spaces + spaces[::-1], way_in + way_back))
+    return OpticalSystem(trip * n_round_trips, FreeSpace(res.space.n, 0.0))
+
+
+def _from_behind(comp: OpticalComponent) -> tuple:
+    """(interface, kind) of an inner component met on the way back."""
+    if comp.kind is InterfaceKind.TRANSMITTED and isinstance(comp.iface, Spherical):
+        return Spherical(-comp.iface.radius), comp.kind
+    return comp.iface, comp.kind
+
+
+def annihilator(dim: int) -> Operator:
+    """The lowering operator, a |n> = sqrt(n) |n-1> on |0> .. |dim-1>, built
+    as a dense matrix through `Operator` (reference)."""
+    a = np.zeros((dim, dim))
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(n)
+    return Operator(a)
+
+
+def basis(dim: int, n: int) -> StateVector:
+    """The number state |n> of a dim-dimensional truncation (reference)."""
+    amplitudes = np.zeros(dim, dtype=complex)
+    amplitudes[n] = 1.0
+    return StateVector(amplitudes)
 
 
 def random_interface(rng: random.Random):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -308,6 +309,37 @@ class TestCoplanar:
         # NaN read coplanar, and 10**400 raised OverflowError
         with pytest.raises(DomainError, match="point 1 must be finite"):
             coplanar([RVec3(0, 0, 0), RVec3(part, 0, 0), RVec3(0, 1, 0), RVec3(0, 0, 1)])
+
+    @pytest.mark.parametrize("points", [
+        [RVec3(0, 0, 0), RVec3(1e308, 0, 0), RVec3(0, 1e308, 0), RVec3(0, 0, 1e308)],
+        [RVec3(0, 0, 0), RVec3(1e-200, 0, 0), RVec3(0, 1e-200, 0), RVec3(0, 0, 1e-200)],
+        [RVec3(-1e308, 0, 0), RVec3(1e308, 0, 0), RVec3(0, 1e308, 0), RVec3(0, 0, 1e308)],
+    ], ids=["1e308", "1e-200", "overflowing-difference"])
+    def test_tetrahedra_at_the_ends_of_the_range(self, points):
+        # each read coplanar: the triple product and its scale overflowed to inf
+        # (inf > 1e-12 * inf is false), underflowed to 0, or, from the difference
+        # 2e308 = inf, the triple product was NaN
+        assert not coplanar(points)
+
+    def test_plane_through_an_overflowing_difference(self):
+        assert coplanar([RVec3(-1e308, 0, 0), RVec3(1e308, 0, 0), RVec3(0, 1e308, 0), RVec3(0, -1e308, 0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.tuples(*[st.integers(-1000, 1000)] * 3), min_size=1, max_size=6),
+           plane=st.sampled_from([None, (0, 0), (1, -1), (2, 1)]), shift=st.integers(-1012, 1012))
+    @example(parts=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], plane=None, shift=1012)
+    @example(parts=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], plane=None, shift=-1012)
+    @example(parts=[(-1000, 0, 0), (1000, 0, 0), (0, 1000, 0), (0, 0, 1000)], plane=None, shift=1012)
+    def test_verdict_is_exact_at_every_scale(self, parts, plane, shift):
+        # integer points, on the plane z = a x + b y where one is given, scaled
+        # by 2**shift: each difference, its power-of-two scaling and every
+        # triple product are exact, so the verdict is the exact one at any scale
+        if plane is not None:
+            parts = [(x, y, plane[0] * x + plane[1] * y) for x, y, _ in parts]
+        diffs = [[a - b for a, b in zip(p, parts[0])] for p in parts[1:]]
+        exact = all(a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                    + a[2] * (b[0] * c[1] - b[1] * c[0]) == 0 for a, b, c in combinations(diffs, 3))
+        assert coplanar([RVec3(*(math.ldexp(c, shift) for c in p)) for p in parts]) is exact
 
     @settings(max_examples=300, deadline=None)
     @given(parts=st.lists(st.tuples(EDGE_REALS, EDGE_REALS, EDGE_REALS), min_size=1, max_size=5))

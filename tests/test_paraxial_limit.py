@@ -18,7 +18,7 @@ import pathlib
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_meridional_trace
+from helpers import exact_meridional_trace, unfold_resonator
 from optikit import sysdesc
 from optikit.rayoptics import (
     FreeSpace,
@@ -31,7 +31,7 @@ from optikit.rayoptics import (
     system_composition,
     trace_ray,
 )
-from optikit.resonator import Resonator, unfold_resonator
+from optikit.resonator import Resonator
 
 T = InterfaceKind.TRANSMITTED
 R = InterfaceKind.REFLECTED

@@ -9,10 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, EDGE_INTS, mat_close, outcome, random_system
+from helpers import (
+    EDGE_FLOATS,
+    EDGE_INTS,
+    element_matrices,
+    free_space_matrix,
+    interface_matrix,
+    mat_close,
+    outcome,
+    random_system,
+)
 from optikit.core import IDENTITY2, Mat2, mat2_apply, mat2_mul
 from optikit import rayoptics
-from optikit.errors import DomainError, InvalidComponent, InvalidSystem
+from optikit.errors import DomainError, InvalidSystem
 from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -22,10 +31,7 @@ from optikit.rayoptics import (
     RayState,
     RayTrace,
     Spherical,
-    element_matrices,
     element_violations,
-    free_space_matrix,
-    interface_matrix,
     system_composition,
     trace_ray,
     validate_system,
@@ -37,6 +43,11 @@ R = InterfaceKind.REFLECTED
 
 def single_space_system(n: float, d: float) -> OpticalSystem:
     return OpticalSystem((), FreeSpace(n, d))
+
+
+def one_component_system(iface, kind: InterfaceKind, n0: float, n1: float, d: float = 0.0) -> OpticalSystem:
+    """A free space (n0, d) and the interface, then a terminal free space of index n1 and width 0."""
+    return OpticalSystem((OpticalComponent(FreeSpace(n0, d), iface, kind),), FreeSpace(n1, 0.0))
 
 
 class TestValidation:
@@ -133,6 +144,9 @@ class TestValidation:
 
 
 class TestElementMatrices:
+    """The reference matrices of `helpers` against hand values; an invalid
+    element fails the system that holds it."""
+
     def test_zero_width_space_is_identity(self):
         assert free_space_matrix(FreeSpace(1.0, 0.0)) == IDENTITY2
 
@@ -140,8 +154,8 @@ class TestElementMatrices:
         assert free_space_matrix(FreeSpace(1.0, 2.0)) == Mat2(1.0, 2.0, 0.0, 1.0)
 
     def test_invalid_space_rejected(self):
-        with pytest.raises(InvalidComponent):
-            free_space_matrix(FreeSpace(-1.0, 1.0))
+        with pytest.raises(InvalidSystem, match="0 < n"):
+            system_composition(one_component_system(Plane(), T, -1.0, 1.0, 1.0))
 
     def test_spherical_transmission_hand_values(self):
         m = interface_matrix(Spherical(0.1), T, 1.0, 1.5)
@@ -175,23 +189,26 @@ class TestElementMatrices:
             assert math.isclose(mr.det(), 1.0, rel_tol=1e-12)
 
     def test_invalid_indices_rejected(self):
-        with pytest.raises(InvalidComponent):
-            interface_matrix(Plane(), T, -1.0, 1.0)
-        with pytest.raises(InvalidComponent):
-            interface_matrix(Plane(), T, 1.0, math.inf)
-        with pytest.raises(InvalidComponent):
-            interface_matrix(Spherical(0.0), T, 1.0, 1.0)
-        with pytest.raises(InvalidComponent):
-            interface_matrix(Spherical(math.nan), R, 1.0, 1.0)
+        with pytest.raises(InvalidSystem, match="component 0: violates 0 < n"):
+            system_composition(one_component_system(Plane(), T, -1.0, 1.0))
+        with pytest.raises(InvalidSystem, match="terminal free space: violates n finite"):
+            system_composition(one_component_system(Plane(), T, 1.0, math.inf))
+        with pytest.raises(InvalidSystem, match="violates R != 0"):
+            system_composition(one_component_system(Spherical(0.0), T, 1.0, 1.0))
+        with pytest.raises(InvalidSystem, match="violates R finite"):
+            system_composition(one_component_system(Spherical(math.nan), R, 1.0, 1.0))
 
-    @pytest.mark.parametrize("iface, n0, n1", [(Spherical(1.0), 10**400, 1.0), (Plane(), 1.0, 10**400),
-                                               (Plane(), -(10**400), 1.0)], ids=["n0", "n1", "negative"])
-    def test_int_index_beyond_double_range_rejected(self, iface, n0, n1):
-        # the first two raised OverflowError from n0 - n1 or n0 / n1, since
-        # 0 < n < inf holds for such an int, and the third's message printed all
-        # 401 digits; an int beyond the double range now reads as an infinity
-        with pytest.raises(InvalidComponent, match="inf"):
-            interface_matrix(iface, T, n0, n1)
+    @pytest.mark.parametrize("iface, n0, n1, clause", [
+        (Spherical(1.0), 10**400, 1.0, r"component 0: violates n finite \(n = inf\)"),
+        (Plane(), 1.0, 10**400, r"terminal free space: violates n finite \(n = inf\)"),
+        (Plane(), -(10**400), 1.0, r"component 0: violates 0 < n \(n = -inf\)"),
+    ], ids=["n0", "n1", "negative"])
+    def test_int_index_beyond_double_range_rejected(self, iface, n0, n1, clause):
+        # an int beyond the double range reads as an infinity, so it fails the
+        # clause its infinity fails, with no OverflowError from n0 - n1 or n0 / n1
+        # and no message of all its 401 digits
+        with pytest.raises(InvalidSystem, match=clause):
+            system_composition(one_component_system(iface, T, n0, n1))
 
 
 class TestSystemComposition:
@@ -319,7 +336,7 @@ _PLANES = OpticalSystem((
 
 class TestReferenceForm:
     """The scalar fold and stepper equal the `mat2_mul` fold and `mat2_apply`
-    stepping over `element_matrices` bit for bit, or raise where that
+    stepping over `helpers.element_matrices` bit for bit, or raise where that
     reference overflows."""
 
     @given(system=_systems)
@@ -356,7 +373,7 @@ class TestReferenceForm:
 
 def _stepped(system: OpticalSystem, y: float, theta: float) -> list[tuple[float, float]]:
     """The source and the ray after each component and the terminal free space,
-    by `mat2_apply` over `element_matrices` (reference)."""
+    by `mat2_apply` over `helpers.element_matrices` (reference)."""
     mats, v = element_matrices(system), (y, theta)
     out = [v]
     for i in range(len(system.components)):
@@ -425,36 +442,40 @@ def _no_nan(*mats: Mat2) -> bool:
     return not any(math.isnan(x) for m in mats for x in (m.a11, m.a12, m.a21, m.a22))
 
 
+def _composed(system: OpticalSystem) -> Mat2 | None:
+    """`system_composition`, or None where it raises InvalidSystem: the text of
+    the system's report where that fails, else an overflow."""
+    report = validate_system(system)
+    try:
+        return system_composition(system)
+    except InvalidSystem as exc:
+        assert str(exc) == str(report) if not report.ok else "overflows double precision" in str(exc)
+        return None
+
+
 class TestEdgeValues:
-    """The element-level entry points return matrices with no NaN entry, or raise an OptikitError."""
+    """A system of edge values, and the one-element system of a free space or
+    of an interface, composes to a matrix of floats with no NaN entry, or
+    raises InvalidSystem for the clause its report names, or for an overflow."""
 
     @given(iface=_interfaces | _edges.map(Spherical), kind=st.sampled_from(InterfaceKind),
            n0=_indices | _edges, n1=_indices | _edges)
     @settings(max_examples=300, deadline=None)
     def test_interface_matrix(self, iface, kind, n0, n1):
-        try:
-            m = interface_matrix(iface, kind, n0, n1)
-        except InvalidComponent:
-            return
-        assert _no_nan(m) and all(type(x) is float for x in (m.a11, m.a12, m.a21, m.a22))
+        m = _composed(one_component_system(iface, kind, n0, n1))
+        assert m is None or _no_nan(m) and all(type(x) is float for x in (m.a11, m.a12, m.a21, m.a22))
 
     @given(space=_edge_spaces)
     @settings(max_examples=300, deadline=None)
     def test_free_space_matrix(self, space):
-        try:
-            m = free_space_matrix(space)
-        except InvalidComponent:
-            return
-        assert all(map(math.isfinite, (m.a11, m.a12, m.a21, m.a22)))
+        m = _composed(OpticalSystem((), space))
+        assert m is None or all(map(math.isfinite, (m.a11, m.a12, m.a21, m.a22)))
 
     @given(system=_systems | _edge_systems)
     @settings(max_examples=300, deadline=None)
     def test_element_matrices(self, system):
-        try:
-            mats = element_matrices(system)
-        except InvalidSystem:
-            return
-        assert len(mats) == 2 * len(system.components) + 1 and _no_nan(*mats)
+        m = _composed(system)
+        assert m is None or _no_nan(m)
 
 
 def _system_calls(rays):

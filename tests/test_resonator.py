@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, EDGE_INTS, mat_close, mat_pow_iterative, outcome, random_system
+from helpers import (
+    EDGE_FLOATS,
+    EDGE_INTS,
+    mat_close,
+    mat_pow_iterative,
+    outcome,
+    random_system,
+    unfold_resonator,
+)
 from optikit.core import Mat2, mat2_apply, mat2_mul, sylvester_power
 from optikit.errors import DomainError, InvalidResonator, NonUnimodular, OptikitError
 from optikit.rayoptics import (
@@ -31,7 +39,6 @@ from optikit.resonator import (
     round_trip_matrix,
     stability,
     stability_from_matrix,
-    unfold_resonator,
     validate_resonator,
 )
 
@@ -79,8 +86,8 @@ class TestUnfold:
         assert mat_close(m3, sylvester_power(m1, 3), 1e-12)
 
     def test_needs_at_least_one_trip(self):
-        with pytest.raises(InvalidResonator):
-            unfold_resonator(fp_resonator(1.0, 0.5, 1.0), 0)
+        with pytest.raises(InvalidResonator, match="need at least one round trip, got 0"):
+            ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(1e-3, 0.0), 0)
 
     def test_round_trip_det_is_one_with_mixed_media_inside(self):
         # a transmitted element inside the cavity is crossed once with n0/n1
@@ -397,6 +404,31 @@ _factors = st.sampled_from((1e9, 1e-3, 0.5, 1.0, 2.0)) | st.floats(1e-6, 1e12)
 def _plane_cavity(d: float) -> Resonator:
     """Two plane mirrors d apart: the round trip is [[1, 2d], [0, 1]]."""
     return Resonator(Plane(), (), FreeSpace(1.0, d), Plane())
+
+
+_T, _R = InterfaceKind.TRANSMITTED, InterfaceKind.REFLECTED
+# a biconvex lens in air between plane mirrors, and inner interfaces of every
+# kind between unequal indices
+_BICONVEX = Resonator(Plane(), (OpticalComponent(FreeSpace(1.0, 0.15), Spherical(0.1), _T),
+                                OpticalComponent(FreeSpace(1.5, 0.0), Spherical(-0.1), _T)), FreeSpace(1.0, 0.15), Plane())
+_MIXED = Resonator(Spherical(1.0), (OpticalComponent(FreeSpace(1.0, 0.1), Spherical(0.3), _T),
+                                    OpticalComponent(FreeSpace(1.7, 0.05), Spherical(-0.8), _R),
+                                    OpticalComponent(FreeSpace(1.2, 0.05), Plane(), _T)),
+                   FreeSpace(1.4, 0.2), Spherical(2.0))
+
+
+class TestIndependentRoundTrip:
+    """`round_trip_matrix` is the composition of one round trip unfolded by
+    `helpers.unfold_resonator`, written from the rule in `resonator`'s
+    docstring, bit for bit, or the same error."""
+
+    @given(res=_resonators)
+    @example(res=_BICONVEX)
+    @example(res=_MIXED)
+    @example(res=Resonator(Plane(), (OpticalComponent(FreeSpace(1.0, 0.1), Plane(), _T),), FreeSpace(1.5, 0.2), Plane()))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_unfolded_composition(self, res):
+        assert outcome(round_trip_matrix, res) == outcome(lambda res: system_composition(unfold_resonator(res, 1)), res)
 
 
 class TestOracleDifferential:

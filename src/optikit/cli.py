@@ -8,11 +8,11 @@ stdout line (floats at 12 significant digits) and each failure as one
 "unstable" are data, not errors), 1 domain, validation or self-check
 failure, or stdout that fails, 2 usage or file-parse error.
 
-Each command loads only the modules it uses; only `quantum`, and `interface`
-past `SCALAR_SAMPLES` samples, load numpy, and no usage error does.  `run`, the
-process entry, runs the `atexit` handlers and flushes stdout and stderr after
-`main`, then ends by `os._exit`, skipping the interpreter's teardown, or by
-`sys.exit` under a tracer or profiler (coverage, cProfile) or where stdout fails.
+Each command loads only the modules it uses; only `quantum` past `quantum.LIST_DIM`
+levels and `interface` past `SCALAR_SAMPLES` samples load numpy, and no usage error
+does.  `run`, the process entry, runs the `atexit` handlers and flushes stdout and
+stderr after `main`, then ends by `os._exit`, skipping the interpreter's teardown,
+or by `sys.exit` under a tracer or profiler (coverage, cProfile) or where stdout fails.
 """
 
 from __future__ import annotations
@@ -196,10 +196,9 @@ def _cmd_quantum(args: argparse.Namespace) -> Iterator[tuple]:
     sm = quantum.make_single_mode(args.omega, args.hbar, args.dim)
     evals = quantum.hermitian_eigenvalues(sm.H)
     ground = float(evals[0])  # quantum.ground_energy, without a second eigen pass
-    # [q, p] - j hbar I on the leading (D-1) x (D-1) block: each band but its
-    # last entry, which lies on level D-1
+    # [q, p] - j hbar I on the leading (D-1) x (D-1) block: each band but its last entry, on level D-1
     block = {k: band[:-1] for k, band in quantum.commutator(sm.q, sm.p).bands.items()}
-    block[0] = block[0] - 1j * args.hbar
+    block[0] = [z - 1j * args.hbar for z in block[0]]
     yield "ground_energy", ground
     yield "eigenvalues", *evals[:8]
     yield "commutator_max_dev", peak(block.values())

@@ -346,7 +346,7 @@ def test_quantum_peaks_are_numpys(capsys, omega, hbar, dim):
         return np.max(np.abs(np.concatenate(list(bands))), initial=0.0)
 
     sm = quantum.make_single_mode(omega, hbar, dim)
-    block = {k: band[:-1] for k, band in quantum.commutator(sm.q, sm.p).bands.items()}
+    block = {k: np.asarray(band[:-1]) for k, band in quantum.commutator(sm.q, sm.p).bands.items()}
     block[0] = block[0] - 1j * hbar
     peaks = [peak(block.values())] + [peak((op - op.adjoint()).bands.values()) for op in (sm.q, sm.p, sm.H)]
     code, out, _ = run(capsys, "quantum", "--omega", omega, "--hbar", hbar, "--dim", dim)

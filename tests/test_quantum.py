@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import EDGE_FLOATS, EDGE_INTS, annihilator, basis
 from optikit.errors import DimensionMismatch, DomainError, OptikitError
 from optikit.quantum import (
+    LIST_DIM,
     InnerProduct,
     Operator,
     StateVector,
@@ -57,6 +59,24 @@ class TestInnerProduct:
         with pytest.raises(DimensionMismatch):
             InnerProduct()(basis(2, 0), basis(3, 0))
 
+    @pytest.mark.parametrize("weight", [np.eye(2), np.ones((3, 2)), [[1.0, 0.0, 0.0]] * 3 + [[0.0] * 3]])
+    def test_weight_of_the_wrong_shape(self, weight):
+        # np.eye(2) on 3-vectors raised numpy's ValueError
+        with pytest.raises(DimensionMismatch, match="weight of shape"):
+            InnerProduct(weight)(basis(3, 0), basis(3, 1))
+
+    @pytest.mark.parametrize("weight", [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+                                        np.array([[10**400, 0], [0, 1]], dtype=object), [1.0, 1.0]])
+    def test_weight_that_is_not_a_finite_matrix(self, weight):
+        with pytest.raises(DomainError, match="inner product weight must be finite"):
+            InnerProduct(weight)(basis(2, 0), basis(2, 1))
+
+    @pytest.mark.parametrize("x, y", [([1e308, 1e308], [1e308, -1e308]), ([1e308], [1e308])])
+    def test_pairing_beyond_the_double_range(self, x, y):
+        # (inf - inf) gave nan+nanj, and 1e308 * 1e308 inf
+        with pytest.raises(DomainError, match="inner product overflows"):
+            InnerProduct()(StateVector(x), StateVector(y))
+
     def test_axioms_with_positive_definite_weight(self):
         rng = np.random.default_rng(1)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -80,6 +100,20 @@ class TestInnerProduct:
             # homogeneity in the second argument
             ay = StateVector(a * y.amplitudes)
             assert abs(pairing(x, ay) - a * pairing(x, y)) <= 1e-12 * scale * max(1.0, abs(a))
+
+
+class TestStateVector:
+    @pytest.mark.parametrize("amplitudes", [1.0, [[1.0, 0.0]], [math.nan, 0.0], [0.0, -math.inf], [10**400],
+                                            np.array([1, -(10**400)], dtype=object)])
+    def test_amplitudes_are_a_finite_1d_array(self, amplitudes):
+        # StateVector(1.0).dim raised IndexError, [10**400] OverflowError, and NaN reached the pairing
+        with pytest.raises(DomainError, match="state amplitudes must be finite"):
+            StateVector(amplitudes)
+
+    def test_amplitudes_keep_their_bits(self):
+        x = StateVector([1, -0.0, 0.5j, complex(-0.0, -0.0), 5e-324])
+        assert x.dim == 5 and x.amplitudes.dtype == complex
+        assert repr(x.amplitudes.tolist()) == repr([1 + 0j, complex(-0.0, 0.0), 0.5j, complex(-0.0, -0.0), 5e-324 + 0j])
 
 
 class TestSelfAdjoint:
@@ -283,6 +317,14 @@ class TestHermitianEigenvalues:
         with pytest.raises(DomainError, match="finite"):
             hermitian_eigenvalues(Operator(np.array(matrix, dtype=complex)))
 
+    def test_entry_modulus_beyond_the_double_range(self):
+        # finite parts of 1.41e308 each: abs() of a list entry raised OverflowError
+        q = make_single_mode(1.0, 1.0, 2).q
+        big = 1e308 * q + 1e308 * q
+        for op in (big + 1j * big, Operator((big + 1j * big).matrix)):
+            with pytest.raises(DomainError, match=r"max \|entry\| = inf"):
+                hermitian_eigenvalues(op)
+
 
 ANY_NUMBER = st.sampled_from(EDGE_FLOATS + EDGE_INTS + [math.inf, -math.inf, math.nan]) | st.floats(
     allow_nan=False, allow_infinity=False)
@@ -324,6 +366,22 @@ class TestEdgeValues:
             bands = out.bands.values() if isinstance(out, Operator) else [out]
             assert all(np.isfinite(band).all() for band in bands)
 
+    @pytest.mark.parametrize("make", [
+        lambda: math.inf * Operator(np.eye(2)),  # bands of inf+nanj
+        lambda: math.nan * make_single_mode(1.0, 1.0, 4).q,
+        lambda: Operator([[1e308]]) + Operator([[1e308]]),  # inf
+        lambda: Operator([[1e308]]) - Operator([[-1e308]]),
+        lambda: Operator([[1e200]]) @ Operator([[1e200]]),
+        lambda: 1e308 * make_single_mode(1.0, 1e300, LIST_DIM).H,
+        lambda: (lambda h: h - -3.0 * h)(make_single_mode(1.0, 1e308, 2).H),  # 5e307 + 1.5e308
+        lambda: make_single_mode(1.0, 1e300, 4).q @ (1e200 * make_single_mode(1.0, 1e300, 4).p),
+    ], ids=["inf-scalar", "nan-scalar-lists", "sum", "difference", "product", "scalar-lists", "sum-lists",
+            "product-lists"])
+    def test_arithmetic_keeps_entries_finite(self, make):
+        # each escaped a RuntimeWarning, which the suite's filter makes an error, or held an inf or NaN
+        with pytest.raises(DomainError, match="operator entries must be finite"):
+            make()
+
     def test_operator_reproducers(self):
         # np.asarray raised OverflowError
         with pytest.raises(DomainError, match="finite"):
@@ -331,3 +389,109 @@ class TestEdgeValues:
         # [a, a] of 1e308 entries was inf - inf = NaN, with a RuntimeWarning
         with pytest.raises(DomainError, match="commutator entries overflow"):
             commutator(Operator(np.full((3, 3), 1e308)), Operator(np.full((3, 3), 1e308)))
+
+
+def band_reprs(op, zeros=True):
+    """Each band of op, its entries by repr so that signed zeros count; the
+    all-zero bands only where `zeros`."""
+    return {k: repr([complex(z) for z in band]) for k, band in op.bands.items() if zeros or any(band)}
+
+
+def outcome(call, zeros=True):
+    """call()'s bands by repr, or the type and text of the OptikitError it raises."""
+    try:
+        return band_reprs(call(), zeros)
+    except OptikitError as exc:
+        return type(exc), str(exc)
+
+
+class TestListRoute:
+    """make_single_mode keeps a mode of D <= LIST_DIM levels in lists of Python
+    complex.  Lifted to numpy arrays through the dense constructor, the same
+    operators give the same bits, signed zeros included, or the same error."""
+
+    def assert_routes_agree(self, omega, hbar, dim):
+        assert dim <= LIST_DIM
+        try:
+            sm = make_single_mode(omega, hbar, dim)
+        except OptikitError as exc:
+            # parameter checks are shared, and an entry of H that overflows at D
+            # overflows at every larger D: the array route fails alike
+            with pytest.raises(type(exc)) as array_exc:
+                make_single_mode(omega, hbar, LIST_DIM + 1)
+            assert str(array_exc.value) == str(exc).replace(f"dim = {dim}", f"dim = {LIST_DIM + 1}")
+            return
+        assert all(isinstance(band, list) for op in (sm.q, sm.p, sm.H) for band in op.bands.values())
+        q, p, h = (Operator(op.matrix) for op in (sm.q, sm.p, sm.H))
+        assert all(isinstance(band, np.ndarray) for op in (q, p, h) for band in op.bands.values())
+        # the dense constructor drops a band of zeros (p where hbar * omega underflows,
+        # H's off-diagonals where they cancel): then only the bands with a nonzero entry are compared
+        zeros = all(a.bands.keys() == b.bands.keys() for a, b in ((q, sm.q), (p, sm.p), (h, sm.H)))
+        w2 = omega**2 / 2.0
+        pairs = [
+            (lambda: sm.q, lambda: q),
+            (lambda: sm.p, lambda: p),
+            (lambda: sm.H, lambda: w2 * (q @ q) + 0.5 * (p @ p)),
+            (lambda: commutator(sm.q, sm.p), lambda: commutator(q, p)),
+            (lambda: sm.q - sm.p.adjoint() + sm.H, lambda: q - p.adjoint() + h),
+        ]
+        for on_lists, on_arrays in pairs:
+            assert outcome(on_lists, zeros) == outcome(on_arrays, zeros)
+        # make_single_mode's own array route, on the levels a mode of LIST_DIM + 1
+        # shares with this one: every entry but the top level's on the main band
+        try:
+            large = make_single_mode(omega, hbar, LIST_DIM + 1)
+        except OptikitError:
+            return  # H overflows on the larger mode's upper levels
+        for small, big in ((sm.q, large.q), (sm.p, large.p), (sm.H, large.H)):
+            assert all(isinstance(b, np.ndarray) for b in big.bands.values())
+            for k, band in small.bands.items():
+                n = len(band) - (k == 0)
+                assert repr([complex(z) for z in band[:n]]) == repr([complex(z) for z in big.bands[k][:n]])
+
+    @pytest.mark.parametrize("dim", range(2, LIST_DIM + 1))
+    def test_mode_bits_match_the_array_route(self, dim):
+        rng = random.Random(dim)
+        draws = EDGE_FLOATS + [10.0 ** rng.uniform(-150.0, 150.0) for _ in range(4)]
+        for omega in draws:
+            for hbar in draws:
+                if omega > 0 and hbar > 0 or rng.random() < 0.1:
+                    self.assert_routes_agree(omega, hbar, dim)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        omega=st.floats(min_value=1e-150, max_value=1e150),
+        hbar=st.floats(min_value=1e-150, max_value=1e150),
+        dim=st.integers(min_value=2, max_value=LIST_DIM),
+    )
+    def test_random_modes(self, omega, hbar, dim):
+        self.assert_routes_agree(omega, hbar, dim)
+
+    @pytest.mark.parametrize("scalar", [-1.0, -0.5, -3.0, 2.0])
+    @pytest.mark.parametrize("label", ["q", "p", "H"])
+    def test_real_scalar_multiplies_as_a_complex(self, scalar, label):
+        # numpy promotes the float to complex: Re = s x - 0 y, Im = s y + 0 x, so
+        # -1.0 * (x + 0j) has Im = -0.0 + 0.0 = +0.0.  From Python 3.14 a
+        # float x complex product is (s x, s y), Im -0.0: a list-route product
+        # formed so fails here
+        op = getattr(make_single_mode(1.3, 0.9, 6), label)
+        expected = {k: repr([complex(scalar * z.real - 0.0 * z.imag, scalar * z.imag + 0.0 * z.real) for z in band])
+                    for k, band in op.bands.items()}
+        assert band_reprs(scalar * op) == band_reprs(scalar * Operator(op.matrix)) == expected
+        mixed = {k: repr([complex(scalar * z.real, scalar * z.imag) for z in band]) for k, band in op.bands.items()}
+        assert (mixed != expected) == (scalar < 0)
+
+    def test_list_route_reaches_numpy_bytes(self):
+        # a list band reads out as numpy's complex128 band of the same entries
+        sm = make_single_mode(0.7, 2.0, LIST_DIM)
+        for op in (sm.q, sm.p, sm.H, commutator(sm.q, sm.p)):
+            for k, band in op.bands.items():
+                assert band.tobytes() == np.array(band, dtype=complex).tobytes() == Operator(op.matrix).bands[k].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, LIST_DIM, LIST_DIM + 1, 64])
+    def test_spectrum_on_either_route(self, dim):
+        sm = make_single_mode(1.3, 0.9, dim)
+        values = hermitian_eigenvalues(sm.H)
+        assert isinstance(values, list if dim <= LIST_DIM else np.ndarray)
+        assert list(values) == sorted(np.real(np.diag(sm.H.matrix)).tolist())
+        assert ground_energy(sm) == values[0]

@@ -1,13 +1,14 @@
 """Start-up and exit contract: `import optikit` loads no submodule, each command
-loads only the modules it uses, every command but `quantum` runs without numpy
-at its default sizes, and no command loads `dataclasses`; the commands that run
-without numpy load no `inspect` either.  A `python -m optikit.cli` process
-prints what `main` prints in-process and ends as `cli.run` says: the `atexit`
-handlers run and the output is flushed before `os._exit`, a traced or profiled
-process ends by `sys.exit`, and one whose stdout fails (a closed pipe, a full
-device, fd 1 closed) prints one `error:` line and exits 1.
+loads only the modules it uses, every command runs without numpy at its default
+sizes, and no command loads `dataclasses`; the commands that run without numpy
+load no `inspect` either.  A `python -m optikit.cli` process prints what `main`
+prints in-process and ends as `cli.run` says: the `atexit` handlers run and the
+output is flushed before `os._exit`, a traced or profiled process ends by
+`sys.exit`, and one whose stdout fails (a closed pipe, a full device, fd 1
+closed) prints one `error:` line and exits 1.
 
-numpy, which imports `inspect` itself, loads with `quantum` and with the
+numpy, which imports `inspect` itself, loads with the array route of `quantum`,
+which `make_single_mode` takes past `quantum.LIST_DIM` levels, and with the
 `emoptics` kernel, which `interface` takes past `cli.SCALAR_SAMPLES` samples.
 Each check runs in a fresh interpreter, because this test process has long
 since imported numpy.
@@ -31,7 +32,8 @@ import optikit.cli
 SRC = Path(optikit.__file__).resolve().parent.parent
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
-NUMPY_MODULES = ("numpy", "optikit.emoptics", "optikit.quantum")
+# numpy, the `inspect` it imports, and the field modules, which a ray command does not load
+NUMPY_MODULES = ("numpy", "inspect", "optikit.emoptics", "optikit.quantum")
 
 
 def run_fresh(code: str):
@@ -49,9 +51,10 @@ def run_fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("module", ["optikit", "optikit.cli"])
+@pytest.mark.parametrize("module", ["optikit", "optikit.cli", "optikit.emoptics", "optikit.quantum"])
 def test_import_loads_no_numpy(module):
-    code = f"import json, sys\nimport {module}\nprint(json.dumps([m for m in {NUMPY_MODULES!r} if m in sys.modules]))"
+    others = [m for m in NUMPY_MODULES if m != module]
+    code = f"import json, sys\nimport {module}\nprint(json.dumps([m for m in {others!r} if m in sys.modules]))"
     assert run_fresh(code) == []
 
 
@@ -95,6 +98,24 @@ def test_interface_loads_numpy_only_past_the_scalar_route(samples, numpy, capsys
     assert run_fresh(code) == [0, numpy, capsys.readouterr().out]
 
 
+@pytest.mark.parametrize("argv, numpy", [
+    (["quantum", "--omega", "1"], False),
+    (["quantum", "--omega", "1.3", "--hbar", "0.9", "--dim", str(optikit.quantum.LIST_DIM)], False),
+    (["quantum", "--omega", "1.3", "--hbar", "0.9", "--dim", str(optikit.quantum.LIST_DIM + 1)], True),
+], ids=["default", "list-dim", "past-list-dim"])
+def test_quantum_loads_numpy_only_past_the_list_route(argv, numpy, capsys):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import optikit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = optikit.cli.main({argv!r})\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, 'inspect' in sys.modules, out.getvalue()]))"
+    )
+    # the same bytes as in this process
+    assert optikit.cli.main(argv) == 0
+    assert run_fresh(code) == [0, numpy, numpy, capsys.readouterr().out]
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -133,8 +154,7 @@ RAY_PATH = ("dataclasses", "inspect")
         (["stability", str(SAMPLES / "fp_stable.res"), "--oracle"], RAY_PATH),
         (["beam", str(SAMPLES / "single_space.osys"), "--lambda", "1e-6", "--w", "1e-3", "--R", "inf"], RAY_PATH),
         (["interface", "--n1", "1", "--n2", "1.5", "--theta-deg", "30"], RAY_PATH),
-        # numpy imports `inspect` itself, so only `dataclasses` is checked
-        (["quantum", "--omega", "1"], ("dataclasses",)),
+        (["quantum", "--omega", "1"], RAY_PATH),
     ],
     ids=["import", "matrix", "trace", "stability", "beam", "interface", "quantum"],
 )
@@ -161,7 +181,7 @@ def test_field_modules_resolve_on_first_use():
         "            optikit.quantum is sys.modules['optikit.quantum']]\n"
         "from optikit import emoptics, quantum\n"
         "resolved += [emoptics is optikit.emoptics, quantum is optikit.quantum,\n"
-        "             callable(quantum.make_single_mode), 'numpy' in sys.modules]\n"
+        "             callable(quantum.make_single_mode), 'numpy' not in sys.modules]\n"
         "print(json.dumps(resolved))"
     )
     assert run_fresh(code) == [True] * 6

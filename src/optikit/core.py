@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from itertools import combinations
 from sys import float_info
 from types import CodeType, FunctionType
@@ -157,8 +158,8 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
     rounded matrix itself: a computed round trip has det = 1 +- O(1e-15),
     and r^n differs from 1 by about n times that.
 
-    Requires det(m) = 1 within 1e-9 and |half-trace| < 1 with ht**2 < det,
-    so that theta is well defined with sin(theta) != 0.
+    Requires an integer n >= 0, det(m) = 1 within 1e-9 and |half-trace| < 1 with ht**2 < det
+    (theta well defined, sin(theta) != 0), and r**(n - 1) and n theta within the double range.
 
     Error bound: with eps = 2**-53, |m| the largest of 1 and the entry
     magnitudes of m, and s the same for the exact m^n, each entry is
@@ -166,8 +167,8 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
     n eps / sin(theta) is the conditioning of sin(n theta) on the rounded
     theta, which no formula for the rounded matrix removes.
     """
-    if n < 0:
-        raise DomainError("power must be non-negative")
+    if not (hasattr(n, "__index__") and (n := operator.index(n)) >= 0):
+        raise DomainError("power must be a non-negative integer")
     a11, a12, a21, a22 = _floats(m.a11, m.a12, m.a21, m.a22)
     det = a11 * a22 - a12 * a21
     if not abs(det - 1.0) <= 1e-9:  # fails closed on a NaN det
@@ -177,9 +178,12 @@ def sylvester_power(m: Mat2, n: int) -> Mat2:
         raise DomainError(f"|half-trace| must be < min(1, sqrt(det)), got {ht!r}")
     r = math.sqrt(det)
     theta = math.atan2(math.sqrt(det - ht * ht), ht)
-    scale = r ** (n - 1) / math.sin(theta)
-    sn = scale * math.sin(n * theta)
-    snm1 = scale * r * math.sin((n - 1) * theta)
+    try:  # r**(n - 1) or n theta beyond the double range: OverflowError, or ValueError from sin(inf)
+        scale = r ** (n - 1) / math.sin(theta)
+        sn = scale * math.sin(n * theta)
+        snm1 = scale * r * math.sin((n - 1) * theta)
+    except (OverflowError, ValueError):
+        raise DomainError(f"the power leaves the double range at det = {det!r}, ht = {ht!r}") from None
     return Mat2(a11 * sn - snm1, a12 * sn, a21 * sn, a22 * sn - snm1)
 
 

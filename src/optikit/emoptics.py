@@ -22,9 +22,9 @@ report's `warnings`, which leave it ok (see `rayoptics.ValidationReport`).
 `fresnel_standard` gives the standard-convention s/p coefficients for
 comparison.
 
-Cost and exactness: `reference_max_residual`, the scalar route, takes the
-per-sample `uniform` draws of `sample_plane_points` through `boundary_residual`,
-one check a sample, about 12 us with no numpy, up to one block in the CLI.
+Cost and exactness: `reference_max_residual`, the scalar route, checks each
+`uniform` draw of `sample_plane_points` as `boundary_residual` does, in complex
+locals, about 6 us a sample with no numpy, up to one block in the CLI.
 The kernel, `max_boundary_residual`, imports numpy and forms the same draws from
 one `random.Random(seed)` in blocks of at most `_CHUNK` samples: one
 `getrandbits` call returns the block's 32-bit generator outputs in order, least
@@ -60,7 +60,7 @@ import cmath
 import functools
 import math
 import random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import CVec3, RVec3, Value, _checkable, _finite, _floats, _positive, coplanar
 from .errors import DomainError, OffPlanePoint, TotalInternalReflection
@@ -187,16 +187,28 @@ def boundary_residual(
     zero exactly when the boundary conditions hold at (r, t).
     """
     _require_on_plane(spec, r)
-    evaluate = eval_plane_wave.__wrapped__  # unchecked: a part not finite stays so through +, - and n x
-    n = spec.normal.as_complex()
-    e1 = CVec3(0j, 0j, 0j)
-    h1 = CVec3(0j, 0j, 0j)
-    for wave in side1:
-        e, h = evaluate(wave, r, t)
-        e1 = e1 + e
-        h1 = h1 + h
-    e2, h2 = evaluate(side2, r, t)
-    return (n.cross(e1 - e2), n.cross(h1 - h2))
+    e, h = _mismatch(map(_wave_parts, side1), _wave_parts(side2), spec.normal.as_complex(), r, t)
+    return (CVec3(*e), CVec3(*h))
+
+
+def _wave_parts(wave: PlaneWave) -> tuple:
+    return (wave.k.x, wave.k.y, wave.k.z, wave.omega, wave.E.x, wave.E.y, wave.E.z, wave.H.x, wave.H.y, wave.H.z)
+
+
+def _mismatch(side1: Iterable[tuple], side2: tuple, n: CVec3, r: RVec3, t: float) -> tuple[tuple, tuple]:
+    """The parts of n x (E1 - E2) and n x (H1 - H2) at (r, t) from `_wave_parts`: the operations of
+    `eval_plane_wave`, the `CVec3` sum from 0j, difference and `cross`, in order, on complex locals."""
+    rx, ry, rz = r.x, r.y, r.z
+    ex = ey = ez = hx = hy = hz = 0j
+    for kx, ky, kz, omega, Ex, Ey, Ez, Hx, Hy, Hz in side1:
+        p = cmath.exp(-1j * ((kx * rx + ky * ry + kz * rz) - omega * t))  # the phase factor
+        ex, ey, ez, hx, hy, hz = ex + p * Ex, ey + p * Ey, ez + p * Ez, hx + p * Hx, hy + p * Hy, hz + p * Hz
+    kx, ky, kz, omega, Ex, Ey, Ez, Hx, Hy, Hz = side2
+    p = cmath.exp(-1j * ((kx * rx + ky * ry + kz * rz) - omega * t))
+    ex, ey, ez, hx, hy, hz = ex - p * Ex, ey - p * Ey, ez - p * Ez, hx - p * Hx, hy - p * Hy, hz - p * Hz
+    nx, ny, nz = n.x, n.y, n.z
+    return ((ny * ez - nz * ey, nz * ex - nx * ez, nx * ey - ny * ex),
+            (ny * hz - nz * hy, nz * hx - nx * hz, nx * hy - ny * hx))
 
 
 def snell_angle(n1: float, n2: float, theta_i: float) -> float:
@@ -349,19 +361,25 @@ def sample_plane_points(
     rng = random.Random(seed)
     for _ in range(samples):
         u, v, t = rng.uniform(-width, width), rng.uniform(-width, width), rng.uniform(0.0, duration)
-        yield (point + t1.scale(u) + t2.scale(v), t)
+        yield (RVec3(point.x + u * t1.x + v * t2.x, point.y + u * t1.y + v * t2.y, point.z + u * t1.z + v * t2.z), t)
 
 
 def reference_max_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> float:
     """The scalar route to `max_boundary_residual` (module docstring): the max over
     `sample_plane_points` of the component magnitudes of `boundary_residual`.  Where
     that raises DomainError, as for a field not finite, the outcome is the kernel's."""
-    try:
-        residuals = (boundary_residual((sys_i.incident, sys_i.reflected), sys_i.transmitted, sys_i.spec, r, t)
-                     for r, t in sample_plane_points(sys_i, samples, seed))
-        return max(_peak(field) for pair in residuals for field in pair)
-    except DomainError:
+    *side1, side2 = map(_wave_parts, (sys_i.incident, sys_i.reflected, sys_i.transmitted))
+    try:  # an OverflowError here is one that `boundary_residual` or `_peak` raises as DomainError
+        n, worst = sys_i.spec.normal.as_complex(), 0.0
+        for r, t in sample_plane_points(sys_i, samples, seed):
+            _require_on_plane(sys_i.spec, r)
+            e, h = _mismatch(side1, side2, n, r, t)
+            if not all(map(cmath.isfinite, (*e, *h))):
+                raise DomainError("boundary residual not finite")
+            worst = max(worst, *map(abs, e), *map(abs, h))
+    except (DomainError, OverflowError):
         return max_boundary_residual(sys_i, samples, seed)
+    return worst
 
 
 def _dot3(a, b):

@@ -21,15 +21,15 @@ Cost and exactness: an `Operator` stores its nonzero diagonals, as lists of Pyth
 complex for a mode of D <= `LIST_DIM` levels and as numpy arrays otherwise, and
 builds its dense D x D form (16 D**2 bytes) on the first read of `.matrix`.  q and p
 are tridiagonal, so the mode, the spectrum of its diagonal H and [q, p] cost O(D).
-Each entry of q @ p, p @ q, q @ q and p @ p sums at most two nonzero terms, so the
-band products round as a dense product summed term by term does, whatever the BLAS
-kernel; the closed form [q, p] above, top level included, is their independent
-check.  Both routes run one band plan, each product complex x complex as in numpy's
-scalar loop (a float x complex one rounds zeros apart from Python 3.14), and the
-bands of q, p, H and [q, p] agree bit for bit, signed zeros included, also with
-numpy's fused SIMD loops.  numpy loads with an array only: `.matrix`, the eigensolver,
-`Operator(matrix)`, `StateVector`, `InnerProduct`.  `Operator` is a plain class,
-for that cached `.matrix`; the others are `core.Value`s equal only to themselves.
+Each entry of q @ p, p @ q, q @ q and p @ p sums at most two nonzero terms; the closed
+form [q, p] above, top level included, is the band products' independent check.  Both
+routes run one band plan, each product complex x complex as in numpy's scalar loop (a
+float x complex one rounds zeros apart from Python 3.14).  On arrays, a product whose
+term underflows can keep a zero's sign under numpy's fused SIMD multiply, where the
+list route drops it; CI pins only the bands of q, p, H and [q, p], bit for bit with
+signed zeros, across SIMD targets.  numpy loads with an array only: `.matrix`, the
+eigensolver, `Operator(matrix)`, `StateVector`, `InnerProduct`.  `Operator` is a plain
+class, for that cached `.matrix`; the others are `core.Value`s equal only to themselves.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import sys
 from contextlib import nullcontext
 from functools import cached_property
 
-from .core import Value, _positive
+from .core import Value, _checkable, _positive
 from .errors import DimensionMismatch, DomainError
 
 __all__ = ["LIST_DIM", "StateVector", "InnerProduct", "Operator", "SingleMode", "commutator", "make_single_mode",
@@ -195,7 +195,7 @@ class Operator:
     __add__ = lambda self, other: _checked(lambda: self._combine(other, operator.add))
     __sub__ = lambda self, other: _checked(lambda: self._combine(other, operator.sub))
     __matmul__ = lambda self, other: _checked(lambda: self._product(other))
-    __rmul__ = lambda self, scalar: _checked(lambda: self._scaled(scalar))
+    __rmul__ = lambda self, scalar: _checked(lambda: self._scaled(_checkable(scalar)))  # an int past the range: +-inf
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

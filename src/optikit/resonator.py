@@ -159,6 +159,8 @@ def ray_bound_oracle(
     finite float, which a NaN or inf state could never cross, and for a
     state that overflows to NaN before crossing the limit.
     """
+    if not hasattr(n_max, "__index__"):
+        raise InvalidResonator(f"round trips must be an integer count, got {n_max!r}")
     if n_max < 1:
         raise InvalidResonator(f"need at least one round trip, got {n_max}")
     y, theta = _source_floats(source)

@@ -1,13 +1,14 @@
 """Shared generators, comparison helpers and references for the test suite.
 
 The references (`free_space_matrix`, `interface_matrix`, `element_matrices`,
-`unfold_resonator`, `annihilator`, `basis`) are written from the formulas in
-the library's docstrings and use only its public names, so that a wrong
-formula in the library shows as a difference from them.
+`unfold_resonator`, `annihilator`, `basis`, `vector_residual`) are written from
+the formulas in the library's docstrings and use only its public names, so that
+a wrong formula in the library shows as a difference from them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import sys
@@ -15,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from optikit.core import Mat2, Value, mat2_mul
-from optikit.errors import OptikitError
+from optikit.core import CVec3, Mat2, Value, mat2_mul
+from optikit.errors import DomainError, OffPlanePoint, OptikitError
 from optikit.quantum import Operator, StateVector
 from optikit.rayoptics import (
     FreeSpace,
@@ -267,6 +268,32 @@ def basis(dim: int, n: int) -> StateVector:
     amplitudes = np.zeros(dim, dtype=complex)
     amplitudes[n] = 1.0
     return StateVector(amplitudes)
+
+
+def vector_residual(side1, side2, spec, r, t) -> tuple[CVec3, CVec3]:
+    """`boundary_residual` in `CVec3` algebra, from the formula in `emoptics`' docstring
+    (reference): each wave's E and H scaled by exp(-j(k.r - omega t)), side 1 summed from
+    a zero vector, side 2 subtracted, and n x of each difference, n as a complex vector.
+
+    OffPlanePoint for a point off the plane, by the inequality |(r - p) . n| >
+    1e-12 (1 + |r - p|); DomainError where an int part overflows a float, in that
+    test too, or a part of the result is not finite, with `boundary_residual`'s messages."""
+    try:
+        offset = r - spec.point
+        if abs(offset.dot(spec.normal)) > 1e-12 * (1.0 + offset.norm()):
+            raise OffPlanePoint(f"point {r} is off the interface plane")
+        n = spec.normal.as_complex()
+        e1 = h1 = CVec3(0j, 0j, 0j)
+        for wave in side1:
+            phase = cmath.exp(-1j * (wave.k.dot(r) - wave.omega * t))
+            e1, h1 = e1 + wave.E.scale(phase), h1 + wave.H.scale(phase)
+        phase = cmath.exp(-1j * (side2.k.dot(r) - side2.omega * t))
+        out = (n.cross(e1 - side2.E.scale(phase)), n.cross(h1 - side2.H.scale(phase)))
+    except OverflowError:
+        raise DomainError("boundary_residual: an int part is beyond the double range") from None
+    if not all(cmath.isfinite(c) for v in out for c in (v.x, v.y, v.z)):
+        raise DomainError(f"boundary_residual: not finite, {out!r}")
+    return out
 
 
 def random_interface(rng: random.Random):

@@ -15,11 +15,14 @@ from helpers import mat_close, mat_pow_iterative, random_system, random_unimodul
 from optikit import cli
 from optikit.core import RVec3, mat2_apply, mat2_mul, sylvester_power
 from optikit.emoptics import (
+    boundary_residual,
     check_plane_of_incidence,
     continuity_coefficients,
+    eval_plane_wave,
     max_boundary_residual,
     oblique_incidence_fields,
     reflect_wavevector,
+    sample_plane_points,
     validate_interface_system,
 )
 from optikit.gaussian import FLAT, QParameter, beam_at, geometry_from_q, propagate_q, q_from_geometry
@@ -141,6 +144,15 @@ def test_criterion_5_boundary_condition_replay():
             for w in (system.incident, system.reflected, system.transmitted)
         )
         assert max_boundary_residual(system, samples=1000, seed=i) < 1e-12 * scale
+        # at sampled points, the tangential jumps n x (E_i + E_r - E_t) and n x (H_i + H_r - H_t)
+        # of the fields `eval_plane_wave` gives, and the residual pair of `boundary_residual`
+        waves = (system.incident, system.reflected, system.transmitted)
+        n = system.spec.normal.as_complex()
+        for r, t in sample_plane_points(system, 20, i):
+            (e_i, h_i), (e_r, h_r), (e_t, h_t) = (eval_plane_wave(w, r, t) for w in waves)
+            jumps = (n.cross(e_i + e_r - e_t), n.cross(h_i + h_r - h_t))
+            residual = boundary_residual(waves[:2], waves[2], system.spec, r, t)
+            assert all(v.max_abs() < 1e-12 * scale for v in (*jumps, *residual))
         r_amp, t_amp = continuity_coefficients(n1, n2, theta, a)
         assert abs((a + r_amp) - t_amp) <= 1e-15 * abs(t_amp)
     report(5, "tangential boundary residual vanishes at 1000 seeded samples for 50 field triples")

@@ -1,9 +1,11 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -139,6 +141,33 @@ class TestSylvesterPower:
         # |half-trace| < 1 but not below sqrt(det): real eigenvalues, no angle theta
         with pytest.raises(DomainError):
             sylvester_power(Mat2(1.0 - 2e-10, 0.0, 0.0, 1.0 - 2e-10), 3)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.inf, math.nan, "3", None, -1, -(10**5000)],
+                             ids=["2.5", "3.0", "inf", "nan", "str", "None", "-1", "-10**5000"])
+    def test_power_must_be_a_non_negative_integer(self, n):
+        # 2.5 returned a matrix for a power that is not an integer
+        with pytest.raises(DomainError, match="power must be a non-negative integer"):
+            sylvester_power(random_unimodular(random.Random(11)), n)
+
+    @pytest.mark.parametrize("n", [10**400, 2**1024, 10**5000, int(sys.float_info.max), 10**308],
+                             ids=["10**400", "2**1024", "10**5000", "int(max double)", "10**308"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_power_beyond_the_double_range(self, n, seed):
+        # 10**400 let OverflowError out of r ** (n - 1), and the largest double's int ValueError
+        # out of sin(n theta) at det = 1, or OverflowError from r ** (n - 1) above it
+        m = random_unimodular(random.Random(seed))
+        try:
+            out = sylvester_power(m, n)
+        except DomainError as exc:
+            assert str(exc).startswith("the power leaves the double range")
+            return
+        assert all(map(math.isfinite, (out.a11, out.a12, out.a21, out.a22)))
+
+    def test_power_is_read_through_index(self):
+        # an integer type that is not int gives the power of its int
+        m = random_unimodular(random.Random(12))
+        assert sylvester_power(m, np.int64(7)) == sylvester_power(m, 7)
+        assert sylvester_power(m, True) == sylvester_power(m, 1)
 
     def test_keeps_the_determinant_factor(self):
         # a rounded round trip has det = 1 +- O(1e-15); a form that assumes

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import random
 import re
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, EDGE_INTS, outcome, read_real, replace
+from helpers import EDGE_FLOATS, EDGE_INTS, bits, outcome, read_real, replace, vector_residual
 from optikit.core import CVec3, RVec3, coplanar
 from optikit.emoptics import (
     _CHUNK,
@@ -1096,3 +1097,128 @@ class TestResidualRoutes:
             return
         want = outcome(max_boundary_residual, system, samples, seed)
         assert outcome(reference_max_residual, system, samples, seed) == want
+
+
+# offsets along the plane and times: moderate floats, edge floats, or ints at and past the double range
+EDGE_OFFSETS = finite | _ANY_FLOAT | st.sampled_from(EDGE_INTS)
+
+
+@st.composite
+def tilted_specs(draw):
+    """A unit normal at any tilt, or one with edge-value parts, through a moderate or an edge point."""
+    polar, azimuth = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, TWO_PI))
+    normal = RVec3(math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar))
+    if draw(st.integers(0, 4)) == 0:
+        normal = draw(ANY_RVEC)
+    return InterfaceSpec(1.0, 1.5, draw(st.builds(RVec3, *[finite | finite | _ANY_FLOAT] * 3) | ANY_RVEC), normal)
+
+
+@st.composite
+def residual_waves(draw):
+    """A wave of the worked triple at a drawn angle, as it is or with one part an edge value,
+    a wave of signed zeros and ones, where a product's zero sign shows through the sum and
+    the cross with n, a wave of edge-float parts, or any wave, ints past the double range
+    among its parts."""
+    roll = draw(st.integers(0, 6))
+    if roll == 6:
+        unit = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+        part = st.builds(complex, unit, unit)
+        return draw(st.builds(PlaneWave, st.builds(RVec3, unit, unit, unit), unit,
+                              st.builds(CVec3, part, part, part), st.builds(CVec3, part, part, part)))
+    if roll >= 4:
+        number = ANY_NUMBER if roll == 5 else _ANY_FLOAT
+        part = number | st.builds(complex, _ANY_FLOAT, _ANY_FLOAT)
+        return draw(st.builds(PlaneWave, st.builds(RVec3, number, number, number), number,
+                              st.builds(CVec3, part, part, part), st.builds(CVec3, part, part, part)))
+    system = example_system(draw(st.floats(0.0, 80.0)), 1.0, draw(st.floats(1.0, 3.0)),
+                            draw(st.sampled_from([1.0, 1e-200, 1e300, 6e306])))
+    if roll >= 2:
+        system = perturbed(random.Random(draw(st.integers(0, 2**32))), system)
+    return getattr(system, draw(st.sampled_from(["incident", "reflected", "transmitted"])))
+
+
+def _repr_or_error(fn, *args) -> object:
+    """repr of fn(*args), so that signed zeros count, or the type and text of the OptikitError it raises."""
+    try:
+        return repr(fn(*args))
+    except OptikitError as exc:
+        return type(exc), str(exc)
+
+
+def vector_peak(system: InterfaceSystem, samples: int, seed: int) -> object:
+    """The outcome of the largest component modulus of `helpers.vector_residual` over
+    `sample_plane_points`, sample by sample; the kernel's where a DomainError or an
+    overflowing modulus stops it."""
+    worst = 0.0
+    try:
+        for r, t in sample_plane_points(system, samples, seed):
+            for field in vector_residual((system.incident, system.reflected), system.transmitted, system.spec, r, t):
+                worst = max(worst, abs(field.x), abs(field.y), abs(field.z))
+    except OffPlanePoint as exc:
+        return type(exc), str(exc)
+    except (DomainError, OverflowError):
+        return outcome(max_boundary_residual, system, samples, seed)
+    return bits(worst)
+
+
+class TestVectorForm:
+    """`boundary_residual` and the scalar route, which form the residual in complex locals,
+    against `helpers.vector_residual`, the same formula in `CVec3` algebra: the same
+    bits, signed zeros included, or the same exception type and message."""
+
+    @given(side1=st.lists(residual_waves(), max_size=3), side2=residual_waves(), spec=tilted_specs(),
+           u=EDGE_OFFSETS, v=EDGE_OFFSETS, t=EDGE_OFFSETS, off_plane=st.none() | ANY_RVEC)
+    @example(side1=[], side2=sample_wave(), spec=InterfaceSpec(1.0, 1.5, RVec3(0.0, 0.0, 0.0), RVec3(1.0, 0.0, 0.0)),
+             u=0.0, v=0.0, t=0.0, off_plane=None)
+    # at k = -0, r = 0 and t = 0 the phase is 1 + 0j, and the y part (-0 + 1j) of E and H gives a
+    # product (-0 + 1j), which the sum from 0j makes +0 in its real part, and the cross with
+    # n = (1, 0, 0) keeps in the z part of each residual
+    @example(side1=[PlaneWave(RVec3(-0.0, -0.0, -0.0), 1.0, CVec3(0j, complex(-0.0, 1.0), 0j),
+                              CVec3(0j, complex(-0.0, 1.0), 0j))],
+             side2=PlaneWave(RVec3(-0.0, -0.0, -0.0), 1.0, CVec3(0j, 0j, 0j), CVec3(0j, 0j, 0j)),
+             spec=InterfaceSpec(1.0, 1.5, RVec3(0.0, 0.0, 0.0), RVec3(1.0, 0.0, 0.0)), u=0.0, v=0.0, t=0.0,
+             off_plane=None)
+    @settings(max_examples=400, deadline=None)
+    def test_boundary_residual(self, side1, side2, spec, u, v, t, off_plane):
+        # a drawn point, or the plane's point moved by u and v along its tangents, which leave
+        # the plane where |n| is not 1
+        r = spec.point if off_plane is None else off_plane
+        with contextlib.suppress(DomainError):  # a point or normal not finite: the plane's point
+            if off_plane is None:
+                _, _, t1, t2 = _plane(spec)
+                r = spec.point + t1.scale(read_real(u)) + t2.scale(read_real(v))
+        args = (side1, side2, spec, r, t)
+        assert _repr_or_error(boundary_residual, *args) == _repr_or_error(vector_residual, *args)
+
+    @given(theta=st.floats(0.0, 1.5), n2=st.floats(1.0, 3.0), a=st.sampled_from([1.0, 1e-200, 1e300, 6e306]),
+           spec=st.none() | tilted_specs(), other=st.none() | residual_waves(), samples=st.integers(1, 20),
+           seed=st.integers(0, 2**64))
+    @example(theta=0.5, n2=1.5, a=1.0, spec=None, other=None, samples=5, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_reference_max_residual(self, theta, n2, a, spec, other, samples, seed):
+        # the worked triple with 0-2 parts redrawn as the outcome digest redraws them, a wave
+        # replaced by a drawn one or not, at its own plane or a tilted one
+        rng = random.Random(seed)
+        system = oblique_incidence_fields(theta, 1.0, n2, a, 1.0, 1.0)
+        for _ in range(rng.randint(0, 2)):
+            system = perturbed(rng, system)
+        if other is not None:
+            system = replace(system, **{rng.choice(("incident", "reflected", "transmitted")): other})
+        if spec is not None:
+            system = replace(system, spec=spec)
+        assert outcome(reference_max_residual, system, samples, seed) == vector_peak(system, samples, seed)
+
+    @given(theta=st.floats(0.0, 1.5), n2=st.floats(1.0, 3.0), samples=st.integers(1, 40),
+           seed=st.integers(0, 2**32),
+           z=st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0).filter(lambda z: abs(z - 1.0) > 0.1))
+    @settings(max_examples=100, deadline=None)
+    def test_worked_triples_at_a_tilted_plane(self, theta, n2, samples, seed, z):
+        # the worked triple with its transmitted wave scaled by z != 1, so the residual is O(1),
+        # at a plane that the waves do not match: the samples give nonzero parts
+        system = oblique_incidence_fields(theta, 1.0, n2, 1.0, TWO_PI, TWO_PI)
+        tr = system.transmitted
+        system = replace(system, transmitted=replace(tr, E=tr.E.scale(z), H=tr.H.scale(z)),
+                         spec=replace(system.spec, point=RVec3(0.5, -1.0, 2.0), normal=RVec3(0.6, 0.0, 0.8)))
+        want = vector_peak(system, samples, seed)
+        assert outcome(reference_max_residual, system, samples, seed) == want
+        assert want[0] is float and float.fromhex(want[1]) > 0

@@ -382,6 +382,14 @@ class TestEdgeValues:
         with pytest.raises(DomainError, match="operator entries must be finite"):
             make()
 
+    @pytest.mark.parametrize("dim", [LIST_DIM, LIST_DIM + 1])
+    @pytest.mark.parametrize("scalar", [10**400, -(10**400)])
+    def test_int_scalar_beyond_the_double_range(self, dim, scalar):
+        # read as a signed infinity, as everywhere else in the package: OverflowError from
+        # complex() on the list route and from numpy on the array route
+        with pytest.raises(DomainError, match="operator entries must be finite"):
+            scalar * make_single_mode(1.0, 1.0, dim).q
+
     def test_operator_reproducers(self):
         # np.asarray raised OverflowError
         with pytest.raises(DomainError, match="finite"):

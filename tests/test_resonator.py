@@ -85,6 +85,12 @@ class TestUnfold:
         m3 = system_composition(unfold_resonator(res, 3))
         assert mat_close(m3, sylvester_power(m1, 3), 1e-12)
 
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, math.nan, "3", None])
+    def test_trip_count_must_be_an_integer(self, n_max):
+        # 2.5 let TypeError out of range()
+        with pytest.raises(InvalidResonator, match="round trips must be an integer count"):
+            ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(1e-3, 0.0), n_max)
+
     def test_needs_at_least_one_trip(self):
         with pytest.raises(InvalidResonator, match="need at least one round trip, got 0"):
             ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(1e-3, 0.0), 0)

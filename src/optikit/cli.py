@@ -39,7 +39,7 @@ MAX_DIM = 2048
 MAX_ROUND_TRIPS = 1_000_000
 MAX_FILE_CHARS = 16 * 2**20
 # `interface` takes the scalar residual route up to one kernel block of samples: at about 6 us a
-# sample it costs less than numpy's import and the kernel, some 57 ms together, to about 10,000
+# sample it costs less than numpy's import and the kernel, some 80 ms together, to about 16,000
 SCALAR_SAMPLES = 4096
 
 

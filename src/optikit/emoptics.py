@@ -31,27 +31,25 @@ one `random.Random(seed)` in blocks of at most `_CHUNK` samples: one
 significant word first; `random()` is ((a >> 5) * 2**26 + (b >> 6)) * 2**-53 of
 two of them; and `uniform(lo, hi)` is lo + (hi - lo) * random(), rounded once
 per operation in numpy as in Python.  The rest is float64 array work over the
-same blocks: memory O(_CHUNK), about 0.1 ms + 0.25 us a sample on an x86-64 Xeon.
+same blocks: memory O(_CHUNK), about 0.1 ms + 0.4 us a sample on a 2-vCPU Xeon.
 
 The kernel returns the scalar route's residual bit for bit whenever the fields
-involved are finite.  It repeats CPython's complex arithmetic on split
-real/imaginary arrays:
-
-- products are (ar*br - ai*bi, ar*bi + ai*br);
-- the phase exp(-j x) is (cos(-x), sin(-x)), which is what `cmath.exp`
-  computes for the purely imaginary argument;
-- magnitudes are hypot(re, im), which is what `abs` computes.
-
-Where a block's phases are finite and its amplitudes too small for a sum to
-overflow, it leaves out products with 1 and with a zero amplitude part or normal
-entry: exact +-0s, which change only the sign of a zero sum, and hypot ignores
-that.  Other blocks form every product, as there 0 * inf is NaN.
-
-numpy's complex128 multiply and `np.abs` may take fused multiply-add or SIMD
-paths that differ from CPython in the last bit, so the kernel avoids them.
-The contract also needs `np.cos`, `np.sin` and `np.hypot` to round as the C
-library does.  The test suite checks the bulk draws against per-sample
-`uniform` calls and the kernel against the scalar route.
+are finite.  It repeats CPython's complex arithmetic on split real/imaginary
+arrays: products (ar*br - ai*bi, ar*bi + ai*br), the phase exp(-j x) as
+(cos(-x), sin(-x)) and magnitudes hypot(re, im), as `cmath.exp` and `abs` take
+them.  It leaves out products with 1, and with a zero factor where the other is
+finite: an exact +-0 changes only the sign of a zero sum, which hypot ignores,
+but 0 * inf is NaN.  Once a call, `_plane_forms` plans the points, their offsets
+along the normal and the phases by that rule, and waves with equal phase terms
+share a cos/sin row: at an axis-aligned plane through a point with a zero part
+on its axis, no offset is formed, and the phase-matched incident and reflected
+waves share one.  Blocks leave out amplitude and normal products where the
+phases are finite and the amplitudes too small for a sum to overflow.  numpy's
+complex128 multiply and `np.abs` may take fused multiply-add or SIMD paths that
+differ from CPython in the last bit, so the kernel avoids them; it needs
+`np.cos`, `np.sin` and `np.hypot` to round as the C library does.  The tests
+check the bulk draws against per-sample `uniform` calls and the kernel against
+the scalar route.
 """
 
 from __future__ import annotations
@@ -371,8 +369,10 @@ def reference_max_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> f
     *side1, side2 = map(_wave_parts, (sys_i.incident, sys_i.reflected, sys_i.transmitted))
     try:  # an OverflowError here is one that `boundary_residual` or `_peak` raises as DomainError
         n, worst = sys_i.spec.normal.as_complex(), 0.0
+        plan = _plane_forms([(v.x, v.y, v.z) for v in _plane(sys_i.spec)], [], True)[0]
+        check = _require_on_plane if plan["n"] else lambda spec, r: None  # where points can leave the plane
         for r, t in sample_plane_points(sys_i, samples, seed):
-            _require_on_plane(sys_i.spec, r)
+            check(sys_i.spec, r)
             e, h = _mismatch(side1, side2, n, r, t)
             if not all(map(cmath.isfinite, (*e, *h))):
                 raise DomainError("boundary residual not finite")
@@ -382,43 +382,50 @@ def reference_max_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> f
     return worst
 
 
-def _dot3(a, b):
-    # left to right, as RVec3.dot sums
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def _sum(terms: tuple, env: dict):
+    """The terms added left to right, each its coefficient times env[name], 1 x as x; 0.0 for none."""
+    parts = [c if x is None else env[x] if c == 1 else c * env[x] for c, x in terms]
+    return sum(parts[1:], parts[0]) if parts else 0.0
+
+
+def _plane_forms(plane: list, ks: list, exact: bool) -> tuple[dict, list, list]:
+    """The kernel's plan (module docstring): terms (coefficient, name or None) of a sample's point r =
+    (p + u t1) + v t2, of d = r - p and d . n, and of each wave's phase (-k) . r + omega t, (-k, omega)
+    in ks.  Where d . n has no term, it is +-0 or NaN, so |d . n| > 1e-12 (1 + |d|) cannot hold."""
+    forms, (point, normal, t1, t2) = {}, plane
+    keep = lambda *terms: tuple([(c, x) for c, x in terms if not exact or c and forms.get(x, True)])
+    for i, p, a, b in zip("012", point, t1, t2):
+        forms["r" + i] = keep((p, None), (a, "u"), (b, "v"))
+        forms["d" + i] = keep((1.0, "r" + i), (-p, None)) if not exact or a or b else ()
+    forms["n"] = keep(*zip(normal, ("d0", "d1", "d2")))
+    rows = [keep(*zip(k, ("r0", "r1", "r2"))) + ((k[3], "t"),) for k in ks]
+    phases = list(dict.fromkeys(rows))  # each row once, and each wave's index among them
+    return forms, phases, [phases.index(row) for row in rows]
 
 
 def _side_difference(c, s, ar, ai):
-    """Side 1 minus side 2, (re, im) of shape (row, n): each wave's phase (c, s),
-    shape (wave, n), times its amplitude parts, shape (wave, row, 1), the
-    transmitted wave's negated, as CPython's complex product (c*ar - s*ai,
-    c*ai + s*ar), summed wave by wave.  A part given as None is all zero, and
-    its products are left out."""
+    """Side 1 minus side 2, (re, im) of shape (row, n): phases (c, s), shape (wave, n), times amplitude
+    parts, shape (wave, row, 1), as CPython's complex products summed by wave; a part None is left out."""
     c, s = c[:, None], s[:, None]
-    out = []
-    for fc, fs in ((ar, None if ai is None else -ai), (ai, ar)):
-        t = c * fc if fs is None else s * fs if fc is None else c * fc + s * fs
-        out.append(t[0] + t[1] + t[2])
-    return out
+    terms = [c * fc if fs is None else s * fs if fc is None else c * fc + s * fs
+             for fc, fs in ((ar, None if ai is None else -ai), (ai, ar))]
+    return [t[0] + t[1] + t[2] for t in terms]
 
 
 def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> float:
-    """Largest tangential-mismatch component over seeded plane samples.
-
-    Equal bit for bit to `reference_max_residual`, the scalar route, wherever
-    the fields are finite (see the module docstring).  Raises `OffPlanePoint`
-    at the first sample off the plane, and DomainError where the residual is
-    not finite.
-    """
+    """Largest tangential-mismatch component over seeded plane samples: bit for bit the scalar
+    route's, `reference_max_residual`, wherever the fields are finite (module docstring).  Raises
+    `OffPlanePoint` at the first sample off the plane, DomainError where the residual is not finite."""
     import numpy as np
 
-    spec = sys_i.spec
-    point, normal, t1, t2 = (np.array([[v.x], [v.y], [v.z]]) for v in _plane(spec))
-    nrm = normal[:, 0].tolist()
+    point, nrm, t1, t2 = plane = [(v.x, v.y, v.z) for v in _plane(sys_i.spec)]
     waves = (sys_i.incident, sys_i.reflected, sys_i.transmitted)
-    k = np.array([_floats(w.k.x, w.k.y, w.k.z) for w in waves]).T[..., None]  # (component, wave, 1)
-    omega = np.array(_floats(*(w.omega for w in waves)))[:, None]
-    # amplitudes by wave and row (E x, y, z, then H); the transmitted wave's are
-    # negated, so that side 1 minus side 2 is a sum: -(x - y) is -x + y exactly
+    ks = [(-x, -y, -z, omega) for x, y, z, omega in (_floats(w.k.x, w.k.y, w.k.z, w.omega) for w in waves)]
+    # the plan's factors are finite where k, omega, the tangents and the spans are, and |r| < 2**1020
+    exact = (all(map(math.isfinite, sum(ks, ())))
+             and (1.0 + 2.0 * sum(_spans(sys_i, samples, seed))) * sum(map(abs, sum(plane, ()))) < 2.0**1020)
+    forms, phases, index = _plane_forms(plane, ks, exact)
+    # amplitudes by wave and row (E x, y, z, then H), the transmitted wave's negated: -(x - y) is -x + y
     amps = [[complex(_checkable(c)) for f in (w.E, w.H) for c in (f.x, f.y, f.z)] for w in waves]
     amps[2] = [-z for z in amps[2]]
     amp = np.array(amps)[..., None]
@@ -428,38 +435,31 @@ def max_boundary_residual(sys_i: InterfaceSystem, samples: int, seed: int) -> fl
              if a and any(zs[f + j] for zs in amps)] for f in (0, 3) for i in range(3)]
     plan = [[(abs(t[0][0]), t[0][1])] if len(t) == 1 else t for t in plan if t]
     live = sorted({row for terms in plan for _, row in terms})
-    ar, ai = (x[:, live] if x[:, live].any() else None for x in (amp.real, amp.imag))
+    ar, ai = (x if x.any() else None for x in (amp.real[:, live], amp.imag[:, live]))
     # with |cos|, |sin| <= 1, amplitudes this small keep every sum finite
     bounded = sum(abs(z.real) + abs(z.imag) for zs in amps for z in zs) < 2.0**1020
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a residual not finite is raised below
         for block in _plane_draws(sys_i, samples, seed):
-            u, v, t = block.T
-            r = point + t1 * u + t2 * v
-            # the inequality of `_require_on_plane`, which then raises for the first hit
-            offset = r - point
-            off_plane = np.abs(_dot3(offset, normal)) > 1e-12 * (1.0 + np.sqrt(_dot3(offset, offset)))
-            if off_plane.any():
-                i = int(np.argmax(off_plane))
-                _require_on_plane(spec, RVec3(*r[:, i].tolist()))
-            # -1j * x is (0.0, -x) and cmath.exp of it is (cos(-x), sin(-x))
-            arg = -(_dot3(k, r) - omega * t)
-            c, s = np.cos(arg), np.sin(arg)
+            env = dict(zip("uvt", block.T))
+            for name, terms in forms.items():
+                env[name] = _sum(terms, env)
+            if forms["n"]:  # the inequality of `_require_on_plane`, which then raises for the first hit
+                ds = [env[d] for d in ("d0", "d1", "d2") if forms[d]]
+                off_plane = np.abs(env["n"]) > 1e-12 * (1.0 + np.sqrt(sum((d * d for d in ds[1:]), ds[0] * ds[0])))
+                if off_plane.any():
+                    u, v, _ = block[int(np.argmax(off_plane))].tolist()
+                    _require_on_plane(sys_i.spec, RVec3(*(p + u * a + v * b for p, a, b in zip(point, t1, t2))))
+            arg = np.array([_sum(terms, env) for terms in phases])
+            c, s = (x[index] if len(phases) < len(index) else x for x in (np.cos(arg), np.sin(arg)))
             if bounded and np.isfinite(arg).all():
-                # a zero factor times a finite array is an exact +-0, which changes a
-                # sum only in the sign of a zero: those products are left out
-                d = dict(zip(live, zip(*_side_difference(c, s, ar, ai)))) if live else {}
-                mags = []
-                for terms in plan:
-                    parts = [d[row] if a == 1 else (a * d[row][0], a * d[row][1]) for a, row in terms]
-                    re, im = (sum(p[1:], p[0]) for p in zip(*parts))  # the terms added in order
-                    mags.append(np.hypot(re, im))
+                re, im = (dict(zip(live, x)) for x in (_side_difference(c, s, ar, ai) if live else ((), ())))
+                mags = [np.hypot(_sum(terms, re), _sum(terms, im)) for terms in plan]
             else:
-                # non-finite phases or sums: every product, as `boundary_residual`
-                # forms them, with n a complex vector of zero imaginary parts
+                # every product, as `boundary_residual` forms them, n complex with zero imaginary parts
                 d_r, d_i = (x.reshape(2, 3, -1) for x in _side_difference(c, s, amp.real, amp.imag))
                 (p_r, p_i), (q_r, q_i) = ((d_r[:, rows], d_i[:, rows]) for rows in ([2, 0, 1], [1, 2, 0]))
-                a, b = normal[[1, 2, 0]], normal[[2, 0, 1]]  # n[i + 1] and n[i + 2]
+                a, b = (np.array(nrm)[i, None] for i in ([1, 2, 0], [2, 0, 1]))  # n[i + 1] and n[i + 2]
                 re = (a * p_r - 0.0 * p_i) - (b * q_r - 0.0 * q_i)
                 mags = [np.hypot(re, (a * p_i + 0.0 * p_r) - (b * q_i + 0.0 * q_r))]
             peak = float(np.max([0.0, *(np.max(m) for m in mags)]))

@@ -169,9 +169,9 @@ class Operator:
 
     def _combine(self, other: "Operator", op) -> "Operator":
         dim, keys = self._same_dim(other), self.bands.keys() | other.bands.keys()
-        # a missing band is complex zeros, so every entry sees the dense a op b
-        return Operator._from_bands(dim, {k: op(self.bands.get(k, zero), other.bands.get(k, zero))
-                                          for k in keys for zero in [_Band([0j] * (dim - abs(k)))]})
+        # a band one side lacks is complex zeros, so every entry sees the dense a op b
+        band = lambda bands, k: bands[k] if k in bands else _Band([0j] * (dim - abs(k)))
+        return Operator._from_bands(dim, {k: op(band(self.bands, k), band(other.bands, k)) for k in keys})
 
     def _product(self, other: "Operator") -> "Operator":
         # (a b)[r, r + s + t] sums a[r, r + s] b[r + s, r + s + t] over band pairs (s, t),

@@ -537,6 +537,34 @@ def with_waves(normal=RVec3(1.0, 0.0, 0.0), **parts):
 
 NAN_RESIDUAL = (DomainError, "boundary residual is NaN: the fields overflow double precision")
 
+# a wavevector part that is zero or not
+K_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-20.0, 20.0)
+
+
+@st.composite
+def axis_plane_systems(draw, relation):
+    """Three waves of sparse amplitudes at an axis-aligned unit normal, through a point whose parts
+    are zero or not, the reflected wave related to the incident one by `relation`: "k and omega"
+    equal, "k" equal and omega not, or "k off the normal axis" equal, with omega, so that their
+    phases differ only through the point's part on that axis, which may be zero."""
+    index = draw(st.integers(0, 5))
+    normal, axis = AXIS_NORMALS[index], index // 2
+    point = RVec3(*(draw(st.sampled_from([0.0, -0.0]) | finite) for _ in range(3)))
+    k = draw(st.builds(RVec3, K_PARTS, K_PARTS, K_PARTS).filter(lambda k: k.norm() > 1e-3))
+    omega = draw(st.floats(1e-2, 1e2))
+    if relation == "k":
+        other_k, other_omega = k, draw(st.floats(1e-2, 1e2).filter(lambda w: w != omega))
+    else:
+        parts = [k.x, k.y, k.z]
+        if relation == "k off the normal axis":
+            parts[axis] = draw(K_PARTS)
+        other_k, other_omega = RVec3(*parts), omega
+    incident, reflected = (PlaneWave(kv, w, draw(sparse_amplitudes), draw(sparse_amplitudes))
+                           for kv, w in ((k, omega), (other_k, other_omega)))
+    transmitted = draw(st.builds(PlaneWave, k=wavevectors | st.just(k), omega=st.floats(1e-2, 1e2) | st.just(omega),
+                                 E=sparse_amplitudes, H=sparse_amplitudes))
+    return InterfaceSystem(InterfaceSpec(1.0, 1.5, point, normal), incident, reflected, transmitted, EMConstants(1.0))
+
 
 class TestResidualKernel:
     """`max_boundary_residual`, the kernel, against `reference_max_residual`, the scalar route."""
@@ -588,6 +616,32 @@ class TestResidualKernel:
     @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
     def test_equals_reference_on_sparse_systems_across_chunk_edge(self, system, seed, samples):
         assert max_boundary_residual(system, samples, seed) == reference_max_residual(system, samples, seed)
+
+    # waves that share one phase row by phase matching, and waves that must not: each kernel
+    # outcome is the scalar route's, bit for bit, or the same error
+    @pytest.mark.parametrize("relation", ["k and omega", "k", "k off the normal axis"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference_at_axis_aligned_planes(self, relation, data, samples, seed):
+        system = data.draw(axis_plane_systems(relation))
+        assert outcome(max_boundary_residual, system, samples, seed) == outcome(reference_max_residual,
+                                                                                system, samples, seed)
+
+    # spans that overflow: 10 wavelengths (k0 = 1e-307), their doubled width (k0 = 5e-307)
+    # or 10 periods (omega = 1e-307) pass the double range, so the draws are +-inf or NaN, and
+    # a product of a zero with them is NaN; at normal incidence through the origin, the phases
+    # have no other term along the normal
+    @pytest.mark.parametrize("k0, omega", [(1e-307, 1.0), (5e-307, 1.0), (1.0, 1e-307)])
+    @settings(max_examples=20, deadline=None)
+    @given(theta=st.sampled_from([0.0]) | st.floats(0.0, 1.2), normal=st.sampled_from(AXIS_NORMALS[:2]),
+           point=st.builds(RVec3, st.sampled_from([0.0, -0.0]) | finite, finite, finite),
+           samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(theta=0.0, normal=AXIS_NORMALS[0], point=RVec3(0.0, 0.0, 0.0), samples=5, seed=0)
+    def test_spans_that_overflow(self, k0, omega, theta, normal, point, samples, seed):
+        system = oblique_incidence_fields(theta, 1.0, 1.5, 1.0, omega, k0)
+        system = replace(system, spec=InterfaceSpec(1.0, 1.5, point, normal))
+        assert outcome(max_boundary_residual, system, samples, seed) == NAN_RESIDUAL
+        assert outcome(reference_max_residual, system, samples, seed) == NAN_RESIDUAL
 
     @pytest.mark.parametrize("call", [max_boundary_residual, validate_interface_system,
                                       lambda *args: list(sample_plane_points(*args))])

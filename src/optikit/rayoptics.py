@@ -31,11 +31,11 @@ are bit-identical; ==, hash, repr and pickle read them, `final` does not.  Both
 share one check with `validate_system`: the report and entries of the last
 system checked are kept, one reference in the module, and reused while calls
 pass that object, if its components are a tuple (a list can change between
-calls).  Clauses read a float as it is, with no helper call; a plane
-interface's (C, D) is written inline, and only a spherical one is formed by
-`_interface_entries`.  Parameters must be finite, and so must a source ray
-(DomainError); a composed matrix or traced ray that overflows raises
-InvalidSystem.
+calls).  Clauses read a float as it is, with no helper call.  One pairing
+function, `_pair_entries`, forms every interface's (C, D), here and on both
+legs of a resonator's round trip.  Parameters must be finite, and so must a
+source ray (DomainError); a composed matrix or traced ray that overflows
+raises InvalidSystem.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ class Spherical(Value):
 
 
 OpticalInterface = Union[Plane, Spherical]
+_SPACE, _IFACE = (FreeSpace,), OpticalInterface.__args__  # the types that a space and an interface slot take
 
 
 class InterfaceKind(Enum):
@@ -177,13 +178,16 @@ class ValidationReport(Value):
             raise error(str(self))
 
 
-def element_violations(element: FreeSpace | OpticalInterface, index: int | str | None) -> list[Violation]:
+def element_violations(element, index: int | str | None, types: tuple = (FreeSpace, Plane, Spherical)) -> list[Violation]:
     """Violated validity clauses of one free space or interface (empty == valid).
 
     A free space needs a finite n > 0 and a finite d >= 0; a spherical
     interface needs a finite R != 0.  index locates the element in the
-    reports built from these clauses.
+    reports built from these clauses; an element that is none of types (those
+    its slot takes) violates that clause alone.
     """
+    if not isinstance(element, types):
+        return [Violation(index, "type " + " or ".join(t.__name__ for t in types), f"got {element!r}")]
     out = []
     if isinstance(element, FreeSpace):
         n = element.n if element.n.__class__ is float else _checkable(element.n)
@@ -204,13 +208,15 @@ def element_violations(element: FreeSpace | OpticalInterface, index: int | str |
 def _labelled_report(components: tuple[OpticalComponent, ...], before=(), after=()) -> ValidationReport:
     """The one walk that validates systems and resonators: before, components, after."""
     violations: list[Violation] = []
-    for index, element in before:
-        violations += element_violations(element, index)
+    for index, element, types in before:  # types: those that the slot takes
+        violations += element_violations(element, index, types)
     for i, comp in enumerate(components):
-        violations += element_violations(comp.space, i)
-        violations += element_violations(comp.iface, i)
-    for index, element in after:
-        violations += element_violations(element, index)
+        violations += element_violations(comp.space, i, _SPACE)
+        violations += element_violations(comp.iface, i, _IFACE)
+        if comp.kind.__class__ is not InterfaceKind:  # an Enum with members has no subclass
+            violations += element_violations(comp.kind, i, (InterfaceKind,))
+    for index, element, types in after:
+        violations += element_violations(element, index, types)
     return ValidationReport(tuple(violations))
 
 
@@ -224,9 +230,11 @@ def _checked(sys: OpticalSystem) -> tuple[ValidationReport, list | None]:
     last = _last
     if last[0] is sys:
         return last[1], last[2]
-    report = _labelled_report(sys.components, after=((None, sys.terminal),))
-    entries = _pair_entries(sys) if report.ok else None
-    if type(sys.components) is tuple:
+    comps = sys.components
+    report = _labelled_report(comps, after=((None, sys.terminal, _SPACE),))
+    entries = _pair_entries([c.space for c in comps], [c.iface for c in comps], [c.kind for c in comps],
+                            sys.terminal.n) if report.ok else None
+    if type(comps) is tuple:
         _last = (sys, report, entries)
     return report, entries
 
@@ -236,36 +244,24 @@ def validate_system(sys: OpticalSystem) -> ValidationReport:
     return _checked(sys)[0]
 
 
-def _interface_entries(
-    iface: OpticalInterface, kind: InterfaceKind, n0: float, n1: float
-) -> tuple[float, float]:
-    """Lower row (C, D) of the interface matrix [[1, 0], [C, D]]; inputs valid."""
-    if isinstance(iface, Spherical):
-        if kind is InterfaceKind.TRANSMITTED:
+def _pair_entries(spaces: list, ifaces, kinds, n_last: float, behind: bool = False) -> list[tuple[float, float, float]]:
+    """(d, C, D) of each free space [[1, d], [0, 1]] followed by its interface
+    [[1, 0], [C, D]], inputs valid.  The index n0 is the space's, n1 the next
+    space's or n_last; behind crosses each transmitted sphere from behind, radius -R."""
+    transmitted, entries = InterfaceKind.TRANSMITTED, []
+    for space, iface, kind, n1 in zip(spaces, ifaces, kinds, [space.n for space in spaces[1:]] + [n_last]):
+        if kind is not transmitted:
+            entries.append((space.d, -2.0 / iface.radius if isinstance(iface, Spherical) else 0.0, 1.0))
+        elif isinstance(iface, Spherical):
             try:
-                return (n0 - n1) / (n1 * iface.radius), n0 / n1
+                c = (space.n - n1) / (n1 * iface.radius)
             except (ZeroDivisionError, OverflowError):
                 # n1 * R underflowed to 0 or is an int beyond the double range; two
                 # steps give the exact 0 of matched indices, inf where the power overflows
-                return (n0 - n1) / n1 / iface.radius, n0 / n1
-        return -2.0 / iface.radius, 1.0
-    if kind is InterfaceKind.TRANSMITTED:
-        return 0.0, n0 / n1
-    return 0.0, 1.0
-
-
-def _pair_entries(sys: OpticalSystem) -> list[tuple[float, float, float]]:
-    """(d, C, D) of each component of a valid system: its free space
-    [[1, d], [0, 1]] followed by its interface [[1, 0], [C, D]]."""
-    comps, transmitted = sys.components, InterfaceKind.TRANSMITTED
-    next_n = [comp.space.n for comp in comps[1:]] + [sys.terminal.n]
-    entries = []
-    for comp, n1 in zip(comps, next_n):
-        space = comp.space
-        if isinstance(comp.iface, Spherical):
-            entries.append((space.d, *_interface_entries(comp.iface, comp.kind, space.n, n1)))
-        else:  # a plane: (0, n0 / n1) transmitted, (0, 1) reflected, as `_interface_entries` gives
-            entries.append((space.d, 0.0, space.n / n1 if comp.kind is transmitted else 1.0))
+                c = (space.n - n1) / n1 / iface.radius
+            entries.append((space.d, -c if behind else c, space.n / n1))
+        else:
+            entries.append((space.d, 0.0, space.n / n1))
     return entries
 
 

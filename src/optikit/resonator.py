@@ -2,11 +2,11 @@
 criterion, and a brute-force ray-bound oracle.
 
 A resonator is two reflecting end interfaces with optional components in
-between.  One cavity round trip is composed as an ordinary sequential system
-into M; the resonator is stable when det M = 1 and -1 < (M11 + M22)/2 < 1
-(strictly).  Rays in a stable cavity stay bounded for any number of round
-trips; the `ray_bound_oracle` checks this directly by iteration.  The
-reference, N round trips unfolded by the rule below, is in `tests/helpers.py`.
+between.  One cavity round trip is folded, element by element, into M; the
+resonator is stable when det M = 1 and -1 < (M11 + M22)/2 < 1 (strictly).
+Rays in a stable cavity stay bounded for any number of round trips; the
+`ray_bound_oracle` checks this directly by iteration.  The reference, N round
+trips unfolded by the rule below, is in `tests/helpers.py`.
 
 One round trip runs: forward through the inner components, across the cavity
 space, reflect on the right interface, back through the inner components in
@@ -15,9 +15,12 @@ interface is crossed with its index ratio inverted (n1/n0 instead of n0/n1),
 so det M = 1, and a spherical one, now seen from behind, with radius -R.
 
 Cost: `round_trip_matrix` validates the resonator and folds its round trip
-unchecked.  It keeps the matrix of the last resonator, one reference in the
-module, so `stability` and `ray_bound_oracle` on one resonator share one check
-while calls pass that object, if its inner components are a tuple.
+unchecked, building no component or system: `rayoptics`' one pairing function
+gives the entries of the way in, and of the way back from the reversed
+sequences with its from-behind flag, the one place that applies -R.  It keeps
+the matrix of the last resonator, one reference in the module, so `stability`
+and `ray_bound_oracle` on one resonator share one check while calls pass that
+object, if its inner components are a tuple.
 `ray_bound_oracle` is O(n_max), stepping (y, theta) in local floats with the
 operations of `mat2_apply`, so its result equals that stepping bit for bit.
 Per trip it compares the state with the running extremes [lo, hi] of y and of
@@ -34,11 +37,10 @@ from .errors import DomainError, InvalidResonator, NonUnimodular
 from .rayoptics import (
     FreeSpace,
     InterfaceKind,
-    OpticalComponent,
-    OpticalSystem,
     RayState,
     Spherical,
     ValidationReport,
+    _IFACE,
     _fold,
     _labelled_report,
     _pair_entries,
@@ -89,25 +91,8 @@ class OracleResult(Value):
 
 def validate_resonator(res: Resonator) -> ValidationReport:
     """Report every violated validity clause of a resonator (empty == valid)."""
-    ends = (("cavity space", res.space), ("right mirror", res.right))
-    return _labelled_report(res.inner, (("left mirror", res.left),), ends)
-
-
-def _round_trip(res: Resonator) -> OpticalSystem:
-    """One cavity round trip as a sequential system, unchecked."""
-    reflected = InterfaceKind.REFLECTED
-    trip = list(res.inner)
-    trip.append(OpticalComponent(res.space, res.right, reflected))
-    # Return leg: the cavity space now precedes the last inner interface, each
-    # earlier one the space that followed it on the way in (so the n0/n1 pairing
-    # rule inverts each transmitted index ratio), and the first inner space (the
-    # cavity space when there is none) leads back to the left mirror.
-    spaces = [res.space] + [c.space for c in reversed(res.inner)]
-    for space, comp in zip(spaces, reversed(res.inner)):
-        iface, behind = comp.iface, comp.kind is InterfaceKind.TRANSMITTED and isinstance(comp.iface, Spherical)
-        trip.append(OpticalComponent(space, Spherical(-iface.radius) if behind else iface, comp.kind))
-    trip.append(OpticalComponent(spaces[-1], res.left, reflected))
-    return OpticalSystem(tuple(trip), FreeSpace(res.space.n, 0.0))
+    ends = (("cavity space", res.space, (FreeSpace,)), ("right mirror", res.right, _IFACE))
+    return _labelled_report(res.inner, (("left mirror", res.left, _IFACE),), ends)
 
 
 def round_trip_matrix(res: Resonator) -> Mat2:
@@ -116,8 +101,13 @@ def round_trip_matrix(res: Resonator) -> Mat2:
     if last[0] is res:
         return last[1]
     validate_resonator(res).require(InvalidResonator)
-    trip = _round_trip(res)
-    m = _fold(_pair_entries(trip), trip.terminal.d)
+    reflected, n = InterfaceKind.REFLECTED, res.space.n
+    spaces = [c.space for c in res.inner] + [res.space]
+    ifaces, kinds = [c.iface for c in res.inner], [c.kind for c in res.inner]
+    # the way back crosses the spaces in reverse: each index ratio inverts
+    entries = _pair_entries(spaces, [*ifaces, res.right], [*kinds, reflected], n)
+    entries += _pair_entries(spaces[::-1], [*ifaces[::-1], res.left], [*kinds[::-1], reflected], n, True)
+    m = _fold(entries, 0.0)
     if type(res.inner) is tuple:
         _last = (res, m)
     return m

@@ -501,9 +501,9 @@ class TestValidateOnce:
         counts = collections.Counter()
         clause = rayoptics.element_violations
 
-        def counting(element, index):
+        def counting(element, index, *types):
             counts[(id(element), index)] += 1
-            return clause(element, index)
+            return clause(element, index, *types)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("optikit") and getattr(module, "element_violations", None) is clause:

@@ -15,10 +15,11 @@ from helpers import (
     mat_pow_iterative,
     outcome,
     random_system,
+    replace,
     unfold_resonator,
 )
 from optikit.core import Mat2, mat2_apply, mat2_mul, sylvester_power
-from optikit.errors import DomainError, InvalidResonator, NonUnimodular, OptikitError
+from optikit.errors import DomainError, InvalidResonator, InvalidSystem, NonUnimodular, OptikitError
 from optikit.rayoptics import (
     FreeSpace,
     InterfaceKind,
@@ -29,6 +30,7 @@ from optikit.rayoptics import (
     Spherical,
     system_composition,
     trace_ray,
+    validate_system,
 )
 from optikit.resonator import (
     OracleResult,
@@ -178,6 +180,70 @@ class TestViolationLabels:
         res = Resonator(Spherical(0.0), (self.LENS,), FreeSpace(0.0, 0.5), Spherical(0.0))
         assert [v.index for v in validate_resonator(res).violations] == [
             "left mirror", "cavity space", "right mirror"]
+
+
+class TestSlotTypes:
+    """An element of another type than its slot takes is a violation of that
+    slot, so the entry points raise InvalidSystem or InvalidResonator: a string
+    kind is not read as a reflection, and no foreign exception escapes."""
+
+    T = InterfaceKind.TRANSMITTED
+    SYSTEM = OpticalSystem((OpticalComponent(FreeSpace(1.0, 0.1), Spherical(0.5), T),), FreeSpace(1.5, 0.2))
+    RESONATOR = Resonator(Plane(), SYSTEM.components, FreeSpace(1.5, 0.2), Spherical(1.0))
+    FOREIGN = ("transmitted", None, 1.0, Plane(), Spherical(1.0), FreeSpace(1.0, 0.1), T, SYSTEM.components[0])
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (OpticalSystem((OpticalComponent(FreeSpace(1.0, 0.1), Spherical(0.5), "transmitted"),), FreeSpace(1.0, 0.0)),
+             "component 0: violates type InterfaceKind (got 'transmitted')"),
+            (Resonator("mirror", (), FreeSpace(1.0, 0.5), Spherical(1.0)),
+             "left mirror: violates type Plane or Spherical (got 'mirror')"),
+            (Resonator(Spherical(1.0), (), Plane(), Spherical(1.0)),
+             "cavity space: violates type FreeSpace (got Plane())"),
+        ],
+    )
+    def test_wrong_type_is_reported(self, value, text):
+        system = isinstance(value, OpticalSystem)
+        validate, entry, error = ((validate_system, system_composition, InvalidSystem) if system
+                                  else (validate_resonator, stability, InvalidResonator))
+        assert str(validate(value)) == text
+        with pytest.raises(error) as exc:
+            entry(value)
+        assert str(exc.value) == text
+
+    def _cases(self):
+        """(value with one slot holding a foreign value, the violation's index, the slot's types)."""
+        comp, sys_, res = self.SYSTEM.components[0], self.SYSTEM, self.RESONATOR
+        space, iface = (FreeSpace,), (Plane, Spherical)
+        for x in self.FOREIGN:
+            for slot, types in (("space", space), ("iface", iface), ("kind", (InterfaceKind,))):
+                if not isinstance(x, types):
+                    changed = (replace(comp, **{slot: x}),)
+                    yield OpticalSystem(changed, sys_.terminal), 0, types
+                    yield Resonator(res.left, changed, res.space, res.right), 0, types
+            if not isinstance(x, space):
+                yield OpticalSystem(sys_.components, x), None, space
+                yield Resonator(res.left, res.inner, x, res.right), "cavity space", space
+            if not isinstance(x, iface):
+                yield Resonator(x, res.inner, res.space, res.right), "left mirror", iface
+                yield Resonator(res.left, res.inner, res.space, x), "right mirror", iface
+
+    def test_every_slot(self):
+        cases = list(self._cases())
+        # per foreign value of 8: a component's space (7 values), interface (6) and
+        # kind (7), in a system and a resonator; the end spaces (7); the mirrors (6, 6)
+        assert len(cases) == 2 * (7 + 6 + 7) + 2 * 7 + 2 * 6
+        for value, index, types in cases:
+            system = isinstance(value, OpticalSystem)
+            clause = "type " + " or ".join(t.__name__ for t in types)
+            report = (validate_system if system else validate_resonator)(value)
+            assert [(v.index, v.clause) for v in report.violations] == [(index, clause)]
+            calls = ([system_composition, lambda v: trace_ray(v, RayState(0.0, 0.0))] if system
+                     else _resonator_calls(RayState(1e-3, 0.0), 5))
+            for call in calls:
+                with pytest.raises(InvalidSystem if system else InvalidResonator, match=f"violates {clause}"):
+                    call(value)
 
 
 class TestStability:
@@ -423,6 +489,19 @@ _MIXED = Resonator(Spherical(1.0), (OpticalComponent(FreeSpace(1.0, 0.1), Spheri
                    FreeSpace(1.4, 0.2), Spherical(2.0))
 
 
+# valid resonators with edge values: int indices and radii within the double
+# range, matched indices (a signed-zero C on the way back), and tiny indices and
+# radii whose product n1 * R underflows to 0 and takes the two-step division
+_edge_radius = st.sampled_from((1, -2, 10**300, -(10**300), 0.3, 1e-170, -1e-170, 1e-304, -1e-304))
+_edge_iface = st.just(Plane()) | _edge_radius.map(Spherical)
+_edge_space = st.builds(FreeSpace, st.sampled_from((1, 2, 10**300, 1.5, 1e-170, 1e-20, 1e-19)), st.sampled_from((0, 0.1, 2)))
+_edge_valued = st.builds(
+    Resonator, _edge_iface,
+    st.lists(st.builds(OpticalComponent, _edge_space, _edge_iface, st.sampled_from(InterfaceKind)), max_size=4).map(tuple),
+    _edge_space, _edge_iface,
+)
+
+
 class TestIndependentRoundTrip:
     """`round_trip_matrix` is the composition of one round trip unfolded by
     `helpers.unfold_resonator`, written from the rule in `resonator`'s
@@ -434,6 +513,22 @@ class TestIndependentRoundTrip:
     @example(res=Resonator(Plane(), (OpticalComponent(FreeSpace(1.0, 0.1), Plane(), _T),), FreeSpace(1.5, 0.2), Plane()))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_unfolded_composition(self, res):
+        assert outcome(round_trip_matrix, res) == outcome(lambda res: system_composition(unfold_resonator(res, 1)), res)
+
+    @given(res=_edge_valued)
+    # int indices and radii within the double range; 10**300 * 10**300 makes no float
+    @example(res=Resonator(Spherical(3), (OpticalComponent(FreeSpace(1, 0), Spherical(2), _T),
+                                          OpticalComponent(FreeSpace(2, 1), Spherical(-2), _T),
+                                          OpticalComponent(FreeSpace(3, 0), Spherical(10**300), _T)),
+                           FreeSpace(10**300, 3), Spherical(-(10**300))))
+    # matched indices: the return leg's C is -0.0 where the way in's is 0.0
+    @example(res=Resonator(Plane(), (OpticalComponent(FreeSpace(1.5, 0.1), Spherical(0.3), _T),), FreeSpace(1.5, 0.2),
+                           Spherical(1.0)))
+    # n1 * R is 1e-323 on the way in and underflows to 0 on the way back only
+    @example(res=Resonator(Plane(), (OpticalComponent(FreeSpace(1e-20, 0.0), Spherical(1e-304), _T),
+                                     OpticalComponent(FreeSpace(1e-19, 0.0), Plane(), _T)), FreeSpace(1e-19, 0.0), Plane()))
+    @settings(max_examples=300, deadline=None)
+    def test_edge_values_equal_the_unfolded_composition(self, res):
         assert outcome(round_trip_matrix, res) == outcome(lambda res: system_composition(unfold_resonator(res, 1)), res)
 
 

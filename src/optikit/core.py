@@ -17,7 +17,9 @@ immutable record of the fields its `__slots__` names, in constructor order:
 - `repr` is `Name(field=value, ...)` over every field;
 - assigning or deleting an attribute raises `AttributeError`;
 - `pickle`, `copy.copy` and `copy.deepcopy` rebuild a value through its
-  constructor, so validation runs again and the copy has equal fields.
+  constructor, so validation runs again and the copy has equal fields;
+- a `Checked` value keeps what its check found in one more slot, `_check`,
+  None from its constructor, which none of the above reads.
 
 A type that defines no `__init__` gets one generated from its `__slots__`:
 one parameter per field, in order, the trailing ones defaulting to the
@@ -87,28 +89,34 @@ class Value:
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
-# code of `__init__(self, _0, ..., _<n-1>)` by field count n: one compile per count
-_TEMPLATES: dict[int, CodeType] = {}
+# code of `__init__(self, _0, ..., _<n-1>)` by field count n and whether it starts `_check`: one compile each
+_TEMPLATES: dict[tuple[int, bool], CodeType] = {}
 
 
 def _constructor(cls: type) -> FunctionType:
     """`__init__(self, <cls.__slots__ in order>)`, setting each field through its slot's descriptor.
 
-    The template for the field count is compiled once and renamed, so a class
-    costs no compile of its own.
+    The template for the field count, and whether the class is `Checked`, is
+    compiled once and renamed, so a class costs no compile of its own.
     """
-    fields = cls.__slots__
-    if len(fields) not in _TEMPLATES:
+    fields, key = cls.__slots__, (len(cls.__slots__), hasattr(cls, "_check"))
+    if key not in _TEMPLATES:
         params = "".join(f", _{i}" for i in range(len(fields)))
-        body = "".join(f"\n    _set{i}(self, _{i})" for i in range(len(fields))) or " pass"
+        body = "".join(f"\n    _set{i}(self, _{i})" for i in range(len(fields)))
+        if key[1]:  # a `Checked` value starts with no check kept
+            body += "\n    object.__setattr__(self, '_check', None)"
         namespace: dict = {}
-        exec(f"def __init__(self{params}):{body}", namespace)
-        _TEMPLATES[len(fields)] = namespace["__init__"].__code__
-    code = _TEMPLATES[len(fields)].replace(co_varnames=("self",) + fields)
+        exec(f"def __init__(self{params}):{body or ' pass'}", namespace)
+        _TEMPLATES[key] = namespace["__init__"].__code__
+    code = _TEMPLATES[key].replace(co_varnames=("self",) + fields)
     setters = {f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(fields)}
     init = FunctionType(code, {"__name__": cls.__module__, **setters}, argdefs=cls._defaults)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
+
+
+class Checked(Value):
+    __slots__ = ("_check",)  # one slot outside the fields, for what a check of the value found (module docstring)
 
 
 class Mat2(Value):
@@ -118,9 +126,6 @@ class Mat2(Value):
 
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
-
-    def half_trace(self) -> float:
-        return 0.5 * (self.a11 + self.a22)
 
 
 IDENTITY2 = Mat2(1.0, 0.0, 0.0, 1.0)
@@ -229,9 +234,6 @@ class CVec3(_Vec3):
 
     __slots__ = ("x", "y", "z")
 
-    def norm(self) -> float:
-        return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2 + abs(self.z) ** 2)
-
     def max_abs(self) -> float:
         return max(abs(self.x), abs(self.y), abs(self.z))
 
@@ -269,6 +271,12 @@ def _checkable(x: float) -> float:
     if isinstance(x, int) and not -float_info.max <= x <= float_info.max:
         return math.inf if x > 0 else -math.inf
     return x
+
+
+def _real(x: object) -> float | None:
+    """x as `_checkable` reads it where x is a real number (a `numbers.Real`), else None."""
+    import numbers  # here: a process that reads only floats never imports it
+    return _checkable(x) if isinstance(x, numbers.Real) else None
 
 
 def _floats(*xs: float) -> tuple[float, ...]:

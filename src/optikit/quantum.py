@@ -37,7 +37,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import struct
 import sys
 from contextlib import nullcontext
 from functools import cached_property
@@ -108,7 +107,7 @@ class InnerProduct(Value):
 
 class _Band(list):
     """A band on the list route, of Python complex entries, with what `Operator` uses of a
-    numpy band: entrywise `+`, `-` and `*`, a scalar `*`, slices, `conj` and `tobytes`."""
+    numpy band: entrywise `+`, `-` and `*`, a scalar `*`, slices and `conj`."""
 
     __add__ = __iadd__ = lambda a, b: _Band(map(operator.add, a, b)) if isinstance(b, list) else NotImplemented
     __sub__ = lambda a, b: _Band(map(operator.sub, a, b)) if isinstance(b, list) else NotImplemented
@@ -116,7 +115,6 @@ class _Band(list):
     __rmul__ = lambda a, scalar: _Band(map(complex(scalar).__mul__, a))  # complex x complex, as numpy's
     __getitem__ = lambda a, i: _Band(list.__getitem__(a, i)) if isinstance(i, slice) else list.__getitem__(a, i)
     conj = lambda a: _Band(map(complex.conjugate, a))
-    tobytes = lambda a: struct.pack(f"{2 * len(a)}d", *(part for z in a for part in (z.real, z.imag)))
 
 
 def _checked(make, message: str = "operator entries must be finite") -> "Operator":

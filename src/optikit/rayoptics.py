@@ -28,9 +28,8 @@ table's matrices, which `tests/helpers.py` writes out as the reference.
 source and terminal width and builds `states` on their first read (as
 `quantum.Operator` builds `.matrix`) with the same stepping function, so they
 are bit-identical; ==, hash, repr and pickle read them, `final` does not.  Both
-share one check with `validate_system`: the report and entries of the last
-system checked are kept, one reference in the module, and reused while calls
-pass that object, if its components are a tuple (a list can change between
+share one check with `validate_system`, which a system keeps in its `_check`
+slot (`core.Checked`) if its components are a tuple (a list can change between
 calls).  Clauses read a float as it is, with no helper call.  One pairing
 function, `_pair_entries`, forms every interface's (C, D), here and on both
 legs of a resonator's round trip.  Parameters must be finite, and so must a
@@ -44,7 +43,7 @@ import math
 from enum import Enum
 from typing import Union
 
-from .core import Mat2, Value, _checkable, _floats
+from .core import Checked, Mat2, Value, _floats, _real
 from .errors import DomainError, InvalidSystem
 
 __all__ = [
@@ -97,7 +96,7 @@ class OpticalComponent(Value):
     __slots__ = ("space", "iface", "kind")
 
 
-class OpticalSystem(Value):
+class OpticalSystem(Checked):
     __slots__ = ("components", "terminal")
 
 
@@ -184,20 +183,25 @@ def element_violations(element, index: int | str | None, types: tuple = (FreeSpa
     A free space needs a finite n > 0 and a finite d >= 0; a spherical
     interface needs a finite R != 0.  index locates the element in the
     reports built from these clauses; an element that is none of types (those
-    its slot takes) violates that clause alone.
+    its slot takes), or has a field that is not a real number ("type real"),
+    violates that clause alone.
     """
     if not isinstance(element, types):
         return [Violation(index, "type " + " or ".join(t.__name__ for t in types), f"got {element!r}")]
     out = []
     if isinstance(element, FreeSpace):
-        n = element.n if element.n.__class__ is float else _checkable(element.n)
-        d = element.d if element.d.__class__ is float else _checkable(element.d)
+        n = element.n if element.n.__class__ is float else _real(element.n)
+        d = element.d if element.d.__class__ is float else _real(element.d)
+        if n is None or d is None:
+            return [Violation(index, "type real", f"got {element!r}")]
         if not 0 < n < math.inf:
             out.append(Violation(index, "n finite" if n > 0 else "0 < n", f"n = {n!r}"))
         if not 0 <= d < math.inf:
             out.append(Violation(index, "d finite" if d >= 0 else "0 <= d", f"d = {d!r}"))
     elif isinstance(element, Spherical):
-        r = element.radius if element.radius.__class__ is float else _checkable(element.radius)
+        r = element.radius if element.radius.__class__ is float else _real(element.radius)
+        if r is None:
+            return [Violation(index, "type real", f"got {element!r}")]
         if r == 0:
             out.append(Violation(index, "R != 0", "spherical interface with R = 0"))
         elif not -math.inf < r < math.inf:
@@ -205,12 +209,18 @@ def element_violations(element, index: int | str | None, types: tuple = (FreeSpa
     return out
 
 
-def _labelled_report(components: tuple[OpticalComponent, ...], before=(), after=()) -> ValidationReport:
-    """The one walk that validates systems and resonators: before, components, after."""
+def _labelled_report(components, before=(), after=(), label: str = "components") -> ValidationReport:
+    """The one walk that validates systems and resonators: before, components (labelled label as a whole), after."""
     violations: list[Violation] = []
     for index, element, types in before:  # types: those that the slot takes
         violations += element_violations(element, index, types)
+    if not isinstance(components, (tuple, list)):
+        violations += element_violations(components, label, (tuple, list))
+        components = ()
     for i, comp in enumerate(components):
+        if not isinstance(comp, OpticalComponent):
+            violations += element_violations(comp, i, (OpticalComponent,))
+            continue
         violations += element_violations(comp.space, i, _SPACE)
         violations += element_violations(comp.iface, i, _IFACE)
         if comp.kind.__class__ is not InterfaceKind:  # an Enum with members has no subclass
@@ -220,22 +230,16 @@ def _labelled_report(components: tuple[OpticalComponent, ...], before=(), after=
     return ValidationReport(tuple(violations))
 
 
-# (system, report, entries) of the last system checked, replaced in one assignment
-_last = (None, None, None)
-
-
 def _checked(sys: OpticalSystem) -> tuple[ValidationReport, list | None]:
-    """The report of a system and, when it is ok, its `_pair_entries`."""
-    global _last
-    last = _last
-    if last[0] is sys:
-        return last[1], last[2]
+    """The report of a system and, when it is ok, its `_pair_entries`, kept in its `_check` (module docstring)."""
+    if (kept := sys._check) is not None:
+        return kept
     comps = sys.components
     report = _labelled_report(comps, after=((None, sys.terminal, _SPACE),))
     entries = _pair_entries([c.space for c in comps], [c.iface for c in comps], [c.kind for c in comps],
                             sys.terminal.n) if report.ok else None
     if type(comps) is tuple:
-        _last = (sys, report, entries)
+        object.__setattr__(sys, "_check", (report, entries))
     return report, entries
 
 

@@ -17,10 +17,9 @@ so det M = 1, and a spherical one, now seen from behind, with radius -R.
 Cost: `round_trip_matrix` validates the resonator and folds its round trip
 unchecked, building no component or system: `rayoptics`' one pairing function
 gives the entries of the way in, and of the way back from the reversed
-sequences with its from-behind flag, the one place that applies -R.  It keeps
-the matrix of the last resonator, one reference in the module, so `stability`
-and `ray_bound_oracle` on one resonator share one check while calls pass that
-object, if its inner components are a tuple.
+sequences with its from-behind flag, the one place that applies -R.  A
+resonator whose inner components are a tuple keeps the matrix in its `_check`
+slot (`core.Checked`), so `stability` and `ray_bound_oracle` check it once.
 `ray_bound_oracle` is O(n_max), stepping (y, theta) in local floats with the
 operations of `mat2_apply`, so its result equals that stepping bit for bit.
 Per trip it compares the state with the running extremes [lo, hi] of y and of
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Mat2, Value, _floats, _positive
+from .core import Checked, Mat2, Value, _floats, _positive
 from .errors import DomainError, InvalidResonator, NonUnimodular
 from .rayoptics import (
     FreeSpace,
@@ -65,11 +64,9 @@ __all__ = [
 UNIMODULAR_TOL = 1e-6
 # |half-trace| this close to 1 is reported as marginal, never stable
 MARGINAL_TOL = 1e-9
-# (resonator, round-trip matrix) of the last resonator served, replaced in one assignment
-_last = (None, None)
 
 
-class Resonator(Value):
+class Resonator(Checked):
     """Left interface, inner components, cavity free space, right interface."""
 
     __slots__ = ("left", "inner", "space", "right")
@@ -92,14 +89,12 @@ class OracleResult(Value):
 def validate_resonator(res: Resonator) -> ValidationReport:
     """Report every violated validity clause of a resonator (empty == valid)."""
     ends = (("cavity space", res.space, (FreeSpace,)), ("right mirror", res.right, _IFACE))
-    return _labelled_report(res.inner, (("left mirror", res.left, _IFACE),), ends)
+    return _labelled_report(res.inner, (("left mirror", res.left, _IFACE),), ends, "inner components")
 
 
 def round_trip_matrix(res: Resonator) -> Mat2:
-    global _last
-    last = _last
-    if last[0] is res:
-        return last[1]
+    if (m := res._check) is not None:
+        return m
     validate_resonator(res).require(InvalidResonator)
     reflected, n = InterfaceKind.REFLECTED, res.space.n
     spaces = [c.space for c in res.inner] + [res.space]
@@ -109,7 +104,7 @@ def round_trip_matrix(res: Resonator) -> Mat2:
     entries += _pair_entries(spaces[::-1], [*ifaces[::-1], res.left], [*kinds[::-1], reflected], n, True)
     m = _fold(entries, 0.0)
     if type(res.inner) is tuple:
-        _last = (res, m)
+        object.__setattr__(res, "_check", m)
     return m
 
 

@@ -40,11 +40,11 @@ this route raises `ParseError`, so every error and position has one source.
 Both routes read reals with `_R` and `float`; a differential test pins that
 they agree.
 `serialize` spells the free spaces and the interfaces with one comprehension
-each, and `document_to_*` return the body as it is.  A hand-built document
-(one that `parse` did not return last, which the module keeps) is checked on
-every call, in one walk over its components and one over its elements; its
-body's types settle alternation and the ending rules.  A real such as 1e999
-parses (to inf); validation rejects it.
+each, and `document_to_*` return the body as it is.  `parse` marks each
+document it returns in its `_check` slot (`core.Checked`); any other (hand-built,
+or a copy) is checked on every call, in one walk over its components and one
+over its elements; its body's types settle alternation and the ending rules.
+A real such as 1e999 parses (to inf); validation rejects it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import math
 import re
 from sys import float_info
 
-from .core import Value
+from .core import Checked, _real
 from .errors import DomainError, OptikitError
 from .rayoptics import (
     FreeSpace,
@@ -88,8 +88,6 @@ _KINDS = {None: InterfaceKind.TRANSMITTED, **{k.value: k for k in InterfaceKind}
 _PLANE = Plane()
 # lines read without `_tokenize`: the empty line, and a header alone (its one token)
 _PLAIN = ("", "[system]", "[resonator]")
-# the document `parse` returned last, replaced whole: its structure is checked
-_parsed = None
 
 
 class ParseError(OptikitError):
@@ -106,7 +104,7 @@ class ParseError(OptikitError):
         super().__init__(text)
 
 
-class Document(Value):
+class Document(Checked):
     """The OpticalSystem or Resonator a source describes, and the kind= token
     of each component interface as written: None, "transmitted" or "reflected"."""
 
@@ -194,7 +192,6 @@ def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str)
 
 def parse(source: str) -> Document:
     """Parse a document, raising ParseError at the first grammar violation."""
-    global _parsed
     kind, count, comps, written = None, 0, [], []  # count: the directives read
     pos, line_no, size = 0, 0, len(source)
 
@@ -260,7 +257,8 @@ def parse(source: str) -> Document:
                                  "no kind= on the first/last interface")
         right = comps.pop()
         body = Resonator(left, tuple(comps), right.space, right.iface)
-    doc = _parsed = Document(body, tuple(written))
+    doc = Document(body, tuple(written))
+    object.__setattr__(doc, "_check", True)  # its structure is checked
     return doc
 
 
@@ -278,10 +276,10 @@ def _elements(doc: Document) -> tuple[list, list, tuple]:
 
 def _check_document(doc: Document, kind: str | None = None, reals: bool = False) -> None:
     """DomainError unless doc is of the given kind and, where `parse` did not
-    return it last, its body is an OpticalSystem or Resonator of the element
+    return it, its body is an OpticalSystem or Resonator of the element
     types the grammar spells, written names each component's kind, and (given
     reals) each real has a spelling."""
-    if doc is not _parsed:
+    if doc._check is None:
         body, written = doc.body, doc.written
         if body.__class__ not in (OpticalSystem, Resonator):
             raise DomainError(f"a document body is an OpticalSystem or a Resonator, got {type(body).__name__}")
@@ -300,7 +298,7 @@ def _check_document(doc: Document, kind: str | None = None, reals: bool = False)
                     raise DomainError(f"{what} {k} is a {type(element).__name__}")
                 for key in element.__slots__ if reals else ():
                     x = getattr(element, key)
-                    if not (abs(x) <= float_info.max and float(x) == x or x in (math.inf, -math.inf)):
+                    if _real(x) is None or not (abs(x) <= float_info.max and float(x) == x or abs(x) == math.inf):
                         raise DomainError(f"{what} {k}: {key} is NaN or beyond the double range,"
                                           " or no double equals it")
     if kind and doc.kind != kind:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import struct
 import sys
 from fractions import Fraction
 
@@ -99,6 +100,22 @@ def vec3_sub(u, v) -> tuple:
 def vec3_scale(u, s) -> tuple:
     """The parts of u scaled by s, each s times a part, s on the left (reference, written apart from `core`)."""
     return (s * u.x, s * u.y, s * u.z)
+
+
+def vec3_norm(u) -> float:
+    """Euclidean length of a real or complex 3-vector, from the squared moduli of its parts."""
+    return math.sqrt(abs(u.x) ** 2 + abs(u.y) ** 2 + abs(u.z) ** 2)
+
+
+def half_trace(m: Mat2) -> float:
+    """(a11 + a22) / 2, the stability criterion's half-trace of a round-trip matrix."""
+    return 0.5 * (m.a11 + m.a22)
+
+
+def band_bytes(band) -> bytes:
+    """The complex entries of an operator band as (re, im) doubles in native
+    order, packed by `struct`: what numpy's `tobytes` gives for a complex128 band."""
+    return struct.pack(f"{2 * len(band)}d", *(part for z in band for part in (z.real, z.imag)))
 
 
 def mat_close(a: Mat2, b: Mat2, rtol: float) -> bool:

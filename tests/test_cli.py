@@ -537,6 +537,31 @@ class TestValidateOnce:
         assert len(checks) == elements
         assert set(checks.values()) == {times}
 
+    def test_interleaved_values_are_each_checked_once(self, checks):
+        """Two tuple-built systems and two tuple-built resonators, each called in
+        turn A, B, A, B: every element of each is checked once, not once per turn."""
+        rp = rayoptics
+        t = rp.InterfaceKind.TRANSMITTED
+
+        def components(n0):
+            return (rp.OpticalComponent(rp.FreeSpace(n0, 0.1), rp.Spherical(0.5), t),
+                    rp.OpticalComponent(rp.FreeSpace(1.5, 0.2), rp.Plane(), rp.InterfaceKind.REFLECTED))
+
+        systems = [rp.OpticalSystem(components(n0), rp.FreeSpace(1.0, 0.3)) for n0 in (1.0, 1.2)]
+        resonators = [resonator.Resonator(rp.Spherical(r), components(1.0), rp.FreeSpace(1.0, 0.3), rp.Spherical(r))
+                      for r in (1.0, 2.0)]
+        source = rp.RayState(1e-3, 1e-4)
+        for _ in range(2):
+            for system, res in zip(systems, resonators):
+                assert rp.validate_system(system).ok
+                rp.system_composition(system)
+                rp.trace_ray(system, source)
+                resonator.stability(res)
+                resonator.ray_bound_oracle(res, source, 20)
+        # a system: 2 per component and its terminal; a resonator: 2 per component, the cavity and both mirrors
+        assert len(checks) == 2 * (2 * 2 + 1) + 2 * (2 * 2 + 3)
+        assert set(checks.values()) == {1}
+
     def test_library_calls_share_one_check(self, checks):
         system = sysdesc.document_to_system(sysdesc.parse((SAMPLES / "biconvex.osys").read_text()))
         assert rayoptics.validate_system(system).ok

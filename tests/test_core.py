@@ -16,6 +16,7 @@ from helpers import (
     bits,
     exact_mobius,
     exact_power,
+    half_trace,
     mat_close,
     mat_pow_iterative,
     outcome,
@@ -25,6 +26,7 @@ from helpers import (
     vec3_add,
     vec3_cross,
     vec3_dot,
+    vec3_norm,
     vec3_scale,
     vec3_sub,
 )
@@ -189,7 +191,7 @@ class TestSylvesterPower:
         m = Mat2(k * u.a11, k * u.a12, k * u.a21, k * u.a22)
         got = sylvester_power(m, n)
         exact = exact_power(m, n)
-        det, ht = m.det(), m.half_trace()
+        det, ht = m.det(), half_trace(m)
         sin_theta = math.sqrt(1.0 - ht * ht / det)
         size = max(1.0, abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22))
         # the docstring's bound, c max(n, 1) eps |m|**2 s / sin(theta) with c = 8
@@ -243,7 +245,7 @@ class TestComplexCross:
             w = u.cross(v)
             flipped = v.cross(u)
             assert (w + flipped).max_abs() <= 1e-12 * max(w.max_abs(), 1.0)
-            assert abs(u.dot(w)) <= 1e-12 * max(u.norm() * w.norm(), 1.0)
+            assert abs(u.dot(w)) <= 1e-12 * max(vec3_norm(u) * vec3_norm(w), 1.0)
 
 
 class TestSharedProducts:

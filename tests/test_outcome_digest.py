@@ -12,7 +12,7 @@ import hashlib
 import math
 import random
 
-from helpers import EDGE_FLOATS, bits, random_unimodular, replace
+from helpers import EDGE_FLOATS, band_bytes, bits, random_unimodular, replace
 from optikit.core import CVec3, Mat2, RVec3
 from optikit.emoptics import (
     fresnel_standard,
@@ -46,7 +46,7 @@ def real(rng: random.Random, ints: bool = True) -> object:
 def mode_bands(omega: object, hbar: object, dim: int) -> tuple:
     """The fields of `make_single_mode`, each operator as its bands' bytes."""
     sm = make_single_mode(omega, hbar, dim)
-    ops = [sorted((k, band.tobytes()) for k, band in op.bands.items()) for op in (sm.q, sm.p, sm.H)]
+    ops = [sorted((k, band_bytes(band)) for k, band in op.bands.items()) for op in (sm.q, sm.p, sm.H)]
     return (sm.omega, sm.hbar, sm.dim, *ops)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_FLOATS, EDGE_INTS, annihilator, basis
+from helpers import EDGE_FLOATS, EDGE_INTS, annihilator, band_bytes, basis
 from optikit.errors import DimensionMismatch, DomainError, OptikitError
 from optikit.quantum import (
     LIST_DIM,
@@ -494,7 +494,7 @@ class TestListRoute:
         sm = make_single_mode(0.7, 2.0, LIST_DIM)
         for op in (sm.q, sm.p, sm.H, commutator(sm.q, sm.p)):
             for k, band in op.bands.items():
-                assert band.tobytes() == np.array(band, dtype=complex).tobytes() == Operator(op.matrix).bands[k].tobytes()
+                assert band_bytes(band) == np.array(band, dtype=complex).tobytes() == Operator(op.matrix).bands[k].tobytes()
 
     @pytest.mark.parametrize("dim", [2, LIST_DIM, LIST_DIM + 1, 64])
     def test_spectrum_on_either_route(self, dim):

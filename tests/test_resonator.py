@@ -3,6 +3,8 @@ import math
 import random
 import sys
 import threading
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -201,6 +203,22 @@ class TestSlotTypes:
              "left mirror: violates type Plane or Spherical (got 'mirror')"),
             (Resonator(Spherical(1.0), (), Plane(), Spherical(1.0)),
              "cavity space: violates type FreeSpace (got Plane())"),
+            # a container that is not a tuple or list, and an entry that is not a component
+            (OpticalSystem(((FreeSpace(1.0, 0.1), Plane(), T),), FreeSpace(1.0, 0.1)),
+             "component 0: violates type OpticalComponent (got (FreeSpace(n=1.0, d=0.1), Plane(), "
+             "<InterfaceKind.TRANSMITTED: 'transmitted'>))"),
+            (Resonator(Plane(), None, FreeSpace(1.0, 0.5), Spherical(1.0)),
+             "inner components: violates type tuple or list (got None)"),
+            (OpticalSystem(None, FreeSpace(1.0, 0.1)), "components: violates type tuple or list (got None)"),
+            # a field that is not a real number
+            (OpticalSystem((), FreeSpace("1.5", 0.0)),
+             "terminal free space: violates type real (got FreeSpace(n='1.5', d=0.0))"),
+            (OpticalSystem((OpticalComponent(FreeSpace(1.0, 1j), Spherical(0.5), T),), FreeSpace(1.0, 0.1)),
+             "component 0: violates type real (got FreeSpace(n=1.0, d=1j))"),
+            (Resonator(Spherical(None), (), FreeSpace(1.0, 0.5), Spherical(1.0)),
+             "left mirror: violates type real (got Spherical(radius=None))"),
+            (Resonator(Plane(), (), FreeSpace(1.0, 0.5), Spherical(Decimal("0.5"))),
+             "right mirror: violates type real (got Spherical(radius=Decimal('0.5')))"),
         ],
     )
     def test_wrong_type_is_reported(self, value, text):
@@ -228,6 +246,62 @@ class TestSlotTypes:
             if not isinstance(x, iface):
                 yield Resonator(x, res.inner, res.space, res.right), "left mirror", iface
                 yield Resonator(res.left, res.inner, res.space, x), "right mirror", iface
+
+    NON_REAL = st.sampled_from(["1.5", "inf", 1j, complex(1.5, 0.0), None, Decimal("1.5"), [1.0], b"1", (1.0,)]) \
+        | st.text(max_size=3) | st.complex_numbers(max_magnitude=1e3)
+    NON_COMPONENT = st.sampled_from([None, "transmitted", 1.0, (), Plane(), FreeSpace(1.0, 0.1), T]) \
+        | st.tuples(st.just(FreeSpace(1.0, 0.1)), st.just(Plane()), st.just(T))
+    NON_SEQUENCE = st.sampled_from([None, 0, 1.5, "abc", {}, set(), frozenset(), range(2), b""])
+
+    @given(seed=st.integers(0, 2**32), as_resonator=st.booleans(), where=st.integers(0, 10**6),
+           what=st.sampled_from(["field", "entry", "container"]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_non_real_field_or_non_component_is_a_violation(self, seed, as_resonator, where, what, data):
+        system = random_system(random.Random(seed))
+        comps, end = list(system.components), system.terminal
+        ends = [Spherical(0.7), end, Plane()] if as_resonator else [end]
+        labels = ["left mirror", "cavity space", "right mirror"] if as_resonator else [None]
+        if what == "field":
+            # one free space or sphere, in a component or at an end, gets a non-real field
+            slots = [(i, slot) for i in range(len(comps)) for slot in ("space", "iface")
+                     if slot == "space" or isinstance(comps[i].iface, Spherical)]
+            slots += [(label, k) for k, label in enumerate(labels) if not isinstance(ends[k], Plane)]
+            index, slot = slots[where % len(slots)]
+            element = getattr(comps[index], slot) if isinstance(index, int) else ends[slot]
+            key = element.__slots__[where % len(element.__slots__)]
+            changed = replace(element, **{key: data.draw(self.NON_REAL)})
+            if isinstance(index, int):
+                comps[index] = replace(comps[index], **{slot: changed})
+            else:
+                ends[slot] = changed
+            clause, text = "type real", f"got {changed!r}"
+        elif what == "entry" and comps:
+            index = where % len(comps)
+            comps[index] = data.draw(self.NON_COMPONENT)
+            clause, text = "type OpticalComponent", f"got {comps[index]!r}"
+        else:
+            index, comps = ("inner components" if as_resonator else "components"), data.draw(self.NON_SEQUENCE)
+            clause, text = "type tuple or list", f"got {comps!r}"
+        value = Resonator(ends[0], comps, ends[1], ends[2]) if as_resonator else OpticalSystem(comps, ends[0])
+        report = (validate_resonator if as_resonator else validate_system)(value)
+        assert [(v.index, v.clause, v.detail) for v in report.violations] == [(index, clause, text)]
+        calls = _resonator_calls(RayState(1e-3, 0.0), 5) if as_resonator else [
+            system_composition, lambda v: trace_ray(v, RayState(0.0, 0.0))]
+        for call in calls:
+            with pytest.raises(InvalidResonator if as_resonator else InvalidSystem, match=f"violates {clause}"):
+                call(value)
+
+    @pytest.mark.parametrize("real", [Fraction(3, 2), 3, True, 10**400])
+    def test_real_that_is_not_a_float_keeps_its_clauses(self, real):
+        # a `numbers.Real` is read as before; an int past the double range as +inf
+        system = OpticalSystem((OpticalComponent(FreeSpace(real, 0.1), Spherical(real), self.T),), FreeSpace(1.0, real))
+        report = validate_system(system)
+        if real == 10**400:
+            assert [v.clause for v in report.violations] == ["n finite", "R finite", "d finite"]
+        else:
+            assert report.ok and system_composition(system) == system_composition(
+                OpticalSystem((OpticalComponent(FreeSpace(float(real), 0.1), Spherical(float(real)), self.T),),
+                              FreeSpace(1.0, float(real))))
 
     def test_every_slot(self):
         cases = list(self._cases())

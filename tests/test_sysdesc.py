@@ -650,6 +650,17 @@ class TestEdgeReals:
         with pytest.raises(DomainError, match=f"{message} NaN or beyond the double range"):
             serialize(written_document(pairs, end))
 
+    @pytest.mark.parametrize("real", ["1.5", 1j, None, complex(0.5, 0.0), [1.0]])
+    @pytest.mark.parametrize("where", ["n", "d", "R"])
+    def test_non_real_field_is_a_domain_error(self, real, where):
+        # `abs` or `float` of the field raised TypeError
+        space = FreeSpace(real, 1.0) if where == "n" else FreeSpace(1.0, real) if where == "d" else FreeSpace(1.0, 1.0)
+        doc = written_document([component(space, Spherical(real if where == "R" else 0.5))], FreeSpace(1.0, 1.0))
+        key = {"R": "radius"}.get(where, where)
+        with pytest.raises(DomainError, match=f": {key} is NaN or beyond the double range, or no double equals it"):
+            serialize(doc)
+        assert document_to_system(doc) is doc.body  # its structure is that of the grammar
+
     @given(doc=_EDGE_DOCUMENTS)
     @settings(max_examples=400, deadline=None)
     def test_finite_or_optikit_error(self, doc):
@@ -670,7 +681,7 @@ _CALLS = (serialize, document_to_system, document_to_resonator)
 
 
 class TestParsedMemo:
-    """`parse` vouches for the document it returned last; on that document,
+    """`parse` vouches for every document it returns; on such a document,
     every call gives what it gives on a copy that `parse` never returned."""
 
     @given(seed=st.integers(0, 2**32), mutate=st.booleans())
@@ -694,6 +705,25 @@ class TestParsedMemo:
         for which, i in order:
             assert outcome(_CALLS[i], docs[which]) == fresh[which][i]
 
+    def test_earlier_document_takes_no_walk(self, monkeypatch):
+        """A document `parse` returned before another is still vouched for:
+        `serialize` forms its elements once, to spell them, and `document_to_*`
+        not at all; a copy of it is walked on every call."""
+        walks, other = [], serialize(random_document(random.Random(3)))
+        elements = sysdesc._elements
+        monkeypatch.setattr(sysdesc, "_elements", lambda doc: walks.append(doc) or elements(doc))
+        first, second = parse(FP_SOURCE), parse(other)
+        assert second.kind == "system" and walks == []
+        for _ in range(2):
+            assert parse(serialize(first)) == first
+            assert document_to_resonator(first) is first.body
+            with pytest.raises(DomainError, match="expected a system document"):
+                document_to_system(first)
+        assert len(walks) == 2
+        walks.clear()
+        serialize(copy.copy(first))
+        assert len(walks) == 2
+
     def test_hand_built_document_is_checked_on_every_call(self):
         doc = parse(FP_SOURCE)
         built = Document(doc.body, doc.written)
@@ -707,7 +737,7 @@ class TestParsedMemo:
 
     def test_threads_get_the_results_of_their_own_documents(self):
         """Four threads on two cores parse their own documents; each call must
-        see its own document's check, whichever document `parse` returned last."""
+        see its own document's check, whatever the other threads parse."""
         rng = random.Random(19)
         sources = [serialize(random_document(rng)) for _ in range(4)]
         expected = [[outcome(call, copy.copy(parse(source))) for call in _CALLS] for source in sources]

@@ -31,9 +31,10 @@ from optikit.rayoptics import (
     Spherical,
     ValidationReport,
     Violation,
+    system_composition,
 )
-from optikit.resonator import OracleResult, Resonator, StabilityVerdict
-from optikit.sysdesc import Document
+from optikit.resonator import OracleResult, Resonator, StabilityVerdict, round_trip_matrix
+from optikit.sysdesc import Document, parse
 
 SPACE = FreeSpace(n=1.0, d=0.1)
 COMPONENT = OpticalComponent(space=SPACE, iface=Spherical(radius=0.5), kind=InterfaceKind.REFLECTED)
@@ -226,6 +227,36 @@ class TestDocument:
         assert "kind" not in Document.__slots__
         with pytest.raises(AttributeError):
             system.kind = "resonator"
+
+
+class TestCheckedSlot:
+    """A system, a resonator and a parsed document keep their check in one slot
+    outside their fields, `_check`, which their constructor sets to None and
+    which no ==, hash, repr, copy or pickle reads."""
+
+    @pytest.mark.parametrize("make, check", [
+        (lambda: OpticalSystem((COMPONENT,), SPACE), lambda v: system_composition(v)),
+        (lambda: Resonator(Spherical(1.0), (COMPONENT,), SPACE, Plane()), lambda v: round_trip_matrix(v)),
+        (lambda: parse("[system]\nfreespace n=1.0 d=0.1\n"), lambda v: None),
+    ], ids=["OpticalSystem", "Resonator", "Document"])
+    def test_slot_is_outside_the_fields(self, make, check):
+        fresh, value = make(), make()
+        check(value)
+        assert type(value).__slots__ == type(fresh).__slots__ and "_check" not in type(value).__slots__
+        assert value._check is not None and (fresh._check is None) == (type(fresh) is not Document)
+        assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
+        for back in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert back == value and back._check is None
+        with pytest.raises(AttributeError):
+            value._check = None
+        assert type(value)(*(getattr(value, name) for name in value.__slots__))._check is None
+
+    def test_list_components_keep_no_check(self):
+        system = OpticalSystem([COMPONENT], SPACE)
+        res = Resonator(Spherical(1.0), [COMPONENT], SPACE, Plane())
+        system_composition(system)
+        round_trip_matrix(res)
+        assert system._check is None and res._check is None
 
 
 class TestQParameterValidates:

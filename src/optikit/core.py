@@ -4,9 +4,9 @@
 unimodular 2x2 matrix, coplanarity, and Moebius transforms.  Everything here
 is an immutable value and every function is pure.  `RVec3` and `CVec3` share
 one `+`, `-`, `scale`, `dot` and `cross`.  Outside reals are read by `_floats`,
-`_positive` and, for a vector, `_finite`: as floats, with a Python int past the
-double range as a signed infinity, which a range clause then rejects, so that
-no `OverflowError` escapes; `_checkable` reads one that passes on unconverted.
+`_positive` and, for a vector, `_finite`: as floats, a non-real as a DomainError,
+and a Python int past the double range as a signed infinity, which a range clause
+then rejects, so no `OverflowError` escapes; `_checkable` reads one passed on as is.
 
 Value types: every record type of the package derives from `Value`, an
 immutable record of the fields its `__slots__` names, in constructor order:
@@ -280,10 +280,13 @@ def _real(x: object) -> float | None:
 
 
 def _floats(*xs: float) -> tuple[float, ...]:
-    """xs as floats, read as `_checkable` reads them; xs itself when each is a float."""
+    """xs as floats, read as `_real` reads them (DomainError for a non-real); xs itself when each is a float."""
     for x in xs:
         if x.__class__ is not float:
-            return tuple(float(_checkable(x)) for x in xs)
+            reals = tuple(map(_real, xs))
+            if None in reals:
+                raise DomainError(f"expected a real number, got {xs[reals.index(None)]!r}")
+            return tuple(map(float, reals))
     return xs
 
 

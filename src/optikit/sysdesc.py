@@ -30,15 +30,15 @@ past the double range, or an int that no double equals (2**53 + 1) raises
 DomainError.
 
 Cost: `parse` is one pass over the source, O(its length).  Whenever a free
-space is due it matches `_PAIR` at the current position, which takes exactly
-what `serialize` writes for a free space and, where one follows, its
-interface, and builds the pair from that one match.  `_PLAIN` lines (an empty
-line, a header alone) are read as they are.  Every other line (comments, a
-left mirror, any other spelling) is tokenized (`str.split`, each column found
-with `str.index` after the previous token) and read by `_parse_fields`; only
-this route raises `ParseError`, so every error and position has one source.
-Both routes read reals with `_R` and `float`; a differential test pins that
-they agree.
+space is due it runs `_PAIR`'s scanner from there: each match takes exactly
+what `serialize` writes for a free space and any interface after it, and
+builds the pair; the position and counters are settled once, after the run.
+A real there is a run of [-+.eE0-9] that `float` vets; one it refuses ends the
+run, and its line is read as any other.  `_PLAIN` lines (an empty line, a
+header alone) are read as they are; every other line is tokenized (`str.split`,
+each column found with `str.index` after the previous token) and read by
+`_parse_fields`, its reals by `_REAL` and `float`.  Only this route raises
+`ParseError`, so every error has one source; a differential test pins that they agree.
 `serialize` spells the free spaces and the interfaces with one comprehension
 each, and `document_to_*` return the body as it is.  `parse` marks each
 document it returns in its `_check` slot (`core.Checked`); any other (hand-built,
@@ -74,14 +74,13 @@ __all__ = [
     "document_to_resonator",
 ]
 
-_R = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_REAL = re.compile(_R)
+_REAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 # `serialize`'s free space line and, where one follows, its interface line; groups n, d,
-# shape, R and kind.  Reals of ASCII digits only, which match faster: the tokenizer reads others.
-_R_ASCII = _R.replace(r"\d", "[0-9]")
+# shape, R and kind.  Each real is a run of [-+.eE0-9], which `float` vets: over those
+# characters it accepts exactly what `_REAL` matches.  The tokenizer reads any other.
 _PAIR = re.compile(
-    rf"freespace n=({_R_ASCII}) d=({_R_ASCII})\n"
-    rf"(?:interface (plane|spherical R=({_R_ASCII}))(?: kind=(transmitted|reflected))?\n)?"
+    r"freespace n=([-+.eE0-9]+) d=([-+.eE0-9]+)\n"
+    r"(?:interface (plane|spherical R=([-+.eE0-9]+))(?: kind=(transmitted|reflected))?\n)?"
 )
 _ORDER = {"system": ("freespace", "interface"), "resonator": ("interface", "freespace")}
 _KINDS = {None: InterfaceKind.TRANSMITTED, **{k.value: k for k in InterfaceKind}}
@@ -197,16 +196,22 @@ def parse(source: str) -> Document:
 
     while pos <= size:
         if kind and count % 2 == due:  # a free space is due: read what matches `_PAIR`
-            while fast := _PAIR.match(source, pos):
-                n, d, shape, radius, token = fast.groups()
-                space = FreeSpace(float(n), float(d))
-                pos = fast.end()
-                if not shape:
-                    line_no, count, last = line_no + 1, count + 1, (line_no + 1, 1)
-                    break
-                comps.append(OpticalComponent(space, Spherical(float(radius)) if radius else _PLANE, _KINDS[token]))
-                written.append(token)
-                line_no, count, last = line_no + 2, count + 2, (line_no + 2, 1)
+            scan, pairs, tail, done = _PAIR.scanner(source, pos).match, len(comps), 0, None
+            try:  # done: the last match read; tail: 1 where it is a terminal free space
+                while fast := scan():
+                    n, d, shape, radius, token = fast.groups()
+                    space = FreeSpace(float(n), float(d))
+                    if not shape:
+                        done, tail = fast, 1
+                        break
+                    comps.append(OpticalComponent(space, Spherical(float(radius)) if radius else _PLANE, _KINDS[token]))
+                    written.append(token)
+                    done = fast
+            except ValueError:  # a real `float` refuses: the tokenizer reads this line
+                pass
+            if done:  # the position and the counters, settled once after the run
+                pos, lines = done.end(), 2 * (len(comps) - pairs) + tail
+                line_no, count, last = line_no + lines, count + lines, (line_no + lines, 1)
         end = source.find("\n", pos)
         if end < 0:
             end = size

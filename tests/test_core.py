@@ -41,7 +41,12 @@ from optikit.core import (
     mobius,
     sylvester_power,
 )
+from optikit.emoptics import oblique_incidence_fields, snell_angle
 from optikit.errors import DomainError, OptikitError, SingularTransform
+from optikit.gaussian import beam_at, q_from_geometry
+from optikit.quantum import make_single_mode
+from optikit.rayoptics import FreeSpace, OpticalSystem, RayState, trace_ray
+from optikit.resonator import fp_resonator, ray_bound_oracle, stability_from_matrix
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 matrices = st.builds(Mat2, finite, finite, finite, finite)
@@ -103,6 +108,41 @@ class TestMat2:
         assert bits(mat2_mul(Mat2(*a), Mat2(*b))) == bits(
             Mat2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22, a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
         assert bits(mat2_apply(Mat2(*a), b[:2])) == bits((a11 * b11 + a12 * b12, a21 * b11 + a22 * b12))
+
+
+# entry points that read an outside real through `core._floats`, each taking x in one slot
+_READERS = {
+    "mat2_mul": lambda x: mat2_mul(Mat2(x, 0.0, 0.0, 1.0), IDENTITY2),
+    "mat2_apply": lambda x: mat2_apply(IDENTITY2, (x, 0.0)),
+    "sylvester_power": lambda x: sylvester_power(Mat2(1.0, x, 0.0, 1.0), 3),
+    "mobius": lambda x: mobius(Mat2(1.0, x, 0.0, 1.0), 1j),
+    "trace_ray": lambda x: trace_ray(OpticalSystem((), FreeSpace(1.0, 0.1)), RayState(x, 0.0)),
+    "ray_bound_oracle": lambda x: ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(x, 0.0), 5),
+    "ray_bound_oracle_factor": lambda x: ray_bound_oracle(fp_resonator(1.0, 0.5, 1.0), RayState(0.1, 0.0), 5, x),
+    "stability_from_matrix": lambda x: stability_from_matrix(Mat2(x, 0.0, 0.0, 1.0)),
+    "q_from_geometry": lambda x: q_from_geometry(x, 1e-3, 1e-6),
+    "beam_at": lambda x: beam_at(1e-3, 1e-6, x),
+    "snell_angle": lambda x: snell_angle(x, 1.5, 0.3),
+    "oblique_incidence_fields": lambda x: oblique_incidence_fields(0.3, x, 1.5, 1.0, 1.0, 1.0),
+    "make_single_mode": lambda x: make_single_mode(x, 1.0, 4),
+}
+
+
+class TestNonRealInputs:
+    @pytest.mark.parametrize("value", [None, 1j, "1e-3", b"1"], ids=["None", "complex", "str", "bytes"])
+    @pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
+    def test_non_real_is_a_domain_error(self, reader, value):
+        # each raised TypeError, or read the string or bytes as the float it spells
+        with pytest.raises(DomainError, match="expected a real number, got"):
+            reader(value)
+
+    # not `trace_ray`, whose first state is the source as given, or
+    # `make_single_mode`, whose operators compare by identity
+    @pytest.mark.parametrize("name", sorted(_READERS.keys() - {"trace_ray", "make_single_mode"}))
+    def test_real_that_is_not_a_float_reads_as_its_float(self, name):
+        reader = _READERS[name]
+        assert outcome(reader, Fraction(1, 4)) == outcome(reader, 0.25)
+        assert outcome(reader, True) == outcome(reader, 1.0)
 
 
 class TestSylvesterPower:

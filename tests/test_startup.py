@@ -142,7 +142,7 @@ def test_commands_load_only_their_modules(argv, loaded):
     assert run_fresh(code) == loaded
 
 
-RAY_PATH = ("dataclasses", "inspect")
+RAY_PATH = ("dataclasses", "inspect", "numbers")
 
 
 @pytest.mark.parametrize(
@@ -160,7 +160,8 @@ RAY_PATH = ("dataclasses", "inspect")
 )
 def test_ray_path_loads_no_dataclasses(argv, modules):
     # every record type is a plain slotted class: `dataclasses`, and the
-    # `inspect` it imports, would cost every process about 11 ms
+    # `inspect` it imports, would cost every process about 11 ms; `core._real`
+    # imports `numbers` only for an outside real that is not a float
     code = (
         "import contextlib, io, json, sys\n"
         "import optikit.cli\n"

@@ -526,6 +526,45 @@ class TestOutcomeDigest:
         assert digest.hexdigest() == "5207e418e3f558081fec364c2efd2b4782865baef9411fc73ef00c8adf5fd7b5"
 
 
+# a system of three pairs, one of them a plane, and a resonator of two inner pairs:
+# the fast pattern reads every real of their canonical texts but the left mirror's R
+_REFUSAL_DOCUMENTS = [
+    written_document([component(FreeSpace(1.5, 0.1), Spherical(0.5)),
+                      component(FreeSpace(1.25, 0.3), Plane(), "reflected"),
+                      component(FreeSpace(1.0, 0.2), Spherical(-0.75), "transmitted")], FreeSpace(1.0, 0.4)),
+    written_document([component(FreeSpace(1.5, 0.1), Spherical(0.5)), component(FreeSpace(1.25, 0.3), Plane())],
+                     (Spherical(2.0), FreeSpace(1.0, 0.2), Spherical(-2.5))),
+]
+
+
+class TestRealRuns:
+    """`_PAIR` reads each real as a run of [-+.eE0-9] and lets `float` vet it,
+    which holds only while `float` accepts exactly what `_REAL` matches there."""
+
+    def test_float_accepts_exactly_the_real_pattern_to_length_5(self):
+        for size in range(6):
+            for chars in itertools.product("09.eE+-", repeat=size):
+                text = "".join(chars)
+                assert _float_accepts(text) == bool(sysdesc._REAL.fullmatch(text)), text
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text("0123456789.eE+-", min_size=6, max_size=40)
+           | st.from_regex(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?", fullmatch=True))
+    def test_float_accepts_exactly_the_real_pattern(self, text):
+        assert _float_accepts(text) == bool(sysdesc._REAL.fullmatch(text))
+
+    def test_fast_pattern_reads_runs_of_that_alphabet(self):
+        assert sysdesc._PAIR.pattern.count("([-+.eE0-9]+)") == 3
+
+
+def _float_accepts(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class TestFastPath:
     """`parse` builds canonical lines from one regex match; every other line,
     and every error, goes through the tokenizer.  Both must read a source alike."""
@@ -585,6 +624,28 @@ class TestFastPath:
         monkeypatch.setattr(sysdesc, "_PLAIN", ())
         assert [_outcome(s) for s in sources] == both
         assert 300 < sum(o[0] == "error" for o in both) < len(sources) - 100  # many of each outcome
+
+    @pytest.mark.parametrize("refused", ["1..5", "1e", ".", "+", "1e5e5"])
+    def test_real_that_float_refuses_reads_as_the_tokenizer_reads_it(self, refused, monkeypatch):
+        # Each real of a canonical system and resonator in turn (the first pair,
+        # a middle pair, a sphere's R, the terminal or cavity space) spelled as
+        # a run of the fast pattern's characters that `float` refuses; each
+        # text whole, and cut right after that line, where a fallback that
+        # skipped the line would reach the ending rules, which read `last`.
+        sources = []
+        for doc in _REFUSAL_DOCUMENTS:
+            lines = serialize(doc).split("\n")
+            for i, line in enumerate(lines):
+                for real in re.finditer(r"(?<==)[-+.eE0-9]+", line):
+                    lines[i] = line[:real.start()] + refused + line[real.end():]
+                    sources += ["\n".join(lines), "\n".join(lines[:i + 1]) + "\n"]
+                    lines[i] = line
+        assert len(sources) == 2 * (10 + 9)  # every real of the two texts
+        both = [_outcome(s) for s in sources]
+        monkeypatch.setattr(sysdesc, "_PAIR", re.compile(r"(?!)"))
+        monkeypatch.setattr(sysdesc, "_PLAIN", ())
+        assert [_outcome(s) for s in sources] == both
+        assert {o[:1] + o[3:4] for o in both} <= {("error", f"invalid real for {key}: {refused!r}") for key in "ndR"}
 
     def test_regex_whitespace_is_split_whitespace(self):
         # The fast pattern separates fields with ASCII \s and the tokenizer

@@ -5,7 +5,8 @@ propagation, plane-wave interface checks, and a truncated single-mode field.
 Public names are reached through their modules, as `optikit.rayoptics.FreeSpace`.
 `import optikit` loads no submodule, so that a process pays only for the modules
 it uses: each loads on first use, as `optikit.quantum` or `from optikit import
-quantum`.  numpy loads with `quantum`, and with the `emoptics` kernel.
+quantum`.  numpy loads with the `emoptics` kernel and with arrays: a `quantum` mode past
+`LIST_DIM`, `.matrix`, the eigensolver, `Operator(matrix)`, `StateVector` and `InnerProduct`.
 """
 
 import importlib

@@ -6,7 +6,8 @@ is an immutable value and every function is pure.  `RVec3` and `CVec3` share
 one `+`, `-`, `scale`, `dot` and `cross`.  Outside reals are read by `_floats`,
 `_positive` and, for a vector, `_finite`: as floats, a non-real as a DomainError,
 and a Python int past the double range as a signed infinity, which a range clause
-then rejects, so no `OverflowError` escapes; `_checkable` reads one passed on as is.
+then rejects, so no `OverflowError` escapes; `_checkable` reads a number passed on
+as is, and a value that is not a `numbers.Number` as a DomainError.
 
 Value types: every record type of the package derives from `Value`, an
 immutable record of the fields its `__slots__` names, in constructor order:
@@ -267,9 +268,13 @@ def coplanar(points: Sequence[RVec3]) -> bool:
 
 
 def _checkable(x: float) -> float:
-    """x for the range clauses: a Python int beyond the double range reads as a signed infinity."""
-    if isinstance(x, int) and not -float_info.max <= x <= float_info.max:
-        return math.inf if x > 0 else -math.inf
+    """x for the range clauses: a Python int beyond the double range reads as a signed infinity, a non-number raises."""
+    if x.__class__ is not float and x.__class__ is not complex:
+        import numbers  # here: a process that reads only floats and complexes never imports it
+        if not isinstance(x, numbers.Number):
+            raise DomainError(f"expected a number, got {x!r}")
+        if isinstance(x, int) and not -float_info.max <= x <= float_info.max:
+            return math.inf if x > 0 else -math.inf
     return x
 
 

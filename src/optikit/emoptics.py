@@ -144,7 +144,7 @@ def wavelength_of(k: RVec3) -> float:
     """Wavelength 2*pi/|k| of a wavevector; DomainError unless its parts are finite."""
     k = _finite(k, "wavevector")
     norm = k.norm()
-    if norm == math.inf or norm == 0:  # the squares overflow or underflow: scale by the largest component
+    if not 2.0**-511 <= norm < math.inf:  # the squares overflow or are subnormal: scale by the largest component
         top = max(abs(k.x), abs(k.y), abs(k.z))
         norm = top * RVec3(k.x / top, k.y / top, k.z / top).norm() if top else top
     if norm == 0:
@@ -211,10 +211,10 @@ def _mismatch(side1: Iterable[tuple], side2: tuple, n: CVec3, r: RVec3, t: float
 
 def snell_angle(n1: float, n2: float, theta_i: float) -> float:
     """Transmitted angle arcsin(n1 sin(theta_i) / n2), radians."""
-    n1, n2 = _positive("indices", n1, n2)
-    if not 0 <= theta_i < math.pi / 2:
+    n1, n2, theta = *_positive("indices", n1, n2), *_floats(theta_i)
+    if not 0 <= theta < math.pi / 2:
         raise DomainError(f"incidence angle must be in [0, pi/2), got {theta_i!r}")
-    s = n1 * math.sin(theta_i) / n2
+    s = n1 * math.sin(theta) / n2
     if s > 1.0:
         raise TotalInternalReflection(
             f"total internal reflection: n1 sin(theta_i)/n2 = {s!r} > 1"

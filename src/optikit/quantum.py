@@ -52,12 +52,18 @@ LIST_DIM = 32
 
 
 def _complex(values: object, what: str, ndim: int):
-    """values as an ndim-D numpy complex array of finite entries; DomainError otherwise."""
+    """values, a rectangular array of numbers, as an ndim-D complex array of finite entries; DomainError otherwise."""
+    import numbers
     import numpy as np
-    try:
-        arr = np.asarray(values, dtype=complex)
+    try:  # ragged values raise ValueError
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biufc" and not all(isinstance(x, numbers.Number) for x in arr.flat):
+            raise TypeError  # an entry that is not a number, such as a string
+        arr = arr.astype(complex, copy=False)
     except OverflowError:  # an int entry beyond the double range
         raise DomainError(f"{what} must be finite, got an int beyond the double range") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a rectangular array of numbers") from None
     if arr.ndim != ndim or not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite and {ndim}-D, got shape {arr.shape}")
     return arr

@@ -25,7 +25,7 @@ of components, over the (d, C, D) entries of each component in plain floats,
 and bit-identical to the `mat2_mul` fold and the `mat2_apply` stepping over the
 table's matrices, which `tests/helpers.py` writes out as the reference.
 `trace_ray` builds only the final `RayState`; its `RayTrace` keeps the entries,
-source and terminal width and builds `states` on their first read (as
+source floats and terminal width and builds `states` on their first read (as
 `quantum.Operator` builds `.matrix`) with the same stepping function, so they
 are bit-identical; ==, hash, repr and pickle read them, `final` does not.  Both
 share one check with `validate_system`, which a system keeps in its `_check`
@@ -124,16 +124,16 @@ class RayTrace(Value):
         """The states; where the slot holds a `_Steps`, they are built from it and replace it."""
         states = _STATES.__get__(self)
         if states.__class__ is _Steps:
-            entries, source, d, final = states
-            states = [source]
-            _step(entries, *_source_floats(source), d, states)
+            entries, (y, theta), d, final = states
+            states = [RayState(y, theta)]
+            _step(entries, y, theta, d, states)
             states = (*states, final)
             _STATES.__set__(self, states)
         return states
 
 
 class _Steps(tuple):
-    """(entries, source, terminal width d, final state) of a `trace_ray` call."""
+    """(entries, the source's (y, theta) as floats, terminal width d, final state) of a `trace_ray` call."""
 
 
 # the slot behind `states`, which `RayTrace` reads through `_built`
@@ -324,7 +324,7 @@ def _step(entries: list, y: float, theta: float, d: float, states: list | None =
 def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     """Step a ray through the system element by element.
 
-    The recorded states are the source, the state just after each component
+    The recorded states are the source (as floats), the state just after each component
     (free space traversed and interface applied), and the state after the
     terminal free space.  The final state always equals the composed-matrix
     action on the source; `system_composition` and this stepper are
@@ -334,7 +334,7 @@ def trace_ray(sys: OpticalSystem, source: RayState) -> RayTrace:
     """
     report, entries = _checked(sys)
     report.require(InvalidSystem)
-    y, theta = _source_floats(source)
+    y, theta = source = _source_floats(source)
     d = sys.terminal.d
     y, theta = _step(entries, y, theta, d)
     _require_finite("traced ray", y, theta)

@@ -139,24 +139,17 @@ def _parse_real(fields: dict[str, tuple[str, int]], key: str, line: int) -> floa
     return float(value)
 
 
-# (required keys in reporting order, allowed keys) of each field list
-_FREESPACE_FIELDS = (("n", "d"), frozenset(("n", "d")))
-_SPHERICAL_FIELDS = (("R",), frozenset(("R", "kind")))
-_PLANE_FIELDS = ((), frozenset(("kind",)))
-
-
 def _parse_fields(tokens: list[tuple[str, int]], line_no: int, raw_line: str,
-                  fields: tuple[tuple[str, ...], frozenset[str]]) -> dict[str, tuple[str, int]]:
-    """key -> (value, column) of a line's key=value tokens."""
-    required, allowed = fields
+                  required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, tuple[str, int]]:
+    """key -> (value, column) of a line's key=value tokens: each required key, and any optional one."""
     seen: dict[str, tuple[str, int]] = {}
     for text, col in tokens:
         key, eq, value = text.partition("=")
-        if not eq or key not in allowed:
+        if not eq or key not in required and key not in optional:
             # only here does it matter whether the token is key=value at all
             if not (eq and key.isascii() and key.isidentifier()):
                 raise ParseError(line_no, col, f"trailing token {text!r}", "key=value")
-            raise ParseError(line_no, col, f"unknown key {key!r}", " or ".join(sorted(allowed)))
+            raise ParseError(line_no, col, f"unknown key {key!r}", " or ".join(sorted(required + optional)))
         if key in seen:
             raise ParseError(line_no, col, f"duplicate key {key!r}", "each key at most once")
         if not value:
@@ -173,19 +166,13 @@ def _parse_interface(tokens: list[tuple[str, int]], line_no: int, raw_line: str)
     if len(tokens) < 2:
         raise ParseError(line_no, len(raw_line) + 1, "missing interface shape", "plane or spherical")
     shape, shape_col = tokens[1]
-    if shape == "spherical":
-        fields = _parse_fields(tokens[2:], line_no, raw_line, _SPHERICAL_FIELDS)
-        iface = Spherical(_parse_real(fields, "R", line_no))
-    elif shape == "plane":
-        fields = _parse_fields(tokens[2:], line_no, raw_line, _PLANE_FIELDS)
-        iface = _PLANE
-    else:
+    if shape not in ("plane", "spherical"):
         raise ParseError(line_no, shape_col, f"unknown interface shape {shape!r}", "plane or spherical")
-    kind = None
-    if "kind" in fields:
-        kind, kind_col = fields["kind"]
-        if kind not in ("transmitted", "reflected"):
-            raise ParseError(line_no, kind_col, f"invalid kind {kind!r}", "transmitted or reflected")
+    fields = _parse_fields(tokens[2:], line_no, raw_line, ("R",) if shape == "spherical" else (), ("kind",))
+    iface = Spherical(_parse_real(fields, "R", line_no)) if shape == "spherical" else _PLANE
+    kind, kind_col = fields.get("kind", (None, 0))
+    if kind and kind not in ("transmitted", "reflected"):
+        raise ParseError(line_no, kind_col, f"invalid kind {kind!r}", "transmitted or reflected")
     return iface, kind
 
 
@@ -231,7 +218,7 @@ def parse(source: str) -> Document:
         if head != order[count % 2]:
             raise ParseError(line_no, col, f"unexpected directive {head!r}", order[count % 2])
         if head == "freespace":
-            fields = _parse_fields(tokens[1:], line_no, raw, _FREESPACE_FIELDS)
+            fields = _parse_fields(tokens[1:], line_no, raw, ("n", "d"))
             space = FreeSpace(_parse_real(fields, "n", line_no), _parse_real(fields, "d", line_no))
         else:
             iface, token = _parse_interface(tokens, line_no, raw)

@@ -23,6 +23,7 @@ from helpers import (
     quotient_close,
     random_unimodular,
     read_real,
+    replace,
     vec3_add,
     vec3_cross,
     vec3_dot,
@@ -41,10 +42,16 @@ from optikit.core import (
     mobius,
     sylvester_power,
 )
-from optikit.emoptics import oblique_incidence_fields, snell_angle
+from optikit.emoptics import (
+    continuity_coefficients,
+    fresnel_standard,
+    max_boundary_residual,
+    oblique_incidence_fields,
+    snell_angle,
+)
 from optikit.errors import DomainError, OptikitError, SingularTransform
-from optikit.gaussian import beam_at, q_from_geometry
-from optikit.quantum import make_single_mode
+from optikit.gaussian import QParameter, beam_at, q_from_geometry
+from optikit.quantum import LIST_DIM, make_single_mode
 from optikit.rayoptics import FreeSpace, OpticalSystem, RayState, trace_ray
 from optikit.resonator import fp_resonator, ray_bound_oracle, stability_from_matrix
 
@@ -124,6 +131,11 @@ _READERS = {
     "beam_at": lambda x: beam_at(1e-3, 1e-6, x),
     "snell_angle": lambda x: snell_angle(x, 1.5, 0.3),
     "oblique_incidence_fields": lambda x: oblique_incidence_fields(0.3, x, 1.5, 1.0, 1.0, 1.0),
+    # the incidence angle, which `snell_angle` reads for each of these
+    "snell_angle_theta": lambda x: snell_angle(1.0, 1.5, x),
+    "fresnel_standard_theta": lambda x: fresnel_standard("s", 1.0, 1.5, x),
+    "continuity_coefficients_theta": lambda x: continuity_coefficients(1.0, 1.5, x),
+    "oblique_incidence_fields_theta": lambda x: oblique_incidence_fields(x, 1.0, 1.5, 1.0, 1.0, 1.0),
     "make_single_mode": lambda x: make_single_mode(x, 1.0, 4),
 }
 
@@ -136,13 +148,34 @@ class TestNonRealInputs:
         with pytest.raises(DomainError, match="expected a real number, got"):
             reader(value)
 
-    # not `trace_ray`, whose first state is the source as given, or
-    # `make_single_mode`, whose operators compare by identity
-    @pytest.mark.parametrize("name", sorted(_READERS.keys() - {"trace_ray", "make_single_mode"}))
+    # not `make_single_mode`, whose operators compare by identity
+    @pytest.mark.parametrize("name", sorted(_READERS.keys() - {"make_single_mode"}))
     def test_real_that_is_not_a_float_reads_as_its_float(self, name):
         reader = _READERS[name]
         assert outcome(reader, Fraction(1, 4)) == outcome(reader, 0.25)
         assert outcome(reader, True) == outcome(reader, 1.0)
+
+
+_AMPLITUDES = oblique_incidence_fields(0.3, 1.0, 1.5, 1.0, 1.0, 1.0)
+# entry points that pass an outside number on to `core._checkable`, each taking x in one slot
+_NUMBER_READERS = {
+    "mobius": lambda x: mobius(IDENTITY2, x),
+    "QParameter": lambda x: QParameter(x, 1e-6),
+    "scalar_times_operator_lists": lambda x: x * make_single_mode(1.0).q,
+    "scalar_times_operator_arrays": lambda x: x * make_single_mode(1.0, dim=LIST_DIM + 8).q,
+    "max_boundary_residual": lambda x: max_boundary_residual(replace(_AMPLITUDES, incident=replace(
+        _AMPLITUDES.incident, E=CVec3(x, 0j, 0j))), 10, 1),
+}
+
+
+class TestNonNumberInputs:
+    @pytest.mark.parametrize("value", [None, "2", b"1", [1.0]], ids=["None", "str", "bytes", "list"])
+    @pytest.mark.parametrize("reader", _NUMBER_READERS.values(), ids=_NUMBER_READERS.keys())
+    def test_non_number_is_a_domain_error(self, reader, value):
+        # each raised TypeError, or numpy's UFuncTypeError on arrays, except that the list
+        # route of an operator's scalar product read "2" as 2
+        with pytest.raises(DomainError, match="expected a number, got"):
+            reader(value)
 
 
 class TestSylvesterPower:

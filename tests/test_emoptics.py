@@ -1,9 +1,11 @@
 import cmath
 import contextlib
+import decimal
 import math
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -897,6 +899,20 @@ class TestEdgeValues:
         assert wavelength_of(RVec3(1e200, 0.0, 0.0)) == TWO_PI / 1e200
         assert wavelength_of(RVec3(10**200, 0, 0)) == TWO_PI / 1e200
         assert math.isclose(wavelength_of(RVec3(-1e300, 1e300, 1e300)), TWO_PI / (math.sqrt(3) * 1e300), rel_tol=1e-15)
+
+    @given(m=st.floats(1e-170, 1e-150), a=st.floats(0.5, 1.0), b=st.floats(-1.0, 1.0), c=st.floats(-1.0, 1.0))
+    @example(m=1e-160, a=1.0, b=0.0, c=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_wavelength_of_a_norm_whose_square_is_subnormal(self, m, a, b, c):
+        # below |k| = 2**-511 the sum of squares is subnormal and lost digits: at |k| = 1e-160 the
+        # plain form read 5.6e-6 relative off; the reference is 2 pi / |k| with |k| exact to 60 digits
+        k = RVec3(m * a, m * b, m * c)
+        squares = sum(Fraction(x) ** 2 for x in (k.x, k.y, k.z))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            norm = (decimal.Decimal(squares.numerator) / decimal.Decimal(squares.denominator)).sqrt()
+            ref = float(decimal.Decimal(TWO_PI) / norm)
+        assert math.isclose(wavelength_of(k), ref, rel_tol=1e-15)
 
     def test_wavelength_of_a_norm_whose_square_underflows(self):
         # |k| = 1e-200 read as 0, as the squares underflow

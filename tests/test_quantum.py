@@ -1,6 +1,8 @@
 import math
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +116,36 @@ class TestStateVector:
         x = StateVector([1, -0.0, 0.5j, complex(-0.0, -0.0), 5e-324])
         assert x.dim == 5 and x.amplitudes.dtype == complex
         assert repr(x.amplitudes.tolist()) == repr([1 + 0j, complex(-0.0, 0.0), 0.5j, complex(-0.0, -0.0), 5e-324 + 0j])
+
+
+class TestArrayInputs:
+    @pytest.mark.parametrize("make", [
+        lambda: Operator([["1", "0"], ["0", "2j"]]),
+        lambda: StateVector(["1", "1j"]),
+        lambda: InnerProduct(weight=[["1", "0"], ["0", "1"]])(StateVector([1, 0]), StateVector([1, 0])),
+        lambda: Operator(np.array([[1, "0"], [0, 1]], dtype=object)),
+        lambda: Operator([[1, 2], [3]]),
+        lambda: StateVector([[1], [1, 2]]),
+        lambda: StateVector({"a": 1}),
+        lambda: StateVector([1, None]),
+    ], ids=["operator-strings", "state-strings", "weight-strings", "object-string", "operator-ragged", "state-ragged",
+            "dict", "None"])
+    def test_not_a_rectangular_array_of_numbers(self, make):
+        # a string was read as the number it spells; ragged input raised numpy's ValueError, a dict or None TypeError
+        with pytest.raises(DomainError, match="must be a rectangular array of numbers"):
+            make()
+
+    def test_int_beyond_double_range_keeps_its_message(self):
+        with pytest.raises(DomainError, match="operator matrix must be finite, got an int beyond the double range"):
+            Operator(np.array([[10**400, 0], [0, 1]], dtype=object))
+
+    def test_numbers_of_every_kind_read_as_their_complex(self):
+        x = StateVector([Fraction(1, 2), True, Decimal("0.25"), np.float32(1.5), 2, 1j])
+        assert x.amplitudes.tolist() == [0.5, 1, 0.25, 1.5, 2, 1j]
+
+    def test_operator_must_be_square(self):
+        with pytest.raises(DomainError, match=r"operator matrix must be square, got shape \(1, 3\)"):
+            Operator([[1, 2, 3]])
 
 
 class TestSelfAdjoint:

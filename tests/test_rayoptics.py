@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import struct
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     EDGE_FLOATS,
     EDGE_INTS,
+    bits,
     element_matrices,
     free_space_matrix,
     interface_matrix,
@@ -53,6 +55,9 @@ def one_component_system(iface, kind: InterfaceKind, n0: float, n1: float, d: fl
 class TestValidation:
     def test_single_free_space_valid(self):
         assert validate_system(single_space_system(1.0, 0.5)).ok
+
+    def test_ok_report_prints_valid(self):
+        assert str(validate_system(single_space_system(1.0, 0.5))) == "valid"
 
     def test_negative_index_flagged_with_position(self):
         sys = OpticalSystem(
@@ -415,9 +420,19 @@ class TestLazyStates:
         trace = trace_ray(_PLANES, RayState(1e-3, -0.2))
         assert len(built) == 1  # the final state
         assert trace.final == trace.final and len(built) == 1
-        assert len(trace.states) == len(_PLANES.components) + 2 and len(built) == 1 + len(_PLANES.components)
+        # the source's state, from the floats the call read, and one after each component
+        assert len(trace.states) == len(_PLANES.components) + 2 and len(built) == 2 + len(_PLANES.components)
         trace.states
-        assert len(built) == 1 + len(_PLANES.components)  # built once
+        assert len(built) == 2 + len(_PLANES.components)  # built once
+
+    @pytest.mark.parametrize("source", [RayState(1, 0), RayState(True, Fraction(1, 4)), RayState(Fraction(-1, 3), 2)],
+                             ids=["int", "bool-Fraction", "Fraction-int"])
+    @pytest.mark.parametrize("system", [OpticalSystem((), FreeSpace(1.0, 0.1)), _PLANES], ids=["empty", "planes"])
+    def test_every_state_holds_floats(self, system, source):
+        # the first state was the source as given, RayState(y=True, theta=Fraction(1, 4)), and later ones floats
+        trace = trace_ray(system, source)
+        assert all(x.__class__ is float for state in trace.states for x in state.as_pair())
+        assert bits(trace.states) == bits(trace_ray(system, RayState(float(source.y), float(source.theta))).states)
 
     def test_states_are_those_of_the_system_at_call_time(self):
         comps = list(_PLANES.components)
